@@ -48,7 +48,6 @@ WORKLOADS = [
     ("bench_e18_plan_executor", "run_sweep_shm", "e18_plan_shm"),
     ("bench_e18_plan_executor", "run_sweep_store_cold", "e18_plan_store_cold"),
     ("bench_e18_plan_executor", "run_sweep_store_warm", "e18_plan_store_warm"),
-    ("bench_e18_plan_executor", "run_sweep_grid_serial", "e18_plan_grid_serial"),
     ("bench_e18_plan_executor", "run_sweep_dag", "e18_plan_dag"),
     ("bench_e18_plan_executor", "run_sweep_dag_shm", "e18_plan_dag_shm"),
     ("bench_e19_cycle_sim", "run_sweep_reference", "e19_cycle_sim"),
@@ -180,17 +179,10 @@ def main() -> None:
     store_warm = sec.get("e18_plan_store_warm")
     if store_cold and store_warm:
         data["e18_plan_store_warm_vs_cold"] = round(store_cold / store_warm, 2)
-    # The stage-graph scheduler vs the per-cell serial path on the same
-    # shared-stage grid: stage dedup + sim fusion, a single-core win
-    # (acceptance floor 1.3x).  The shm variant additionally pays pool
-    # dispatch, so one-core recordings may land below the serial ratio.
-    grid_serial = sec.get("e18_plan_grid_serial")
-    dag = sec.get("e18_plan_dag")
-    dag_shm = sec.get("e18_plan_dag_shm")
-    if grid_serial and dag:
-        data["e18_plan_dag_vs_serial"] = round(grid_serial / dag, 2)
-    if grid_serial and dag_shm:
-        data["e18_plan_dag_shm_vs_serial"] = round(grid_serial / dag_shm, 2)
+    # The per-cell path the stage graph replaced is gone: drop the
+    # ratios that were measured against it rather than carry them.
+    for stale in ("e18_plan_dag_vs_serial", "e18_plan_dag_shm_vs_serial"):
+        data.pop(stale, None)
     # E19: the measured/(C+D) bound constant per (topology, policy) cell
     # of the E11 grid — the hidden LMR constant the cycle-accurate
     # simulator exists to pin down (acceptance band: every cell <= 4).

@@ -32,12 +32,12 @@ from repro import exec as exec_backends
 from repro import analysis
 from repro.api import ExperimentPlan, Pipeline, ResultFrame
 from repro.api import run as run_pipeline
-from repro.exec import ExecutorBackend, ResultStore
+from repro.exec import ResultStore
 from repro.networks import route_trace
 from repro.sim import SimProfile, simulate_trace, validate_bound
 from repro.util.caches import cache_stats, clear_caches
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "machine",
@@ -64,7 +64,6 @@ __all__ = [
     "ResultFrame",
     "run_pipeline",
     "exec_backends",
-    "ExecutorBackend",
     "ResultStore",
     "cache_stats",
     "clear_caches",

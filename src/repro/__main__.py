@@ -10,9 +10,9 @@ Three subcommands expose the experiment API without writing any Python:
 ``python -m repro plan experiments.json [--executor shm] [--store results.db]``
     Load a declarative :class:`~repro.api.plan.ExperimentPlan` from JSON
     (either an explicit ``{"cells": [...]}`` list or a ``{"grid": ...}``
-    product spec), run it on any registered execution backend —
+    product spec), run it on any registered executor substrate —
     optionally through the persistent cell-hash result store — print
-    the result frame (and the backend/store facts it recorded), and
+    the result frame (and the executor/store facts it recorded), and
     optionally export CSV/JSON.
 
 ``python -m repro sim matmul --n 64 --p 16 [--topologies ...] [...]``
@@ -54,7 +54,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     print("  " + ", ".join(sorted(ARBITERS)))
     print("\nD-BSP machine presets (repro.models.PRESETS):")
     print("  " + ", ".join(PRESETS))
-    print("\nexecution backends (repro.exec.by_executor):")
+    print("\nexecutors (repro.exec.by_executor):")
     print("  " + ", ".join(executors()))
     return 0
 
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         "--executor",
         choices=executors(),
         default=None,
-        help="execution backend (default: $REPRO_EXECUTOR or serial)",
+        help="executor substrate (default: $REPRO_EXECUTOR or serial)",
     )
     plan_p.add_argument(
         "--workers", type=int, default=None, help="worker-pool size"

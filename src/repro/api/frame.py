@@ -91,15 +91,14 @@ class ResultFrame:
     ``columns`` always starts with :data:`RESULT_COLUMNS`; rows are plain
     value tuples so frames are cheap to ship across worker processes and
     trivially serialisable.  ``meta`` is a flat (key, value) tuple of
-    run-level facts — the requested executor, the backend that
-    *effectively* ran the cells (``executor_effective`` differs from
-    ``executor`` when a backend degraded, with the reason alongside),
-    result-store hit counts, the ``scheduler`` that mapped cells onto
-    the backend, and — on DAG-scheduled runs — the dedup accounting
-    (``dag_stages_planned`` / ``_unique`` / ``_executed`` /
-    ``_cache_hit`` and ``shared_stage_ratio``, the fraction of planned
-    stage references served by a shared node); read it as a dict via
-    :attr:`metadata`.
+    run-level facts — the requested executor, the substrate that
+    *effectively* ran the stage graph (``executor_effective`` differs
+    from ``executor`` when a substrate degraded, with the reason
+    alongside), result-store hit counts, and — whenever the graph ran —
+    its dedup accounting (``dag_stages_planned`` / ``_unique`` /
+    ``_executed`` / ``_cache_hit`` and ``shared_stage_ratio``, the
+    fraction of planned stage references served by a shared node); read
+    it as a dict via :attr:`metadata`.
     """
 
     columns: tuple[str, ...]

@@ -1,13 +1,12 @@
-"""Declarative experiment plans: grids of cells run by a worker pool.
+"""Declarative experiment plans: grids of cells run as one stage graph.
 
 An :class:`ExperimentPlan` is a list of :class:`PlanCell` measurements —
 (algorithm, size, p, sigma, topology, policy, machine) — expanded from a
-grid or loaded from JSON, executed serially or by a
-``concurrent.futures`` worker pool, and collected into a
-:class:`~repro.api.frame.ResultFrame`.  Each distinct (algorithm, size,
-seed) source is materialised exactly once (before any worker starts);
-the cells then share the folding and routing LRUs, so a whole
-topology x policy x p grid prices one trace with zero re-execution::
+grid or loaded from JSON, executed as one deduplicated stage graph, and
+collected into a :class:`~repro.api.frame.ResultFrame`.  Each distinct
+(algorithm, size, seed) source is materialised exactly once, and each
+distinct fold, route and simulation runs once, so a whole topology x
+policy x p grid prices one trace with zero re-execution::
 
     plan = ExperimentPlan.grid(
         algorithms=["fft"], ns=[1024], ps=[4, 16],
@@ -16,16 +15,17 @@ topology x policy x p grid prices one trace with zero re-execution::
     )
     frame = plan.run(executor="shm", store="results.db")
 
-Execution is pluggable: ``executor`` names a backend in the
-:mod:`repro.exec` registry (``serial``, ``thread``, ``process``,
-``shm``, or any :class:`~repro.exec.ExecutorBackend` instance — the
-``REPRO_EXECUTOR`` environment variable overrides the default) and
-``store`` wraps it in the persistent sqlite result store, so repeated
+Where the graph's waves run is pluggable: ``executor`` names a
+substrate in the :mod:`repro.exec` registry (``serial``, ``thread``,
+``process``, ``shm``, or any :class:`~repro.exec.Substrate` instance —
+the ``REPRO_EXECUTOR`` environment variable overrides the default) and
+``store`` consults the persistent sqlite result store first, so repeated
 sweeps across processes and CI runs hit warm rows instead of
-re-simulating.  Backends return bit-identical frames: every cell
-computes the same deterministic quantities, the backend only changes
+re-simulating.  Substrates return bit-identical frames: every cell
+computes the same deterministic quantities, the substrate only changes
 where; what actually ran is recorded in the frame's ``meta``
-(``executor_effective``, downgrade reasons, store hit counts).
+(``executor_effective``, downgrade reasons, store hit counts, stage
+dedup counters).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class PlanCell:
 
 
 class _PlanRuntime:
-    """Prepared sources + cell evaluator (shared by every executor)."""
+    """Prepared sources + the cell row assembler of one plan run."""
 
     def __init__(self, plan: "ExperimentPlan", *, check: bool = False):
         self.plan = plan
@@ -159,8 +159,8 @@ class _PlanRuntime:
         Runs before any worker starts: the traces (and their
         ``TraceMetrics``) are plan-level shared state — threads see the
         same objects, forked processes inherit them copy-on-write.
-        ``indices`` restricts preparation to those cells (the cached
-        backend prepares only its store misses); default is all.
+        ``indices`` restricts preparation to those cells (a run with a
+        result store prepares only its misses); default is all.
         """
         cells = (
             self.cells
@@ -265,6 +265,25 @@ class _PlanRuntime:
         if self.check:
             row["correct"] = self._checks.get(key)
         return tuple(row.get(c) for c in RESULT_COLUMNS)
+
+    def fresh_eval(self, i: int) -> tuple:
+        """Re-evaluate cell ``i`` from a fresh clone of its source trace.
+
+        The clone gets a new cache token, so folding, routing and (for
+        sim cells) the cycle loop all recompute from scratch instead of
+        hitting the artifacts a run already produced — an independent
+        reference row for the sanitizer's sampled row-parity check.
+        """
+        key = self._source_key(self.cells[i])
+        cols = self._tms[key].trace.columns()
+        clone = Trace.from_columns(
+            self._tms[key].v, cols.labels, cols.offsets, cols.src, cols.dst
+        )
+        fresh = _PlanRuntime(self.plan, check=self.check)
+        fresh._tms = {**self._tms, key: TraceMetrics(clone)}
+        fresh._denoms = dict(self._denoms)
+        fresh._checks = dict(self._checks)
+        return fresh.eval_cell(i)
 
 
 def _plan_source(spec, cell: PlanCell, params: dict):
@@ -475,90 +494,79 @@ class ExperimentPlan:
         max_workers: int | None = None,
         check: bool = False,
         store: "str | Path | Any | None" = None,
-        scheduler: str | None = None,
+        scheduler: str = "dag",
     ) -> ResultFrame:
         """Execute every cell and collect the frame (always cell order).
 
-        ``executor`` names an execution backend in the
-        :mod:`repro.exec` registry — ``"serial"``, ``"thread"``
-        (shares the in-process fold/route/sim LRUs across workers),
-        ``"process"`` (fork-based pool, prepared state inherited
-        copy-on-write) or ``"shm"`` (persistent worker pool over
-        zero-copy shared-memory sources) — or is an
-        :class:`~repro.exec.ExecutorBackend` instance.  Default: the
+        The run compiles the plan's deduplicated stage graph
+        (:mod:`repro.exec.dag`): shared emit/fold/route/sim stages
+        execute once, sibling sim stages fuse into batched cycle loops,
+        and the frame's metadata records the dedup counters.
+
+        ``executor`` names the substrate the graph's waves run on, from
+        the :mod:`repro.exec` registry — ``"serial"`` (in-line),
+        ``"thread"`` (a thread pool sharing the in-process
+        fold/route/sim LRUs), ``"process"`` (a fork-based pool per
+        wave) or ``"shm"`` (a persistent worker pool over zero-copy
+        shared-memory sources) — or is a
+        :class:`~repro.exec.Substrate` instance.  Default: the
         ``REPRO_EXECUTOR`` environment variable, else ``"serial"``.
-        All backends produce bit-identical rows; the frame's ``meta``
-        records what actually ran (``executor_effective`` — backends
+        All substrates produce bit-identical rows; the frame's ``meta``
+        records what actually ran (``executor_effective`` — substrates
         degrade gracefully and say so — plus any store statistics).
 
-        ``store`` — a path or :class:`~repro.exec.ResultStore` — wraps
-        the backend in the persistent cell-hash result cache: warm cells
-        skip emission, folding, routing and simulation entirely.
+        ``store`` — a path or :class:`~repro.exec.ResultStore` — is a
+        persistent cell-hash result cache consulted before the graph is
+        compiled: warm cells skip emission, folding, routing and
+        simulation entirely, and the misses' rows are stored afterwards.
 
         ``check=True`` additionally runs every registry source through
         its spec's ``adapt`` numpy oracle and reports the verdict in the
         frame's ``correct`` column (``None`` for sources without an
         oracle) — the grid doubles as a correctness sweep.
 
-        ``scheduler`` selects how cells map onto the backend:
-        ``"cells"`` (the reference path — the backend evaluates whole
-        cells) or ``"dag"`` (the stage-graph scheduler of
-        :mod:`repro.exec.dag`: shared emit/fold/route/sim stages
-        deduplicate across cells and execute once, sibling sim stages
-        fuse into batched cycle loops, and the frame's metadata records
-        the dedup counters).  Default: the ``REPRO_PLAN_DAG``
-        environment variable, else ``"cells"``.  Both schedulers
-        produce bit-identical frames.
+        ``scheduler`` accepts only ``"dag"``, the one execution path.
         """
-        from repro.exec import CachedBackend, DagBackend, ExecutorBackend, by_executor
-        from repro.exec.dag import (
-            dag_env_enabled,
-            shared_stage_ratio,
-            warn_shared_stages,
-        )
+        from repro.exec import ResultStore, Substrate, by_executor, run_graph
+        from repro.exec.store import store_hits
 
         self.validate()
-        if scheduler is None:
-            scheduler = "dag" if dag_env_enabled() else "cells"
-        if scheduler not in ("cells", "dag"):
+        if scheduler != "dag":
             raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose 'cells' or 'dag'"
+                f"unknown scheduler {scheduler!r}; the stage graph ('dag') "
+                "is the only execution path"
             )
         if executor is None:
             executor = os.environ.get("REPRO_EXECUTOR") or "serial"
-        backend = (
-            executor
-            if isinstance(executor, ExecutorBackend)
-            else by_executor(executor)
+        substrate = (
+            executor if isinstance(executor, Substrate) else by_executor(executor)
         )
-        requested = backend.name
-        info: dict[str, Any] = {"executor": requested}
-        if scheduler == "dag" and requested != "dag":
-            if isinstance(backend, CachedBackend):
-                # The store stays outermost: hits must keep skipping
-                # everything, so the DAG schedules only the misses.
-                if not isinstance(backend.inner, DagBackend):
-                    backend = CachedBackend(
-                        backend.store, DagBackend(backend.inner)
-                    )
-            else:
-                backend = DagBackend(backend)
-        elif requested in ("thread", "process", "shm"):
-            # The silent parallel-regression footgun: a multi-worker
-            # backend re-derives every shared stage in every worker.
-            ratio = shared_stage_ratio(self.cells)
-            info["shared_stage_ratio"] = round(ratio, 4)
-            warn_shared_stages(ratio, requested)
-        if store is not None:
-            backend = CachedBackend(store, backend)
+        info: dict[str, Any] = {"executor": substrate.name}
         runtime = _PlanRuntime(self, check=check)
-        rows, meta = backend.run(runtime, max_workers=max_workers)
-        info.update(meta)
-        info.setdefault("executor_effective", requested)
-        info.setdefault("scheduler", scheduler)
+        rows: dict[int, tuple] = {}
+        if store is not None:
+            if not isinstance(store, ResultStore):
+                store = ResultStore(store)
+            keys, rows = store_hits(store, runtime)
+        misses = [i for i in range(len(self.cells)) if i not in rows]
+        if misses:
+            computed, meta = run_graph(
+                runtime, substrate, misses, max_workers=max_workers
+            )
+            info.update(meta)
+            rows.update(zip(misses, computed))
+            if store is not None:
+                store.put_many({keys[i]: rows[i] for i in misses if i in keys})
+        info.setdefault("executor_effective", substrate.name)
+        if store is not None:
+            info.update(
+                store=str(store.path),
+                store_hits=len(self.cells) - len(misses),
+                store_misses=len(misses),
+            )
         return ResultFrame(
             RESULT_COLUMNS,
-            tuple(rows),
+            tuple(rows[i] for i in range(len(self.cells))),
             name=self.name,
             meta=tuple(info.items()),
         )

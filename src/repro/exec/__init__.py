@@ -1,61 +1,25 @@
-"""Pluggable plan-execution backends behind one registry.
+"""Plan execution: one stage graph, four executor substrates, one store.
 
-One narrow contract (:class:`ExecutorBackend`) decouples *what* a plan
-measures from *where* its cells run::
-
-    executor registry (by_executor, mirroring networks.by_name)
-        serial | thread | process   (the classic executors, re-homed)
-        shm                         (persistent pool, zero-copy shared
-                                     sources, columnar row returns)
-        + CachedBackend(store=...)  (persistent sqlite cell-hash store
-                                     wrapping any inner backend)
-
-All registered backends produce bit-identical
-:class:`~repro.api.frame.ResultFrame` rows (property-tested); they only
-differ in throughput and in the metadata they record on the frame
-(effective backend, downgrade reasons, store hit counts).
+Every ``ExperimentPlan.run`` compiles the plan's deduplicated stage
+graph (:mod:`repro.exec.dag`) and runs its waves on a registered
+substrate — ``serial``, ``thread``, ``process`` (fork per wave) or
+``shm`` (persistent pool over zero-copy shared sources).  ``store=``
+adds the sqlite :class:`ResultStore` as a cell-level pre-pass.  All
+substrates produce bit-identical rows; they differ in throughput and in
+the metadata they record (effective substrate, downgrade reason, store
+hits, stage dedup counters).
 """
 
-from repro.exec.base import ExecutorBackend
-from repro.exec.dag import (
-    DagBackend,
-    StageGraph,
-    clear_dag_stats,
-    dag_stats,
-    shared_stage_ratio,
-    stage_kernel,
-)
-from repro.exec.local import ProcessBackend, SerialBackend, ThreadBackend
+from repro.exec.dag import StageGraph, clear_dag_stats, dag_stats, run_graph
+from repro.exec.dag import stage_kernel
+from repro.exec.local import ProcessSubstrate, Substrate, ThreadSubstrate
 from repro.exec.registry import EXECUTORS, by_executor, executors, register_executor
-from repro.exec.shm import SharedMemoryBackend, shutdown_pool
-from repro.exec.store import (
-    CachedBackend,
-    ResultStore,
-    cell_key,
-    clear_store_stats,
-    store_cache_stats,
-)
+from repro.exec.shm import ShmSubstrate, shutdown_pool
+from repro.exec.store import ResultStore, cell_key, clear_store_stats, store_cache_stats
 
 __all__ = [
-    "ExecutorBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "SharedMemoryBackend",
-    "DagBackend",
-    "StageGraph",
-    "stage_kernel",
-    "shared_stage_ratio",
-    "dag_stats",
-    "clear_dag_stats",
-    "CachedBackend",
-    "ResultStore",
-    "cell_key",
-    "register_executor",
-    "by_executor",
-    "executors",
-    "EXECUTORS",
-    "shutdown_pool",
-    "store_cache_stats",
-    "clear_store_stats",
+    "Substrate", "ThreadSubstrate", "ProcessSubstrate", "ShmSubstrate",
+    "register_executor", "by_executor", "executors", "EXECUTORS", "shutdown_pool",
+    "StageGraph", "run_graph", "stage_kernel", "dag_stats", "clear_dag_stats",
+    "ResultStore", "cell_key", "store_cache_stats", "clear_store_stats",
 ]

@@ -1,128 +1,176 @@
-"""The three classic executors, re-homed as registry backends.
+"""The in-process and fork executors: where a plan's stage waves run.
 
-These are the ``serial``/``thread``/``process`` strings
-:meth:`ExperimentPlan.run` has always accepted, bit-identical to their
-pre-registry implementations:
-
-* :class:`SerialBackend` — evaluate cells in order on the calling
-  thread (the reference executor every other backend is tested
-  against);
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor``; workers share the
-  in-process fold/route/sim LRUs, so the pool parallelises the numpy
-  kernels' release of the GIL;
-* :class:`ProcessBackend` — a fork-based ``ProcessPoolExecutor``;
-  prepared traces and warm caches are inherited copy-on-write, results
-  come back as plain row tuples.  Where ``fork`` is unavailable
-  (Windows, some macOS configurations) it degrades to threads — loudly:
-  a :class:`RuntimeWarning` is emitted and the frame's metadata records
-  ``executor_effective: "thread"`` with the downgrade reason, so a
-  sweep can never silently lose its parallelism story.
+:class:`Substrate` itself (``serial``) runs waves in-line, landing
+artifacts in the in-process LRUs; :class:`ThreadSubstrate` (``thread``)
+maps cold nodes over a thread pool sharing those LRUs;
+:class:`ProcessSubstrate` (``process``) forks a pool per wave whose
+workers inherit the warm LRUs copy-on-write and pickle artifacts back
+for parent-side seeding.  Without ``fork`` it degrades to threads with a
+:class:`RuntimeWarning` and says so in the frame metadata.  Substrates
+only choose where a node runs, so all produce bit-identical rows.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
-from repro.exec.base import ExecutorBackend
+from repro.exec.dag import FUSE_MAX_SUPERSTEPS, _route_stage
+from repro.exec.dag import _sim_batch_stage, _sim_stage
 from repro.exec.registry import register_executor
 
-__all__ = ["SerialBackend", "ThreadBackend", "ProcessBackend", "default_workers"]
+__all__ = ["Substrate", "ThreadSubstrate", "ProcessSubstrate"]
 
 
-def default_workers(num_cells: int, max_workers: int | None) -> int:
-    """The historical pool-size default: min(8, cells, cores)."""
-    if max_workers is not None:
-        return max(1, max_workers)
-    return min(8, max(1, num_cells), os.cpu_count() or 1)
+def _seed_routes(cold: list, profiles: list) -> None:
+    from repro.networks import seed_route_cache
+
+    for (_rkey, (trace, topo, policy)), profile in zip(cold, profiles):
+        seed_route_cache(trace, topo, policy, profile)
 
 
-class SerialBackend(ExecutorBackend):
-    """Evaluate every cell in order on the calling thread."""
+def _seed_sims(cold: list, profiles: list) -> None:
+    from repro.sim.engine import seed_sim_cache
+
+    for (_sk, node), profile in zip(cold, profiles):
+        seed_sim_cache(*node, profile)
+
+
+class Substrate:
+    """How a plan run executes its waves of cold stage nodes.
+
+    The base class is the ``serial`` executor: waves run in-line.
+    Subclasses override :meth:`run_routes`/:meth:`run_sims` (and
+    :meth:`open` when they can degrade).  ``cold`` wave entries are
+    ``(node_key, node_args)`` pairs from the stage graph.
+    """
 
     name = "serial"
+    #: Pool size of one run: ``max_workers``, else min(8, cells, cores).
+    workers = 1
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        return [runtime.eval_cell(i) for i in indices]
+    def open(
+        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
+    ) -> "Substrate":
+        """The substrate that runs one plan's waves, recording
+        ``executor_effective`` (and any ``executor_downgrade``) in
+        ``meta``.  Per-run state lives on the returned copy."""
+        run = copy.copy(self)
+        run.workers = (
+            min(8, max(1, len(indices)), os.cpu_count() or 1)
+            if max_workers is None
+            else max(1, max_workers)
+        )
+        meta["executor_effective"] = self.name
+        return run
+
+    def run_routes(self, cold: list) -> None:
+        for _rkey, (trace, topo, policy) in cold:
+            _route_stage(trace, topo, policy)
+
+    def run_sims(self, cold: list) -> None:
+        _sim_batch_stage([node for _sk, node in cold], FUSE_MAX_SUPERSTEPS)
+
+    def close(self) -> None:
+        """Release per-run resources (called once the waves are done)."""
 
 
-class ThreadBackend(ExecutorBackend):
-    """A thread pool sharing the in-process fold/route/sim LRUs."""
+class ThreadSubstrate(Substrate):
+    """Map cold nodes over a thread pool sharing the in-process LRUs.
+
+    Fused sim batches stay on the calling thread (the fused kernel is
+    already one whole-wave pass); the long-superstep leftovers fan out.
+    """
 
     name = "thread"
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        workers = default_workers(len(indices), max_workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(runtime.eval_cell, indices))
+    def run_routes(self, cold: list) -> None:
+        if not cold:
+            return
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            list(pool.map(lambda c: _route_stage(*c[1]), cold))
+
+    def run_sims(self, cold: list) -> None:
+        if not cold:
+            return
+        fused = [c for c in cold if c[1][0].num_supersteps <= FUSE_MAX_SUPERSTEPS]
+        rest = [c for c in cold if c[1][0].num_supersteps > FUSE_MAX_SUPERSTEPS]
+        if rest:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                list(pool.map(lambda c: _sim_stage(*c[1]), rest))
+        if fused:
+            _sim_batch_stage([node for _sk, node in fused], FUSE_MAX_SUPERSTEPS)
 
 
-#: Runtime the forked process-pool workers inherit (set around the pool).
-#: Module-global by necessity (fork shares it copy-on-write); the lock
-#: serialises concurrent process-executor runs so lazily-forked workers
-#: of one plan can never inherit another plan's runtime.
-_FORK_RUNTIME: Any = None
+#: Wave specs the forked workers inherit copy-on-write (set around each
+#: pool); the lock serialises concurrent process-executor waves.
+_FORK_SPECS: Any = None
 _fork_lock = threading.Lock()
 
 
-def _fork_eval(i: int) -> tuple:
-    return _FORK_RUNTIME.eval_cell(i)
+def _fork_route_one(j: int) -> Any:
+    trace, topo, policy = _FORK_SPECS[j]
+    return _route_stage(trace, topo, policy)
 
 
-class ProcessBackend(ExecutorBackend):
-    """Fork-based worker pool (copy-on-write shares the prepared state)."""
+def _fork_sim_chunk(bounds: tuple[int, int]) -> list:
+    lo, hi = bounds
+    return _sim_batch_stage(_FORK_SPECS[lo:hi], FUSE_MAX_SUPERSTEPS)
+
+
+class ProcessSubstrate(Substrate):
+    """Fork a pool per wave; workers inherit prior waves' LRUs
+    copy-on-write and pickle artifacts back for parent-side seeding."""
 
     name = "process"
 
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            warnings.warn(
-                "fork start method unavailable; falling back to threads",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            rows, meta = ThreadBackend().run(
-                runtime, max_workers=max_workers, indices=indices
-            )
-            meta["executor_downgrade"] = "fork start method unavailable"
-            return rows, meta
-        return super().run(runtime, max_workers=max_workers, indices=indices)
+    def open(
+        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
+    ) -> Substrate:
+        if "fork" in multiprocessing.get_all_start_methods():
+            return super().open(runtime, indices, max_workers, meta)
+        warnings.warn(
+            "fork start method unavailable; running waves on threads",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        meta["executor_downgrade"] = "fork start method unavailable"
+        return ThreadSubstrate().open(runtime, indices, max_workers, meta)
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        global _FORK_RUNTIME
-        workers = default_workers(len(indices), max_workers)
+    def _map(self, fn: Callable, specs: list, args: list) -> list:
+        global _FORK_SPECS
         ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(indices) // (workers * 2))
         with _fork_lock:
-            _FORK_RUNTIME = runtime
+            _FORK_SPECS = specs
             try:
                 with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=ctx
+                    max_workers=min(self.workers, max(1, len(args))),
+                    mp_context=ctx,
                 ) as pool:
-                    return list(pool.map(_fork_eval, indices, chunksize=chunk))
+                    return list(pool.map(fn, args))
             finally:
-                _FORK_RUNTIME = None
+                _FORK_SPECS = None
+
+    def run_routes(self, cold: list) -> None:
+        if cold:
+            specs = [node for _rkey, node in cold]
+            profiles = self._map(_fork_route_one, specs, list(range(len(cold))))
+            _seed_routes(cold, profiles)
+
+    def run_sims(self, cold: list) -> None:
+        if cold:
+            # One contiguous shard per worker keeps sibling fusion intact.
+            step = -(-len(cold) // self.workers)
+            bounds = [(lo, lo + step) for lo in range(0, len(cold), step)]
+            shards = self._map(_fork_sim_chunk, [node for _sk, node in cold], bounds)
+            _seed_sims(cold, [p for shard in shards for p in shard])
 
 
-register_executor("serial", SerialBackend)
-register_executor("thread", ThreadBackend)
-register_executor("process", ProcessBackend)
+register_executor("serial", Substrate)
+register_executor("thread", ThreadSubstrate)
+register_executor("process", ProcessSubstrate)

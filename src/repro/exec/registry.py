@@ -1,49 +1,38 @@
-"""The executor registry: backends by name, mirroring ``networks.by_name``.
+"""The executor registry: substrates by name, mirroring ``networks.by_name``.
 
-Backends register a factory under a short name; plans resolve
-``run(executor="shm")`` through :func:`by_executor` without knowing any
-backend class.  Third-party backends register the same way the shipped
-ones do::
-
-    from repro.exec import ExecutorBackend, register_executor
-
-    class MPIBackend(ExecutorBackend):
-        name = "mpi"
-        ...
-
-    register_executor("mpi", MPIBackend)
+Third-party substrates subclass :class:`~repro.exec.Substrate` and call
+``register_executor("mpi", MPISubstrate)``, as the shipped ones do.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.exec.base import ExecutorBackend
+if TYPE_CHECKING:
+    from repro.exec.local import Substrate
 
 __all__ = ["register_executor", "by_executor", "executors", "EXECUTORS"]
 
-#: name -> zero-argument factory returning a ready backend instance.
-EXECUTORS: dict[str, Callable[[], ExecutorBackend]] = {}
+#: name -> factory returning a ready substrate instance.
+EXECUTORS: "dict[str, Callable[..., Substrate]]" = {}
 
 _registry_lock = threading.Lock()
 
 
-def register_executor(
-    name: str, factory: Callable[[], ExecutorBackend]
-) -> None:
-    """Register (or replace) a backend factory under ``name``."""
+def register_executor(name: str, factory: "Callable[..., Substrate]") -> None:
+    """Register (or replace) a substrate factory under ``name``."""
     with _registry_lock:
         EXECUTORS[name] = factory
 
 
 def executors() -> tuple[str, ...]:
-    """Sorted names of every registered execution backend."""
+    """Sorted names of every registered executor."""
     return tuple(sorted(EXECUTORS))
 
 
-def by_executor(name: str, **kwargs: Any) -> ExecutorBackend:
-    """Instantiate a registered backend by name (keywords to the factory)."""
+def by_executor(name: str, **kwargs: Any) -> "Substrate":
+    """Instantiate a registered substrate by name (keywords to the factory)."""
     if name not in EXECUTORS:
         raise ValueError(
             f"unknown executor {name!r}; choose from {', '.join(executors())}"

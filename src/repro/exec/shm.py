@@ -1,52 +1,41 @@
-"""Zero-copy shared-memory plan execution.
+"""The ``shm`` executor: stage waves over a persistent shared-memory pool.
 
-The weakness of the fork-based :class:`~repro.exec.local.ProcessBackend`
-is lifecycle cost: every ``plan.run`` pays to build a fresh pool, each
-worker starts with cold fold/route/sim LRUs, and results trickle back
-through many small pickles.  On a one- or two-core container that
-overhead eats the parallelism (``e18_plan_workerpool_vs_serial`` was
-recorded at 0.91x).
+One worker pool per process, created on first use and reused by every
+run (workers keep their imports and LRUs).  Every prepared source's
+``int64`` trace columns ship once, zero-copy, in a single
+``multiprocessing.shared_memory`` block that workers map as read-only
+views; sim shards carry their nodes' route profiles, so workers never
+re-route.
 
-:class:`SharedMemoryBackend` restructures the data flow instead of the
-sharding arithmetic:
-
-* **one persistent worker pool per process** — created on first use,
-  reused by every subsequent run (workers keep their warm numpy import
-  and their own fold/route/sim LRUs across runs);
-* **sources ship once, zero-copy** — every prepared source's columnar
-  ``TraceColumns`` (labels / offsets / src / dst, all ``int64``) is
-  packed into a single ``multiprocessing.shared_memory`` block; workers
-  map it and rebuild read-only numpy *views* (no per-cell pickling, no
-  copies — ``Trace.from_columns`` over a contiguous view is free);
-* **cells shard contiguously** — each worker receives one slice of cell
-  indices plus a small manifest (cells, denominators, correctness
-  verdicts) and returns compact row tuples.
-
-Degradation is graceful and *recorded*: on a single-CPU host, for tiny
-plans, or when the plan is not shippable (in-memory
-:class:`~repro.networks.policy.RoutingPolicy` instances, unpicklable
-machine builders), the backend evaluates serially in-process and the
-frame metadata says so (``executor_effective: "serial"`` plus the
-reason) — results are bit-identical either way.
+Degradation is recorded, never silent: on a single-CPU host, for tiny
+plans, or when the plan cannot ship (a foreign trace-like source, an
+unpicklable routing policy or params), waves run in-line and the frame
+metadata says ``executor_effective: "serial"`` plus the reason.  A pool that
+fails mid-run (a killed worker) is shut down, the remaining waves finish
+in-line with a :class:`RuntimeWarning`, and the next run starts a fresh
+pool.  Rows are bit-identical either way.
 """
 
 from __future__ import annotations
 
 import atexit
+import copy
 import multiprocessing
 import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.exec.base import ExecutorBackend
+from repro.exec.dag import FUSE_MAX_SUPERSTEPS, _route_stage, _sim_batch_stage
+from repro.exec.local import Substrate, _seed_routes, _seed_sims
 from repro.exec.registry import register_executor
 
-__all__ = ["SharedMemoryBackend", "shutdown_pool"]
+__all__ = ["ShmSubstrate", "shutdown_pool"]
 
 
 # ----------------------------------------------------------------------
@@ -86,25 +75,23 @@ def shutdown_pool() -> None:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: One attached plan per worker: token -> (SharedMemory, runtime).  A new
-#: token closes the previous mapping, so a long-lived worker holds at
-#: most one plan's segment open.
-_WORKER_STATE: dict[str, object] = {"token": None, "shm": None, "runtime": None}
+#: The one plan a worker has attached: its segment, zero-copy traces by
+#: source key, and topologies by (name, p).  A new plan closes the old
+#: mapping.  Workers are single-threaded, so their private state needs
+#: no lock.
+_WORKER_STATE: dict[str, Any] = {"shm": None, "traces": {}, "topos": {}}
 
 
 def _attach_untracked(name: str) -> SharedMemory:
     """Attach to the parent's segment without resource-tracker custody.
 
-    The parent owns the segment's lifetime (it unlinks after the run);
-    a worker registering its *attachment* would make the tracker — which
-    fork-context workers share with the parent — unlink or complain a
-    second time.  Python 3.13 spells this ``SharedMemory(track=False)``;
-    for older interpreters, registration is suppressed around the
-    attach.
+    The parent owns the segment (it unlinks after the run); a worker
+    registering its attachment would make the tracker, which forked
+    workers share with the parent, unlink or complain a second time.
     """
     try:
         return SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
+    except TypeError:  # Python < 3.13 has no track=
         from multiprocessing import resource_tracker
 
         orig = resource_tracker.register
@@ -115,56 +102,71 @@ def _attach_untracked(name: str) -> SharedMemory:
             resource_tracker.register = orig
 
 
-def _attach_runtime(payload: dict) -> Any:
-    """(Re)build this worker's plan runtime from the shipped payload."""
-    if _WORKER_STATE["token"] == payload["token"]:
-        return _WORKER_STATE["runtime"]
-    # Imported lazily: workers under a spawn context import this module
-    # before the package; and at parent import time repro.api is still
-    # mid-initialisation.
-    from repro.api.plan import ExperimentPlan, _PlanRuntime
-    from repro.core.metrics import TraceMetrics
+def _attach(payload: dict) -> dict[str, Any]:
+    """This worker's state for the shipped plan, (re)attached on demand."""
+    state = _WORKER_STATE
+    old = state["shm"]
+    if old is not None and old.name == payload["shm"]:
+        return state
+    # Lazy: spawn-context workers import this module before the package.
     from repro.machine.trace import Trace
 
-    old = _WORKER_STATE["shm"]
     if old is not None:
-        # Worker processes are forked/spawned single-threaded; their
-        # private state needs no lock.
-        _WORKER_STATE.update(token=None, shm=None, runtime=None)  # repro: noqa[RPR004]
+        state.update(shm=None, traces={}, topos={})  # repro: noqa[RPR004]
         old.close()
     shm = _attach_untracked(payload["shm"])
     flat = np.ndarray((payload["total"],), dtype=np.int64, buffer=shm.buf)
     flat.setflags(write=False)
-    tms = {}
-    for key, (v, spans) in payload["manifest"].items():
-        labels, offsets, src, dst = (flat[a:b] for a, b in spans)
-        tms[key] = TraceMetrics(Trace.from_columns(v, labels, offsets, src, dst))
-    plan = ExperimentPlan(
-        payload["cells"], name=payload["name"], machines=payload["machines"]
-    )
-    runtime = _PlanRuntime(plan, check=payload["check"])
-    runtime._tms = tms
-    runtime._denoms = payload["denoms"]
-    runtime._checks = payload["checks"]
-    _WORKER_STATE.update(token=payload["token"], shm=shm, runtime=runtime)  # repro: noqa[RPR004]
-    return runtime
+    traces = {
+        key: Trace.from_columns(v, *(flat[a:b] for a, b in spans))
+        for key, (v, spans) in payload["manifest"].items()
+    }
+    state.update(shm=shm, traces=traces)  # repro: noqa[RPR004]
+    return state
 
 
-def _eval_shard(payload: dict, indices: list[int]) -> list[tuple]:
-    """Worker entry point: evaluate one contiguous shard of cells."""
-    runtime = _attach_runtime(payload)
-    return [runtime.eval_cell(i) for i in indices]
+def _node(state: dict, skey: tuple, topo_name: str, p: int) -> tuple:
+    """(trace, topology) of one node in this worker."""
+    from repro.networks import by_name
+
+    topo = state["topos"].get((topo_name, p))
+    if topo is None:
+        topo = state["topos"][(topo_name, p)] = by_name(topo_name, p)
+    return state["traces"][skey], topo
+
+
+def _route_shard(payload: dict, specs: list[tuple]) -> list:
+    """Worker entry: route nodes against zero-copy shared trace columns."""
+    state = _attach(payload)
+    return [
+        _route_stage(*_node(state, skey, topo_name, p), policy)
+        for skey, topo_name, p, policy in specs
+    ]
+
+
+def _sim_shard(payload: dict, specs: list[tuple]) -> list:
+    """Worker entry: sim nodes, seeding each node's route profile first
+    (shipped by the parent) so the sims never re-route."""
+    from repro.networks import seed_route_cache
+
+    state = _attach(payload)
+    live = []
+    for skey, topo_name, p, policy, arb, aseed, flits, profile in specs:
+        trace, topo = _node(state, skey, topo_name, p)
+        if profile is not None:
+            seed_route_cache(trace, topo, policy, profile)
+        live.append((trace, topo, policy, arb, aseed, flits))
+    return _sim_batch_stage(live, FUSE_MAX_SUPERSTEPS)
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
-    """Pack every prepared source's columns into one shared block.
+    """Pack every prepared source's trace columns into one shared block.
 
-    Returns the worker payload (manifest of ``(v, spans)`` per source
-    key + the small plan state) and the owning :class:`SharedMemory`;
-    the caller unlinks it after the run.
+    Returns the worker payload (``(v, spans)`` per source key) and the
+    owning :class:`SharedMemory`, which the caller unlinks after the run.
     """
     manifest: dict = {}
     blocks: list[np.ndarray] = []
@@ -180,207 +182,120 @@ def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
         manifest[key] = (tm.trace.v, tuple(spans))
     shm = SharedMemory(create=True, size=max(8, total * 8))
     flat = np.ndarray((total,), dtype=np.int64, buffer=shm.buf)
-    pos = 0
-    for a in blocks:
-        flat[pos : pos + a.size] = a
-        pos += a.size
-    payload = {
-        "token": shm.name,
-        "shm": shm.name,
-        "total": total,
-        "manifest": manifest,
-        "cells": runtime.cells,
-        "name": runtime.plan.name,
-        "machines": runtime.plan.machines,
-        "denoms": runtime._denoms,
-        "checks": runtime._checks,
-        "check": runtime.check,
-    }
-    return payload, shm
+    if blocks:
+        np.concatenate(blocks, out=flat)
+    return {"shm": shm.name, "total": total, "manifest": manifest}, shm
 
 
-def _pack_profiles(results: list[tuple]) -> tuple[dict, SharedMemory]:
-    """Pack routed profiles into one shared block (mixed-dtype, zero-copy).
+class ShmSubstrate(Substrate):
+    """Dispatch wave shards through the persistent shared-memory pool.
 
-    ``results`` pairs each route-stage spec with its
-    :class:`~repro.networks.routing.RoutedProfile`.  The profile's four
-    arrays (``labels``/``dilation`` int64, ``congestion``/``time``
-    float64) are laid out back to back, 8-byte aligned, in one
-    ``SharedMemory`` block; the returned payload carries the byte spans
-    so :func:`_attach_profiles` can rebuild read-only views without
-    copying.  The DAG scheduler ships the route wave's results to
-    sim-wave workers this way.
-    """
-    entries = []
-    blocks: list[np.ndarray] = []
-    offset = 0
-    for spec, profile in results:
-        spans = []
-        for arr in (profile.labels, profile.congestion,
-                    profile.dilation, profile.time):
-            a = np.ascontiguousarray(arr)
-            spans.append((str(a.dtype), offset, a.size))
-            blocks.append(a)
-            offset += a.nbytes
-        entries.append(
-            (spec, (profile.topology, profile.policy, profile.p), tuple(spans))
-        )
-    shm = SharedMemory(create=True, size=max(8, offset))
-    for (_dtype, start, _size), a in zip(
-        (span for _spec, _names, spans in entries for span in spans), blocks
-    ):
-        view = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf, offset=start)
-        view[...] = a
-    return {"shm": shm.name, "entries": entries}, shm
-
-
-def _attach_profiles(payload: dict) -> "Iterator[tuple[tuple, Any]]":
-    """Rebuild the packed routed profiles as zero-copy read-only views.
-
-    Yields ``(spec, RoutedProfile)`` pairs.  The mapping is attached
-    without resource-tracker custody (the parent owns the block) and is
-    deliberately kept open for the worker's lifetime: the profile views
-    borrow its buffer.
-    """
-    from repro.networks.routing import RoutedProfile
-
-    shm = _attach_untracked(payload["shm"])
-    # Single-threaded worker private state, like _attach_runtime's.
-    _WORKER_STATE.setdefault("profile_blocks", []).append(shm)  # type: ignore[union-attr]  # repro: noqa[RPR004]
-    for spec, (topo_name, policy_name, p), spans in payload["entries"]:
-        arrays = []
-        for dtype, start, size in spans:
-            view = np.ndarray((size,), dtype=dtype, buffer=shm.buf, offset=start)
-            view.setflags(write=False)
-            arrays.append(view)
-        labels, congestion, dilation, time = arrays
-        yield spec, RoutedProfile(
-            topology=topo_name,
-            policy=policy_name,
-            p=p,
-            labels=labels,
-            congestion=congestion,
-            dilation=dilation,
-            time=time,
-        )
-
-
-def _shards(indices: list[int], workers: int) -> list[list[int]]:
-    """Split ``indices`` into ``workers`` near-equal contiguous slices."""
-    n = len(indices)
-    base, extra = divmod(n, workers)
-    out, pos = [], 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            out.append(indices[pos : pos + size])
-        pos += size
-    return out
-
-
-class SharedMemoryBackend(ExecutorBackend):
-    """Shard cells across a persistent pool over zero-copy shared sources.
-
-    Parameters
-    ----------
-    workers:
-        Pool size override (default: the plan's ``max_workers`` or
-        min(8, cells, cores)).
-    min_cells:
-        Plans smaller than this run serially in-process — pool dispatch
-        cannot amortise on a cell or two.
-    force:
-        Skip the single-CPU/tiny-plan viability gates (tests exercise
-        the real pool on one-core containers this way).  Shippability
-        gates (unpicklable plans) still apply.
+    ``workers`` overrides the pool size (default: ``max_workers`` or
+    min(8, cells, cores)); plans under ``min_cells`` cells run in-line;
+    ``force`` skips the single-CPU and tiny-plan gates (not the
+    shippability ones), so one-core hosts can exercise the real pool.
     """
 
     name = "shm"
+    # Per-run state (set on the copy :meth:`open` returns).
+    pool: Any = None
+    payload: Any = None
+    block: Any = None
+    meta: dict
+    #: The pool failed mid-run: the remaining waves run in-line.
+    failed = False
 
     def __init__(
         self, *, workers: int | None = None, min_cells: int = 4, force: bool = False
     ) -> None:
-        self.workers = workers
+        self.pool_size = workers
         self.min_cells = min_cells
         self.force = force
 
-    # -- viability -----------------------------------------------------
-    def _downgrade_reason(self, runtime: Any, indices: list[int]) -> str | None:
-        if not self.force:
-            if (os.cpu_count() or 1) <= 1:
-                return "single-CPU host"
-            if len(indices) < self.min_cells:
-                return f"plan smaller than {self.min_cells} cells"
-        return None
-
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        reason = self._downgrade_reason(runtime, indices)
+    def open(
+        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
+    ) -> Substrate:
+        reason = None
+        if not self.force and (os.cpu_count() or 1) <= 1:
+            reason = "single-CPU host"
+        elif not self.force and len(indices) < self.min_cells:
+            reason = f"plan smaller than {self.min_cells} cells"
+        else:
+            block = None
+            try:
+                payload, block = _pack_sources(runtime)
+                pickle.dumps((payload, [runtime.cells[i].policy for i in indices]))
+                workers = self.pool_size or max(
+                    2 if self.force else 1,
+                    min(
+                        8 if max_workers is None else max(1, max_workers),
+                        max(1, len(indices)),
+                        os.cpu_count() or 1,
+                    ),
+                )
+                pool = _ensure_pool(workers)
+            except Exception as err:  # a foreign source, a local policy class, ...
+                if block is not None:
+                    block.close()
+                    block.unlink()
+                reason = f"unshippable plan or no pool ({err})"
         if reason is not None:
-            return self._serial(runtime, indices, reason)
-        runtime.prepare(indices)
-        try:
-            payload, shm = _pack_sources(runtime)
-        except Exception as err:  # e.g. a foreign trace-like source
-            return self._serial(runtime, indices, f"unshippable sources ({err})")
-        try:
-            pickle.dumps(payload)
-        except Exception as err:
-            shm.close()
-            shm.unlink()
-            return self._serial(runtime, indices, f"unpicklable plan ({err})")
-        workers = self.workers or min(
-            8 if max_workers is None else max(1, max_workers),
-            max(1, len(indices)),
-            os.cpu_count() or 1,
-        )
-        if self.force:
-            workers = self.workers or max(2, workers)
-        try:
-            pool = _ensure_pool(workers)
-            shards = _shards(indices, workers)
-            futures = [pool.submit(_eval_shard, payload, shard) for shard in shards]
-            rows_by_index: dict[int, tuple] = {}
-            for shard, future in zip(shards, futures):
-                for i, row in zip(shard, future.result()):
-                    rows_by_index[i] = row
-            rows = [rows_by_index[i] for i in indices]
-        except Exception as err:
-            warnings.warn(
-                f"shared-memory pool failed ({err!r}); evaluating serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            rows, meta = self._serial(runtime, indices, f"pool failure ({err})")
-            return rows, meta
-        finally:
-            shm.close()
-            shm.unlink()
-        return rows, {"executor_effective": "shm", "shm_workers": workers}
+            meta["executor_downgrade"] = reason
+            return Substrate().open(runtime, indices, max_workers, meta)
+        run = copy.copy(self)
+        run.pool, run.payload, run.block, run.workers = pool, payload, block, workers
+        run.meta = meta
+        meta.update(executor_effective="shm", shm_workers=workers)
+        return run
 
-    def _serial(
-        self, runtime: Any, indices: list[int], reason: str
-    ) -> tuple[list[tuple], dict]:
-        runtime.prepare(indices)
-        rows = [runtime.eval_cell(i) for i in indices]
-        return rows, {
-            "executor_effective": "serial",
-            "executor_downgrade": reason,
-        }
+    def _wave(
+        self, cold: list, fn: Callable, specs: list, inline: Callable, seed: Callable
+    ) -> None:
+        """Run ``fn(payload, shard)`` over one contiguous shard of ``specs``
+        per worker and seed the artifacts.  If the pool breaks, it is
+        shut down and this and every later wave of the run go in-line."""
+        if not self.failed:
+            step = -(-len(specs) // self.workers)
+            try:
+                futures = [
+                    self.pool.submit(fn, self.payload, specs[lo : lo + step])
+                    for lo in range(0, len(specs), step)
+                ]
+                artifacts = [out for f in futures for out in f.result()]
+            except BrokenProcessPool as err:  # a worker died
+                warnings.warn(
+                    f"shared-memory pool failed ({err!r}); finishing in-line",
+                    RuntimeWarning,
+                    stacklevel=6,
+                )
+                shutdown_pool()
+                self.failed = True
+                self.meta.update(
+                    executor_effective="serial",
+                    executor_downgrade=f"pool failure ({err})",
+                )
+            else:
+                seed(cold, artifacts)
+                return
+        inline(cold)
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        # Satisfies the ABC; ``run`` owns the whole lifecycle here.
-        return self.run(runtime, max_workers=max_workers, indices=indices)[0]
+    def run_routes(self, cold: list) -> None:
+        if cold:
+            specs = [rkey[:3] + node[2:] for rkey, node in cold]
+            self._wave(cold, _route_shard, specs, super().run_routes, _seed_routes)
+
+    def run_sims(self, cold: list) -> None:
+        from repro.networks import peek_route_cache
+
+        if cold:
+            specs = [
+                sk[:3] + node[2:] + (peek_route_cache(*node[:3]),) for sk, node in cold
+            ]
+            self._wave(cold, _sim_shard, specs, super().run_sims, _seed_sims)
+
+    def close(self) -> None:
+        self.block.close()
+        self.block.unlink()
 
 
-register_executor("shm", SharedMemoryBackend)
+register_executor("shm", ShmSubstrate)

@@ -1,31 +1,20 @@
-"""Persistent cell-hash result store + the backend that rides it.
+"""Persistent cell-hash result store: the plan run's cell-level pre-pass.
 
-Repeated sweeps are the dominant workload: CI re-prices the same grids
-on every push, parameter studies re-run with one axis extended.  Every
-cell of a declarative plan is a *pure function* of its
-:class:`~repro.api.plan.PlanCell` fields (the seeded emitter makes the
-source deterministic), so its result row can be cached **across
-processes and machines** — which in-memory LRUs cannot.
-
-:func:`cell_key` canonicalises a cell into a sha256 hex digest over
-every declarative field — (algorithm, n, p, sigma, topology, policy,
-policy_seed, machine, relative_to_dbsp, mode, arbiter, arbiter_seed,
-flits_per_message, seed, params) — plus the ``check`` flag and
-``repro.__version__``.  The version is *part of the key*: a release that
-changes any measured quantity silently invalidates every stored row
-(stale rows linger until evicted; they can never be returned).
-
-Cells that are not pure functions of their declaration are never cached:
-``@``-sourced cells (in-memory traces of unknown content), cells holding
+Every cell of a declarative plan is a pure function of its
+:class:`~repro.api.plan.PlanCell` fields, so its row can be cached
+across processes and machines.  :func:`cell_key` hashes every
+declarative field plus the ``check`` flag and ``repro.__version__`` —
+a release that changes a measured quantity invalidates every stored
+row.  Cells that are not pure functions of their declaration are never
+cached: ``@``-sourced cells, cells holding
 :class:`~repro.networks.policy.RoutingPolicy` instances, and machine
-cells whose plan carries custom machine builders.
+cells of plans with custom machine builders.
 
 :class:`ResultStore` is a small sqlite table (``key -> row JSON``) with
-LRU eviction by access sequence and hit/miss/eviction counters;
-:class:`CachedBackend` wraps any inner :class:`ExecutorBackend`: hits
-skip *everything* — source emission, folds, routes, sims — and only the
-miss indices reach the inner backend (whose ``prepare`` then
-materialises only the sources those misses need).
+LRU eviction by access sequence.  ``ExperimentPlan.run(store=...)``
+consults it before compiling the stage graph (:func:`store_hits`): hits
+skip emission, folds, routes and sims; only the misses reach the graph,
+and their rows are stored on the way out.
 """
 
 from __future__ import annotations
@@ -39,40 +28,29 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
-from repro.exec.base import ExecutorBackend
-from repro.exec.registry import by_executor, register_executor
 from repro.util import sanitize
 from repro.util.caches import register_cache
 
 __all__ = [
-    "cell_key",
-    "ResultStore",
-    "CachedBackend",
-    "store_cache_stats",
-    "clear_store_stats",
+    "cell_key", "ResultStore", "store_hits", "store_cache_stats", "clear_store_stats",
 ]
 
 # Process-wide counters aggregated across every ResultStore instance
 # (the repro.cache_stats() "store" entry).
 _stats_lock = threading.Lock()
-_hits = 0
-_misses = 0
-_evictions = 0
+_totals = dict.fromkeys(("hits", "misses", "evictions"), 0)
 
 
 def store_cache_stats() -> dict[str, int]:
     """Hit/miss/eviction counters summed over every result store."""
     with _stats_lock:
-        return {"hits": _hits, "misses": _misses, "evictions": _evictions}
+        return dict(_totals)
 
 
 def clear_store_stats() -> None:
     """Reset the aggregate store counters (stored rows are untouched)."""
-    global _hits, _misses, _evictions
     with _stats_lock:
-        _hits = 0
-        _misses = 0
-        _evictions = 0
+        _totals.update(hits=0, misses=0, evictions=0)
 
 
 register_cache("store", store_cache_stats, clear_store_stats)
@@ -147,13 +125,12 @@ class ResultStore:
         self.misses = 0
         self.evictions = 0
 
-    # -- batch API (what CachedBackend uses) ---------------------------
+    # -- batch API (what plan runs use) --------------------------------
     def get_many(self, keys: list[str]) -> dict[str, tuple]:
         """Stored rows for ``keys`` (touching their access sequence).
 
         Counts one hit per found key and one miss per absent key.
         """
-        global _hits, _misses
         found: dict[str, tuple] = {}
         with self._lock:
             for key in keys:
@@ -173,13 +150,12 @@ class ResultStore:
         self.hits += hits
         self.misses += misses
         with _stats_lock:
-            _hits += hits
-            _misses += misses
+            _totals["hits"] += hits
+            _totals["misses"] += misses
         return found
 
     def put_many(self, rows: dict[str, tuple]) -> None:
         """Insert (or refresh) rows, then evict past ``max_rows``."""
-        global _evictions
         if not rows:
             return
         with self._lock, self._conn:
@@ -193,9 +169,7 @@ class ResultStore:
                 )
             evicted = 0
             if self.max_rows is not None:
-                (count,) = self._conn.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()
+                (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
                 excess = int(count) - self.max_rows
                 if excess > 0:
                     self._conn.execute(
@@ -207,13 +181,11 @@ class ResultStore:
         if evicted:
             self.evictions += evicted
             with _stats_lock:
-                _evictions += evicted
+                _totals["evictions"] += evicted
 
     def __len__(self) -> int:
         with self._lock:
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
+            (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
         return int(count)
 
     def stats(self) -> dict[str, int]:
@@ -234,94 +206,31 @@ class ResultStore:
         return f"ResultStore({str(self.path)!r})"
 
 
-class CachedBackend(ExecutorBackend):
-    """Wrap any inner backend with the persistent result store.
+def store_hits(
+    store: ResultStore, runtime: Any
+) -> tuple[dict[int, str], dict[int, tuple]]:
+    """Key every cacheable cell of ``runtime``'s plan and fetch the stored
+    rows: ``(keys by cell index, hit rows by cell index)``.
 
-    Hit cells return their stored rows without materialising anything —
-    a fully warm run performs zero emissions, folds, routes and sims
-    (asserted via the cache counters in the test suite).  Miss cells run
-    on the inner backend exactly as they would have, and their rows are
-    stored on the way out.
+    Under ``REPRO_SANITIZE=1`` sampled hit rows are recomputed end to
+    end (emission, fold, route, sim) and must match the stored row — the
+    runtime counterpart of the cell-purity contract the store rests on.
     """
-
-    name = "cached"
-
-    def __init__(
-        self,
-        store: ResultStore | str | os.PathLike,
-        inner: ExecutorBackend | str = "serial",
-    ) -> None:
-        self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.inner = inner if isinstance(inner, ExecutorBackend) else by_executor(inner)
-
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        custom_machines = runtime.plan.machines is not None
-        keys: dict[int, str] = {}
-        for i in indices:
-            cell = runtime.cells[i]
-            if custom_machines and cell.machine is not None:
-                continue  # a builder mapping has no declarative identity
-            key = cell_key(cell, check=runtime.check)
-            if key is not None:
-                keys[i] = key
-        cached = self.store.get_many(sorted(set(keys.values())))
-        rows: dict[int, tuple] = {}
-        missing: list[int] = []
-        hits: list[int] = []
-        for i in indices:
-            key = keys.get(i)
-            if key is not None and key in cached:
-                rows[i] = cached[key]
-                hits.append(i)
-            else:
-                missing.append(i)
-        if hits and sanitize.enabled():
-            # REPRO_SANITIZE: sampled hit rows are recomputed end to end
-            # (emission, fold, route, sim) and must match the stored row
-            # — the runtime counterpart of the cell-purity contract the
-            # whole store rests on.
-            for i in hits:
-                if not sanitize.should_spotcheck():
-                    continue
+    custom_machines = runtime.plan.machines is not None
+    keys: dict[int, str] = {}
+    for i, cell in enumerate(runtime.cells):
+        if custom_machines and cell.machine is not None:
+            continue  # a builder mapping has no declarative identity
+        key = cell_key(cell, check=runtime.check)
+        if key is not None:
+            keys[i] = key
+    cached = store.get_many(sorted(set(keys.values())))
+    hits = {i: cached[key] for i, key in keys.items() if key in cached}
+    if sanitize.enabled():
+        for i, row in hits.items():
+            if sanitize.should_spotcheck():
                 runtime.prepare([i])
                 sanitize.check_row_parity(
-                    rows[i], runtime.eval_cell(i), f"store hit cell {i}"
+                    row, runtime.eval_cell(i), f"store hit cell {i}"
                 )
-        meta: dict = {}
-        if missing:
-            inner_rows, meta = self.inner.run(
-                runtime, max_workers=max_workers, indices=missing
-            )
-            puts: dict[str, tuple] = {}
-            for i, row in zip(missing, inner_rows):
-                rows[i] = row
-                key = keys.get(i)
-                if key is not None:
-                    puts[key] = row
-            self.store.put_many(puts)
-        else:
-            meta = {"executor_effective": self.inner.name}
-        meta = dict(meta)
-        meta.update(
-            store=str(self.store.path),
-            store_hits=len(indices) - len(missing),
-            store_misses=len(missing),
-        )
-        return [rows[i] for i in indices], meta
-
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        return self.run(runtime, max_workers=max_workers, indices=indices)[0]
-
-
-register_executor("cached", CachedBackend)
+    return keys, hits

@@ -1,7 +1,7 @@
 """RPR005 — registry completeness: definitions reach their registries.
 
 The repository's plugin surfaces are name registries (``AlgorithmSpec``
-specs, ``ExecutorBackend`` factories, arbiter and policy presets) plus
+specs, executor ``Substrate`` factories, arbiter and policy presets) plus
 ``__all__`` re-export lists.  A definition that never registers is dead
 weight with a working import path — plans cannot reach it, the CLI does
 not list it, and tests that iterate "every registered X" silently skip
@@ -13,7 +13,7 @@ Flagged:
 * an ``AlgorithmSpec(...)`` construction that is neither passed to
   ``register(...)`` directly nor via a name later given to a
   ``register*`` call;
-* a public ``ExecutorBackend`` subclass never named in a
+* a public ``Substrate`` subclass never named in a
   ``register_executor(...)`` call in its module;
 * a public ``Arbiter``/``RoutingPolicy`` subclass never named in a
   ``register*`` call or an ALL-CAPS registry dict (``ARBITERS``,
@@ -38,7 +38,7 @@ __all__ = ["RegistryCompletenessCheck"]
 
 #: base class name -> human label for the registration requirement.
 _REGISTERED_BASES = {
-    "ExecutorBackend": "register_executor",
+    "Substrate": "register_executor",
     "Arbiter": "an ARBITERS registry entry or register call",
     "RoutingPolicy": "a POLICIES registry entry or register call",
 }
@@ -134,7 +134,7 @@ class RegistryCompletenessCheck(Check):
     id = "RPR005"
     name = "registry-completeness"
     summary = (
-        "AlgorithmSpec/ExecutorBackend/arbiter definitions are registered "
+        "AlgorithmSpec/Substrate/arbiter definitions are registered "
         "and __all__ matches the module's actual exports"
     )
     scope = "module"

@@ -1,10 +1,10 @@
 """RPR007 — stage purity: DAG stage kernels read no module-level
 mutable state.
 
-The stage-graph scheduler (:mod:`repro.exec.dag`) executes a stage node
-wherever the inner backend puts it — the calling thread, a thread pool,
-a forked worker, a persistent shared-memory worker — and relies on every
-execution computing the *same* artifact.  That only holds if a stage
+The stage graph (:mod:`repro.exec.dag`) executes a stage node wherever
+the run's executor substrate puts it — the calling thread, a thread
+pool, a forked worker, a persistent shared-memory worker — and relies on
+every execution computing the *same* artifact.  That only holds if a stage
 kernel is a pure function of its arguments: any read of module-level
 mutable state (a dict of options, a list toggled by a previous run)
 would make the artifact depend on which process computed it, silently

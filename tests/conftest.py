@@ -43,6 +43,22 @@ def small_trace(rng):
     return random_trace(16, 6, rng)
 
 
+def oracle_rows(plan, *, check: bool = False) -> tuple:
+    """Per-cell reference rows of ``plan``: the test oracle of every run.
+
+    Prepares every source, then evaluates the cells one by one in cell
+    order on cold caches — no stage graph, no substrate, no store.  Plan
+    runs must reproduce these rows bit for bit.
+    """
+    from repro import clear_caches
+    from repro.api.plan import _PlanRuntime
+
+    clear_caches()
+    runtime = _PlanRuntime(plan, check=check)
+    runtime.prepare()
+    return tuple(runtime.eval_cell(i) for i in range(len(plan)))
+
+
 def all_folds(v: int):
     """All power-of-two fold sizes 2..v."""
     out = []

@@ -70,7 +70,17 @@ class TestPackageSurface:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"
+
+    def test_version_is_single_sourced(self):
+        # pyproject.toml reads the version from repro.__version__; a
+        # literal there drifts (it once said 0.3.0 beside 1.5.0).
+        import re
+
+        text = (SRC.parent / "pyproject.toml").read_text()
+        assert not re.search(r"(?m)^\s*version\s*=\s*[\"']", text)
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
 
     def test_quickstart_docstring_example(self):
         """The README/quickstart code path, inline."""

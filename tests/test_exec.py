@@ -1,26 +1,29 @@
-"""The execution-backend registry, shm backend, and the result store.
+"""The executor registry, the shm substrate, and the result store.
 
-Covers the ExecutorBackend contract (every registered backend produces
-bit-identical rows), the recorded degradation paths (process -> thread
-without fork, shm -> serial on one CPU), the persistent cell-hash result
-store (warm runs do zero folds/routes/sims; version bumps invalidate),
-and the aggregated ``repro.cache_stats()`` registry.
+Covers the substrate contract (every registered executor reproduces the
+per-cell oracle bit for bit), the recorded degradation paths (process ->
+thread without fork, shm -> serial on one CPU, shm -> in-line after a
+worker dies), the persistent cell-hash result store (warm runs do zero
+folds/routes/sims; version bumps invalidate), and the aggregated
+``repro.cache_stats()`` registry.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
 import repro
+from conftest import oracle_rows
 from repro import cache_stats, clear_caches
 from repro.api import ExperimentPlan, run
 from repro.api.plan import PlanCell
 from repro.exec import (
-    CachedBackend,
     ResultStore,
-    SharedMemoryBackend,
+    ShmSubstrate,
     by_executor,
     cell_key,
     executors,
@@ -44,7 +47,7 @@ def _grid(name="exec-grid"):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(executors()) >= {"serial", "thread", "process", "shm"}
+        assert executors() == ("process", "serial", "shm", "thread")
 
     def test_by_executor_builds_fresh_instances(self):
         a, b = by_executor("serial"), by_executor("serial")
@@ -63,13 +66,6 @@ class TestRegistry:
         frame = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4]).run()
         assert frame.metadata["executor"] == "thread"
         assert frame.metadata["executor_effective"] == "thread"
-
-    def test_cached_backend_is_registered(self, tmp_path):
-        # Regression (RPR005): CachedBackend defined `name = "cached"` but
-        # was never registered, so by_executor("cached") raised.
-        assert "cached" in executors()
-        backend = by_executor("cached", store=tmp_path / "r.sqlite")
-        assert backend.name == "cached" and backend.inner.name == "serial"
 
     def test_concurrent_registration_is_safe(self):
         # Regression (RPR004): register_executor mutated EXECUTORS unlocked.
@@ -94,22 +90,53 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: the core ExecutorBackend property
+# Substrate equivalence: every executor reproduces the per-cell oracle
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     def test_every_backend_bit_identical_to_serial(self):
         plan = _grid()
+        oracle = oracle_rows(plan)
         serial = plan.run(executor="serial")
         assert serial.metadata["executor_effective"] == "serial"
+        assert serial.rows == oracle
         for name in ("thread", "process"):
             frame = plan.run(executor=name, max_workers=2)
-            assert frame.rows == serial.rows, name
+            assert frame.rows == oracle, name
+            assert frame.metadata["executor_effective"] == name
         # The real pool, even on a single-CPU container.
-        shm = plan.run(executor=SharedMemoryBackend(workers=2, force=True))
-        assert shm.rows == serial.rows
+        shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        assert shm.rows == oracle
         assert shm.metadata["executor_effective"] == "shm"
         assert shm.metadata["shm_workers"] == 2
         shutdown_pool()
+
+    def test_shm_pool_recovers_from_a_killed_worker(self):
+        import repro.exec.shm as shm_mod
+
+        plan = ExperimentPlan.grid(
+            ["fft"], ns=[64], ps=[4, 8], topologies=["ring", "hypercube"],
+            modes=["analytic", "sim"],
+        )
+        oracle = oracle_rows(plan)
+        segments = set(os.listdir("/dev/shm"))
+        substrate = ShmSubstrate(workers=2, force=True)
+        shutdown_pool()
+        first = plan.run(executor=substrate)
+        assert first.metadata["executor_effective"] == "shm"
+        pid, proc = next(iter(shm_mod._POOL._processes.items()))
+        os.kill(pid, signal.SIGKILL)
+        proc.join(10)
+        assert not proc.is_alive()
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            second = plan.run(executor=substrate)
+        assert second.rows == oracle
+        assert second.metadata["executor_effective"] == "serial"
+        assert second.metadata["executor_downgrade"].startswith("pool failure")
+        third = plan.run(executor=substrate)
+        assert third.rows == oracle
+        assert third.metadata["executor_effective"] == "shm"
+        shutdown_pool()
+        assert set(os.listdir("/dev/shm")) <= segments
 
     def test_shm_downgrades_recorded_on_small_hosts(self, monkeypatch):
         import repro.exec.shm as shm_mod
@@ -119,7 +146,7 @@ class TestBackendEquivalence:
         assert frame.metadata["executor"] == "shm"
         assert frame.metadata["executor_effective"] == "serial"
         assert frame.metadata["executor_downgrade"] == "single-CPU host"
-        assert frame.rows == _grid().run().rows
+        assert frame.rows == oracle_rows(_grid())
 
     def test_shm_downgrades_on_tiny_plans(self, monkeypatch):
         import repro.exec.shm as shm_mod
@@ -147,7 +174,7 @@ class TestBackendEquivalence:
             frame.metadata["executor_downgrade"]
             == "fork start method unavailable"
         )
-        assert frame.rows == plan.run().rows
+        assert frame.rows == oracle_rows(plan)
 
     def test_frame_meta_survives_json(self, tmp_path):
         frame = _grid().run()
@@ -223,14 +250,15 @@ class TestResultStore:
     def test_store_wraps_any_inner_backend(self, tmp_path):
         store = ResultStore(tmp_path / "results.db")
         plan = _grid()
-        serial = plan.run()
+        oracle = oracle_rows(plan)
         cold = plan.run(executor="thread", store=store, max_workers=2)
-        assert cold.rows == serial.rows
+        assert cold.rows == oracle
         assert cold.metadata["executor_effective"] == "thread"
         warm = plan.run(executor="thread", store=store)
-        assert warm.rows == serial.rows
-        # All-hit runs never touch the inner backend.
+        assert warm.rows == oracle
+        # All-hit runs never compile the stage graph.
         assert warm.metadata["store_hits"] == len(plan)
+        assert "dag_stages_planned" not in warm.metadata
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "results.db")
@@ -260,12 +288,16 @@ class TestResultStore:
         assert store.get_many(["k0", "k1", "k3"]) == {"k0": (0,), "k3": (3,)}
         assert store.evictions == 1
 
-    def test_cached_backend_composes_explicitly(self, tmp_path):
+    def test_partial_hits_compute_only_the_misses(self, tmp_path):
+        store = ResultStore(tmp_path / "results.db")
+        small = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4])
         plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4, 8])
-        backend = CachedBackend(tmp_path / "results.db", inner="serial")
-        frame = plan.run(executor=backend)
-        assert frame.metadata["executor"] == "cached"
-        assert frame.metadata["store_misses"] == len(plan)
+        small.run(store=store)
+        frame = plan.run(store=store)
+        assert frame.rows == oracle_rows(plan)
+        assert frame.metadata["store_hits"] == len(small)
+        assert frame.metadata["store_misses"] == len(plan) - len(small)
+        assert len(store) == len(plan)
 
 
 # ----------------------------------------------------------------------

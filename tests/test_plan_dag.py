@@ -1,36 +1,35 @@
-"""The stage-graph plan scheduler (``repro.exec.dag``).
+"""The stage graph every plan runs through (``repro.exec.dag``).
 
-The contract under test: ``scheduler="dag"`` produces frames
-bit-identical to the reference per-cell path on every execution
-substrate (serial, thread, process, shm) with and without the result
-store, while executing each unique emit/fold/route/sim stage once —
-the dedup counters recorded in frame metadata and aggregated under
-``repro.cache_stats()["dag"]`` pin that down.  Wave order must not
-matter (``reverse_waves=True`` is bit-identical by construction), and
-the per-cell path must warn once when a multi-worker executor is about
-to re-derive a majority-shared grid without the DAG scheduler.
+The contract under test: every executor substrate, with and without the
+result store, reproduces the per-cell oracle (``conftest.oracle_rows``)
+bit for bit on random small plans, while executing each unique
+emit/fold/route/sim stage once — the dedup counters recorded in frame
+metadata and aggregated under ``repro.cache_stats()["dag"]`` pin that
+down.
 """
 
 from __future__ import annotations
 
-import warnings
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_rows
 from repro import cache_stats, clear_caches
 from repro.api import ExperimentPlan, run
-from repro.exec import (
-    DagBackend,
-    ResultStore,
-    SharedMemoryBackend,
-    by_executor,
-    clear_dag_stats,
-    dag_stats,
-    executors,
-    shared_stage_ratio,
-    shutdown_pool,
-)
-from repro.exec.dag import _reset_shared_stage_warning, dag_env_enabled
+from repro.exec import ResultStore, clear_dag_stats, dag_stats
+from repro.networks import TOPOLOGIES
+from repro.sim import ARBITERS
+
+
+@pytest.fixture(autouse=True)
+def _pin_executor(monkeypatch):
+    # The session-level REPRO_EXECUTOR of a CI matrix leg must not leak
+    # into tests that pick their substrate explicitly.
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
 
 def _shared_grid(name="dag-grid"):
@@ -47,98 +46,70 @@ def _shared_grid(name="dag-grid"):
     )
 
 
-@pytest.fixture(autouse=True)
-def _rearm_warning(monkeypatch):
-    # Pin the scheduler and executor defaults: these tests exercise
-    # both paths explicitly, so the session-level REPRO_PLAN_DAG /
-    # REPRO_EXECUTOR of a CI matrix leg must not leak in.
-    monkeypatch.delenv("REPRO_PLAN_DAG", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    _reset_shared_stage_warning()
-    yield
-    _reset_shared_stage_warning()
+def _subset(items):
+    return st.lists(st.sampled_from(sorted(items)), min_size=1, unique=True)
+
+
+@st.composite
+def small_plans(draw):
+    """1-2 sources from fft/prefix/broadcast/stencil1d at n <= 256 on a
+    random sub-grid of p, topology, policy, mode, arbiter and flits."""
+    # Sizes are capped where the cycle simulator gets expensive: fft at
+    # 64, stencil1d (~27 supersteps per element) at 16 — still past the
+    # sim-fusion gate, so the unfused sim path is drawn too.
+    source = st.one_of(
+        st.tuples(
+            st.sampled_from(["prefix", "broadcast"]), st.sampled_from([16, 64, 256])
+        ),
+        st.tuples(st.just("fft"), st.sampled_from([16, 64])),
+        st.just(("stencil1d", 16)),
+    )
+    sources = draw(st.lists(source, min_size=1, max_size=2, unique=True))
+    grid = dict(
+        ps=draw(_subset([4, 8])),
+        topologies=draw(_subset(TOPOLOGIES)),
+        policies=draw(_subset(["dimension-order", "valiant"])),
+        modes=draw(_subset(["analytic", "sim"])),
+        arbiter=draw(st.sampled_from(sorted(ARBITERS))),
+        flits_per_message=draw(st.sampled_from([1, 2])),
+    )
+    cells = []
+    for algorithm, n in sources:
+        cells.extend(ExperimentPlan.grid([algorithm], ns=[n], **grid).cells)
+    return ExperimentPlan(cells, name="random")
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: the core scheduler property
+# Bit-identity: the core property
 # ----------------------------------------------------------------------
-class TestDagEquivalence:
-    def test_dag_registered_as_executor(self):
-        assert "dag" in executors()
-        backend = by_executor("dag")
-        assert backend.name == "dag" and backend.inner.name == "serial"
+class TestOracleEquivalence:
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(plan=small_plans())
+    def test_random_plans_match_the_oracle(self, plan):
+        oracle = oracle_rows(plan)
+        for executor in ("serial", "thread"):
+            frame = plan.run(executor=executor, max_workers=2)
+            assert frame.rows == oracle, executor
+            assert frame.metadata["executor_effective"] == executor
+            with tempfile.TemporaryDirectory() as tmp:
+                store = ResultStore(Path(tmp) / "results.db")
+                cold = plan.run(executor=executor, store=store, max_workers=2)
+                warm = plan.run(executor=executor, store=store, max_workers=2)
+                store.close()
+            assert cold.rows == oracle, executor
+            assert warm.rows == oracle, executor
+            assert warm.metadata["store_hits"] == len(plan)
 
-    def test_dag_serial_bit_identical(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        frame = plan.run(scheduler="dag")
-        assert frame.rows == reference.rows
-        assert frame.metadata["scheduler"] == "dag"
-        assert frame.metadata["executor_effective"] == "serial"
-        assert frame.columns == reference.columns
-
-    def test_dag_over_every_substrate_bit_identical(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        for inner in ("thread", "process"):
-            frame = plan.run(
-                executor=inner, scheduler="dag", max_workers=2
-            )
-            assert frame.rows == reference.rows, inner
-            assert frame.metadata["scheduler"] == "dag"
-        shm = plan.run(
-            executor=SharedMemoryBackend(workers=2, force=True),
-            scheduler="dag",
-        )
-        assert shm.rows == reference.rows
-        shutdown_pool()
-
-    def test_dag_with_store_cold_and_warm(self, tmp_path):
-        store = ResultStore(tmp_path / "results.db")
-        plan = _shared_grid()
-        reference = plan.run()
-        cold = plan.run(scheduler="dag", store=store)
-        assert cold.rows == reference.rows
-        assert cold.metadata["store_misses"] == len(plan)
-        warm = plan.run(scheduler="dag", store=store)
-        assert warm.rows == reference.rows
-        assert warm.metadata["store_hits"] == len(plan)
-
-    def test_reverse_waves_bit_identical(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        backend = DagBackend("serial", reverse_waves=True)
-        frame = plan.run(executor=backend)
-        assert frame.rows == reference.rows
-
-    def test_dynamic_arbiter_and_flits(self):
-        plan = ExperimentPlan.grid(
-            algorithms=["fft"],
-            ns=[64],
-            ps=[4, 8],
-            topologies=["ring", "mesh2d"],
-            modes=["sim"],
-            arbiter="random",
-            arbiter_seed=3,
-            flits_per_message=2,
-        )
-        assert plan.run(scheduler="dag").rows == plan.run().rows
-
-    def test_long_supersteps_take_unfused_path(self):
-        # stencil1d traces exceed FUSE_MAX_SUPERSTEPS, so sibling sims
-        # must fall back to per-stage execution — still bit-identical.
-        plan = ExperimentPlan.grid(
-            algorithms=["stencil1d"],
-            ns=[256],
-            ps=[4, 8],
-            topologies=["ring"],
-            modes=["sim"],
-        )
-        assert plan.run(scheduler="dag").rows == plan.run().rows
-
-    def test_nested_dag_rejected(self):
-        with pytest.raises(TypeError, match="nest"):
-            DagBackend(DagBackend())
+    def test_scheduler_accepts_only_dag(self):
+        plan = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
+        assert plan.run(scheduler="dag").rows == oracle_rows(plan)
+        for bad in ("cells", "waves", None):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                plan.run(scheduler=bad)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +119,7 @@ class TestDedupCounters:
     def test_frame_metadata_records_counters(self):
         clear_caches()
         plan = _shared_grid()
-        frame = plan.run(scheduler="dag")
+        frame = plan.run()
         meta = frame.metadata
         planned = meta["dag_stages_planned"]
         unique = meta["dag_stages_unique"]
@@ -177,7 +148,7 @@ class TestDedupCounters:
 
     def test_warm_lrus_are_counted_not_recomputed(self):
         # A stable in-memory trace keeps its LRU identity across runs:
-        # the second DAG run must count cache hits instead of executing.
+        # the second run must count cache hits instead of executing.
         trace = run("fft", n=64).trace
         plan = ExperimentPlan.from_trace(
             trace,
@@ -186,8 +157,8 @@ class TestDedupCounters:
             modes=["analytic", "sim"],
         )
         clear_caches()
-        cold = plan.run(scheduler="dag")
-        warm = plan.run(scheduler="dag")
+        cold = plan.run()
+        warm = plan.run()
         assert warm.rows == cold.rows
         assert warm.metadata["dag_stages_cache_hit"] > 0
         assert (
@@ -198,79 +169,10 @@ class TestDedupCounters:
     def test_cache_stats_gains_dag_provider(self):
         clear_dag_stats()
         assert dag_stats()["stages_planned"] == 0
-        frame = _shared_grid().run(scheduler="dag")
+        frame = _shared_grid().run()
         stats = cache_stats()["dag"]
         assert stats["stages_planned"] == frame.metadata["dag_stages_planned"]
         assert stats["stages_unique"] == frame.metadata["dag_stages_unique"]
         assert stats["runs"] == 1
         clear_caches()
         assert dag_stats()["stages_planned"] == 0
-
-
-# ----------------------------------------------------------------------
-# Scheduler selection
-# ----------------------------------------------------------------------
-class TestSchedulerSelection:
-    def test_default_is_cells(self):
-        frame = ExperimentPlan.grid(["fft"], ns=[64], ps=[4]).run()
-        assert frame.metadata["scheduler"] == "cells"
-        assert "dag_stages_planned" not in frame.metadata
-
-    def test_env_selects_dag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_DAG", "1")
-        assert dag_env_enabled()
-        frame = _shared_grid().run()
-        assert frame.metadata["scheduler"] == "dag"
-        assert frame.metadata["dag_stages_planned"] > 0
-
-    def test_explicit_cells_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_DAG", "1")
-        frame = _shared_grid().run(scheduler="cells")
-        assert frame.metadata["scheduler"] == "cells"
-
-    def test_unknown_scheduler_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            _shared_grid().run(scheduler="waves")
-
-    def test_dag_executor_name_implies_dag_scheduler(self):
-        frame = _shared_grid().run(executor="dag")
-        assert frame.metadata["scheduler"] == "dag"
-        assert frame.metadata["dag_stages_planned"] > 0
-
-
-# ----------------------------------------------------------------------
-# The shared-stage warning (per-cell path, multi-worker executor)
-# ----------------------------------------------------------------------
-class TestSharedStageWarning:
-    def test_ratio_prices_overlap_declaratively(self):
-        plan = _shared_grid()
-        ratio = shared_stage_ratio(plan.cells)
-        assert ratio > 0.5
-        lone = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
-        assert shared_stage_ratio(lone.cells) < 0.5
-
-    def test_multi_worker_cells_run_warns_once(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        with pytest.warns(RuntimeWarning, match="REPRO_PLAN_DAG"):
-            frame = plan.run(executor="thread", max_workers=2)
-        assert frame.rows == reference.rows
-        assert frame.metadata["shared_stage_ratio"] > 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second run: warned already
-            again = plan.run(executor="thread", max_workers=2)
-        assert again.metadata["shared_stage_ratio"] > 0.5
-
-    def test_serial_and_dag_runs_do_not_warn(self):
-        plan = _shared_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan.run()
-            plan.run(scheduler="dag")
-
-    def test_low_overlap_grid_does_not_warn(self):
-        plan = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            frame = plan.run(executor="thread", max_workers=2)
-        assert frame.metadata["shared_stage_ratio"] < 0.5
