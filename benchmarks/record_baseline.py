@@ -179,10 +179,6 @@ def main() -> None:
     store_warm = sec.get("e18_plan_store_warm")
     if store_cold and store_warm:
         data["e18_plan_store_warm_vs_cold"] = round(store_cold / store_warm, 2)
-    # The per-cell path the stage graph replaced is gone: drop the
-    # ratios that were measured against it rather than carry them.
-    for stale in ("e18_plan_dag_vs_serial", "e18_plan_dag_shm_vs_serial"):
-        data.pop(stale, None)
     # E19: the measured/(C+D) bound constant per (topology, policy) cell
     # of the E11 grid — the hidden LMR constant the cycle-accurate
     # simulator exists to pin down (acceptance band: every cell <= 4).

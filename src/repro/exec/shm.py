@@ -25,7 +25,6 @@ import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
 
@@ -63,10 +62,10 @@ def _ensure_pool(workers: int) -> ProcessPoolExecutor:
     return _POOL
 
 
-def shutdown_pool() -> None:
-    """Tear down the persistent worker pool (tests, interpreter exit)."""
+def shutdown_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Tear down the worker pool (tests, exit); given ``pool``, only if current."""
     global _POOL, _POOL_WORKERS
-    if _POOL is not None:
+    if _POOL is not None and (pool is None or pool is _POOL):
         _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_WORKERS = 0
@@ -262,13 +261,13 @@ class ShmSubstrate(Substrate):
                     for lo in range(0, len(specs), step)
                 ]
                 artifacts = [out for f in futures for out in f.result()]
-            except BrokenProcessPool as err:  # a worker died
+            except RuntimeError as err:  # dead worker, or pool shut down elsewhere
                 warnings.warn(
                     f"shared-memory pool failed ({err!r}); finishing in-line",
                     RuntimeWarning,
                     stacklevel=6,
                 )
-                shutdown_pool()
+                shutdown_pool(self.pool)
                 self.failed = True
                 self.meta.update(
                     executor_effective="serial",

@@ -138,6 +138,24 @@ class TestBackendEquivalence:
         shutdown_pool()
         assert set(os.listdir("/dev/shm")) <= segments
 
+    def test_shm_pool_shut_down_by_another_run_finishes_in_line(
+        self, monkeypatch
+    ):
+        import repro.exec.shm as shm_mod
+
+        plan = _grid()
+        shutdown_pool()
+        held = shm_mod._ensure_pool(2)
+        shutdown_pool()  # another run tears the shared pool down ...
+        fresh = shm_mod._ensure_pool(2)  # ... and a third starts a new one
+        monkeypatch.setattr(shm_mod, "_ensure_pool", lambda workers: held)
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            frame = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        assert frame.rows == oracle_rows(plan)
+        assert frame.metadata["executor_downgrade"].startswith("pool failure")
+        assert shm_mod._POOL is fresh  # the newer pool is left running
+        shutdown_pool()
+
     def test_shm_downgrades_recorded_on_small_hosts(self, monkeypatch):
         import repro.exec.shm as shm_mod
 

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from conftest import oracle_rows
 from repro import cache_stats, clear_caches
 from repro.api import ExperimentPlan, run
-from repro.exec import ResultStore, clear_dag_stats, dag_stats
+from repro.exec import (
+    ResultStore,
+    ShmSubstrate,
+    clear_dag_stats,
+    dag_stats,
+    shutdown_pool,
+)
 from repro.networks import TOPOLOGIES
 from repro.sim import ARBITERS
 
@@ -103,6 +109,54 @@ class TestOracleEquivalence:
             assert cold.rows == oracle, executor
             assert warm.rows == oracle, executor
             assert warm.metadata["store_hits"] == len(plan)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            _shared_grid(),
+            ExperimentPlan.grid(
+                ["fft"],
+                ns=[64],
+                ps=[4, 8],
+                topologies=["ring", "mesh2d"],
+                modes=["sim"],
+                arbiter="random",
+                arbiter_seed=3,
+                flits_per_message=2,
+            ),
+        ],
+        ids=["shared-stages", "random-arbiter-flits"],
+    )
+    def test_pool_substrates_match_the_oracle_on_sim_grids(self, plan, tmp_path):
+        # The property above draws the in-process substrates; these fixed
+        # sim grids pin the process and shm shard paths.
+        oracle = oracle_rows(plan)
+        for executor in ("process", ShmSubstrate(workers=2, force=True)):
+            frame = plan.run(executor=executor, max_workers=2)
+            name = frame.metadata["executor"]
+            assert frame.rows == oracle, name
+            assert frame.metadata["executor_effective"] == name
+            store = tmp_path / f"{name}.db"
+            cold = plan.run(executor=executor, store=store, max_workers=2)
+            assert cold.rows == oracle, name
+            assert cold.metadata["store_misses"] == len(plan)
+        shutdown_pool()
+
+    def test_long_supersteps_take_the_unfused_sim_path(self, tmp_path):
+        # stencil1d at n=256 exceeds FUSE_MAX_SUPERSTEPS: sibling sims run
+        # per stage instead of in one fused cycle loop.
+        plan = ExperimentPlan.grid(
+            ["stencil1d"], ns=[256], ps=[4, 8], topologies=["ring"], modes=["sim"]
+        )
+        oracle = oracle_rows(plan)
+        store = tmp_path / "results.db"
+        frame = plan.run(executor="process", store=store, max_workers=2)
+        assert frame.rows == oracle
+        assert frame.metadata["executor_effective"] == "process"
+        shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        assert shm.rows == oracle
+        assert shm.metadata["executor_effective"] == "shm"
+        shutdown_pool()
 
     def test_scheduler_accepts_only_dag(self):
         plan = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
