@@ -10,8 +10,7 @@ the executor only picks where its waves run.  This bench times a
 * ``run_sweep_parallel`` — the same plan on the ``process`` substrate
   (a fork pool per wave, warm LRUs inherited copy-on-write);
 * ``run_sweep_legacy`` — per-superstep loop routing (the fused gate
-  forced off), the way ``network_sweep`` priced grids before the
-  experiment API;
+  forced off), the way grids were priced before the fused router;
 * ``run_sweep_shm`` — the persistent zero-copy worker pool
   (``ShmSubstrate``, pool forced on so single-CPU recordings measure the
   real dispatch path rather than the in-line downgrade);

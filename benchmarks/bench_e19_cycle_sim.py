@@ -81,11 +81,8 @@ def _reports(cfg, engine=None, flits=1) -> list:
 
 
 def run_sweep(cfg=SCALE):
-    """Simulate the whole grid cold through the pure-numpy fast engine.
-
-    ``engine="fast"`` pins the vectorized path with the numba kernel
-    off, so the recorded timing is reproducible on hosts without numba.
-    """
+    """Simulate the whole grid cold through the pure-numpy fast engine
+    (pinned with ``engine="fast"`` whatever ``REPRO_SIM_ENGINE`` says)."""
     _cells(cfg)
     clear_sim_cache()
     return _reports(cfg, engine="fast")

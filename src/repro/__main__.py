@@ -194,9 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sim_p.add_argument(
         "--engine",
-        choices=("auto", "fast", "reference"),
+        choices=("fast", "reference"),
         default=None,
-        help="cycle-loop executor (default: REPRO_SIM_ENGINE or auto)",
+        help="cycle-loop executor (default: REPRO_SIM_ENGINE or fast)",
     )
 
     args = parser.parse_args(argv)

@@ -1,59 +1,36 @@
-"""Classic sweep helpers, now thin wrappers over the experiment API.
+"""Small helpers over traces and sweep tables.
 
-The bespoke sweep functions (``h_sweep``, ``d_sweep``,
-``optimality_sweep``, ``network_sweep``) predate the unified experiment
-API; each is now a **deprecated** wrapper that expands the equivalent
-declarative :class:`~repro.api.plan.ExperimentPlan`, runs it, and pivots
-the resulting :class:`~repro.api.frame.ResultFrame` back into the classic
-:class:`SweepTable` (bit-identical to the historical output — the plan
-cells compute exactly the same quantities).  New code should build plans
-directly::
+Grids of H, D, routed-time or lower-bound ratios are
+:class:`~repro.api.plan.ExperimentPlan` runs pivoted into a
+:class:`SweepTable`::
 
     from repro.api import ExperimentPlan
-    frame = ExperimentPlan.from_trace(trace, ps=[4, 16],
-        topologies=["torus2d"], policies=["valiant"]).run(executor="process")
+    table = ExperimentPlan.from_trace(trace, ps=[4, 16],
+        sigmas=(0.0, 2.0)).run().pivot("p", "sigma", "H")
 
-:class:`SweepTable` itself moved to :mod:`repro.api.frame` and is
-re-exported here unchanged.  ``wiseness_report`` and the small helpers
-remain native.
+:class:`SweepTable` lives in :mod:`repro.api.frame` and is re-exported
+here unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.api.frame import SweepTable
-from repro.api.plan import ExperimentPlan
 from repro.core.fullness import measured_gamma
 from repro.core.metrics import TraceMetrics
 from repro.core.wiseness import measured_alpha
 from repro.machine.trace import Trace
-from repro.models.presets import PRESETS
-from repro.networks import RoutingPolicy, by_policy
 from repro.util.intmath import ilog2
 
 __all__ = [
     "SweepTable",
     "metrics_of",
-    "h_sweep",
-    "d_sweep",
-    "optimality_sweep",
     "wiseness_report",
-    "network_sweep",
     "default_fold_grid",
 ]
-
-
-def _deprecated(old: str, instead: str) -> None:
-    warnings.warn(
-        f"repro.analysis.{old} is deprecated; build an "
-        f"repro.api.ExperimentPlan {instead} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def metrics_of(trace_or_metrics: Trace | TraceMetrics) -> TraceMetrics:
@@ -72,124 +49,6 @@ def default_fold_grid(v: int, *, factor: int = 4, start: int = 4) -> list[int]:
         out.append(p)
         p *= factor
     return out or [v]
-
-
-def _h_sweep_core(trace, ps, sigmas, *, name) -> SweepTable:
-    tm = metrics_of(trace)
-    ps = list(ps) if ps is not None else default_fold_grid(tm.v)
-    frame = ExperimentPlan.from_trace(
-        tm, ps=ps, sigmas=tuple(sigmas), name=name
-    ).run()
-    return frame.pivot("p", "sigma", "H", name=name)
-
-
-def h_sweep(
-    trace: Trace | TraceMetrics,
-    ps: Sequence[int] | None = None,
-    sigmas: Sequence[float] = (0.0, 1.0, 4.0, 16.0),
-    *,
-    name: str = "H(n, p, sigma)",
-) -> SweepTable:
-    """Eq. 1 over a (p, sigma) grid.  Deprecated sweep wrapper."""
-    _deprecated("h_sweep", "with sigmas=...")
-    return _h_sweep_core(trace, ps, sigmas, name=name)
-
-
-def d_sweep(
-    trace: Trace | TraceMetrics,
-    p: int,
-    machines: Mapping[str, Callable[[int], object]] | None = None,
-    *,
-    name: str = "D(n, p, g, ell)",
-) -> SweepTable:
-    """Eq. 2 on a family of machine presets at fixed p.  Deprecated."""
-    _deprecated("d_sweep", "with machines=...")
-    tm = metrics_of(trace)
-    machines = dict(machines) if machines is not None else dict(PRESETS)
-    frame = ExperimentPlan.from_trace(
-        tm,
-        ps=[p],
-        machines=tuple(machines),
-        machine_builders=machines,
-        name=name,
-    ).run()
-    return frame.pivot("p", "machine", "D", name=name)
-
-
-def optimality_sweep(
-    trace: Trace | TraceMetrics,
-    lower_bound: Callable[[int, int, float], float],
-    n: int,
-    ps: Sequence[int] | None = None,
-    sigmas: Sequence[float] = (0.0, 4.0),
-    *,
-    name: str = "H / lower bound",
-) -> SweepTable:
-    """Measured-H over a paper lower bound: flat rows = Theta(1)-optimality.
-
-    Deprecated wrapper: the H grid comes from a plan; the division by the
-    (arbitrary-callable) lower bound happens here, as callables are not
-    declarative plan material.
-    """
-    _deprecated("optimality_sweep", "with sigmas=... and divide by the bound")
-    tm = metrics_of(trace)
-    ps = list(ps) if ps is not None else default_fold_grid(tm.v)
-    table = _h_sweep_core(tm, ps, tuple(sigmas), name=name)
-    rows = tuple(
-        tuple(h / lower_bound(n, p, s) for h, s in zip(row, sigmas))
-        for p, row in zip(ps, table.rows)
-    )
-    return SweepTable(name, tuple(ps), tuple(sigmas), rows)
-
-
-def network_sweep(
-    trace: Trace | TraceMetrics,
-    ps: Sequence[int] | None = None,
-    topologies: Sequence[str] = ("ring", "mesh2d", "torus2d", "hypercube", "fat-tree", "butterfly"),
-    policies: Sequence[str | RoutingPolicy] = ("dimension-order",),
-    *,
-    seed: int = 0,
-    relative_to_dbsp: bool = False,
-    name: str | None = None,
-) -> SweepTable:
-    """Whole-trace network sweep: routed time on a topology x policy x p grid.
-
-    One row per processor count, one ``"topology/policy"`` column per
-    combination; each cell routes the entire folded trace through the
-    columnar engine (memoised ``RoutedProfile``).  With
-    ``relative_to_dbsp`` the cells become routed-time /
-    fitted-D-BSP-prediction ratios.  Deprecated wrapper over
-    :class:`~repro.api.plan.ExperimentPlan` (bit-identical table; plans
-    additionally offer worker-pool execution and CSV/JSON export).
-    """
-    _deprecated("network_sweep", "with topologies=.../policies=...")
-    tm = metrics_of(trace)
-    ps = list(ps) if ps is not None else default_fold_grid(tm.v)
-    resolved = [
-        p if isinstance(p, RoutingPolicy) else by_policy(p, seed) for p in policies
-    ]
-    if name is None:
-        name = "routed / D-BSP predicted" if relative_to_dbsp else "routed time"
-    frame = ExperimentPlan.from_trace(
-        tm,
-        ps=ps,
-        topologies=tuple(topologies),
-        policies=resolved,
-        relative_to_dbsp=relative_to_dbsp,
-        name=name,
-    ).run()
-    value = "routed_over_dbsp" if relative_to_dbsp else "routed_time"
-    # Classic layout: one "topology/policy" column per combination.  The
-    # grid expanded cells p-major, then topology, then policy — exactly
-    # the classic nesting — so the frame reshapes positionally (keying by
-    # policy *name* would collapse distinct same-named policy instances).
-    cols = tuple(f"{t}/{pol.name}" for t in topologies for pol in resolved)
-    values = frame.column(value)
-    rows = tuple(
-        tuple(values[i * len(cols) : (i + 1) * len(cols)])
-        for i in range(len(ps))
-    )
-    return SweepTable(name, tuple(ps), cols, rows)
 
 
 def wiseness_report(

@@ -12,8 +12,6 @@ becomes three composable layers:
 * the **declarative plan** (:class:`ExperimentPlan`): a (algorithm,
   size, p, sigma, topology, policy) grid executed serially or by a
   worker pool into a typed :class:`ResultFrame`.
-
-``repro.analysis``'s classic sweeps are thin wrappers over plans.
 """
 
 from repro.api.registry import (

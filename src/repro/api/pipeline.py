@@ -231,8 +231,8 @@ class Pipeline:
         hop through :func:`repro.sim.simulate_trace` under ``arbiter``.
         ``flits_per_message`` serialises each message into that many
         flits (the analytic price becomes ``F*C + D``); ``engine``
-        picks the executor (``auto``/``fast``/``reference``, default
-        the ``REPRO_SIM_ENGINE`` environment variable).  Access the
+        picks the executor (``fast``/``reference``, default the
+        ``REPRO_SIM_ENGINE`` environment variable, else ``fast``).  Access the
         measured :class:`~repro.sim.SimProfile` via :attr:`sim_profile`;
         ``metrics()`` rows gain ``sim_cycles`` and ``sim_over_cd`` (the
         empirical LMR constant).

@@ -313,7 +313,7 @@ class ExperimentPlan:
         Plan-provided traces/results for ``@name`` cells.
     machines:
         Optional mapping for ``machine`` cells (defaults to
-        ``models.PRESETS``); custom builders keep ``d_sweep`` expressible.
+        ``models.PRESETS``).
     """
 
     def __init__(

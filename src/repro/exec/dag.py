@@ -32,7 +32,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.util import sanitize
-from repro.util.caches import register_cache
+from repro.util.caches import LRU, register_cache
 
 if TYPE_CHECKING:
     from repro.exec.local import Substrate
@@ -260,8 +260,8 @@ def run_graph(
     route and sim waves on ``substrate``, assembling each cell as soon
     as its stages are warm.
     """
-    from repro.networks import peek_route_cache
-    from repro.sim.engine import peek_sim_cache
+    from repro.networks.routing import ROUTE_CACHE, route_key
+    from repro.sim.engine import SIM_CACHE, sim_key
 
     indices = list(indices)
     sources_before = len(runtime._tms)
@@ -277,9 +277,9 @@ def run_graph(
             rows[i] = _assemble(runtime, i)
 
     try:
-        waves.run_routes(_split(graph, graph.route_nodes, peek_route_cache)[1])
+        waves.run_routes(_split(graph, graph.route_nodes, ROUTE_CACHE, route_key)[1])
         assemble(graph.plain_cells)
-        warm, cold = _split(graph, graph.sim_nodes, peek_sim_cache)
+        warm, cold = _split(graph, graph.sim_nodes, SIM_CACHE, sim_key)
         for sk in warm:
             assemble(graph.cells_by_sim[sk])
         # Chunked execution interleaved with assembly: each chunk's
@@ -298,11 +298,14 @@ def run_graph(
     return [rows[i] for i in indices], meta
 
 
-def _split(graph: StageGraph, nodes: dict, peek: Callable) -> tuple[list, list]:
-    """LRU-warm node keys and cold ``(key, node)`` pairs, both counted."""
+def _split(
+    graph: StageGraph, nodes: dict, cache: LRU, cache_key: Callable
+) -> tuple[list, list]:
+    """LRU-warm node keys and cold ``(key, node)`` pairs, both counted
+    in the graph (the probes leave the LRU's own counters alone)."""
     warm, cold = [], []
     for key, node in nodes.items():
-        if peek(*node) is None:
+        if cache.peek(cache_key(*node)) is None:
             cold.append((key, node))
         else:
             warm.append(key)

@@ -28,17 +28,17 @@ __all__ = ["Substrate", "ThreadSubstrate", "ProcessSubstrate"]
 
 
 def _seed_routes(cold: list, profiles: list) -> None:
-    from repro.networks import seed_route_cache
+    from repro.networks.routing import ROUTE_CACHE, route_key
 
-    for (_rkey, (trace, topo, policy)), profile in zip(cold, profiles):
-        seed_route_cache(trace, topo, policy, profile)
+    for (_rkey, node), profile in zip(cold, profiles):
+        ROUTE_CACHE.seed(route_key(*node), profile)
 
 
 def _seed_sims(cold: list, profiles: list) -> None:
-    from repro.sim.engine import seed_sim_cache
+    from repro.sim.engine import SIM_CACHE, sim_key
 
     for (_sk, node), profile in zip(cold, profiles):
-        seed_sim_cache(*node, profile)
+        SIM_CACHE.seed(sim_key(*node), profile)
 
 
 class Substrate:

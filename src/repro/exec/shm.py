@@ -146,14 +146,14 @@ def _route_shard(payload: dict, specs: list[tuple]) -> list:
 def _sim_shard(payload: dict, specs: list[tuple]) -> list:
     """Worker entry: sim nodes, seeding each node's route profile first
     (shipped by the parent) so the sims never re-route."""
-    from repro.networks import seed_route_cache
+    from repro.networks.routing import ROUTE_CACHE, route_key
 
     state = _attach(payload)
     live = []
     for skey, topo_name, p, policy, arb, aseed, flits, profile in specs:
         trace, topo = _node(state, skey, topo_name, p)
         if profile is not None:
-            seed_route_cache(trace, topo, policy, profile)
+            ROUTE_CACHE.seed(route_key(trace, topo, policy), profile)
         live.append((trace, topo, policy, arb, aseed, flits))
     return _sim_batch_stage(live, FUSE_MAX_SUPERSTEPS)
 
@@ -284,11 +284,12 @@ class ShmSubstrate(Substrate):
             self._wave(cold, _route_shard, specs, super().run_routes, _seed_routes)
 
     def run_sims(self, cold: list) -> None:
-        from repro.networks import peek_route_cache
+        from repro.networks.routing import ROUTE_CACHE, route_key
 
         if cold:
             specs = [
-                sk[:3] + node[2:] + (peek_route_cache(*node[:3]),) for sk, node in cold
+                sk[:3] + node[2:] + (ROUTE_CACHE.peek(route_key(*node[:3])),)
+                for sk, node in cold
             ]
             self._wave(cold, _sim_shard, specs, super().run_sims, _seed_sims)
 

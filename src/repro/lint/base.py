@@ -36,6 +36,9 @@ __all__ = [
     "parent_of",
     "enclosing_function",
     "iter_scopes",
+    "module_bindings",
+    "lru_instances",
+    "registers_cache",
 ]
 
 #: The suppression marker: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR003]``.
@@ -120,6 +123,43 @@ def dotted_name(node: ast.AST) -> str | None:
 def call_name(node: ast.Call) -> str | None:
     """Dotted name of a call's callee (``None`` for computed callees)."""
     return dotted_name(node.func)
+
+
+def module_bindings(tree: ast.Module) -> Iterator[tuple[str, ast.expr]]:
+    """``(name, value)`` of every top-level ``name = value`` binding."""
+    for node in tree.body:
+        targets: list[ast.expr] = []
+        value: ast.expr | None = None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        if value is None:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, value
+
+
+def lru_instances(tree: ast.Module) -> set[str]:
+    """Module-level names bound to ``LRU(...)`` (``repro.util.caches.LRU``)."""
+    return {
+        name
+        for name, value in module_bindings(tree)
+        if isinstance(value, ast.Call)
+        and (call_name(value) or "").split(".")[-1] == "LRU"
+    }
+
+
+def registers_cache(tree: ast.Module) -> bool:
+    """Does the module own a registered cross-call cache — a
+    ``register_cache(...)`` call or a module-level ``LRU`` instance?"""
+    if lru_instances(tree):
+        return True
+    return any(
+        isinstance(node, ast.Call) and call_name(node) == "register_cache"
+        for node in ast.walk(tree)
+    )
 
 
 class ModuleContext:

@@ -7,17 +7,21 @@ silently poison every future lookup.  The convention — documented in
 ``writeable=False`` (via the ``_frozen`` helper or
 ``arr.setflags(write=False)``) before the value is inserted.
 
-This check applies to modules that register a cross-call cache (i.e.
-call ``register_cache(...)``) and flags:
+This check applies to modules that register a cross-call cache (call
+``register_cache(...)`` or hold a module-level
+:class:`~repro.util.caches.LRU` instance) and flags:
 
 * a ``return`` inside a cache-fill closure (the ``compute()`` naming
   convention used by every memoised kernel) whose value is not provably
   frozen — not a ``_frozen(...)`` call, a literal/scalar, a
   tuple/list of such, or a local previously frozen in the same body;
-* a direct insertion ``<cache dict>[key] = value`` building ``value``
-  in the same function without any ``_frozen(...)``/
-  ``setflags(write=False)`` call in that function (insertions that
-  merely forward a parameter are the caller's responsibility).
+* a direct insertion — ``<cache dict>[key] = value`` or
+  ``<module LRU>.put(key, value)`` — building ``value`` in the same
+  function without any ``_frozen(...)``/``setflags(write=False)`` call
+  in that function.  Insertions that merely forward a parameter are the
+  caller's responsibility, and the direct result of a same-module
+  helper that itself freezes counts as frozen.  ``LRU.seed`` freezes
+  on its own and is never flagged.
 
 The runtime counterpart is ``REPRO_SANITIZE=1``, which re-checks the
 same invariant on every actual cache insertion and hand-out.
@@ -35,6 +39,9 @@ from repro.lint.base import (
     call_name,
     dotted_name,
     enclosing_function,
+    lru_instances,
+    module_bindings,
+    registers_cache,
 )
 from repro.lint.registry import register_check
 
@@ -48,29 +55,13 @@ _SCALAR_CALLS = {"int", "float", "bool", "str", "len", "min", "max"}
 _CACHE_NAME_HINT = "cache"
 
 
-def _module_registers_cache(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and call_name(node) == "register_cache":
-            return True
-    return False
-
-
 def _module_cache_dicts(tree: ast.Module) -> set[str]:
     """Module-level names bound to dict-like literals and named cache-ish."""
-    out: set[str] = set()
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None or not _is_dict_like(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and _CACHE_NAME_HINT in target.id.lower():
-                out.add(target.id)
-    return out
+    return {
+        name
+        for name, value in module_bindings(tree)
+        if _is_dict_like(value) and _CACHE_NAME_HINT in name.lower()
+    }
 
 
 def _is_dict_like(node: ast.expr) -> bool:
@@ -146,19 +137,56 @@ def _contains_freeze(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
+def _freezing_helpers(tree: ast.Module) -> set[str]:
+    """Module-level functions whose own body freezes what they build."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _contains_freeze(node)
+    }
+
+
+def _insertion(
+    node: ast.AST, cache_dicts: set[str], lrus: set[str]
+) -> tuple[str, ast.expr] | None:
+    """``(cache name, inserted value)`` of ``cache[key] = value`` or
+    ``lru.put(key, value)``, else ``None``."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+        if (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in cache_dicts
+        ):
+            return target.value.id, node.value
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "put"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in lrus
+        and len(node.args) == 2
+    ):
+        return node.func.value.id, node.args[1]
+    return None
+
+
 class CacheReadOnlyCheck(Check):
     id = "RPR002"
     name = "cache-readonly"
     summary = (
-        "cache-fill functions in register_cache modules freeze arrays "
-        "(_frozen/setflags(write=False)) before insertion"
+        "cache-fill functions in modules owning a registered cache or LRU "
+        "freeze arrays (_frozen/setflags(write=False)) before insertion"
     )
     scope = "module"
 
     def run(self, ctx: ModuleContext) -> Iterable[Violation]:
-        if not _module_registers_cache(ctx.tree):
+        if not registers_cache(ctx.tree):
             return
         cache_dicts = _module_cache_dicts(ctx.tree)
+        lrus = lru_instances(ctx.tree)
+        helpers = _freezing_helpers(ctx.tree)
         for node in ctx.walk():
             # Rule A: the compute() cache-fill convention.
             if (
@@ -179,28 +207,27 @@ class CacheReadOnlyCheck(Check):
                             "read-only (wrap arrays in _frozen(...) or call "
                             ".setflags(write=False) before returning)",
                         )
-            # Rule B: direct insertions into a module-level cache dict.
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in cache_dicts
-                ):
-                    fn = enclosing_function(node)
-                    if fn is None or isinstance(fn, ast.Lambda):
-                        continue  # import-time seeding / lambdas: out of scope
-                    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-                    if isinstance(node.value, ast.Name) and node.value.id in params:
-                        continue  # forwarding a parameter: caller froze it
-                    if not _contains_freeze(fn):
-                        yield ctx.violation(
-                            self.id,
-                            node,
-                            f"insertion into {target.value.id!r} without any "
-                            "_frozen(...)/setflags(write=False) call in "
-                            f"{fn.name!r} — cached arrays must be read-only",
-                        )
+            # Rule B: direct insertions into a module-level cache.
+            hit = _insertion(node, cache_dicts, lrus)
+            if hit is None:
+                continue
+            cache, value = hit
+            fn = enclosing_function(node)
+            if fn is None or isinstance(fn, ast.Lambda):
+                continue  # import-time seeding / lambdas: out of scope
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            if isinstance(value, ast.Name) and value.id in params:
+                continue  # forwarding a parameter: caller froze it
+            if isinstance(value, ast.Call) and call_name(value) in helpers:
+                continue  # built by a same-module helper that freezes
+            if not _contains_freeze(fn):
+                yield ctx.violation(
+                    self.id,
+                    node,
+                    f"insertion into {cache!r} without any "
+                    "_frozen(...)/setflags(write=False) call in "
+                    f"{fn.name!r} — cached arrays must be read-only",
+                )
 
 
 register_check(CacheReadOnlyCheck())

@@ -1,13 +1,24 @@
 """RPR004 — lock discipline: shared mutable caches mutate under a lock.
 
 Plan executors fold, route and simulate from many threads at once; the
-module-level LRUs and measurement dicts they share are only safe because
-every mutation happens inside a ``with <lock>:`` block (the documented
-contract of ``machine/folding.py`` and ``networks/routing.py``).  A
-mutation added outside the lock usually *works* on CPython today and
-corrupts counters or drops entries under the thread backend tomorrow.
+module-level caches and registries they share are only safe because
+every mutation happens under a lock.  A mutation added outside the lock
+usually *works* on CPython today and corrupts counters or drops entries
+under the thread executor tomorrow.
 
-Scope — the modules that own shared caches:
+Memo caches are :class:`repro.util.caches.LRU` instances, which take
+their own lock on every access.  So, in any module:
+
+* a module that registers a cache (``register_cache(...)`` or a
+  module-level ``LRU``) may not also hold a bare module-level
+  dict/``OrderedDict`` cache (``cache`` in its name) — that cache would
+  re-implement the LRU's lock, counters and eviction by hand;
+* code may not reach into a module-level ``LRU``'s private state
+  (``_CACHE._data``, ``_CACHE._counts``, ...), which bypasses its lock.
+
+The remaining module-level dicts (registries, measurement tables)
+mutate under an explicit lock.  Scope — the modules that own shared
+state:
 
 * anything under an ``exec/`` package,
 * ``machine/folding.py``, ``networks/routing.py``, ``sim/engine.py``,
@@ -37,7 +48,10 @@ from repro.lint.base import (
     Violation,
     dotted_name,
     enclosing_function,
+    lru_instances,
+    module_bindings,
     parent_of,
+    registers_cache,
 )
 from repro.lint.registry import register_check
 
@@ -52,22 +66,7 @@ _MUTATORS = {"clear", "pop", "popitem", "update", "setdefault", "move_to_end"}
 
 
 def _module_level_dicts(tree: ast.Module) -> set[str]:
-    out: set[str] = set()
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
-        if not _is_dict_expr(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                out.add(target.id)
-    return out
+    return {name for name, value in module_bindings(tree) if _is_dict_expr(value)}
 
 
 def _is_dict_expr(node: ast.expr) -> bool:
@@ -128,6 +127,7 @@ class LockDisciplineCheck(Check):
     scope = "module"
 
     def run(self, ctx: ModuleContext) -> Iterable[Violation]:
+        yield from self._cache_types(ctx)
         if not _in_scope(ctx, ctx.tree):
             return
         tracked = _module_level_dicts(ctx.tree)
@@ -177,6 +177,36 @@ class LockDisciplineCheck(Check):
                     where,
                     f"unlocked {verb} on module-level cache dict "
                     f"{dict_name!r} — wrap the mutation in `with <lock>:`",
+                )
+
+
+    def _cache_types(self, ctx: ModuleContext) -> Iterable[Violation]:
+        """Module-level caches are ``LRU`` instances, used through their
+        public methods."""
+        if registers_cache(ctx.tree):
+            for name, value in module_bindings(ctx.tree):
+                if _is_dict_expr(value) and "cache" in name.lower():
+                    yield ctx.violation(
+                        self.id,
+                        value,
+                        f"module-level cache {name!r} is a bare dict — make "
+                        "it a repro.util.caches.LRU, which owns the lock, "
+                        "counters and eviction",
+                    )
+        lrus = lru_instances(ctx.tree)
+        for node in ctx.walk():
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in lrus
+                and node.attr.startswith("_")
+            ):
+                yield ctx.violation(
+                    self.id,
+                    node,
+                    f"{node.value.id}.{node.attr} reaches into an LRU's "
+                    "private state, bypassing its lock — use get/peek/put/"
+                    "seed/clear",
                 )
 
 

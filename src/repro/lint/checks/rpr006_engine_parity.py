@@ -12,9 +12,9 @@ keyword surfaces must stay identical.
 Flagged:
 
 * a pair ``X`` / ``X_reference`` in the same namespace whose parameter
-  name lists differ — except engine-selection parameters (``engine``,
-  ``use_kernel``), which are allowed on the vectorized side only, since
-  they choose *which* engine runs rather than *what* is computed;
+  name lists differ — except the engine-selection parameter
+  (``engine``), which is allowed on the vectorized side only, since it
+  chooses *which* engine runs rather than *what* is computed;
 * modules defining both ``simulate_trace`` and ``simulate_many``:
   their keyword-only parameter sets must be equal;
 * modules defining both ``simulate_trace`` and ``simulate_superstep``:
@@ -35,7 +35,7 @@ __all__ = ["EngineParityCheck"]
 
 _SUFFIX = "_reference"
 #: Parameters that pick an engine rather than a computed quantity.
-_ENGINE_ONLY = {"engine", "use_kernel"}
+_ENGINE_ONLY = {"engine"}
 
 
 def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:

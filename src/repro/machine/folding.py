@@ -26,15 +26,12 @@ property-tested bit-identical to the kernels.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
 
 from repro.machine.trace import Trace, TraceColumns
-from repro.util import sanitize
-from repro.util.caches import register_cache
+from repro.util.caches import LRU
 from repro.util.intmath import ilog2
 
 __all__ = [
@@ -62,74 +59,24 @@ def _check_fold(v: int, p: int) -> None:
 # ----------------------------------------------------------------------
 # LRU memoisation
 # ----------------------------------------------------------------------
-_CACHE_MAX = 512
-_cache: OrderedDict[tuple, object] = OrderedDict()
+FOLD_CACHE = LRU("fold", 512)
 #: Label-sorted message contexts and folded-trace columns are O(num
 #: messages) each, so they live on the trace instance itself (released
-#: with it) in a small per-trace LRU, not in the module-level cache.
+#: with it) in a small per-trace LRU sharing ``FOLD_CACHE``'s lock and
+#: counters, not in the module-level cache.
 _TRACE_LOCAL_MAX = 16
-#: One lock guards every fold cache (module-level and per-trace): it is
-#: held only around dict lookups/insertions, never around kernel work, so
-#: plan executors can fold from many threads.  Two threads racing on one
-#: key may both compute; the results are identical and last-write wins.
-_cache_lock = threading.RLock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
+
+#: Reset the fold counters and drop the module-level entries (per-trace
+#: caches are released with their traces and are not reachable).
+clear_fold_cache = FOLD_CACHE.clear
+#: Hit/miss/eviction counters across all fold caches (module + per-trace).
+fold_cache_stats = FOLD_CACHE.stats
 
 
-def clear_fold_cache() -> None:
-    """Drop the memoised fold results (mainly for tests and benchmarks).
-
-    Per-trace caches (label-sorted contexts, folded columns) are
-    released with their traces and are not reachable from here.  Also
-    resets the :func:`fold_cache_stats` counters.
-    """
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
-        _cache_evictions = 0
-
-
-def fold_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters across all fold caches (module +
-    per-trace).
-
-    Reset by :func:`clear_fold_cache`; the pipeline cache-sharing tests
-    assert reused mid-chain stages add hits, never misses, and capacity
-    tests watch ``evictions`` to see LRU pressure.
-    """
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-        }
-
-
-register_cache("fold", fold_cache_stats, clear_fold_cache)
-
-
-def _cached_in(cache, maxsize, key, compute: Callable[[], object]):
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        try:
-            value = cache[key]
-            cache.move_to_end(key)
-            _cache_hits += 1
-            return value
-        except KeyError:
-            _cache_misses += 1
-    value = compute()
-    sanitize.guard_cached(value, "fold")
-    with _cache_lock:
-        sanitize.assert_locked(_cache_lock, "fold cache insert")
-        cache[key] = value
-        if len(cache) > maxsize:
-            cache.popitem(last=False)
-            _cache_evictions += 1
+def _cached_in(cache: LRU, key, compute: Callable[[], object]):
+    value = cache.get(key)
+    if value is None:
+        value = cache.put(key, compute())
     return value
 
 
@@ -137,7 +84,7 @@ def _cached(kind, trace: Trace, p: int, compute: Callable[[], object]):
     token = getattr(trace, "cache_token", None)
     if token is None:  # foreign trace-like object: compute uncached
         return compute()
-    return _cached_in(_cache, _CACHE_MAX, (kind, token, p), compute)
+    return _cached_in(FOLD_CACHE, (kind, token, p), compute)
 
 
 def _trace_cached(trace: Trace, key, compute: Callable[[], object]):
@@ -149,10 +96,10 @@ def _trace_cached(trace: Trace, key, compute: Callable[[], object]):
     cache = getattr(trace, "_local_fold_cache", None)
     if cache is None:
         try:
-            cache = trace._local_fold_cache = OrderedDict()
+            cache = trace._local_fold_cache = FOLD_CACHE.local(_TRACE_LOCAL_MAX)
         except AttributeError:  # foreign trace-like object
             return compute()
-    return _cached_in(cache, _TRACE_LOCAL_MAX, key, compute)
+    return _cached_in(cache, key, compute)
 
 
 def _label_sorted(trace: Trace):

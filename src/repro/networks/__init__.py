@@ -20,9 +20,7 @@ from repro.networks.routing import (
     RoutedCost,
     RoutedProfile,
     clear_route_cache,
-    peek_route_cache,
     route_trace,
-    seed_route_cache,
     superstep_time,
 )
 from repro.networks.simulate import (
@@ -62,8 +60,6 @@ __all__ = [
     "RoutedCost",
     "RoutedProfile",
     "route_trace",
-    "peek_route_cache",
-    "seed_route_cache",
     "clear_route_cache",
     "routed_time",
     "compare_with_dbsp",

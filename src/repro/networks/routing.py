@@ -23,9 +23,6 @@ sweeps route the same trace on many machines.
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,138 +31,61 @@ from repro.machine.folding import fold_trace
 from repro.machine.trace import Trace, TraceColumns
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.topology import Topology
-from repro.util import sanitize
-from repro.util.caches import register_cache
+from repro.util.caches import LRU
 
 __all__ = [
     "superstep_time",
     "RoutedCost",
     "RoutedProfile",
     "route_trace",
-    "peek_route_cache",
-    "seed_route_cache",
+    "route_key",
     "clear_route_cache",
     "route_cache_stats",
-    "fuse_gate_stats",
-    "clear_fuse_gate",
 ]
 
 _DIRECT = DimensionOrderPolicy()
 
-_CACHE_MAX = 256
-_cache: OrderedDict[tuple, "RoutedProfile"] = OrderedDict()
-#: Guards the LRU only (lookups and insertions, never the routing work
-#: itself) so plan executors may route cells from many threads at once.
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
+ROUTE_CACHE = LRU("route", 256)
+#: Drop memoised routed profiles and reset the counters.
+clear_route_cache = ROUTE_CACHE.clear
+#: Hit/miss/eviction counters of the routed-profile LRU — the hook the
+#: pipeline cache-sharing tests assert against.
+route_cache_stats = ROUTE_CACHE.stats
 
 #: Ceiling on ``num_supersteps * num_edges`` for the fused whole-trace
 #: router: above it the dense (superstep, edge) load grid would dwarf the
 #: message count and the per-superstep path wins on memory.
 _FUSED_MAX_CELLS = 1 << 21
-#: Clamp on the measured per-(topology, fold) average-batch crossover
-#: (messages per superstep) below which fusion is enabled.  Fusing trades
-#: S per-superstep kernel launches for whole-trace array passes; with
-#: large per-superstep batches the loop's chunks are cache-resident and
-#: the launch overhead is already amortised, so fusion only pays off for
-#: traces of many small supersteps.  The crossover is *measured* per
-#: (topology, p) cell once per process (see :func:`_fused_batch_limit`);
-#: the clamp keeps a noisy timing from producing a pathological gate.
-_FUSED_BATCH_FLOOR = 64
-_FUSED_BATCH_CEIL = 4096
-#: Probe sizes for the once-per-process crossover measurement: the
-#: 1-message call times the kernel-launch overhead, the large batch the
-#: marginal per-message cost.
-_FUSE_PROBE_BATCH = 512
-_fuse_limits: dict[tuple[str, int], int] = {}
+#: Average messages per superstep up to which the fused router runs.
+#: Fusing trades S per-superstep kernel launches for whole-trace array
+#: passes.  Timed on a 2-CPU x86 host, it won on every route-sweep and
+#: sim-grid benchmark cell (0.13-0.9x the loop's time) and on sort
+#: n=1024 and matmul n=64 at p=16/64 (average batches of 132-563
+#: messages, 0.29-0.72x), and lost from an average batch of ~1,900 up
+#: (sort/fft n=4096, 1.03-4.3x), where the loop's per-superstep chunks
+#: stay cache-resident.  A constant keeps the fused-or-looped choice
+#: identical in every process.
+_FUSED_MAX_BATCH = 1024
 
 
-def clear_route_cache() -> None:
-    """Drop memoised routed profiles (mainly for tests and benchmarks)."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
-        _cache_evictions = 0
+def route_key(
+    trace: Trace, topo: Topology, policy: RoutingPolicy | None = None
+) -> tuple | None:
+    """``ROUTE_CACHE`` key of a routed profile (``None``: uncacheable)."""
+    token = getattr(trace, "cache_token", None)
+    if token is None:
+        return None
+    return (token, topo.name, topo.p, (policy or _DIRECT).cache_key())
 
 
-def route_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the routed-profile LRU (reset with
-    :func:`clear_route_cache`) — the observability hook the pipeline
-    cache-sharing tests assert against."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-        }
-
-
-register_cache("route", route_cache_stats, clear_route_cache)
-
-
-def clear_fuse_gate() -> None:
-    """Forget the measured per-(topology, fold) fuse crossovers."""
-    with _cache_lock:
-        _fuse_limits.clear()
-
-
-def fuse_gate_stats() -> dict[tuple[str, int], int]:
-    """Measured fuse-gate decisions: (topology, p) -> avg-batch ceiling.
-
-    Populated lazily, one entry per (topology, p) cell per process, by
-    :func:`_fused_batch_limit`.
-    """
-    with _cache_lock:
-        return dict(_fuse_limits)
-
-
-def _measure_batch_limit(topo: Topology) -> int:
-    """Measure this cell's fusion crossover: launch overhead in messages.
-
-    Fusing a trace of ``S`` supersteps saves ~``S`` kernel launches and
-    costs ~one extra whole-trace pass, so it pays while the average
-    batch is below ``launch_overhead / marginal_per_message_cost``.
-    Both terms are measured on the spot (best of three, one warm-up):
-    a 1-message ``route_loads`` call prices the launch, a
-    :data:`_FUSE_PROBE_BATCH`-message call the marginal cost.  Clamped
-    to [:data:`_FUSED_BATCH_FLOOR`, :data:`_FUSED_BATCH_CEIL`] so timing
-    noise cannot produce a pathological gate — results are bit-identical
-    either way; only throughput is at stake.
-    """
-    rng = np.random.default_rng(0xF05E)
-    batches = []
-    for size in (1, _FUSE_PROBE_BATCH):
-        src = rng.integers(0, topo.p, size, dtype=np.int64)
-        dst = (src + 1 + rng.integers(0, max(1, topo.p - 1), size)) % topo.p
-        batches.append((src, dst))
-    (s1, d1), (sb, db) = batches
-    topo.route_loads(s1, d1)  # warm the instance caches outside the timing
-    t_small = t_big = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        topo.route_loads(s1, d1)
-        t_small = min(t_small, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        topo.route_loads(sb, db)
-        t_big = min(t_big, time.perf_counter() - t0)
-    per_msg = max(t_big - t_small, 1e-12) / (_FUSE_PROBE_BATCH - 1)
-    return int(min(_FUSED_BATCH_CEIL, max(_FUSED_BATCH_FLOOR, t_small / per_msg)))
-
-
-def _fused_batch_limit(topo: Topology) -> int:
-    """The (memoised) avg-batch fusion ceiling for this (topology, p)."""
-    key = (topo.name, topo.p)
-    with _cache_lock:
-        cached = _fuse_limits.get(key)
-    if cached is not None:
-        return cached
-    limit = _measure_batch_limit(topo)  # unlocked: timing must not serialise
-    with _cache_lock:
-        return _fuse_limits.setdefault(key, limit)
+def _fuses(cols: TraceColumns, topo: Topology) -> bool:
+    """Route this folded trace through the fused whole-trace kernel?"""
+    S = cols.num_supersteps
+    return (
+        S > 1
+        and S * topo.num_edges() <= _FUSED_MAX_CELLS
+        and cols.num_messages <= S * _FUSED_MAX_BATCH
+    )
 
 
 @dataclass(frozen=True)
@@ -337,39 +257,23 @@ def route_trace(
     The fold (``keep_empty=True`` — surviving supersteps that lost all
     their messages still cost a barrier) comes from the memoised folding
     kernels.  When the trace is many small supersteps (dense
-    (superstep, edge) grid below ``2**21`` cells, average batch below
-    the cell's measured launch-overhead crossover — see
-    :func:`fuse_gate_stats`) and the policy supports it, all supersteps
-    are routed in one fused kernel pass per phase; otherwise
+    (superstep, edge) grid of at most ``2**21`` cells, at most 1024
+    messages per superstep on average) and the policy supports it, all
+    supersteps are routed in one fused kernel pass per phase; otherwise
     each superstep's endpoint range is sliced out of the folded columns
     and routed as one batch (empty supersteps short-circuit to
     barrier-only cost).  Both paths are bit-identical.  The profile is
     memoised per (trace, topology, policy); cached arrays are read-only.
     """
     policy = policy or _DIRECT
-    global _cache_hits, _cache_misses, _cache_evictions
-    token = getattr(trace, "cache_token", None)
-    key = None
-    if token is not None:
-        key = (token, topo.name, topo.p, policy.cache_key())
-        with _cache_lock:
-            cached = _cache.get(key)
-            if cached is not None:
-                _cache.move_to_end(key)
-                _cache_hits += 1
-                return cached
-            _cache_misses += 1
+    key = route_key(trace, topo, policy)
+    cached = ROUTE_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     folded = fold_trace(trace, topo.p, keep_empty=True)
     cols = folded.columns()
-    S = cols.num_supersteps
-    arrays = None
-    if (
-        S > 1
-        and S * topo.num_edges() <= _FUSED_MAX_CELLS
-        and cols.num_messages <= S * _fused_batch_limit(topo)
-    ):
-        arrays = _profile_arrays_fused(topo, policy, cols)
+    arrays = _profile_arrays_fused(topo, policy, cols) if _fuses(cols, topo) else None
     if arrays is None:
         arrays = _profile_arrays_loop(topo, policy, cols)
     congestion, dilation, time = arrays
@@ -384,67 +288,4 @@ def route_trace(
         dilation=dilation,
         time=time,
     )
-    if key is not None:
-        sanitize.guard_cached(profile, "route")
-        with _cache_lock:
-            sanitize.assert_locked(_cache_lock, "route cache insert")
-            _cache[key] = profile
-            if len(_cache) > _CACHE_MAX:
-                _cache.popitem(last=False)
-                _cache_evictions += 1
-    return profile
-
-
-def peek_route_cache(
-    trace: Trace, topo: Topology, policy: RoutingPolicy | None = None
-) -> "RoutedProfile | None":
-    """The memoised profile, or ``None`` — without counting a miss.
-
-    A scheduler probe: the DAG planner uses it to split a wave into
-    LRU-warm and cold nodes before dispatching, and the eventual
-    assembly lookup (not the probe) is what the hit counters record.
-    """
-    policy = policy or _DIRECT
-    token = getattr(trace, "cache_token", None)
-    if token is None:
-        return None
-    key = (token, topo.name, topo.p, policy.cache_key())
-    with _cache_lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-        return cached
-
-
-def seed_route_cache(
-    trace: Trace,
-    topo: Topology,
-    policy: RoutingPolicy | None,
-    profile: "RoutedProfile",
-) -> "RoutedProfile":
-    """Insert a worker-computed profile under this process's cache key.
-
-    The DAG scheduler's parent-side re-insertion hook: pickling drops
-    numpy's read-only flag, so every array is re-frozen before the
-    profile enters the shared LRU.  A concurrently inserted profile for
-    the same key wins (the values are bit-identical by construction).
-    """
-    global _cache_evictions
-    policy = policy or _DIRECT
-    token = getattr(trace, "cache_token", None)
-    if token is None:
-        return profile
-    for arr in (profile.labels, profile.congestion, profile.dilation, profile.time):
-        arr.setflags(write=False)
-    key = (token, topo.name, topo.p, policy.cache_key())
-    sanitize.guard_cached(profile, "route")
-    with _cache_lock:
-        sanitize.assert_locked(_cache_lock, "route cache insert")
-        if key in _cache:
-            _cache.move_to_end(key)
-            return _cache[key]
-        _cache[key] = profile
-        if len(_cache) > _CACHE_MAX:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
-    return profile
+    return ROUTE_CACHE.put(key, profile)

@@ -30,7 +30,6 @@ from repro.sim.engine import (
     simulate_superstep,
     simulate_trace,
 )
-from repro.sim.fastpath import HAVE_NUMBA
 from repro.sim.validate import BoundReport, validate_bound, validate_grid
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "by_arbiter",
     "ARBITERS",
     "ENGINES",
-    "HAVE_NUMBA",
     "SimProfile",
     "simulate_trace",
     "simulate_many",

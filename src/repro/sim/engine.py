@@ -38,8 +38,6 @@ trace identity+version x topology x policy x arbiter).
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +48,20 @@ from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.routing import route_trace
 from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter, by_arbiter
-from repro.sim.fastpath import HAVE_NUMBA as _HAVE_NUMBA
 from repro.sim.fastpath import expand_paths
 from repro.sim.fastpath import engine_stats as sim_engine_stats
 from repro.sim.fastpath import reset_engine_stats as reset_sim_engine_stats
 from repro.sim.fastpath import run_batch as _fast_run_batch
 from repro.sim.fastpath import run_trace as _fast_run_trace
 from repro.util import sanitize
-from repro.util.caches import register_cache
+from repro.util.caches import LRU
 
 __all__ = [
     "SimProfile",
     "simulate_trace",
     "simulate_many",
     "simulate_superstep",
-    "peek_sim_cache",
-    "seed_sim_cache",
+    "sim_key",
     "clear_sim_cache",
     "sim_cache_stats",
     "sim_engine_stats",
@@ -74,23 +70,21 @@ __all__ = [
 
 _DIRECT = DimensionOrderPolicy()
 
-#: Engine selector: ``reference`` is the original per-cycle loop,
-#: ``fast`` the pure-numpy event-driven engine, ``auto`` the fast
-#: engine with the numba kernel when numba is importable.  The
-#: ``REPRO_SIM_ENGINE`` environment variable sets the default.
-ENGINES = ("auto", "fast", "reference")
+#: Engine selector: ``fast`` is the event-driven numpy engine,
+#: ``reference`` the original per-cycle loop it is property-tested
+#: bit-identical against.  The ``REPRO_SIM_ENGINE`` environment
+#: variable sets the default.
+ENGINES = ("fast", "reference")
 _ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 
-def _resolve_engine(engine: str | None) -> tuple[str, bool]:
-    """Map a selector to ``(mode, use_kernel)``; both engines are
-    bit-identical, so the choice only affects speed."""
-    name = engine if engine is not None else os.environ.get(_ENGINE_ENV, "auto")
+def _resolve_engine(engine: str | None) -> str:
+    """Validate a selector; both engines are bit-identical, so the
+    choice only affects speed."""
+    name = engine if engine is not None else os.environ.get(_ENGINE_ENV, "fast")
     if name not in ENGINES:
         raise ValueError(f"unknown sim engine {name!r}; choose from {ENGINES}")
-    if name == "auto":
-        return "fast", _HAVE_NUMBA
-    return name, False
+    return name
 
 
 def _check_flits(flits_per_message: int) -> int:
@@ -99,36 +93,40 @@ def _check_flits(flits_per_message: int) -> int:
         raise ValueError(f"flits_per_message must be >= 1, got {flits_per_message}")
     return flits
 
-_CACHE_MAX = 128
-_cache: OrderedDict[tuple, "SimProfile"] = OrderedDict()
-#: Guards the LRU only (never the cycle loop), mirroring the routing LRU.
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
+
+SIM_CACHE = LRU("sim", 128)
+#: Drop memoised sim profiles and reset the counters.
+clear_sim_cache = SIM_CACHE.clear
+#: Hit/miss/eviction counters of the sim-profile LRU.
+sim_cache_stats = SIM_CACHE.stats
 
 
-def clear_sim_cache() -> None:
-    """Drop memoised sim profiles (mainly for tests and benchmarks)."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
-        _cache_evictions = 0
+def sim_key(
+    trace: Trace,
+    topo: Topology,
+    policy: RoutingPolicy | None = None,
+    arbiter: Arbiter | str = "fifo",
+    arbiter_seed: int = 0,
+    flits_per_message: int = 1,
+) -> tuple | None:
+    """``SIM_CACHE`` key of a sim profile (``None``: uncacheable).
 
-
-def sim_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the sim-profile LRU."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-        }
-
-
-register_cache("sim", sim_cache_stats, clear_sim_cache)
+    Arguments follow :func:`simulate_trace`; a named ``arbiter`` is
+    built with ``arbiter_seed``.  The engine is not part of the key.
+    """
+    token = getattr(trace, "cache_token", None)
+    if token is None:
+        return None
+    if isinstance(arbiter, str):
+        arbiter = by_arbiter(arbiter, arbiter_seed)
+    return (
+        token,
+        topo.name,
+        topo.p,
+        (policy or _DIRECT).cache_key(),
+        arbiter.cache_key(),
+        _check_flits(flits_per_message),
+    )
 
 
 @dataclass(frozen=True)
@@ -348,7 +346,7 @@ def simulate_superstep(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    mode, use_kernel = _resolve_engine(engine)
+    mode = _resolve_engine(engine)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
@@ -364,7 +362,7 @@ def simulate_superstep(
         else:
             c, q, _ = _fast_run_trace(
                 topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
-                [(step, label, src, dst)], flits, use_kernel,
+                [(step, label, src, dst)], flits,
             )
             cycles, max_queue = int(c[0]), int(q[0])
     return cycles, max_queue, int(src.size)
@@ -391,7 +389,8 @@ def simulate_trace(
     ``measured/(C+D)`` comparisons self-consistent by construction.
     Each message expands to ``flits_per_message`` identical-path flits
     (message-major emission order).  ``engine`` picks the executor
-    (``auto``/``fast``/``reference``; default from ``REPRO_SIM_ENGINE``)
+    (``fast``/``reference``; default from ``REPRO_SIM_ENGINE``, else
+    ``fast``)
     — both are bit-identical, so the engine is *not* part of the cache
     key.  Profiles are memoised per (trace, topology, policy, arbiter,
     flits); cached arrays are read-only.
@@ -400,17 +399,11 @@ def simulate_trace(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    mode, use_kernel = _resolve_engine(engine)
-    global _cache_hits, _cache_misses
-    key = _profile_key(trace, topo, policy, arbiter, flits)
-    if key is not None:
-        with _cache_lock:
-            cached = _cache.get(key)
-            if cached is not None:
-                _cache.move_to_end(key)
-                _cache_hits += 1
-                return cached
-            _cache_misses += 1
+    mode = _resolve_engine(engine)
+    key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
+    cached = SIM_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     cols, batches, delivered = _prep_trace(trace, topo)
     caps = topo.edge_capacities()
@@ -426,7 +419,7 @@ def simulate_trace(
             )
     elif batches:
         b_cycles, b_queue, edge_flits = _fast_run_trace(
-            topo, caps, policy, arbiter, batches, flits, use_kernel
+            topo, caps, policy, arbiter, batches, flits
         )
         idx = np.array([b[0] for b in batches], dtype=np.int64)
         cycles[idx] = b_cycles
@@ -436,24 +429,10 @@ def simulate_trace(
                 topo, caps, policy, arbiter, batches, flits,
                 cycles, max_queue, edge_flits, "simulate_trace",
             )
-    profile = _build_profile(
+    return SIM_CACHE.put(key, _build_profile(
         trace, topo, policy, arbiter, flits, cols, delivered,
         cycles, max_queue, edge_flits,
-    )
-    _cache_put(key, profile)
-    return profile
-
-
-def _profile_key(
-    trace: Trace, topo: Topology, policy: RoutingPolicy, arbiter: Arbiter, flits: int
-) -> tuple | None:
-    """LRU key of a sim profile (None for uncacheable traces)."""
-    token = getattr(trace, "cache_token", None)
-    if token is None:
-        return None
-    return (
-        token, topo.name, topo.p, policy.cache_key(), arbiter.cache_key(), flits
-    )
+    ))
 
 
 def _prep_trace(trace: Trace, topo: Topology) -> tuple:
@@ -535,87 +514,6 @@ def _crosscheck_reference(
     )
 
 
-def peek_sim_cache(
-    trace: Trace,
-    topo: Topology,
-    policy: RoutingPolicy | None = None,
-    arbiter: Arbiter | str = "fifo",
-    arbiter_seed: int = 0,
-    flits_per_message: int = 1,
-) -> SimProfile | None:
-    """The memoised profile, or ``None`` — without counting a miss.
-
-    A scheduler probe (see
-    :func:`repro.networks.routing.peek_route_cache`): the DAG planner
-    splits sim waves into warm and cold nodes with it; hit accounting
-    stays with the assembly-time lookups.
-    """
-    if isinstance(arbiter, str):
-        arbiter = by_arbiter(arbiter, arbiter_seed)
-    key = _profile_key(
-        trace, topo, policy or _DIRECT, arbiter, _check_flits(flits_per_message)
-    )
-    if key is None:
-        return None
-    with _cache_lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-        return cached
-
-
-def seed_sim_cache(
-    trace: Trace,
-    topo: Topology,
-    policy: RoutingPolicy | None,
-    arbiter: Arbiter | str,
-    arbiter_seed: int,
-    flits_per_message: int,
-    profile: SimProfile,
-) -> SimProfile:
-    """Insert a worker-computed profile under this process's cache key.
-
-    The DAG scheduler's parent-side re-insertion hook; pickling drops
-    numpy's read-only flag, so every array field is re-frozen before the
-    profile enters the shared LRU.  An existing entry for the key wins
-    (the values are bit-identical by construction).
-    """
-    if isinstance(arbiter, str):
-        arbiter = by_arbiter(arbiter, arbiter_seed)
-    key = _profile_key(
-        trace, topo, policy or _DIRECT, arbiter, _check_flits(flits_per_message)
-    )
-    if key is None:
-        return profile
-    for arr in (
-        profile.labels, profile.cycles, profile.congestion, profile.dilation,
-        profile.max_queue, profile.delivered, profile.edge_flits,
-        profile.capacities,
-    ):
-        if arr is not None:
-            arr.setflags(write=False)
-    with _cache_lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-            return cached
-    _cache_put(key, profile)
-    return profile
-
-
-def _cache_put(key: tuple | None, profile: SimProfile) -> None:
-    global _cache_evictions
-    if key is None:
-        return
-    sanitize.guard_cached(profile, "sim")
-    with _cache_lock:
-        sanitize.assert_locked(_cache_lock, "sim cache insert")
-        _cache[key] = profile
-        if len(_cache) > _CACHE_MAX:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
-
-
 def simulate_many(
     items: list,
     *,
@@ -635,8 +533,7 @@ def simulate_many(
     arbiters and the reference engine fall back per cell.
     """
     flits = _check_flits(flits_per_message)
-    mode, use_kernel = _resolve_engine(engine)
-    global _cache_hits, _cache_misses
+    mode = _resolve_engine(engine)
     norm = []
     for trace, topo, policy, arbiter in items:
         if isinstance(arbiter, str):
@@ -651,16 +548,11 @@ def simulate_many(
                 seed=seed, flits_per_message=flits, engine=engine,
             )
             continue
-        key = _profile_key(trace, topo, policy, arbiter, flits)
-        if key is not None:
-            with _cache_lock:
-                cached = _cache.get(key)
-                if cached is not None:
-                    _cache.move_to_end(key)
-                    _cache_hits += 1
-                    profiles[i] = cached
-                    continue
-                _cache_misses += 1
+        key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
+        cached = SIM_CACHE.get(key)
+        if cached is not None:
+            profiles[i] = cached
+            continue
         cols, batches, delivered = _prep_trace(trace, topo)
         pending.append((i, key, cols, batches, delivered))
     if pending:
@@ -669,7 +561,7 @@ def simulate_many(
              batches, flits)
             for i, _, _, batches, _ in pending
         ]
-        results = _fast_run_batch(cells, use_kernel)
+        results = _fast_run_batch(cells)
         for (i, key, cols, batches, delivered), (b_cycles, b_queue, ef) in zip(
             pending, results
         ):
@@ -681,16 +573,14 @@ def simulate_many(
                 idx = np.array([b[0] for b in batches], dtype=np.int64)
                 cycles[idx] = b_cycles
                 max_queue[idx] = b_queue
-            profile = _build_profile(
-                trace, topo, policy, arbiter, flits, cols, delivered,
-                cycles, max_queue, np.ascontiguousarray(ef),
-            )
+            edge_flits = np.ascontiguousarray(ef)
             if batches and sanitize.should_crosscheck():
                 _crosscheck_reference(
                     topo, topo.edge_capacities(), policy, arbiter, batches,
-                    flits, cycles, max_queue, profile.edge_flits,
-                    "simulate_many",
+                    flits, cycles, max_queue, edge_flits, "simulate_many",
                 )
-            _cache_put(key, profile)
-            profiles[i] = profile
+            profiles[i] = SIM_CACHE.put(key, _build_profile(
+                trace, topo, policy, arbiter, flits, cols, delivered,
+                cycles, max_queue, edge_flits,
+            ))
     return profiles

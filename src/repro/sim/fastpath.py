@@ -29,9 +29,7 @@ Arbiters whose rank is a static function of the flit
 (:attr:`~repro.sim.arbiter.Arbiter.rank_mode` ``"index"`` or
 ``"remaining"``) use the fused sorted-array path; ``"dynamic"``
 arbiters (random and third-party) fall back to the reference per-cycle
-rank computation, still accelerated by the quiescent skip.  An optional
-numba kernel (:mod:`repro.sim._njit`) replaces the vectorized serve
-step when requested and available.
+rank computation, still accelerated by the quiescent skip.
 """
 
 from __future__ import annotations
@@ -40,11 +38,9 @@ import threading
 
 import numpy as np
 
-from repro.sim._njit import HAVE_NUMBA, serve_cycle_jit
 from repro.sim.arbiter import Arbiter
 
 __all__ = [
-    "HAVE_NUMBA",
     "engine_stats",
     "expand_paths",
     "reset_engine_stats",
@@ -65,7 +61,6 @@ def _zero_stats() -> dict[str, int]:
         "fused_runs": 0,
         "dynamic_phases": 0,
         "serve_cycles": 0,
-        "kernel_cycles": 0,
         "skips": 0,
         "skipped_cycles": 0,
     }
@@ -238,7 +233,6 @@ class _PhaseChunk:
 def _run_fused(
     cells: list,
     remaining_mode: bool,
-    use_kernel: bool,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All supersteps of every cell in one loop over namespaced edges.
 
@@ -375,9 +369,8 @@ def _run_fused(
     int_caps = bool(np.all(caps_ns == np.floor(caps_ns)))
     #: By the same invariant, credit state only matters on the
     #: fractional-capacity edge subset; the serve step replays the
-    #: reference's float ops on that compact slice alone.  The kernel
-    #: works on the full credit array, so compaction is numpy-path only.
-    compact_credits = not int_caps and not use_kernel
+    #: reference's float ops on that compact slice alone.
+    compact_credits = not int_caps
     if compact_credits:
         frac_idx = np.flatnonzero(caps_ns != np.floor(caps_ns))
         fcaps_frac = caps_ns[frac_idx]
@@ -388,7 +381,7 @@ def _run_fused(
     #: Per-edge flit totals are known at load time (every loaded flit
     #: crosses its whole path), so ``_split`` derives them from
     #: ``edges_ns`` — ``eflits_ns`` stays a scratch array for the
-    #: kernel/skip helpers' signatures.
+    #: skip helper's signature.
     ar = np.arange(base + 1, dtype=np.int64)  # shared arange pool
     keep_buf = np.empty(base + 1, dtype=bool)  # merge keep-mask scratch
 
@@ -461,7 +454,6 @@ def _run_fused(
     skips = 0
     skipped = 0
     served_cycles = 0
-    Lmax64 = np.int64(Lmax)
     #: Drain events pay a full re-sort; when contention shifts so fast
     #: that they only net one cycle, fall back to the incremental serve
     #: branch for a stretch (doubling on repeated failure) before
@@ -570,18 +562,6 @@ def _run_fused(
             skips += 1
             skipped += k
             window = min(window * 2, _WINDOW_MAX) if k == W else _WINDOW_MIN
-        elif use_kernel:
-            serve_countdown -= 1
-            cycles_arr[alive_idx] += 1
-            # The kernel still carries an explicit id array; ids decode
-            # from the keys, and the emission rank of slot t is t itself
-            # (so the shared arange doubles as the kernel's fid input).
-            skey, _, finished = serve_cycle_jit(
-                skey, skey % KB, pos, length, off, ar[:base], edges_ns,
-                queue, credits, caps_ns, eflits_ns, qhigh, K1, KB, Lmax64,
-                remaining_mode,
-            )
-            served_cycles += 1
         else:
             # One contended cycle: in the (edge, rank)-sorted array each
             # edge's winners are the contiguous head range of its
@@ -678,14 +658,12 @@ def _run_fused(
         skips=skips,
         skipped_cycles=skipped,
         serve_cycles=served_cycles,
-        kernel_cycles=served_cycles if use_kernel else 0,
     )
     return _split()
 
 
 def run_batch(
     cells: list,
-    use_kernel: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fast-engine execution of many independent simulations at once.
 
@@ -702,9 +680,7 @@ def run_batch(
     by_mode: dict[str, list[int]] = {}
     for i, (topo, caps, policy, arbiter, steps, flits) in enumerate(cells):
         if arbiter.rank_mode == "dynamic":
-            results[i] = run_trace(
-                topo, caps, policy, arbiter, steps, flits, use_kernel
-            )
+            results[i] = run_trace(topo, caps, policy, arbiter, steps, flits)
         else:
             by_mode.setdefault(arbiter.rank_mode, []).append(i)
     for mode, idxs in by_mode.items():
@@ -712,7 +688,7 @@ def run_batch(
             (cells[i][0], cells[i][1], cells[i][2], cells[i][4], cells[i][5])
             for i in idxs
         ]
-        for i, res in zip(idxs, _run_fused(fused, mode == "remaining", use_kernel)):
+        for i, res in zip(idxs, _run_fused(fused, mode == "remaining")):
             results[i] = res
     return results
 
@@ -724,7 +700,6 @@ def run_trace(
     arbiter: Arbiter,
     steps: list,
     flits: int = 1,
-    use_kernel: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fast-engine execution of a trace's non-empty supersteps.
 
@@ -762,6 +737,5 @@ def run_trace(
     ((cycles, max_queue, edge_flits),) = _run_fused(
         [(topo, caps, policy, steps, flits)],
         arbiter.rank_mode == "remaining",
-        use_kernel,
     )
     return cycles, max_queue, edge_flits

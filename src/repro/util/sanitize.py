@@ -37,6 +37,7 @@ __all__ = [
     "enabled",
     "sample_every",
     "guard_cached",
+    "reachable_arrays",
     "assert_locked",
     "should_crosscheck",
     "should_spotcheck",
@@ -83,7 +84,7 @@ def _record_violation(message: str) -> None:
     raise SanitizerError(message)
 
 
-def _iter_arrays(value: Any, depth: int = 0):
+def reachable_arrays(value: Any, depth: int = 0):
     """Every ``ndarray`` reachable through containers and dataclasses."""
     if depth > 4:  # cached values are shallow; don't chase object graphs
         return
@@ -91,13 +92,13 @@ def _iter_arrays(value: Any, depth: int = 0):
         yield value
     elif isinstance(value, (tuple, list)):
         for item in value:
-            yield from _iter_arrays(item, depth + 1)
+            yield from reachable_arrays(item, depth + 1)
     elif isinstance(value, dict):
         for item in value.values():
-            yield from _iter_arrays(item, depth + 1)
+            yield from reachable_arrays(item, depth + 1)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         for f in dataclasses.fields(value):
-            yield from _iter_arrays(getattr(value, f.name), depth + 1)
+            yield from reachable_arrays(getattr(value, f.name), depth + 1)
 
 
 def guard_cached(value: Any, where: str = "cache") -> Any:
@@ -114,7 +115,7 @@ def guard_cached(value: Any, where: str = "cache") -> Any:
         return value
     global _arrays_checked
     checked = 0
-    for arr in _iter_arrays(value):
+    for arr in reachable_arrays(value):
         checked += 1
         if arr.flags.writeable:
             with _counter_lock:

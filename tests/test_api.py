@@ -1,7 +1,6 @@
 """Tests for the unified experiment API: registry, pipeline, plan, CLI."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -223,7 +222,7 @@ class TestCacheStats:
         import repro.networks.routing as routing
 
         clear_route_cache()
-        monkeypatch.setattr(routing, "_CACHE_MAX", 2)
+        monkeypatch.setattr(routing.ROUTE_CACHE, "maxsize", 2)
         trace = run("prefix", n=64, seed=1).trace
         for name in ("ring", "mesh2d", "hypercube", "butterfly"):
             route_trace(trace, topo_by_name(name, 8))
@@ -241,7 +240,7 @@ class TestCacheStats:
         import repro.machine.folding as folding
 
         clear_fold_cache()
-        monkeypatch.setattr(folding, "_CACHE_MAX", 2)
+        monkeypatch.setattr(folding.FOLD_CACHE, "maxsize", 2)
         trace = run("prefix", n=64, seed=2).trace
         before = fold_cache_stats()
         for p in (2, 4, 8, 16):
@@ -352,89 +351,69 @@ class TestExperimentPlan:
 
 
 # ----------------------------------------------------------------------
-# Sweep wrappers delegate to plans, bit-identically
+# Classic sweep tables as plans, bit-identical to direct computation
 # ----------------------------------------------------------------------
-class TestSweepDelegation:
+class TestSweepPlans:
     @pytest.fixture
     def trace(self):
         return run("fft", n=256, seed=2).trace
 
-    def test_network_sweep_bit_identical_to_plan_and_legacy(self, trace):
-        from repro.analysis import network_sweep
-
+    def test_network_grid_bit_identical_to_legacy(self, trace):
         ps = [4, 16]
         topologies = ("ring", "torus2d", "hypercube")
         policies = ("dimension-order", "valiant")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=ps, topologies=topologies, policies=policies
-            )
-        # The pre-plan implementation, inlined as the oracle.
+        frame = ExperimentPlan.from_trace(
+            trace, ps=ps, topologies=topologies, policies=policies
+        ).run()
+        # The pre-plan implementation, inlined as the oracle; the grid
+        # expands p-major, then topology, then policy.
         tm = TraceMetrics(trace)
         resolved = [by_policy(p, 0) for p in policies]
-        legacy_rows = tuple(
-            tuple(
-                route_trace(tm.trace, topo_by_name(t, p), pol).total_time
-                for t in topologies
-                for pol in resolved
-            )
+        legacy = [
+            route_trace(tm.trace, topo_by_name(t, p), pol).total_time
             for p in ps
-        )
-        assert table.rows == legacy_rows
-        assert table.columns == tuple(
-            f"{t}/{pol.name}" for t in topologies for pol in resolved
-        )
+            for t in topologies
+            for pol in resolved
+        ]
+        assert list(frame.column("routed_time")) == legacy
+        assert list(frame.column("policy")) == [
+            pol.name for _ in ps for _ in topologies for pol in resolved
+        ]
 
-    def test_network_sweep_distinct_same_named_policies(self, trace):
+    def test_network_grid_distinct_same_named_policies(self, trace):
         """Two ValiantPolicy seeds share the name 'valiant' but must keep
-        their own columns (regression: name-keyed pivot collapsed them)."""
-        from repro.analysis import network_sweep
+        their own cells."""
         from repro.networks import ValiantPolicy
 
         pols = [ValiantPolicy(0), ValiantPolicy(7)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=[16], topologies=("torus2d",), policies=pols
-            )
+        frame = ExperimentPlan.from_trace(
+            trace, ps=[16], topologies=("torus2d",), policies=pols
+        ).run()
         tm = TraceMetrics(trace)
-        expected = tuple(
+        expected = [
             route_trace(tm.trace, topo_by_name("torus2d", 16), pol).total_time
             for pol in pols
-        )
-        assert table.rows == (expected,)
+        ]
+        assert list(frame.column("routed_time")) == expected
         assert expected[0] != expected[1]  # seeds actually differ
 
-    def test_network_sweep_relative_mode(self, trace):
-        from repro.analysis import network_sweep
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=[16], topologies=("torus2d",), relative_to_dbsp=True
-            )
+    def test_network_grid_relative_mode(self, trace):
+        frame = ExperimentPlan.from_trace(
+            trace, ps=[16], topologies=("torus2d",), relative_to_dbsp=True
+        ).run()
+        table = frame.pivot("p", "topology", "routed_over_dbsp")
         tm = TraceMetrics(trace)
         topo = topo_by_name("torus2d", 16)
         expected = route_trace(tm.trace, topo).total_time / tm.D_machine(fit(topo))
         assert table.rows == ((expected,),)
 
-    def test_h_sweep_bit_identical(self, trace):
-        from repro.analysis import h_sweep
-
+    def test_h_grid_bit_identical(self, trace):
         tm = TraceMetrics(trace)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = h_sweep(trace, ps=[4, 16], sigmas=(0.0, 2.0))
+        frame = ExperimentPlan.from_trace(trace, ps=[4, 16], sigmas=(0.0, 2.0)).run()
+        table = frame.pivot("p", "sigma", "H")
         assert table.rows == tuple(
             tuple(tm.H(p, s) for s in (0.0, 2.0)) for p in (4, 16)
         )
-
-    def test_sweeps_warn_deprecation(self, trace):
-        from repro.analysis import h_sweep
-
-        with pytest.warns(DeprecationWarning, match="ExperimentPlan"):
-            h_sweep(trace, ps=[4], sigmas=(0.0,))
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ class TestPackageSurface:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_version_is_single_sourced(self):
         # pyproject.toml reads the version from repro.__version__; a

@@ -194,7 +194,9 @@ class TestBackendEquivalence:
         )
         assert frame.rows == oracle_rows(plan)
 
-    def test_frame_meta_survives_json(self, tmp_path):
+    def test_frame_meta_survives_json(self, tmp_path, monkeypatch):
+        # A CI leg's REPRO_EXECUTOR would change the default executor.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         frame = _grid().run()
         data = json.loads(frame.to_json(tmp_path / "f.json"))
         assert dict(data["meta"])["executor_effective"] == "serial"

@@ -267,6 +267,67 @@ class TestCacheReadOnly:
         )
         assert found == []
 
+    def test_unfrozen_lru_put_flagged(self, tmp_path):
+        found = lint_snippet(
+            tmp_path,
+            _LRU_HEADER
+            + """
+            def fill(key):
+                return _CACHE.put(key, np.arange(4))
+            """,
+            "RPR002",
+        )
+        assert len(found) == 1 and "insertion into '_CACHE'" in found[0].message
+
+    def test_frozen_lru_insertions_clean(self, tmp_path):
+        found = lint_snippet(
+            tmp_path,
+            _LRU_HEADER
+            + """
+            def _build(n):
+                out = np.arange(n)
+                out.setflags(write=False)
+                return out
+
+            def fill(key):
+                return _CACHE.put(key, _build(4))
+
+            def forward(key, profile):
+                return _CACHE.put(key, profile)
+
+            def adopt(key):
+                return _CACHE.seed(key, np.arange(4))  # seed freezes itself
+            """,
+            "RPR002",
+        )
+        assert found == []
+
+    def test_lru_module_is_in_scope(self, tmp_path):
+        found = lint_snippet(
+            tmp_path,
+            _LRU_HEADER
+            + """
+            def _cached(cache, key, compute):
+                value = cache.get(key)
+                return value if value is not None else cache.put(key, compute())
+
+            def lookup(key):
+                def compute():
+                    return np.arange(4)
+                return _cached(_CACHE, key, compute)
+            """,
+            "RPR002",
+        )
+        assert len(found) == 1 and "not marked read-only" in found[0].message
+
+
+_LRU_HEADER = """
+            import numpy as np
+            from repro.util.caches import LRU
+
+            _CACHE = LRU("demo", 4)
+"""
+
 
 # ----------------------------------------------------------------------
 # RPR003 — seeded RNG only
@@ -444,6 +505,60 @@ class TestLockDiscipline:
         )
         assert found == []
 
+    def test_bare_dict_cache_in_registering_module_flagged(self, tmp_path):
+        # Locked, so the mutation rule is satisfied: the dict itself is
+        # the violation once the module registers a cache.
+        found = lint_snippet(
+            tmp_path,
+            """
+            import threading
+            from collections import OrderedDict
+            from repro.util.caches import register_cache
+
+            _cache_lock = threading.Lock()
+            _cache = OrderedDict()
+            register_cache("demo", lambda: {}, _cache.clear)
+
+            def put(key, value):
+                with _cache_lock:
+                    _cache[key] = value
+            """,
+            "RPR004",
+        )
+        assert len(found) == 1 and "make it a repro.util.caches.LRU" in found[0].message
+
+    def test_lru_private_state_flagged(self, tmp_path):
+        found = lint_snippet(
+            tmp_path,
+            _LRU_HEADER
+            + """
+            def reset():
+                _CACHE._data.clear()
+            """,
+            "RPR004",
+        )
+        assert len(found) == 1 and "_CACHE._data" in found[0].message
+
+    def test_lru_public_methods_clean(self, tmp_path):
+        found = lint_snippet(
+            tmp_path,
+            _LRU_HEADER
+            + """
+            _OPTIONS = {"fast": True}
+
+            def lookup(key, value):
+                if _CACHE.peek(key) is None:
+                    _CACHE.seed(key, value)
+                return _CACHE.get(key)
+
+            def reset():
+                _CACHE.clear()
+                _CACHE.maxsize = 8
+            """,
+            "RPR004",
+        )
+        assert found == []
+
 
 # ----------------------------------------------------------------------
 # RPR005 — registry completeness
@@ -576,7 +691,7 @@ class TestEngineParity:
         found = lint_snippet(
             tmp_path,
             """
-            def fold(trace, p, *, use_kernel=None):
+            def fold(trace, p, *, engine=None):
                 return trace
 
             def fold_reference(trace, p):

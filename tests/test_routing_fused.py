@@ -1,17 +1,26 @@
 """Property tests: the fused multi-superstep router is bit-identical to
 the per-superstep loop, on every topology, under every policy."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.machine.folding import fold_trace
 from repro.networks import by_name, by_policy, route_trace
 from repro.networks.routing import (
+    _FUSED_MAX_BATCH,
     _FUSED_MAX_CELLS,
     _profile_arrays_fused,
     _profile_arrays_loop,
 )
 from repro.networks.topology import TOPOLOGIES, Topology
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
@@ -63,15 +72,15 @@ def test_route_loads_multi_matches_per_segment_route_loads():
             assert np.array_equal(grid[s], expected), (name, s)
 
 
-def test_route_trace_falls_back_above_gate(monkeypatch, traces):
-    """Monkeypatching the gate to 0 forces the loop path; results match."""
+def test_route_trace_falls_back_above_cell_ceiling(monkeypatch, traces):
+    """Dropping the grid ceiling to 0 forces the loop path; results match."""
     import repro.networks.routing as routing
 
     topo = by_name("torus2d", 16)
     policy = by_policy("valiant", seed=2)
     trace = traces["prefix"]  # many small supersteps: inside the fuse gate
     cols = fold_trace(trace, 16, keep_empty=True).columns()
-    assert cols.num_messages <= cols.num_supersteps * routing._fused_batch_limit(topo)
+    assert routing._fuses(cols, topo)
     routing.clear_route_cache()
     fused_profile = route_trace(trace, topo, policy)
     monkeypatch.setattr(routing, "_FUSED_MAX_CELLS", 0)
@@ -112,42 +121,91 @@ def test_unfusible_topology_falls_back_to_loop(traces):
     assert profile.num_supersteps > 0
 
 
-def test_fused_gate_constant_sane():
-    assert _FUSED_MAX_CELLS >= 1 << 20
+def test_fused_gate_constants():
+    assert _FUSED_MAX_CELLS == 1 << 21
+    assert _FUSED_MAX_BATCH == 1024
 
 
-class TestAdaptiveFuseGate:
-    def test_limit_measured_once_per_cell_and_clamped(self):
-        import repro.networks.routing as routing
+_DECISIONS = """
+import json
 
-        routing.clear_fuse_gate()
-        topo = by_name("torus2d", 16)
-        limit = routing._fused_batch_limit(topo)
-        assert routing._FUSED_BATCH_FLOOR <= limit <= routing._FUSED_BATCH_CEIL
-        # Memoised per (topology, p): the second call returns the
-        # recorded decision, and the stats hook exposes it.
-        assert routing._fused_batch_limit(topo) == limit
-        stats = routing.fuse_gate_stats()
-        assert stats[("torus2d", 16)] == limit
-        # A different fold target of the same topology is its own cell.
-        routing._fused_batch_limit(by_name("torus2d", 4))
-        assert ("torus2d", 4) in routing.fuse_gate_stats()
-        routing.clear_fuse_gate()
-        assert routing.fuse_gate_stats() == {}
+import numpy as np
+from repro.api import run
+from repro.machine.folding import fold_trace
+from repro.machine.trace import Trace
+from repro.networks import by_name
+from repro.networks.routing import _fuses
+from repro.networks.topology import TOPOLOGIES
 
-    def test_gate_decision_never_changes_results(self, traces, monkeypatch):
-        """Whatever the measured limit says, profiles are bit-identical
-        (the gate is throughput-only) — pin both extremes."""
-        import repro.networks.routing as routing
 
-        topo = by_name("hypercube", 16)
-        trace = traces["fft"]
-        profiles = []
-        for forced in (routing._FUSED_BATCH_FLOOR, routing._FUSED_BATCH_CEIL):
-            monkeypatch.setattr(
-                routing, "_fused_batch_limit", lambda t, _f=forced: _f
-            )
-            routing.clear_route_cache()
-            profiles.append(route_trace(trace, topo))
-        assert np.array_equal(profiles[0].time, profiles[1].time)
-        routing.clear_route_cache()
+def batch_trace(batch):
+    rng = np.random.default_rng(batch)
+    trace = Trace(16)
+    for _ in range(2):
+        src = rng.integers(0, 16, batch)
+        trace.append(0, src, (src + 1 + rng.integers(0, 15, batch)) % 16)
+    return trace
+
+
+def decisions():
+    traces = [
+        run("fft", n=256, seed=1).trace,
+        run("sort", n=128, seed=1).trace,
+        batch_trace(1024),
+        batch_trace(1025),
+    ]
+    return [
+        _fuses(fold_trace(t, p, keep_empty=True).columns(), by_name(name, p))
+        for t in traces
+        for name in TOPOLOGIES
+        for p in (4, 16)
+    ]
+"""
+
+#: The script's helpers, shared with the in-process tests below.
+_SCRIPT: dict = {}
+exec(_DECISIONS, _SCRIPT)
+
+
+@pytest.mark.parametrize("batch, fused", [(1024, True), (1025, False)])
+def test_average_batch_threshold_picks_path(monkeypatch, batch, fused):
+    """An average batch of 1024 messages fuses, 1025 loops; either way the
+    profile equals both the fused and the loop arrays bit for bit."""
+    import repro.networks.routing as routing
+
+    topo = by_name("torus2d", 16)
+    policy = by_policy("valiant", seed=3)
+    trace = _SCRIPT["batch_trace"](batch)
+    cols = fold_trace(trace, 16, keep_empty=True).columns()
+    calls = []
+    real = routing._profile_arrays_fused
+    monkeypatch.setattr(
+        routing,
+        "_profile_arrays_fused",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    routing.clear_route_cache()
+    profile = route_trace(trace, topo, policy)
+    assert bool(calls) is fused
+    loop = _profile_arrays_loop(topo, policy, cols)
+    fused_arrays = real(topo, policy, cols)
+    for arrays in (loop, fused_arrays):
+        for a, b in zip(arrays, (profile.congestion, profile.dilation, profile.time)):
+            assert np.array_equal(a, b)
+    routing.clear_route_cache()
+
+
+def test_fuse_decision_is_the_same_in_a_fresh_process():
+    """The fused-or-looped choice depends on the trace and topology only,
+    so a fresh interpreter decides every cell the same way."""
+    here = _SCRIPT["decisions"]()
+    assert True in here and False in here
+    out = subprocess.run(
+        [sys.executable, "-c", _DECISIONS + "\nprint(json.dumps(decisions()))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(out.stdout) == here

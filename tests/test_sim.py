@@ -215,7 +215,7 @@ class TestSimCache:
         import repro.sim.engine as engine
 
         clear_sim_cache()
-        monkeypatch.setattr(engine, "_CACHE_MAX", 2)
+        monkeypatch.setattr(engine.SIM_CACHE, "maxsize", 2)
         trace = sim_traces["prefix"]
         for name in ("ring", "mesh2d", "hypercube"):
             simulate_trace(trace, by_name(name, 8))

@@ -69,26 +69,6 @@ class TestFastReferenceIdentity:
                 ref, fast, (name, topo_name, policy_name, arbiter_name, flits)
             )
 
-    def test_kernel_path_matches_numpy_path(self, engine_traces):
-        """use_kernel=True routes the serve step through the njit twin
-        (its pure-python build without numba) with identical results."""
-        from repro.sim import fastpath
-        from repro.sim.engine import _prep_trace
-
-        for topo_name in ("mesh2d", "fat-tree"):
-            topo = by_name(topo_name, 16)
-            caps = topo.edge_capacities()
-            policy = by_policy("valiant", seed=7)
-            _, steps, _ = _prep_trace(engine_traces["fft"], topo)
-            from repro.sim import by_arbiter
-
-            for arb in ("fifo", "farthest-to-go"):
-                arbiter = by_arbiter(arb, 3)
-                plain = fastpath.run_trace(topo, caps, policy, arbiter, steps, 1, False)
-                kernel = fastpath.run_trace(topo, caps, policy, arbiter, steps, 1, True)
-                for a, b in zip(plain, kernel):
-                    assert np.array_equal(a, b), (topo_name, arb)
-
 
 # ----------------------------------------------------------------------
 # Cross-cell batching (simulate_many / validate_grid)
@@ -177,7 +157,7 @@ class TestQuiescentSkip:
 # ----------------------------------------------------------------------
 class TestEngineSelector:
     def test_engine_names(self):
-        assert ENGINES == ("auto", "fast", "reference")
+        assert ENGINES == ("fast", "reference")
 
     def test_unknown_engine_rejected(self, engine_traces):
         with pytest.raises(ValueError, match="unknown sim engine"):
