@@ -7,8 +7,6 @@ the executor only picks where its waves run.  This bench times a
 
 * ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: waves
   in-line, cells routed by the fused multi-superstep kernels;
-* ``run_sweep_parallel`` — the same plan on the ``process`` substrate
-  (a fork pool per wave, warm LRUs inherited copy-on-write);
 * ``run_sweep_legacy`` — per-superstep loop routing (the fused gate
   forced off), the way grids were priced before the fused router;
 * ``run_sweep_shm`` — the persistent zero-copy worker pool
@@ -87,12 +85,6 @@ def run_sweep(cfg=SCALE):
     """Serial plan executor over the fused routing engine."""
     _cold()
     return _plan(cfg).run(executor="serial")
-
-
-def run_sweep_parallel(cfg=SCALE):
-    """Worker-pool (fork) plan executor, cold caches in every child."""
-    _cold()
-    return _plan(cfg).run(executor="process", max_workers=4)
 
 
 def run_sweep_legacy(cfg=SCALE):
@@ -216,42 +208,36 @@ def run_sweep_dag_shm(quick: bool = False):
 def test_e18_plan_executor(benchmark, quick):
     cfg = QUICK if quick else SCALE
 
-    def all_three():
+    def both():
         _plan(cfg)  # emit the source trace outside every timed region
         t0 = time.perf_counter()
         serial = run_sweep(cfg)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = run_sweep_parallel(cfg)
-        t_parallel = time.perf_counter() - t0
-        t0 = time.perf_counter()
         legacy = run_sweep_legacy(cfg)
         t_legacy = time.perf_counter() - t0
-        return serial, parallel, legacy, t_serial, t_parallel, t_legacy
+        return serial, legacy, t_serial, t_legacy
 
-    serial, parallel, legacy, t_serial, t_parallel, t_legacy = benchmark.pedantic(
-        all_three, rounds=1, iterations=1
+    serial, legacy, t_serial, t_legacy = benchmark.pedantic(
+        both, rounds=1, iterations=1
     )
     cells = len(serial)
     assert cells >= (8 if quick else 24)
-    # Executors and engines must agree bit-for-bit on every cell.
-    assert serial.rows == parallel.rows
+    # Both routing paths must agree bit-for-bit on every cell.
     assert serial.rows == legacy.rows
 
     vs_legacy = t_legacy / t_serial if t_serial > 0 else float("inf")
-    vs_serial = t_serial / t_parallel if t_parallel > 0 else float("inf")
     routed = serial.column("routed_time")
     rows = [
         ["cells", cells, "-"],
         ["serial (fused)", round(t_serial, 3), "1.0x"],
-        ["worker pool", round(t_parallel, 3), f"{vs_serial:.2f}x vs serial"],
         ["legacy loop", round(t_legacy, 3), f"{vs_legacy:.2f}x slower than fused"],
         ["sum routed_time", round(float(np.sum(routed)), 1), "-"],
     ]
     emit_table(
         "e18_plan_executor",
         f"E18  {cells}-cell grid: fused serial {t_serial:.3f}s, "
-        f"pool {t_parallel:.3f}s, legacy {t_legacy:.3f}s",
+        f"legacy {t_legacy:.3f}s",
         ["path", "seconds", "ratio"],
         rows,
     )

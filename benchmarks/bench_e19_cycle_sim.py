@@ -15,10 +15,11 @@ own travel), and never exceeds 4 at the default FIFO arbitration — the
 acceptance band recorded into ``BENCH_baseline.json`` as
 ``e19_sim_bound_constants``.
 
-Two timed sweeps cover both executors: ``run_sweep`` drives the
-pure-numpy fast engine (cross-cell batched via ``validate_grid``) and
-``run_sweep_reference`` the per-cycle reference loop — their ratio is
-the recorded engine speedup, their reports are bit-identical.
+Two timed sweeps cover the engine and its oracle: ``run_sweep`` drives
+the pure-numpy fast engine (cross-cell batched via ``validate_grid``)
+and ``run_sweep_reference`` loops the per-cycle reference oracle
+(``simulate_trace_reference``) over the cells — their ratio is the
+recorded engine speedup, their profiles are bit-identical.
 """
 
 import time
@@ -27,7 +28,7 @@ import numpy as np
 
 from _util import emit_table, flatness
 from repro.networks import TOPOLOGIES, by_name, by_policy, route_trace
-from repro.sim import clear_sim_cache, validate_grid
+from repro.sim import clear_sim_cache, simulate_trace_reference, validate_grid
 
 #: The E11 trio at its classic operating points.
 SCALE = (("matmul", 256, 64), ("fft", 1024, 16), ("sort", 1024, 8))
@@ -61,7 +62,7 @@ def _cells(cfg) -> list:
     return _sources[key]
 
 
-def _reports(cfg, engine=None, flits=1) -> list:
+def _reports(cfg, flits=1) -> list:
     """Per-cell bound reports (rides whatever is in the sim LRU).
 
     Uses the batched :func:`validate_grid` so a cold sweep fuses every
@@ -72,7 +73,6 @@ def _reports(cfg, engine=None, flits=1) -> list:
     reports = validate_grid(
         [(trace, topo, policy) for _, trace, topo, policy in cells],
         flits_per_message=flits,
-        engine=engine,
     )
     return [
         (label, topo.name, policy.name, report)
@@ -81,19 +81,19 @@ def _reports(cfg, engine=None, flits=1) -> list:
 
 
 def run_sweep(cfg=SCALE):
-    """Simulate the whole grid cold through the pure-numpy fast engine
-    (pinned with ``engine="fast"`` whatever ``REPRO_SIM_ENGINE`` says)."""
+    """Simulate the whole grid cold through the pure-numpy fast engine."""
     _cells(cfg)
     clear_sim_cache()
-    return _reports(cfg, engine="fast")
+    return _reports(cfg)
 
 
 def run_sweep_reference(cfg=SCALE):
-    """The same grid through the reference per-cycle loop (the timing
-    denominator of ``e19_sim_engine_speedup_fast_vs_reference``)."""
-    _cells(cfg)
-    clear_sim_cache()
-    return _reports(cfg, engine="reference")
+    """The same grid, cell by cell, through the uncached reference oracle
+    (the timing denominator of ``e19_sim_engine_speedup_fast_vs_reference``)."""
+    return [
+        (label, topo.name, policy.name, simulate_trace_reference(trace, topo, policy))
+        for label, trace, topo, policy in _cells(cfg)
+    ]
 
 
 def bound_table(cfg=SCALE, flits: int = 1) -> dict[str, float]:

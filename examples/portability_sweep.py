@@ -75,7 +75,7 @@ def main(n: int = 1024) -> None:
         policies=("dimension-order", "valiant"),
         name="routed time",
     )
-    frame = plan.run(executor="process")
+    frame = plan.run(executor="shm")
     print(frame)
 
     print(

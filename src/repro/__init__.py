@@ -37,7 +37,7 @@ from repro.networks import route_trace
 from repro.sim import SimProfile, simulate_trace, validate_bound
 from repro.util.caches import cache_stats, clear_caches
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "machine",

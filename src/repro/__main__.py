@@ -117,7 +117,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 threshold=args.threshold,
                 flits_per_message=args.flits,
-                engine=args.engine,
             )
             s = report.summary()
             worst = max(worst, s["max_ratio"])
@@ -191,12 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="flits per message (the analytic price becomes F*C + D)",
-    )
-    sim_p.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="cycle-loop executor (default: REPRO_SIM_ENGINE or fast)",
     )
 
     args = parser.parse_args(argv)

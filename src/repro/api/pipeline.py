@@ -222,7 +222,6 @@ class Pipeline:
         *,
         seed: int = 0,
         flits_per_message: int = 1,
-        engine: str | None = None,
     ) -> "Pipeline":
         """Cycle-accurately execute the chain's routed trace (lazy).
 
@@ -230,9 +229,7 @@ class Pipeline:
         message batches the analytic profile prices are walked hop by
         hop through :func:`repro.sim.simulate_trace` under ``arbiter``.
         ``flits_per_message`` serialises each message into that many
-        flits (the analytic price becomes ``F*C + D``); ``engine``
-        picks the executor (``fast``/``reference``, default the
-        ``REPRO_SIM_ENGINE`` environment variable, else ``fast``).  Access the
+        flits (the analytic price becomes ``F*C + D``).  Access the
         measured :class:`~repro.sim.SimProfile` via :attr:`sim_profile`;
         ``metrics()`` rows gain ``sim_cycles`` and ``sim_over_cd`` (the
         empirical LMR constant).
@@ -241,7 +238,7 @@ class Pipeline:
             raise ValueError("flits_per_message must be >= 1")
         return Pipeline(
             "sim", self, self._source, arbiter=arbiter, seed=int(seed),
-            flits=int(flits_per_message), engine=engine,
+            flits=int(flits_per_message),
         )
 
     # ------------------------------------------------------------------
@@ -344,7 +341,6 @@ class Pipeline:
             route._resolve_policy(),
             arbiter,
             flits_per_message=self._args["flits"],
-            engine=self._args["engine"],
         )
 
     # ------------------------------------------------------------------

@@ -157,8 +157,9 @@ class _PlanRuntime:
         """Materialise every distinct source the cells need, serially.
 
         Runs before any worker starts: the traces (and their
-        ``TraceMetrics``) are plan-level shared state — threads see the
-        same objects, forked processes inherit them copy-on-write.
+        ``TraceMetrics``) are plan-level shared state — in-line waves see
+        the same objects, the ``shm`` pool maps their columns from shared
+        memory.
         ``indices`` restricts preparation to those cells (a run with a
         result store prepares only its misses); default is all.
         """
@@ -504,11 +505,9 @@ class ExperimentPlan:
         and the frame's metadata records the dedup counters.
 
         ``executor`` names the substrate the graph's waves run on, from
-        the :mod:`repro.exec` registry — ``"serial"`` (in-line),
-        ``"thread"`` (a thread pool sharing the in-process
-        fold/route/sim LRUs), ``"process"`` (a fork-based pool per
-        wave) or ``"shm"`` (a persistent worker pool over zero-copy
-        shared-memory sources) — or is a
+        the :mod:`repro.exec` registry — ``"serial"`` (in-line) or
+        ``"shm"`` (a persistent worker pool over zero-copy
+        shared-memory sources; ``max_workers`` caps its size) — or is a
         :class:`~repro.exec.Substrate` instance.  Default: the
         ``REPRO_EXECUTOR`` environment variable, else ``"serial"``.
         All substrates produce bit-identical rows; the frame's ``meta``
@@ -519,6 +518,8 @@ class ExperimentPlan:
         persistent cell-hash result cache consulted before the graph is
         compiled: warm cells skip emission, folding, routing and
         simulation entirely, and the misses' rows are stored afterwards.
+        A store opened from a path is closed when the run ends; a
+        caller's :class:`~repro.exec.ResultStore` stays open.
 
         ``check=True`` additionally runs every registry source through
         its spec's ``adapt`` numpy oracle and reports the verdict in the
@@ -544,19 +545,24 @@ class ExperimentPlan:
         info: dict[str, Any] = {"executor": substrate.name}
         runtime = _PlanRuntime(self, check=check)
         rows: dict[int, tuple] = {}
-        if store is not None:
-            if not isinstance(store, ResultStore):
-                store = ResultStore(store)
-            keys, rows = store_hits(store, runtime)
-        misses = [i for i in range(len(self.cells)) if i not in rows]
-        if misses:
-            computed, meta = run_graph(
-                runtime, substrate, misses, max_workers=max_workers
-            )
-            info.update(meta)
-            rows.update(zip(misses, computed))
+        owned = None  # a store this run opened from a path, closed below
+        try:
             if store is not None:
-                store.put_many({keys[i]: rows[i] for i in misses if i in keys})
+                if not isinstance(store, ResultStore):
+                    store = owned = ResultStore(store)
+                keys, rows = store_hits(store, runtime)
+            misses = [i for i in range(len(self.cells)) if i not in rows]
+            if misses:
+                computed, meta = run_graph(
+                    runtime, substrate, misses, max_workers=max_workers
+                )
+                info.update(meta)
+                rows.update(zip(misses, computed))
+                if store is not None:
+                    store.put_many({keys[i]: rows[i] for i in misses if i in keys})
+        finally:
+            if owned is not None:
+                owned.close()
         info.setdefault("executor_effective", substrate.name)
         if store is not None:
             info.update(

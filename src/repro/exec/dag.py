@@ -20,7 +20,8 @@ calls (gate :data:`FUSE_MAX_SUPERSTEPS`); assembly runs
 the sim wave so profiles are consumed before they can be evicted.  Rows
 are bit-identical to per-cell evaluation by construction: ``eval_cell``
 performs the same lookups, it just never misses.  Worker artifacts are
-re-inserted through the ``seed_*_cache`` hooks, which re-freeze arrays.
+re-inserted through :meth:`~repro.util.caches.LRU.seed`, which
+re-freezes arrays.
 
 Dedup counters land on the frame's metadata and aggregate process-wide
 under ``repro.cache_stats()["dag"]``.

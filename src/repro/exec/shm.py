@@ -36,6 +36,9 @@ from repro.exec.registry import register_executor
 
 __all__ = ["ShmSubstrate", "shutdown_pool"]
 
+#: Plans with fewer cells run in-line (the pool's dispatch cost dominates).
+MIN_CELLS = 4
+
 
 # ----------------------------------------------------------------------
 # Persistent worker pool
@@ -190,7 +193,7 @@ class ShmSubstrate(Substrate):
     """Dispatch wave shards through the persistent shared-memory pool.
 
     ``workers`` overrides the pool size (default: ``max_workers`` or
-    min(8, cells, cores)); plans under ``min_cells`` cells run in-line;
+    min(8, cells, cores)); plans under :data:`MIN_CELLS` cells run in-line;
     ``force`` skips the single-CPU and tiny-plan gates (not the
     shippability ones), so one-core hosts can exercise the real pool.
     """
@@ -200,15 +203,13 @@ class ShmSubstrate(Substrate):
     pool: Any = None
     payload: Any = None
     block: Any = None
+    workers = 1
     meta: dict
     #: The pool failed mid-run: the remaining waves run in-line.
     failed = False
 
-    def __init__(
-        self, *, workers: int | None = None, min_cells: int = 4, force: bool = False
-    ) -> None:
+    def __init__(self, *, workers: int | None = None, force: bool = False) -> None:
         self.pool_size = workers
-        self.min_cells = min_cells
         self.force = force
 
     def open(
@@ -217,8 +218,8 @@ class ShmSubstrate(Substrate):
         reason = None
         if not self.force and (os.cpu_count() or 1) <= 1:
             reason = "single-CPU host"
-        elif not self.force and len(indices) < self.min_cells:
-            reason = f"plan smaller than {self.min_cells} cells"
+        elif not self.force and len(indices) < MIN_CELLS:
+            reason = f"plan smaller than {MIN_CELLS} cells"
         else:
             block = None
             try:

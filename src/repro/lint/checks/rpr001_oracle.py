@@ -16,8 +16,8 @@ Flagged:
   tree this half is skipped — there is nothing to scan.
 
 Private oracles (``_x_reference``) are exempt from the twin rule: they
-back internal engines reached through public wrappers (e.g. the sim's
-reference cycle loop behind ``engine="reference"``).
+back internal loops reached through public oracles (e.g. the sim's
+``_run_phase_reference`` behind ``simulate_trace_reference``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """RPR004 — lock discipline: shared mutable caches mutate under a lock.
 
-Plan executors fold, route and simulate from many threads at once; the
-module-level caches and registries they share are only safe because
-every mutation happens under a lock.  A mutation added outside the lock
-usually *works* on CPython today and corrupts counters or drops entries
-under the thread executor tomorrow.
+Callers fold, route and simulate from many threads at once (concurrent
+plan runs, a user's own thread pool); the module-level caches and
+registries they share are only safe because every mutation happens
+under a lock.  A mutation added outside the lock usually *works* on
+CPython today and corrupts counters or drops entries under concurrent
+callers tomorrow.
 
 Memo caches are :class:`repro.util.caches.LRU` instances, which take
 their own lock on every access.  So, in any module:

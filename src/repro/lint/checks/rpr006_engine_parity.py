@@ -12,9 +12,8 @@ keyword surfaces must stay identical.
 Flagged:
 
 * a pair ``X`` / ``X_reference`` in the same namespace whose parameter
-  name lists differ — except the engine-selection parameter
-  (``engine``), which is allowed on the vectorized side only, since it
-  chooses *which* engine runs rather than *what* is computed;
+  name lists differ (e.g. ``simulate_trace`` /
+  ``simulate_trace_reference``);
 * modules defining both ``simulate_trace`` and ``simulate_many``:
   their keyword-only parameter sets must be equal;
 * modules defining both ``simulate_trace`` and ``simulate_superstep``:
@@ -34,8 +33,6 @@ from repro.lint.registry import register_check
 __all__ = ["EngineParityCheck"]
 
 _SUFFIX = "_reference"
-#: Parameters that pick an engine rather than a computed quantity.
-_ENGINE_ONLY = {"engine"}
 
 
 def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -53,7 +50,7 @@ class EngineParityCheck(Check):
     name = "engine-parity"
     summary = (
         "vectorized/reference twins and the simulate_* entry points keep "
-        "identical parameter surfaces (engine selectors exempt)"
+        "identical parameter surfaces"
     )
     scope = "module"
 
@@ -65,7 +62,7 @@ class EngineParityCheck(Check):
                 twin = functions.get(name[: -len(_SUFFIX)])
                 if twin is None:
                     continue  # RPR001's finding, not a parity question
-                fast = [p for p in _params(twin) if p not in _ENGINE_ONLY]
+                fast = _params(twin)
                 ref = _params(node)
                 if fast != ref:
                     missing = [p for p in ref if p not in fast]

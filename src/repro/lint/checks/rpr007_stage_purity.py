@@ -2,8 +2,8 @@
 mutable state.
 
 The stage graph (:mod:`repro.exec.dag`) executes a stage node wherever
-the run's executor substrate puts it — the calling thread, a thread
-pool, a forked worker, a persistent shared-memory worker — and relies on
+the run's executor substrate puts it — the calling thread, a forked or
+spawned shared-memory worker, a third-party substrate — and relies on
 every execution computing the *same* artifact.  That only holds if a stage
 kernel is a pure function of its arguments: any read of module-level
 mutable state (a dict of options, a list toggled by a previous run)

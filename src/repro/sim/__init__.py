@@ -20,7 +20,6 @@ from repro.sim.arbiter import (
     by_arbiter,
 )
 from repro.sim.engine import (
-    ENGINES,
     SimProfile,
     clear_sim_cache,
     reset_sim_engine_stats,
@@ -29,6 +28,7 @@ from repro.sim.engine import (
     simulate_many,
     simulate_superstep,
     simulate_trace,
+    simulate_trace_reference,
 )
 from repro.sim.validate import BoundReport, validate_bound, validate_grid
 
@@ -39,9 +39,9 @@ __all__ = [
     "RandomArbiter",
     "by_arbiter",
     "ARBITERS",
-    "ENGINES",
     "SimProfile",
     "simulate_trace",
+    "simulate_trace_reference",
     "simulate_many",
     "simulate_superstep",
     "clear_sim_cache",

@@ -27,17 +27,19 @@ Mechanics (one phase of one superstep):
   most the bottleneck's full service time) — the property-tested
   bracket around the LMR ``O(C + D)`` schedule.
 
-The per-cycle advancement is vectorized over the flat (message, hop)
-arrays — one ``lexsort`` + ``bincount`` round per cycle, never a
-per-flit Python loop.  Whole traces are simulated by
-:func:`simulate_trace` into a columnar :class:`SimProfile`, memoised
-exactly like :class:`~repro.networks.routing.RoutedProfile` (keyed by
-trace identity+version x topology x policy x arbiter).
+Whole traces are simulated by :func:`simulate_trace` (the event-driven
+fast engine of :mod:`repro.sim.fastpath`) into a columnar
+:class:`SimProfile`, memoised exactly like
+:class:`~repro.networks.routing.RoutedProfile` (keyed by trace
+identity+version x topology x policy x arbiter).
+:func:`simulate_trace_reference` is its uncached test oracle: the
+original per-cycle loop, vectorized over the flat (message, hop) arrays
+— one ``lexsort`` + ``bincount`` round per cycle — that the fast engine
+is property-tested bit-identical against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,7 @@ from repro.util.caches import LRU
 __all__ = [
     "SimProfile",
     "simulate_trace",
+    "simulate_trace_reference",
     "simulate_many",
     "simulate_superstep",
     "sim_key",
@@ -69,23 +72,6 @@ __all__ = [
 ]
 
 _DIRECT = DimensionOrderPolicy()
-
-#: Engine selector: ``fast`` is the event-driven numpy engine,
-#: ``reference`` the original per-cycle loop it is property-tested
-#: bit-identical against.  The ``REPRO_SIM_ENGINE`` environment
-#: variable sets the default.
-ENGINES = ("fast", "reference")
-_ENGINE_ENV = "REPRO_SIM_ENGINE"
-
-
-def _resolve_engine(engine: str | None) -> str:
-    """Validate a selector; both engines are bit-identical, so the
-    choice only affects speed."""
-    name = engine if engine is not None else os.environ.get(_ENGINE_ENV, "fast")
-    if name not in ENGINES:
-        raise ValueError(f"unknown sim engine {name!r}; choose from {ENGINES}")
-    return name
-
 
 def _check_flits(flits_per_message: int) -> int:
     flits = int(flits_per_message)
@@ -112,7 +98,7 @@ def sim_key(
     """``SIM_CACHE`` key of a sim profile (``None``: uncacheable).
 
     Arguments follow :func:`simulate_trace`; a named ``arbiter`` is
-    built with ``arbiter_seed``.  The engine is not part of the key.
+    built with ``arbiter_seed``.
     """
     token = getattr(trace, "cache_token", None)
     if token is None:
@@ -245,7 +231,7 @@ def _run_phase_reference(
 
     ``offsets``/``edges`` are the CSR hop paths of the phase's flits in
     emission order; ``edge_flits`` is accumulated in place.  This is
-    the reference engine — one lexsort + bincount round per cycle — and
+    the reference loop — one lexsort + bincount round per cycle — and
     the oracle the fast engine (:mod:`repro.sim.fastpath`) is
     property-tested bit-identical against.
     """
@@ -334,7 +320,6 @@ def simulate_superstep(
     label: int = 0,
     seed: int = 0,
     flits_per_message: int = 1,
-    engine: str | None = None,
 ) -> tuple[int, int, int]:
     """Measured (cycles, max queue, delivered) of one superstep's batch.
 
@@ -346,25 +331,17 @@ def simulate_superstep(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    mode = _resolve_engine(engine)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
     cycles, max_queue = 0, 0
     if src.size:
-        if mode == "reference":
-            cycles, max_queue = _simulate_batch(
-                topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
-                step, label, src, dst, edge_flits, flits,
-            )
-        else:
-            c, q, _ = _fast_run_trace(
-                topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
-                [(step, label, src, dst)], flits,
-            )
-            cycles, max_queue = int(c[0]), int(q[0])
+        c, q, _ = _fast_run_trace(
+            topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
+            [(step, label, src, dst)], flits,
+        )
+        cycles, max_queue = int(c[0]), int(q[0])
     return cycles, max_queue, int(src.size)
 
 
@@ -376,7 +353,6 @@ def simulate_trace(
     *,
     seed: int = 0,
     flits_per_message: int = 1,
-    engine: str | None = None,
 ) -> SimProfile:
     """Simulate an entire trace, folded onto ``topo.p``, cycle by cycle.
 
@@ -388,51 +364,94 @@ def simulate_trace(
     straight from the memoised :class:`RoutedProfile`, which makes
     ``measured/(C+D)`` comparisons self-consistent by construction.
     Each message expands to ``flits_per_message`` identical-path flits
-    (message-major emission order).  ``engine`` picks the executor
-    (``fast``/``reference``; default from ``REPRO_SIM_ENGINE``, else
-    ``fast``)
-    — both are bit-identical, so the engine is *not* part of the cache
-    key.  Profiles are memoised per (trace, topology, policy, arbiter,
-    flits); cached arrays are read-only.
+    (message-major emission order).  Profiles are memoised per (trace,
+    topology, policy, arbiter, flits); cached arrays are read-only.
     """
     policy = policy or _DIRECT
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    mode = _resolve_engine(engine)
     key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
     cached = SIM_CACHE.get(key)
     if cached is not None:
         return cached
 
     cols, batches, delivered = _prep_trace(trace, topo)
-    caps = topo.edge_capacities()
     S = cols.num_supersteps
     cycles = np.zeros(S, dtype=np.int64)
     max_queue = np.zeros(S, dtype=np.int64)
     edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
-    if mode == "reference":
-        for s, label, b_src, b_dst in batches:
-            cycles[s], max_queue[s] = _simulate_batch(
-                topo, caps, policy, arbiter, s, label, b_src, b_dst,
-                edge_flits, flits,
-            )
-    elif batches:
+    if batches:
         b_cycles, b_queue, edge_flits = _fast_run_trace(
-            topo, caps, policy, arbiter, batches, flits
+            topo, topo.edge_capacities(), policy, arbiter, batches, flits
         )
         idx = np.array([b[0] for b in batches], dtype=np.int64)
         cycles[idx] = b_cycles
         max_queue[idx] = b_queue
         if sanitize.should_crosscheck():
-            _crosscheck_reference(
-                topo, caps, policy, arbiter, batches, flits,
-                cycles, max_queue, edge_flits, "simulate_trace",
+            sanitize.check_engine_parity(
+                (cycles, max_queue, edge_flits),
+                _reference_arrays(topo, policy, arbiter, batches, flits, S),
+                "simulate_trace",
             )
     return SIM_CACHE.put(key, _build_profile(
         trace, topo, policy, arbiter, flits, cols, delivered,
         cycles, max_queue, edge_flits,
     ))
+
+
+def simulate_trace_reference(
+    trace: Trace,
+    topo: Topology,
+    policy: RoutingPolicy | None = None,
+    arbiter: Arbiter | str = "fifo",
+    *,
+    seed: int = 0,
+    flits_per_message: int = 1,
+) -> SimProfile:
+    """:func:`simulate_trace` through the reference cycle loop (test oracle).
+
+    Same arguments and bit-identical result, but every non-empty
+    superstep runs :func:`_run_phase_reference` per policy phase, and
+    the sim-profile LRU is neither read nor written.  Tests use it (the
+    ``REPRO_SANITIZE`` cross-check shares its loop); production code
+    never does.
+    """
+    policy = policy or _DIRECT
+    if isinstance(arbiter, str):
+        arbiter = by_arbiter(arbiter, seed)
+    flits = _check_flits(flits_per_message)
+    cols, batches, delivered = _prep_trace(trace, topo)
+    cycles, max_queue, edge_flits = _reference_arrays(
+        topo, policy, arbiter, batches, flits, cols.num_supersteps
+    )
+    return _build_profile(
+        trace, topo, policy, arbiter, flits, cols, delivered,
+        cycles, max_queue, edge_flits,
+    )
+
+
+def _reference_arrays(
+    topo: Topology,
+    policy: RoutingPolicy,
+    arbiter: Arbiter,
+    batches: list,
+    flits: int,
+    S: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-superstep cycles and max queue, plus edge flits, of
+    ``batches`` through the reference cycle loop (``REPRO_SANITIZE``
+    compares the fast engine against it)."""
+    caps = topo.edge_capacities()
+    cycles = np.zeros(S, dtype=np.int64)
+    max_queue = np.zeros(S, dtype=np.int64)
+    edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
+    for s, label, b_src, b_dst in batches:
+        cycles[s], max_queue[s] = _simulate_batch(
+            topo, caps, policy, arbiter, s, label, b_src, b_dst,
+            edge_flits, flits,
+        )
+    return cycles, max_queue, edge_flits
 
 
 def _prep_trace(trace: Trace, topo: Topology) -> tuple:
@@ -485,41 +504,11 @@ def _build_profile(
     )
 
 
-def _crosscheck_reference(
-    topo: Topology,
-    caps: np.ndarray,
-    policy: RoutingPolicy,
-    arbiter: Arbiter,
-    batches: list,
-    flits: int,
-    cycles: np.ndarray,
-    max_queue: np.ndarray,
-    edge_flits: np.ndarray,
-    where: str,
-) -> None:
-    """REPRO_SANITIZE: re-run this workload through the reference cycle
-    loop and require bit-identity with the fast engine's results."""
-    ref_cycles = np.zeros_like(cycles)
-    ref_queue = np.zeros_like(max_queue)
-    ref_edge = np.zeros_like(edge_flits)
-    for s, label, b_src, b_dst in batches:
-        ref_cycles[s], ref_queue[s] = _simulate_batch(
-            topo, caps, policy, arbiter, s, label, b_src, b_dst,
-            ref_edge, flits,
-        )
-    sanitize.check_engine_parity(
-        (cycles, max_queue, edge_flits),
-        (ref_cycles, ref_queue, ref_edge),
-        where,
-    )
-
-
 def simulate_many(
     items: list,
     *,
     seed: int = 0,
     flits_per_message: int = 1,
-    engine: str | None = None,
 ) -> list[SimProfile]:
     """Simulate many ``(trace, topo, policy, arbiter)`` cells, batched.
 
@@ -530,10 +519,9 @@ def simulate_many(
     so a whole experiment sweep costs its *longest* superstep chain
     instead of the sum over cells.  ``policy``/``arbiter`` entries may
     be ``None``/names exactly as in :func:`simulate_trace`; dynamic
-    arbiters and the reference engine fall back per cell.
+    arbiters fall back per cell.
     """
     flits = _check_flits(flits_per_message)
-    mode = _resolve_engine(engine)
     norm = []
     for trace, topo, policy, arbiter in items:
         if isinstance(arbiter, str):
@@ -542,10 +530,10 @@ def simulate_many(
     profiles: list[SimProfile | None] = [None] * len(norm)
     pending: list[tuple] = []  # (item index, key, cols, batches, delivered)
     for i, (trace, topo, policy, arbiter) in enumerate(norm):
-        if mode == "reference" or arbiter.rank_mode == "dynamic":
+        if arbiter.rank_mode == "dynamic":
             profiles[i] = simulate_trace(
                 trace, topo, policy, arbiter,
-                seed=seed, flits_per_message=flits, engine=engine,
+                seed=seed, flits_per_message=flits,
             )
             continue
         key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
@@ -575,9 +563,10 @@ def simulate_many(
                 max_queue[idx] = b_queue
             edge_flits = np.ascontiguousarray(ef)
             if batches and sanitize.should_crosscheck():
-                _crosscheck_reference(
-                    topo, topo.edge_capacities(), policy, arbiter, batches,
-                    flits, cycles, max_queue, edge_flits, "simulate_many",
+                sanitize.check_engine_parity(
+                    (cycles, max_queue, edge_flits),
+                    _reference_arrays(topo, policy, arbiter, batches, flits, S),
+                    "simulate_many",
                 )
             profiles[i] = SIM_CACHE.put(key, _build_profile(
                 trace, topo, policy, arbiter, flits, cols, delivered,

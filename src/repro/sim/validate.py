@@ -86,7 +86,6 @@ def validate_bound(
     seed: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
     flits_per_message: int = 1,
-    engine: str | None = None,
 ) -> BoundReport:
     """Simulate ``trace`` on ``topo`` and bracket the LMR constant.
 
@@ -94,12 +93,11 @@ def validate_bound(
     store-and-forward cycles of superstep ``s`` divided by its analytic
     ``flits_per_message * congestion + dilation`` price (NaN for
     barrier-only supersteps).  ``report.ok`` says every superstep
-    stayed within ``threshold``.  ``engine`` picks the executor exactly
-    as in :func:`~repro.sim.engine.simulate_trace`.
+    stayed within ``threshold``.
     """
     profile = simulate_trace(
         trace, topo, policy, arbiter,
-        seed=seed, flits_per_message=flits_per_message, engine=engine,
+        seed=seed, flits_per_message=flits_per_message,
     )
     return BoundReport(
         profile=profile, ratios=profile.bound_ratios(), threshold=float(threshold)
@@ -113,7 +111,6 @@ def validate_grid(
     seed: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
     flits_per_message: int = 1,
-    engine: str | None = None,
 ) -> list[BoundReport]:
     """Bound-check a whole grid of ``(trace, topo, policy)`` cells.
 
@@ -125,7 +122,7 @@ def validate_grid(
     """
     profiles = simulate_many(
         [(trace, topo, policy, arbiter) for trace, topo, policy in cells],
-        seed=seed, flits_per_message=flits_per_message, engine=engine,
+        seed=seed, flits_per_message=flits_per_message,
     )
     return [
         BoundReport(

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 import repro.api as api
+from conftest import oracle_rows
 from repro.api import (
     AlgorithmSpec,
     ExperimentPlan,
@@ -21,6 +22,7 @@ from repro.api import (
 )
 from repro.api.frame import RESULT_COLUMNS
 from repro.core.metrics import TraceMetrics
+from repro.exec import ShmSubstrate, shutdown_pool
 from repro.machine.folding import clear_fold_cache, fold_cache_stats, fold_trace
 from repro.networks import by_policy, fit, route_trace
 from repro.networks import by_name as topo_by_name
@@ -275,19 +277,25 @@ class TestExperimentPlan:
 
     def test_parallel_executors_bit_identical_to_serial(self):
         plan = self._grid()
+        oracle = oracle_rows(plan)
         serial = plan.run(executor="serial")
-        thread = plan.run(executor="thread", max_workers=4)
-        assert serial.rows == thread.rows
-        process = plan.run(executor="process", max_workers=2)
-        assert serial.rows == process.rows
+        assert serial.rows == oracle
+        try:
+            shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        finally:
+            shutdown_pool()
+        assert shm.rows == oracle
 
     def test_parallel_executor_cold_caches_identical(self):
         plan = self._grid()
         serial = plan.run(executor="serial")
         clear_fold_cache()
         clear_route_cache()
-        process = plan.run(executor="process", max_workers=2)
-        assert serial.rows == process.rows
+        try:
+            shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        finally:
+            shutdown_pool()
+        assert serial.rows == shm.rows
 
     def test_mixed_cells_and_baselines(self):
         plan = ExperimentPlan.grid(

@@ -1,11 +1,12 @@
 """The executor registry, the shm substrate, and the result store.
 
 Covers the substrate contract (every registered executor reproduces the
-per-cell oracle bit for bit), the recorded degradation paths (process ->
-thread without fork, shm -> serial on one CPU, shm -> in-line after a
-worker dies), the persistent cell-hash result store (warm runs do zero
-folds/routes/sims; version bumps invalidate), and the aggregated
-``repro.cache_stats()`` registry.
+per-cell oracle bit for bit, including the ``spawn`` pool hosts without
+``fork`` get), the recorded degradation paths (shm -> serial on one CPU
+or tiny plans, shm -> in-line after a worker dies), the persistent
+cell-hash result store (warm runs do zero folds/routes/sims; version
+bumps invalidate; ``run`` closes only stores it opened), and the
+aggregated ``repro.cache_stats()`` registry.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _grid(name="exec-grid"):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert executors() == ("process", "serial", "shm", "thread")
+        assert executors() == ("serial", "shm")
 
     def test_by_executor_builds_fresh_instances(self):
         a, b = by_executor("serial"), by_executor("serial")
@@ -61,11 +62,19 @@ class TestRegistry:
                 executor="nope"
             )
 
+    def test_deleted_executors_fail_fast(self):
+        """``thread`` and ``process`` were folded into ``serial``/``shm``:
+        asking for either names the surviving choices."""
+        for name in ("thread", "process"):
+            with pytest.raises(ValueError, match="choose from serial, shm"):
+                by_executor(name)
+
     def test_env_default_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "shm")
         frame = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4]).run()
-        assert frame.metadata["executor"] == "thread"
-        assert frame.metadata["executor_effective"] == "thread"
+        assert frame.metadata["executor"] == "shm"
+        # One cell is under the pool's size gate: recorded, run in-line.
+        assert frame.metadata["executor_effective"] == "serial"
 
     def test_concurrent_registration_is_safe(self):
         # Regression (RPR004): register_executor mutated EXECUTORS unlocked.
@@ -99,10 +108,6 @@ class TestBackendEquivalence:
         serial = plan.run(executor="serial")
         assert serial.metadata["executor_effective"] == "serial"
         assert serial.rows == oracle
-        for name in ("thread", "process"):
-            frame = plan.run(executor=name, max_workers=2)
-            assert frame.rows == oracle, name
-            assert frame.metadata["executor_effective"] == name
         # The real pool, even on a single-CPU container.
         shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
         assert shm.rows == oracle
@@ -175,24 +180,23 @@ class TestBackendEquivalence:
         assert frame.metadata["executor_effective"] == "serial"
         assert "smaller than" in frame.metadata["executor_downgrade"]
 
-    def test_process_without_fork_warns_and_records_thread(self, monkeypatch):
-        import repro.exec.local as local_mod
+    def test_shm_spawn_pool_without_fork(self, monkeypatch):
+        # Hosts without fork get a spawn pool: fresh interpreters that
+        # import the package and attach the shared block by name.
+        import repro.exec.shm as shm_mod
 
         monkeypatch.setattr(
-            local_mod.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
+            shm_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         plan = _grid()
-        with pytest.warns(RuntimeWarning, match="fork start method"):
-            frame = plan.run(executor="process", max_workers=2)
-        assert frame.metadata["executor"] == "process"
-        assert frame.metadata["executor_effective"] == "thread"
-        assert (
-            frame.metadata["executor_downgrade"]
-            == "fork start method unavailable"
-        )
+        shutdown_pool()
+        try:
+            frame = plan.run(executor=ShmSubstrate(workers=2, force=True))
+            assert shm_mod._POOL._mp_context.get_start_method() == "spawn"
+        finally:
+            shutdown_pool()
         assert frame.rows == oracle_rows(plan)
+        assert frame.metadata["executor_effective"] == "shm"
 
     def test_frame_meta_survives_json(self, tmp_path, monkeypatch):
         # A CI leg's REPRO_EXECUTOR would change the default executor.
@@ -271,14 +275,38 @@ class TestResultStore:
         store = ResultStore(tmp_path / "results.db")
         plan = _grid()
         oracle = oracle_rows(plan)
-        cold = plan.run(executor="thread", store=store, max_workers=2)
+        substrate = ShmSubstrate(workers=2, force=True)
+        try:
+            cold = plan.run(executor=substrate, store=store)
+            warm = plan.run(executor=substrate, store=store)
+        finally:
+            shutdown_pool()
         assert cold.rows == oracle
-        assert cold.metadata["executor_effective"] == "thread"
-        warm = plan.run(executor="thread", store=store)
+        assert cold.metadata["executor_effective"] == "shm"
         assert warm.rows == oracle
         # All-hit runs never compile the stage graph.
         assert warm.metadata["store_hits"] == len(plan)
         assert "dag_stages_planned" not in warm.metadata
+
+    def test_run_closes_only_the_store_it_opened(self, tmp_path, monkeypatch):
+        closed = []
+        real_close = ResultStore.close
+
+        def spy(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(ResultStore, "close", spy)
+        plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4])
+        path = tmp_path / "results.db"
+        plan.run(store=path)
+        assert len(closed) == 1 and closed[0].path == path
+        mine = ResultStore(path)
+        frame = plan.run(store=mine)
+        assert len(closed) == 1  # the caller's store stays open
+        assert frame.metadata["store_hits"] == len(plan)
+        assert len(mine) == len(plan)
+        mine.close()
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "results.db")

@@ -687,19 +687,21 @@ class TestEngineParity:
         )
         assert len(found) == 1 and "signature drift" in found[0].message
 
-    def test_engine_selector_params_exempt(self, tmp_path):
+    def test_engine_selector_param_is_drift(self, tmp_path):
+        # No parameter is exempt: an engine selector on the fast side is
+        # a second production path the oracle pair does not cover.
         found = lint_snippet(
             tmp_path,
             """
-            def fold(trace, p, *, engine=None):
+            def simulate_trace(trace, topo, *, seed=0, engine=None):
                 return trace
 
-            def fold_reference(trace, p):
+            def simulate_trace_reference(trace, topo, *, seed=0):
                 return trace
             """,
             "RPR006",
         )
-        assert found == []
+        assert len(found) == 1 and "['engine']" in found[0].message
 
     def test_simulate_twins_kwonly_drift_flagged(self, tmp_path):
         found = lint_snippet(

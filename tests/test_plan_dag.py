@@ -1,6 +1,6 @@
 """The stage graph every plan runs through (``repro.exec.dag``).
 
-The contract under test: every executor substrate, with and without the
+The contract under test: both executor substrates, with and without the
 result store, reproduces the per-cell oracle (``conftest.oracle_rows``)
 bit for bit on random small plans, while executing each unique
 emit/fold/route/sim stage once — the dedup counters recorded in frame
@@ -97,17 +97,18 @@ class TestOracleEquivalence:
     @given(plan=small_plans())
     def test_random_plans_match_the_oracle(self, plan):
         oracle = oracle_rows(plan)
-        for executor in ("serial", "thread"):
-            frame = plan.run(executor=executor, max_workers=2)
-            assert frame.rows == oracle, executor
-            assert frame.metadata["executor_effective"] == executor
+        for executor in ("serial", ShmSubstrate(workers=2, force=True)):
+            frame = plan.run(executor=executor)
+            name = frame.metadata["executor"]
+            assert frame.rows == oracle, name
+            assert frame.metadata["executor_effective"] == name
             with tempfile.TemporaryDirectory() as tmp:
                 store = ResultStore(Path(tmp) / "results.db")
-                cold = plan.run(executor=executor, store=store, max_workers=2)
-                warm = plan.run(executor=executor, store=store, max_workers=2)
+                cold = plan.run(executor=executor, store=store)
+                warm = plan.run(executor=executor, store=store)
                 store.close()
-            assert cold.rows == oracle, executor
-            assert warm.rows == oracle, executor
+            assert cold.rows == oracle, name
+            assert warm.rows == oracle, name
             assert warm.metadata["store_hits"] == len(plan)
 
     @pytest.mark.parametrize(
@@ -127,20 +128,20 @@ class TestOracleEquivalence:
         ],
         ids=["shared-stages", "random-arbiter-flits"],
     )
-    def test_pool_substrates_match_the_oracle_on_sim_grids(self, plan, tmp_path):
-        # The property above draws the in-process substrates; these fixed
-        # sim grids pin the process and shm shard paths.
+    def test_pool_substrate_matches_the_oracle_on_sim_grids(self, plan, tmp_path):
+        # Fixed sim grids pin the shm shard paths on sim-heavy work.
         oracle = oracle_rows(plan)
-        for executor in ("process", ShmSubstrate(workers=2, force=True)):
-            frame = plan.run(executor=executor, max_workers=2)
-            name = frame.metadata["executor"]
-            assert frame.rows == oracle, name
-            assert frame.metadata["executor_effective"] == name
-            store = tmp_path / f"{name}.db"
-            cold = plan.run(executor=executor, store=store, max_workers=2)
-            assert cold.rows == oracle, name
-            assert cold.metadata["store_misses"] == len(plan)
-        shutdown_pool()
+        executor = ShmSubstrate(workers=2, force=True)
+        try:
+            frame = plan.run(executor=executor)
+            cold = plan.run(executor=executor, store=tmp_path / "results.db")
+        finally:
+            shutdown_pool()
+        assert frame.rows == oracle
+        assert frame.metadata["executor_effective"] == "shm"
+        assert cold.rows == oracle
+        assert cold.metadata["executor_effective"] == "shm"
+        assert cold.metadata["store_misses"] == len(plan)
 
     def test_long_supersteps_take_the_unfused_sim_path(self, tmp_path):
         # stencil1d at n=256 exceeds FUSE_MAX_SUPERSTEPS: sibling sims run
@@ -149,14 +150,16 @@ class TestOracleEquivalence:
             ["stencil1d"], ns=[256], ps=[4, 8], topologies=["ring"], modes=["sim"]
         )
         oracle = oracle_rows(plan)
-        store = tmp_path / "results.db"
-        frame = plan.run(executor="process", store=store, max_workers=2)
+        executor = ShmSubstrate(workers=2, force=True)
+        try:
+            frame = plan.run(executor=executor, store=tmp_path / "results.db")
+            shm = plan.run(executor=executor)
+        finally:
+            shutdown_pool()
         assert frame.rows == oracle
-        assert frame.metadata["executor_effective"] == "process"
-        shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        assert frame.metadata["executor_effective"] == "shm"
         assert shm.rows == oracle
         assert shm.metadata["executor_effective"] == "shm"
-        shutdown_pool()
 
     def test_scheduler_accepts_only_dag(self):
         plan = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])

@@ -164,7 +164,7 @@ class TestEngineCrossCheck:
         clear_sim_cache()
         sanitize.clear_sanitizer()
         topo = network_by_name("mesh2d", 16)
-        simulate_trace(_trace(), topo, engine="fast")
+        simulate_trace(_trace(), topo)
         stats = repro.cache_stats()["sanitizer"]
         assert stats["engine_checks"] >= 1
         assert stats["violations"] == 0
@@ -182,7 +182,7 @@ class TestEngineCrossCheck:
         clear_sim_cache()
         topo = network_by_name("mesh2d", 16)
         with pytest.raises(SanitizerError, match="diverges from the reference"):
-            simulate_trace(_trace(), topo, engine="fast")
+            simulate_trace(_trace(), topo)
         assert repro.cache_stats()["sanitizer"]["violations"] == 1
 
     def test_check_engine_parity_compares_all_columns(self, sanitizing):

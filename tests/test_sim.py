@@ -5,7 +5,9 @@ the pipeline/plan/CLI integration."""
 import numpy as np
 import pytest
 
+from conftest import oracle_rows
 from repro.api import ExperimentPlan, run
+from repro.exec import ShmSubstrate, shutdown_pool
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES
 from repro.sim import (
@@ -297,9 +299,14 @@ class TestSimPlan:
         plan.to_json(path)
         loaded = ExperimentPlan.from_json(path)
         assert loaded.cells == plan.cells
+        oracle = oracle_rows(plan)
         serial = plan.run(executor="serial")
-        thread = plan.run(executor="thread", max_workers=4)
-        assert serial.rows == thread.rows
+        try:
+            shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
+        finally:
+            shutdown_pool()
+        assert serial.rows == oracle
+        assert shm.rows == oracle
 
     def test_unknown_mode_and_arbiter_fail_fast(self):
         from repro.api import PlanCell

@@ -1,6 +1,6 @@
-"""Fast-engine contract tests: bit-identity with the reference loop,
-cross-cell batching, the quiescent/drain skip, kernel-path parity, the
-engine selector, and the multi-flit fidelity knob."""
+"""Fast-engine contract tests: bit-identity with the reference oracle
+(``simulate_trace_reference``), cross-cell batching, the quiescent/drain
+skip, flits validation, and the multi-flit fidelity knob."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ from repro.api import run
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES
 from repro.sim import (
-    ENGINES,
     clear_sim_cache,
     reset_sim_engine_stats,
+    sim_cache_stats,
     sim_engine_stats,
     simulate_many,
     simulate_trace,
+    simulate_trace_reference,
     validate_grid,
 )
 
@@ -50,20 +51,16 @@ class TestFastReferenceIdentity:
         self, engine_traces, topo_name, policy_name, arbiter_name, flits
     ):
         """cycles, max_queue, delivered and edge_flits agree exactly on
-        every (topology, policy, arbiter, flits) cell — the property the
-        engine selector relies on to call the two paths interchangeable."""
+        every (topology, policy, arbiter, flits) cell — the property that
+        lets the fast engine be the only production path."""
         topo = by_name(topo_name, 16)
         policy = by_policy(policy_name, seed=7)
         for name, trace in engine_traces.items():
-            clear_sim_cache()
-            ref = simulate_trace(
-                trace, topo, policy, arbiter_name,
-                flits_per_message=flits, engine="reference",
+            ref = simulate_trace_reference(
+                trace, topo, policy, arbiter_name, flits_per_message=flits
             )
-            clear_sim_cache()
             fast = simulate_trace(
-                trace, topo, policy, arbiter_name,
-                flits_per_message=flits, engine="fast",
+                trace, topo, policy, arbiter_name, flits_per_message=flits
             )
             _assert_profiles_identical(
                 ref, fast, (name, topo_name, policy_name, arbiter_name, flits)
@@ -85,7 +82,7 @@ class TestBatchedSimulation:
         batched = simulate_many(items)
         for (trace, topo, policy, arb), prof in zip(items, batched):
             clear_sim_cache()
-            single = simulate_trace(trace, topo, policy, arb, engine="fast")
+            single = simulate_trace(trace, topo, policy, arb)
             _assert_profiles_identical(single, prof, (topo.name, policy.name))
 
     def test_batch_seeds_the_profile_cache(self, engine_traces):
@@ -137,7 +134,7 @@ class TestQuiescentSkip:
         topo = by_name("hypercube", 32)  # plenty of bandwidth for n=32
         clear_sim_cache()
         reset_sim_engine_stats()
-        simulate_trace(engine_traces["fft"], topo, engine="fast")
+        simulate_trace(engine_traces["fft"], topo)
         stats = sim_engine_stats()
         assert stats["skips"] > 0
         assert stats["skipped_cycles"] > 0
@@ -145,37 +142,20 @@ class TestQuiescentSkip:
         # walked every one of them.
         assert stats["skipped_cycles"] >= stats["skips"]
 
-    def test_reference_engine_never_touches_fast_counters(self, engine_traces):
-        clear_sim_cache()
-        reset_sim_engine_stats()
-        simulate_trace(engine_traces["fft"], by_name("ring", 16), engine="reference")
-        assert sim_engine_stats()["fused_runs"] == 0
+    def test_reference_oracle_leaves_sim_counters_unchanged(self, engine_traces):
+        topo = by_name("ring", 16)
+        simulate_trace(engine_traces["fft"], topo)  # a warm entry to hit
+        cache, engine = sim_cache_stats(), sim_engine_stats()
+        ref = simulate_trace_reference(engine_traces["fft"], topo)
+        assert sim_cache_stats() == cache
+        assert sim_engine_stats() == engine
+        assert ref is not simulate_trace(engine_traces["fft"], topo)
 
 
 # ----------------------------------------------------------------------
-# Engine selection + flits validation
+# Flits validation
 # ----------------------------------------------------------------------
-class TestEngineSelector:
-    def test_engine_names(self):
-        assert ENGINES == ("fast", "reference")
-
-    def test_unknown_engine_rejected(self, engine_traces):
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            simulate_trace(
-                engine_traces["fft"], by_name("ring", 16), engine="warp"
-            )
-
-    def test_env_var_sets_default(self, engine_traces, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        clear_sim_cache()
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            simulate_trace(engine_traces["fft"], by_name("ring", 16))
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        clear_sim_cache()
-        reset_sim_engine_stats()
-        simulate_trace(engine_traces["fft"], by_name("ring", 16))
-        assert sim_engine_stats()["fused_runs"] == 0  # env picked reference
-
+class TestFlitsValidation:
     def test_flits_must_be_positive(self, engine_traces):
         with pytest.raises(ValueError, match="flits_per_message"):
             simulate_trace(
@@ -197,6 +177,35 @@ class TestEngineSelector:
         )
         with pytest.raises(ValueError, match="flits_per_message"):
             plan.run()
+
+    def test_reference_oracle_rejects_nonpositive_flits(self, engine_traces):
+        for flits in (0, -2):
+            with pytest.raises(ValueError, match="flits_per_message"):
+                simulate_trace_reference(
+                    engine_traces["fft"], by_name("ring", 16),
+                    flits_per_message=flits,
+                )
+
+
+# ----------------------------------------------------------------------
+# One engine: no selector is left to pick the reference loop
+# ----------------------------------------------------------------------
+class TestSingleEngine:
+    def test_engine_keyword_and_env_var_are_gone(
+        self, engine_traces, monkeypatch
+    ):
+        topo = by_name("ring", 16)
+        with pytest.raises(TypeError, match="engine"):
+            simulate_trace(engine_traces["fft"], topo, engine="reference")
+        # The old environment switch is ignored: the fast engine runs.
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        clear_sim_cache()
+        reset_sim_engine_stats()
+        fast = simulate_trace(engine_traces["fft"], topo)
+        assert sim_engine_stats()["fused_runs"] > 0
+        _assert_profiles_identical(
+            simulate_trace_reference(engine_traces["fft"], topo), fast, "env"
+        )
 
 
 # ----------------------------------------------------------------------
