@@ -16,9 +16,9 @@ policy x p grid prices one trace with zero re-execution::
     frame = plan.run(executor="shm", store="results.db")
 
 Where the graph's waves run is pluggable: ``executor`` names a
-substrate in the :mod:`repro.exec` registry (``serial``, ``thread``,
-``process``, ``shm``, or any :class:`~repro.exec.Substrate` instance —
-the ``REPRO_EXECUTOR`` environment variable overrides the default) and
+substrate in the :mod:`repro.exec` registry (``serial``, ``shm``, or
+any :class:`~repro.exec.Substrate` instance — the ``REPRO_EXECUTOR``
+environment variable overrides the default) and
 ``store`` consults the persistent sqlite result store first, so repeated
 sweeps across processes and CI runs hit warm rows instead of
 re-simulating.  Substrates return bit-identical frames: every cell

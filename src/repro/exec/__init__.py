@@ -15,11 +15,12 @@ from repro.exec.dag import stage_kernel
 from repro.exec.local import Substrate
 from repro.exec.registry import EXECUTORS, by_executor, executors, register_executor
 from repro.exec.shm import ShmSubstrate, shutdown_pool
-from repro.exec.store import ResultStore, cell_key, clear_store_stats, store_cache_stats
+from repro.exec.store import ResultStore, cell_key, cell_keys
+from repro.exec.store import clear_store_stats, store_cache_stats
 
 __all__ = [
     "Substrate", "ShmSubstrate",
     "register_executor", "by_executor", "executors", "EXECUTORS", "shutdown_pool",
     "StageGraph", "run_graph", "stage_kernel", "dag_stats", "clear_dag_stats",
-    "ResultStore", "cell_key", "store_cache_stats", "clear_store_stats",
+    "ResultStore", "cell_key", "cell_keys", "store_cache_stats", "clear_store_stats",
 ]

@@ -1,38 +1,46 @@
 """Persistent cell-hash result store: the plan run's cell-level pre-pass.
 
 Every cell of a declarative plan is a pure function of its
-:class:`~repro.api.plan.PlanCell` fields, so its row can be cached
-across processes and machines.  :func:`cell_key` hashes every
-declarative field plus the ``check`` flag and ``repro.__version__`` —
-a release that changes a measured quantity invalidates every stored
-row.  Cells that are not pure functions of their declaration are never
-cached: ``@``-sourced cells, cells holding
-:class:`~repro.networks.policy.RoutingPolicy` instances, and machine
-cells of plans with custom machine builders.
+:class:`~repro.api.plan.PlanCell` fields and of the code that measures
+it, so its row can be cached across processes and machines.
+:func:`cell_keys` hashes every declarative field plus the ``check`` flag
+and a fingerprint of the package's own source (:func:`_fingerprint`):
+editing any module that can change a measured quantity invalidates
+every stored row, while a version bump alone does not.  Cells that are
+not pure functions of their declaration are never cached:
+``@``-sourced cells, cells holding
+:class:`~repro.networks.policy.RoutingPolicy` instances, cells with
+non-JSON params, and machine cells of plans with custom machine
+builders.
 
 :class:`ResultStore` is a small sqlite table (``key -> row JSON``) with
 LRU eviction by access sequence.  ``ExperimentPlan.run(store=...)``
-consults it before compiling the stage graph (:func:`store_hits`): hits
-skip emission, folds, routes and sims; only the misses reach the graph,
-and their rows are stored on the way out.
+consults it before compiling the stage graph (:func:`store_hits`): the
+whole plan is keyed in one pass and its hits read in a few batched
+queries; hits skip emission, folds, routes and sims; only the misses
+reach the graph, and their rows are stored on the way out.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sqlite3
 import threading
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
+from repro.api.plan import PlanCell
 from repro.util import sanitize
 from repro.util.caches import register_cache
 
 __all__ = [
-    "cell_key", "ResultStore", "store_hits", "store_cache_stats", "clear_store_stats",
+    "cell_key", "cell_keys", "ResultStore", "store_hits", "store_cache_stats",
+    "clear_store_stats",
 ]
 
 # Process-wide counters aggregated across every ResultStore instance
@@ -62,28 +70,102 @@ def _version() -> str:
     return __version__
 
 
-def cell_key(
-    cell: Any, *, check: bool = False, version: str | None = None
-) -> str | None:
-    """Canonical sha256 identity of one cell's row, or ``None`` if the
-    cell is not a pure function of its declaration (see module doc)."""
-    if cell.algorithm.startswith("@"):
-        return None
-    payload: dict = {}
-    for f in fields(cell):
-        value = getattr(cell, f.name)
-        if f.name == "policy" and value is not None and not isinstance(value, str):
-            return None  # a RoutingPolicy instance has no declarative identity
-        if f.name == "params":
-            value = sorted((k, v) for k, v in value)
-        payload[f.name] = value
-    payload["__check__"] = bool(check)
-    payload["__version__"] = version if version is not None else _version()
+def _fingerprint(root: Path) -> str:
+    """sha256 over the relative path and bytes of every ``.py`` file under
+    the package ``root``, except the top-level ``__init__.py`` (re-exports
+    and ``__version__``), ``__main__.py`` (the CLI) and ``lint/``."""
+    digest = hashlib.sha256()
+    sources = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    for rel, path in sources:
+        if rel in ("__init__.py", "__main__.py") or rel.startswith("lint/"):
+            continue
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def _code_fingerprint() -> str:
+    """This process's package fingerprint, hashed on the first key."""
+    return _fingerprint(Path(__file__).resolve().parents[1])
+
+
+_NAMES = tuple(f.name for f in fields(PlanCell))
+_FIELDS = attrgetter(*_NAMES)
+_PARAMS = _NAMES.index("params")
+_POLICY = _NAMES.index("policy")
+# Field types whose repr is already canonical.  ``tuple`` is here only
+# for ``params``, which the fast path requires to be empty.
+_PLAIN = frozenset({str, int, float, bool, type(None), tuple})
+_SCALARS = (bool, int, float, str)
+
+
+def _plain(x: Any) -> Any:
+    """The builtin twin of a JSON-able value: numpy scalars become Python
+    scalars, lists tuples, dicts sorted dicts; anything else raises
+    ``TypeError`` (or ``ValueError`` from a non-scalar ``.item()``)."""
+    if x is None:
+        return x
+    for base in _SCALARS:
+        if isinstance(x, base):
+            return str.__str__(x) if base is str else base(x)
+    if isinstance(x, (list, tuple)):
+        return tuple(_plain(v) for v in x)
+    if isinstance(x, dict):
+        return dict(sorted((_plain(k), _plain(v)) for k, v in x.items()))
+    item = getattr(x, "item", None)
+    if item is not None:
+        value = item()
+        if type(value) in _PLAIN:
+            return value
+    raise TypeError(f"not declarative: {type(x).__name__}")
+
+
+def _declarative(values: tuple) -> tuple | None:
+    """Slow path of :func:`cell_keys`: the field tuple with every value
+    replaced by its builtin twin and ``params`` sorted, or ``None`` if
+    the cell has no declarative identity."""
+    policy = values[_POLICY]
+    if policy is not None and not isinstance(policy, str):
+        return None  # a RoutingPolicy instance has no declarative identity
     try:
-        text = json.dumps(payload, sort_keys=True, default=_json_scalar)
-    except TypeError:
+        out = [_plain(v) for v in values]
+        out[_PARAMS] = tuple(sorted(out[_PARAMS]))
+    except (TypeError, ValueError):
         return None  # non-declarative params (arrays, objects, ...)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return tuple(out)
+
+
+def cell_keys(cells: Iterable[Any], *, check: bool = False) -> list[str | None]:
+    """Canonical sha256 identity of each cell's row, in one pass: ``None``
+    for a cell that is not a pure function of its declaration (see the
+    module doc).  Keys cover every :class:`PlanCell` field, ``check`` and
+    the code fingerprint; ``1``, ``1.0`` and ``True`` key apart, a numpy
+    scalar keys like its Python twin."""
+    prefix = f"{_code_fingerprint()}:{bool(check)}:"
+    sha256 = hashlib.sha256
+    keys: list[str | None] = []
+    for cell in cells:
+        values = _FIELDS(cell)
+        if values[0].startswith("@"):
+            keys.append(None)
+            continue
+        if values[_PARAMS] or not _PLAIN.issuperset(map(type, values)):
+            plain = _declarative(values)
+            if plain is None:
+                keys.append(None)
+                continue
+            values = plain
+        keys.append(sha256((prefix + repr(values)).encode()).hexdigest())
+    return keys
+
+
+def cell_key(cell: Any, *, check: bool = False) -> str | None:
+    """:func:`cell_keys` of one cell."""
+    return cell_keys([cell], check=check)[0]
 
 
 def _json_scalar(x: object) -> object:
@@ -94,6 +176,14 @@ def _json_scalar(x: object) -> object:
     raise TypeError(f"not JSON-serialisable: {type(x).__name__}")
 
 
+# Keys per ``SELECT ... IN`` query: under sqlite's historical limit of
+# 999 bound parameters.
+_CHUNK = 900
+# Rows are this module's own ``json.dumps`` output, so the decoder's
+# whitespace and trailing-data checks (half of ``json.loads``) are moot.
+_decode_row = json.JSONDecoder().raw_decode
+
+
 class ResultStore:
     """Persistent ``cell hash -> result row`` table in one sqlite file.
 
@@ -101,7 +191,9 @@ class ResultStore:
     store in one batch before and after execution, so contention is
     nil).  ``max_rows`` bounds the table; eviction drops the
     least-recently-*accessed* rows, so warm sweeps keep their working
-    set even across version-bump garbage.
+    set while rows keyed by older code age out.  A file that is not a
+    result store (not sqlite, truncated, another schema) raises
+    :class:`sqlite3.DatabaseError` naming its path.
     """
 
     def __init__(
@@ -111,40 +203,52 @@ class ResultStore:
         self.max_rows = max_rows
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        with self._lock, self._conn:
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                " key TEXT PRIMARY KEY,"
-                " version TEXT NOT NULL,"
-                " row TEXT NOT NULL,"
-                " seq INTEGER NOT NULL)"
-            )
-            cur = self._conn.execute("SELECT COALESCE(MAX(seq), 0) FROM results")
-            self._seq = int(cur.fetchone()[0])
+        try:
+            with self._lock, self._conn:
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS results ("
+                    " key TEXT PRIMARY KEY,"
+                    " version TEXT NOT NULL,"
+                    " row TEXT NOT NULL,"
+                    " seq INTEGER NOT NULL)"
+                )
+                cur = self._conn.execute("SELECT COALESCE(MAX(seq), 0) FROM results")
+                self._seq = int(cur.fetchone()[0])
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise sqlite3.DatabaseError(
+                f"{self.path} is not a result store ({exc})"
+            ) from exc
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     # -- batch API (what plan runs use) --------------------------------
-    def get_many(self, keys: list[str]) -> dict[str, tuple]:
-        """Stored rows for ``keys`` (touching their access sequence).
+    def get_many(self, keys: Sequence[str]) -> dict[str, tuple]:
+        """Stored rows for ``keys`` (touching their access sequence, in
+        input order).
 
-        Counts one hit per found key and one miss per absent key.
+        Reads in chunked ``IN`` queries, decoding each row as it leaves
+        the cursor.  Counts one hit per found key and one miss per
+        absent key.
         """
         found: dict[str, tuple] = {}
         with self._lock:
-            for key in keys:
+            for lo in range(0, len(keys), _CHUNK):
+                chunk = keys[lo:lo + _CHUNK]
+                marks = ",".join("?" * len(chunk))
                 cur = self._conn.execute(
-                    "SELECT row FROM results WHERE key = ?", (key,)
+                    f"SELECT key, row FROM results WHERE key IN ({marks})", chunk
                 )
-                got = cur.fetchone()
-                if got is not None:
-                    found[key] = tuple(json.loads(got[0]))
-                    self._seq += 1
-                    self._conn.execute(
-                        "UPDATE results SET seq = ? WHERE key = ?",
-                        (self._seq, key),
-                    )
+                for key, row in cur:
+                    found[key] = tuple(_decode_row(row)[0])
+            touched = [key for key in keys if key in found]
+            seq = self._seq
+            self._seq += len(touched)
+            self._conn.executemany(
+                "UPDATE results SET seq = ? WHERE key = ?",
+                zip(range(seq + 1, self._seq + 1), touched),
+            )
             self._conn.commit()
         hits, misses = len(found), len(keys) - len(found)
         self.hits += hits
@@ -217,13 +321,13 @@ def store_hits(
     runtime counterpart of the cell-purity contract the store rests on.
     """
     custom_machines = runtime.plan.machines is not None
-    keys: dict[int, str] = {}
-    for i, cell in enumerate(runtime.cells):
-        if custom_machines and cell.machine is not None:
-            continue  # a builder mapping has no declarative identity
-        key = cell_key(cell, check=runtime.check)
-        if key is not None:
-            keys[i] = key
+    todo = [
+        i for i, cell in enumerate(runtime.cells)
+        # a builder mapping has no declarative identity
+        if not (custom_machines and cell.machine is not None)
+    ]
+    computed = cell_keys((runtime.cells[i] for i in todo), check=runtime.check)
+    keys = {i: key for i, key in zip(todo, computed) if key is not None}
     cached = store.get_many(sorted(set(keys.values())))
     hits = {i: cached[key] for i, key in keys.items() if key in cached}
     if sanitize.enabled():

@@ -4,18 +4,26 @@ Covers the substrate contract (every registered executor reproduces the
 per-cell oracle bit for bit, including the ``spawn`` pool hosts without
 ``fork`` get), the recorded degradation paths (shm -> serial on one CPU
 or tiny plans, shm -> in-line after a worker dies), the persistent
-cell-hash result store (warm runs do zero folds/routes/sims; version
-bumps invalidate; ``run`` closes only stores it opened), and the
-aggregated ``repro.cache_stats()`` registry.
+cell-hash result store (warm runs do zero folds/routes/sims; code
+edits invalidate, version bumps alone do not; batched keys and reads
+equal their one-at-a-time forms; corrupt files fail naming the path;
+``run`` closes only stores it opened), and the aggregated
+``repro.cache_stats()`` registry.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
+import sqlite3
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from conftest import oracle_rows
@@ -27,9 +35,12 @@ from repro.exec import (
     ShmSubstrate,
     by_executor,
     cell_key,
+    cell_keys,
     executors,
     shutdown_pool,
 )
+from repro.exec import store as store_mod
+from repro.exec.store import _fingerprint
 
 
 def _grid(name="exec-grid"):
@@ -41,6 +52,26 @@ def _grid(name="exec-grid"):
         policies=["dimension-order", "valiant"],
         name=name,
     )
+
+
+_scalars = (
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False) | st.text(max_size=4)
+)
+_cells = st.builds(
+    PlanCell,
+    algorithm=st.sampled_from(["fft", "sort", "stencil1d", "@trace"]),
+    n=st.none() | st.integers(1, 2**20),
+    p=st.none() | st.integers(1, 64),
+    sigma=st.none() | st.floats(allow_nan=False) | st.integers(0, 8),
+    topology=st.none() | st.sampled_from(["ring", "hypercube"]),
+    policy=st.none() | st.sampled_from(["dimension-order", "valiant"]),
+    machine=st.none() | st.sampled_from(["cluster", "mesh2d"]),
+    mode=st.sampled_from(["analytic", "sim"]),
+    seed=st.integers(0, 3),
+    params=st.dictionaries(st.text(min_size=1, max_size=3), _scalars, max_size=3)
+    .map(lambda d: tuple(sorted(d.items()))),
+)
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +247,12 @@ class TestCellKey:
         changed = PlanCell(algorithm="fft", n=256, p=8, topology="ring")
         assert cell_key(cell) != cell_key(changed)
 
-    def test_version_and_check_are_part_of_the_key(self):
+    def test_version_and_check_are_part_of_the_key(self, monkeypatch):
+        # The code version is the source fingerprint, not __version__.
         cell = PlanCell(algorithm="fft", n=256, p=4)
-        assert cell_key(cell, version="1.0") != cell_key(cell, version="2.0")
+        before = cell_key(cell)
+        monkeypatch.setattr(store_mod, "_code_fingerprint", lambda: "edited")
+        assert cell_key(cell) != before
         assert cell_key(cell, check=True) != cell_key(cell, check=False)
 
     def test_non_declarative_cells_are_uncacheable(self):
@@ -231,6 +265,66 @@ class TestCellKey:
         )
         weird = PlanCell(algorithm="fft", n=256, params=(("f", object()),))
         assert cell_key(weird) is None
+        array = PlanCell(algorithm="fft", n=256, params=(("f", np.arange(3)),))
+        assert cell_key(array) is None
+
+    @given(st.lists(_cells, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_at_a_time(self, cells):
+        for check in (False, True):
+            assert cell_keys(cells, check=check) == [
+                cell_key(c, check=check) for c in cells
+            ]
+
+    @given(
+        st.integers(1, 2**31 - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**31), 2**31 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_scalars_key_like_their_python_twins(self, n, sigma, k, flag):
+        twin = PlanCell(
+            algorithm="fft", n=n, sigma=sigma, params=(("a", k), ("b", flag))
+        )
+        numpy = PlanCell(
+            algorithm=np.str_("fft"), n=np.int64(n), sigma=np.float64(sigma),
+            params=(("b", np.bool_(flag)), ("a", np.int32(k))),
+        )
+        assert cell_key(numpy) == cell_key(twin) is not None
+
+    def test_int_float_and_bool_key_apart(self):
+        sigmas = [PlanCell(algorithm="fft", n=256, sigma=v) for v in (1, 1.0, True)]
+        params = [
+            PlanCell(algorithm="fft", n=256, params=(("a", v),))
+            for v in (1, 1.0, True)
+        ]
+        for cells in (sigmas, params):
+            keys = cell_keys(cells)
+            assert None not in keys and len(set(keys)) == 3
+
+
+class TestFingerprint:
+    def _copy(self, tmp_path):
+        root = Path(store_mod.__file__).resolve().parents[1]
+        copy = tmp_path / "repro"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        return copy
+
+    def test_kernel_edit_changes_the_digest(self, tmp_path):
+        copy = self._copy(tmp_path)
+        before = _fingerprint(copy)
+        kernel = copy / "machine" / "folding.py"
+        kernel.write_text(kernel.read_text() + "\n# edited\n")
+        assert _fingerprint(copy) != before
+
+    def test_version_cli_and_lint_are_excluded(self, tmp_path):
+        copy = self._copy(tmp_path)
+        before = _fingerprint(copy)
+        for rel in ("__init__.py", "__main__.py", "lint/__init__.py"):
+            path = copy / rel
+            path.write_text(path.read_text() + "\n# edited\n")
+        assert _fingerprint(copy) == before
 
 
 # ----------------------------------------------------------------------
@@ -308,14 +402,14 @@ class TestResultStore:
         assert len(mine) == len(plan)
         mine.close()
 
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
+    def test_version_bump_alone_still_hits(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "results.db")
         plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4, 8])
         plan.run(store=store)
         monkeypatch.setattr(repro, "__version__", "999.0.0-test")
-        stale = plan.run(store=store)
-        assert stale.metadata["store_hits"] == 0
-        assert stale.metadata["store_misses"] == len(plan)
+        warm = plan.run(store=store)
+        assert warm.metadata["store_hits"] == len(plan)
+        assert warm.metadata["store_misses"] == 0
 
     def test_at_cells_bypass_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "results.db")
@@ -335,6 +429,46 @@ class TestResultStore:
         assert len(store) == 3
         assert store.get_many(["k0", "k1", "k3"]) == {"k0": (0,), "k3": (3,)}
         assert store.evictions == 1
+
+    def test_get_many_across_chunks_equals_per_key_reads(self, tmp_path):
+        store = ResultStore(tmp_path / "results.db")
+        stored = {f"k{i:05d}": (i, f"r{i}", i / 7) for i in range(0, 4400, 2)}
+        store.put_many(stored)
+        keys = [f"k{i:05d}" for i in range(2100)]  # half of them absent
+        keys.reverse()
+        one_by_one = {}
+        for key in keys:
+            one_by_one.update(store.get_many([key]))
+        hits, misses = store.hits, store.misses
+        assert store.get_many(keys) == one_by_one
+        assert store.hits - hits == len(one_by_one) == 1050
+        assert store.misses - misses == len(keys) - 1050
+        # Access order follows the input order: the last key read is the
+        # freshest row, and never-read rows are the oldest.
+        seqs = dict(store._conn.execute("SELECT key, seq FROM results"))
+        found = [key for key in keys if key in stored]
+        assert [seqs[k] for k in found] == sorted(seqs[k] for k in found)
+        assert max(seqs[k] for k in stored if k not in one_by_one) < min(
+            seqs[k] for k in found
+        )
+        store.close()
+
+    def test_corrupt_files_fail_naming_the_path(self, tmp_path):
+        garbage = tmp_path / "garbage.db"
+        garbage.write_bytes(b"not a result store " * 64)
+        real = tmp_path / "real.db"
+        store = ResultStore(real)
+        store.put_many({f"k{i}": (i, "x" * 64) for i in range(400)})
+        store.close()
+        truncated = tmp_path / "truncated.db"
+        truncated.write_bytes(real.read_bytes()[: real.stat().st_size // 2])
+        for path in (garbage, truncated):
+            with pytest.raises(sqlite3.DatabaseError, match="not a result store") as err:
+                ResultStore(path)
+            assert str(path) in str(err.value)
+        plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4])
+        with pytest.raises(sqlite3.DatabaseError, match=str(garbage)):
+            plan.run(store=garbage)
 
     def test_partial_hits_compute_only_the_misses(self, tmp_path):
         store = ResultStore(tmp_path / "results.db")
