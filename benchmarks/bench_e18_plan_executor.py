@@ -1,4 +1,4 @@
-"""E18 — plan-executor throughput: fused grid runner vs legacy serial sweep.
+"""E18 — plan-executor throughput: serial, shm pool and result store.
 
 A portability study is a grid: one trace priced on every (topology,
 policy, p) cell.  Every plan run compiles the deduplicated stage graph;
@@ -7,8 +7,6 @@ the executor only picks where its waves run.  This bench times a
 
 * ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: waves
   in-line, cells routed by the fused multi-superstep kernels;
-* ``run_sweep_legacy`` — per-superstep loop routing (the fused gate
-  forced off), the way grids were priced before the fused router;
 * ``run_sweep_shm`` — the persistent zero-copy worker pool
   (``ShmSubstrate``, pool forced on so single-CPU recordings measure the
   real dispatch path rather than the in-line downgrade);
@@ -24,8 +22,7 @@ the executor only picks where its waves run.  This bench times a
   checked, untimed, against the per-cell oracle (``oracle_grid_rows``).
 
 All executor paths must produce bit-identical cell values.
-``record_baseline.py`` records the timings; the headline ratios are
-plan-vs-legacy (the fused engine win, hardware-independent) and
+``record_baseline.py`` records the timings; the headline ratio is
 store-warm-vs-cold (the caching win), while the pool ratios reflect
 however many cores the host actually grants (1 core => ~1x or below).
 """
@@ -85,19 +82,6 @@ def run_sweep(cfg=SCALE):
     """Serial plan executor over the fused routing engine."""
     _cold()
     return _plan(cfg).run(executor="serial")
-
-
-def run_sweep_legacy(cfg=SCALE):
-    """The pre-plan serial path: per-superstep loop routing, cell by cell."""
-    import repro.networks.routing as routing
-
-    _cold()
-    saved = routing._FUSED_MAX_CELLS
-    routing._FUSED_MAX_CELLS = 0  # force the per-superstep loop
-    try:
-        return _plan(cfg).run(executor="serial")
-    finally:
-        routing._FUSED_MAX_CELLS = saved
 
 
 def run_sweep_shm(cfg=SCALE):
@@ -208,42 +192,27 @@ def run_sweep_dag_shm(quick: bool = False):
 def test_e18_plan_executor(benchmark, quick):
     cfg = QUICK if quick else SCALE
 
-    def both():
+    def serial_sweep():
         _plan(cfg)  # emit the source trace outside every timed region
         t0 = time.perf_counter()
         serial = run_sweep(cfg)
-        t_serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        legacy = run_sweep_legacy(cfg)
-        t_legacy = time.perf_counter() - t0
-        return serial, legacy, t_serial, t_legacy
+        return serial, time.perf_counter() - t0
 
-    serial, legacy, t_serial, t_legacy = benchmark.pedantic(
-        both, rounds=1, iterations=1
-    )
+    serial, t_serial = benchmark.pedantic(serial_sweep, rounds=1, iterations=1)
     cells = len(serial)
     assert cells >= (8 if quick else 24)
-    # Both routing paths must agree bit-for-bit on every cell.
-    assert serial.rows == legacy.rows
-
-    vs_legacy = t_legacy / t_serial if t_serial > 0 else float("inf")
     routed = serial.column("routed_time")
     rows = [
-        ["cells", cells, "-"],
-        ["serial (fused)", round(t_serial, 3), "1.0x"],
-        ["legacy loop", round(t_legacy, 3), f"{vs_legacy:.2f}x slower than fused"],
-        ["sum routed_time", round(float(np.sum(routed)), 1), "-"],
+        ["cells", cells],
+        ["serial seconds", round(t_serial, 3)],
+        ["sum routed_time", round(float(np.sum(routed)), 1)],
     ]
     emit_table(
         "e18_plan_executor",
-        f"E18  {cells}-cell grid: fused serial {t_serial:.3f}s, "
-        f"legacy {t_legacy:.3f}s",
-        ["path", "seconds", "ratio"],
+        f"E18  {cells}-cell grid: serial {t_serial:.3f}s",
+        ["quantity", "value"],
         rows,
     )
-    if not quick:
-        # The new engine must beat the legacy per-superstep serial path.
-        assert vs_legacy > 1.2, f"fused plan only {vs_legacy:.2f}x vs legacy"
 
 
 def test_e18_shm_and_store(benchmark, quick):

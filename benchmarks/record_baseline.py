@@ -43,7 +43,6 @@ WORKLOADS = [
     ("bench_e17_routing_kernels", "run_sweep", "e17_routing_vectorized"),
     ("bench_e17_routing_kernels", "run_sweep_reference", "e17_routing_reference"),
     ("bench_e18_plan_executor", "run_sweep", "e18_plan_serial"),
-    ("bench_e18_plan_executor", "run_sweep_legacy", "e18_plan_legacy_loop"),
     ("bench_e18_plan_executor", "run_sweep_shm", "e18_plan_shm"),
     ("bench_e18_plan_executor", "run_sweep_store_cold", "e18_plan_store_cold"),
     ("bench_e18_plan_executor", "run_sweep_store_warm", "e18_plan_store_warm"),
@@ -155,12 +154,7 @@ def main() -> None:
     vec, ref = sec.get("e17_routing_vectorized"), sec.get("e17_routing_reference")
     if vec and ref:
         data["e17_routing_speedup_vectorized_vs_reference"] = round(ref / vec, 2)
-    # E18: the plan executor vs the pre-plan serial loop path (the fused
-    # engine win, hardware-independent).
     serial = sec.get("e18_plan_serial")
-    legacy = sec.get("e18_plan_legacy_loop")
-    if serial and legacy:
-        data["e18_plan_speedup_fused_vs_legacy_serial"] = round(legacy / serial, 2)
     # The shm pool ratio is recorded with the core count it was measured
     # on: a single-core container legitimately records <= 1.0x (the pool
     # is forced on in the bench so the dispatch path itself is timed).

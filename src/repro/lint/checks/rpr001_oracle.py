@@ -9,8 +9,10 @@ bit-identity claim is enforced rather than asserted in a docstring.
 
 Flagged:
 
-* a public ``X_reference`` function/method whose twin ``X`` is not
-  defined in the same module/class namespace;
+* a public ``X_reference`` function/method whose twin ``X`` — or its
+  fused multi-batch form ``X_multi``, which the oracle pins one batch
+  (segment) at a time — is not defined in the same module/class
+  namespace;
 * a public ``X_reference`` that is never referenced (by name) from any
   test file.  When no ``tests/`` directory is found next to the linted
   tree this half is skipped — there is nothing to scan.
@@ -49,7 +51,7 @@ class OraclePairingCheck(Check):
                         continue
                     twin = name[: -len(_SUFFIX)]
                     where = f"class {scope_name}" if scope_name else "module"
-                    if twin not in functions:
+                    if twin not in functions and f"{twin}_multi" not in functions:
                         yield ctx.violation(
                             self.id,
                             node,

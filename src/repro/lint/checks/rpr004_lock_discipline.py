@@ -33,9 +33,6 @@ lexically inside a ``with`` statement naming a lock.  Import-time
 seeding of registries is exempt (imports are serialised by the
 interpreter); reads are exempt (the caches tolerate stale reads by
 design — two racing threads may both compute, last write wins).
-
-The runtime counterpart is ``REPRO_SANITIZE=1``, which asserts lock
-ownership on actual cache mutations.
 """
 
 from __future__ import annotations

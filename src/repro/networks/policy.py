@@ -77,19 +77,28 @@ class RoutingPolicy:
         offsets: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
-    ) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Whole-trace phase legs for the fused multi-superstep router.
+    ) -> list[Phase]:
+        """Whole-trace phase legs for the multi-superstep router.
 
         ``src``/``dst`` are the flat endpoint columns of a folded trace
         (superstep ``s`` owns ``[offsets[s], offsets[s+1])``).  Returns
         one ``(src, dst)`` pair per phase, each aligned with the flat
-        message order, and must agree message-for-message with what
-        :meth:`phases` yields when called superstep by superstep — the
-        fused router is property-tested bit-identical against the
-        per-superstep path.  Returning ``None`` (the default) opts the
-        policy out of fusion.
+        message order.  The default calls :meth:`phases` superstep by
+        superstep (skipping empty ones) and concatenates each phase;
+        overrides must agree with it message for message.
         """
-        return None
+        bounds = offsets.tolist()
+        steps = [
+            list(self.phases(topo, s, int(labels[s]), src[lo:hi], dst[lo:hi]))
+            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        ]
+        if not steps:
+            return [(src, dst)]
+        return [
+            tuple(np.concatenate(ends) for ends in zip(*legs))
+            for legs in zip(*steps)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
@@ -142,8 +151,9 @@ class ValiantPolicy(RoutingPolicy):
         yield mid, dst
 
     def phase_legs(self, topo, labels, offsets, src, dst):
-        # Only the rng draw is per-superstep (it is keyed by the superstep
-        # ordinal); the expensive routing of both legs stays fused.
+        # The base derivation, minus its per-superstep generators and
+        # concatenations: only the rng draw is per-superstep (it is keyed
+        # by the superstep ordinal).
         mid = np.empty(src.shape, dtype=np.int64)
         for s in range(int(labels.shape[0])):
             lo, hi = int(offsets[s]), int(offsets[s + 1])

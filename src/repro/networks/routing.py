@@ -14,21 +14,24 @@ tracks ``ell_i`` (latency), the +1 the barrier.  Multi-phase policies
 dilation over their phases and still pay one barrier.
 
 Whole traces are routed by :func:`route_trace`: one pass over the folded
-trace's columnar superstep ranges (no per-record objects), batching each
-superstep's endpoints through the topology's vectorised router, with the
-resulting :class:`RoutedProfile` memoised exactly like the fold kernels
-— keyed by (trace identity+version, topology, policy), since network
-sweeps route the same trace on many machines.
+trace's columnar superstep ranges (no per-record objects).  Each policy
+phase leg goes through the topology's fused ``route_loads_multi``
+kernel in superstep blocks of at most ``2**21`` (superstep, edge) cells
+and ``2**15`` messages, and the resulting :class:`RoutedProfile` is
+memoised exactly like the fold kernels — keyed by (trace
+identity+version, topology, policy), since network sweeps route the
+same trace on many machines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.machine.folding import fold_trace
-from repro.machine.trace import Trace, TraceColumns
+from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.topology import Topology
 from repro.util.caches import LRU
@@ -52,20 +55,16 @@ clear_route_cache = ROUTE_CACHE.clear
 #: pipeline cache-sharing tests assert against.
 route_cache_stats = ROUTE_CACHE.stats
 
-#: Ceiling on ``num_supersteps * num_edges`` for the fused whole-trace
-#: router: above it the dense (superstep, edge) load grid would dwarf the
-#: message count and the per-superstep path wins on memory.
-_FUSED_MAX_CELLS = 1 << 21
-#: Average messages per superstep up to which the fused router runs.
-#: Fusing trades S per-superstep kernel launches for whole-trace array
-#: passes.  Timed on a 2-CPU x86 host, it won on every route-sweep and
-#: sim-grid benchmark cell (0.13-0.9x the loop's time) and on sort
-#: n=1024 and matmul n=64 at p=16/64 (average batches of 132-563
-#: messages, 0.29-0.72x), and lost from an average batch of ~1,900 up
-#: (sort/fft n=4096, 1.03-4.3x), where the loop's per-superstep chunks
-#: stay cache-resident.  A constant keeps the fused-or-looped choice
-#: identical in every process.
-_FUSED_MAX_BATCH = 1024
+#: Ceilings on one kernel call: ``supersteps * num_edges`` cells and
+#: messages.  Longer traces are routed in superstep blocks, so the dense
+#: (superstep, edge) load grid stays at most 16 MB however long the
+#: trace, and the kernels' per-message temporaries (256 KB each) come
+#: back from the allocator warm instead of being paged in fresh: on a
+#: 2-CPU x86 host, sort n=4096 folded to p=64 (201k messages) routes
+#: 2-3x faster on the mesh and torus in 32k-message blocks than in one.
+#: A block always holds at least one superstep.
+_BLOCK_CELLS = 1 << 21
+_BLOCK_MESSAGES = 1 << 15
 
 
 def route_key(
@@ -76,16 +75,6 @@ def route_key(
     if token is None:
         return None
     return (token, topo.name, topo.p, (policy or _DIRECT).cache_key())
-
-
-def _fuses(cols: TraceColumns, topo: Topology) -> bool:
-    """Route this folded trace through the fused whole-trace kernel?"""
-    S = cols.num_supersteps
-    return (
-        S > 1
-        and S * topo.num_edges() <= _FUSED_MAX_CELLS
-        and cols.num_messages <= S * _FUSED_MAX_BATCH
-    )
 
 
 @dataclass(frozen=True)
@@ -158,95 +147,35 @@ def superstep_time(
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return RoutedCost(0.0, 0, 1.0)
-    congestion, dilation = _route_superstep(
-        topo, policy or _DIRECT, step, label, src, dst
+    legs = (policy or _DIRECT).phases(topo, step, label, src, dst)
+    congestion, dilation = _route_legs(
+        topo, legs, np.zeros(src.size, dtype=np.int64), 1
     )
-    return RoutedCost(congestion, dilation, congestion + dilation + 1.0)
+    c, d = float(congestion[0]), int(dilation[0])
+    return RoutedCost(c, d, c + d + 1.0)
 
 
-def _route_superstep(
+def _route_legs(
     topo: Topology,
-    policy: RoutingPolicy,
-    step: int,
-    label: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> tuple[float, int]:
-    """(congestion, dilation) of one non-empty superstep, summed over phases."""
-    caps = topo.edge_capacities()
-    congestion, dilation = 0.0, 0
-    for ph_src, ph_dst in policy.phases(topo, step, label, src, dst):
-        cross = ph_src != ph_dst  # policy legs may introduce self-messages
-        if not cross.all():
-            ph_src, ph_dst = ph_src[cross], ph_dst[cross]
-        if ph_src.size == 0:
-            continue
-        loads, dil = topo.route_loads(ph_src, ph_dst)
-        congestion += float((loads / caps).max())
-        dilation += int(dil)
-    return congestion, dilation
+    legs: Iterable[tuple[np.ndarray, np.ndarray]],
+    seg: np.ndarray,
+    num_segs: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment (congestion, dilation) of phase legs, summed over phases.
 
-
-def _profile_arrays_loop(
-    topo: Topology, policy: RoutingPolicy, cols: TraceColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-superstep routing loop (the reference whole-trace path)."""
-    S = cols.num_supersteps
-    congestion = np.zeros(S)
-    dilation = np.zeros(S, dtype=np.int64)
-    time = np.ones(S)  # barrier-only default: the empty fast path
-    offsets, src, dst = cols.offsets, cols.src, cols.dst
-    for s in range(S):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        if hi == lo:
-            continue  # folded supersteps carry no self-messages
-        c, d = _route_superstep(
-            topo, policy, s, int(cols.labels[s]), src[lo:hi], dst[lo:hi]
-        )
-        congestion[s] = c
-        dilation[s] = d
-        time[s] = c + d + 1.0
-    return congestion, dilation, time
-
-
-def _profile_arrays_fused(
-    topo: Topology, policy: RoutingPolicy, cols: TraceColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Route all supersteps of a folded trace in one pass per phase.
-
-    Each policy phase leg is routed through the topology's fused
-    ``route_loads_multi`` kernel — one ``bincount`` over the flat
-    ``superstep * num_edges + edge`` key space — and per-superstep
-    dilations come from ``pair_distance`` (the routed path length, whose
-    agreement with ``route_loads``' dilation is a property-tested
-    invariant of every shipped topology).  Returns ``None`` when the
-    policy or topology does not support fusion; results are bit-identical
-    to :func:`_profile_arrays_loop` (property-tested).
+    Every ``(src, dst)`` leg is routed through the topology's fused
+    ``route_loads_multi`` kernel — one pass over the flat
+    ``segment * num_edges + edge`` key space — and each segment's
+    bottleneck ``load/capacity`` and dilation are added up leg by leg.
     """
-    S = cols.num_supersteps
-    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
-    if legs is None:
-        return None
     caps = topo.edge_capacities()
-    sidx = cols.superstep_index()
-    congestion = np.zeros(S)
-    dilation = np.zeros(S, dtype=np.int64)
-    try:
-        for leg_src, leg_dst in legs:
-            keep = leg_src != leg_dst  # policy legs may introduce self-messages
-            ls, ld, seg = leg_src[keep], leg_dst[keep], sidx[keep]
-            if ls.size == 0:
-                continue
-            loads = topo.route_loads_multi(ls, ld, seg, S)
-            congestion += (loads / caps[None, :]).max(axis=1)
-            leg_dil = np.zeros(S, dtype=np.int64)
-            np.maximum.at(leg_dil, seg, topo.pair_distance(ls, ld))
-            dilation += leg_dil
-    except NotImplementedError:
-        return None
-    return congestion, dilation, congestion + dilation + 1.0
+    congestion = np.zeros(num_segs)
+    dilation = np.zeros(num_segs, dtype=np.int64)
+    for src, dst in legs:
+        loads, dil = topo.route_loads_multi(src, dst, seg, num_segs)
+        congestion += (loads / caps).max(axis=1, initial=0.0)
+        dilation += dil
+    return congestion, dilation
 
 
 def route_trace(
@@ -256,14 +185,11 @@ def route_trace(
 
     The fold (``keep_empty=True`` — surviving supersteps that lost all
     their messages still cost a barrier) comes from the memoised folding
-    kernels.  When the trace is many small supersteps (dense
-    (superstep, edge) grid of at most ``2**21`` cells, at most 1024
-    messages per superstep on average) and the policy supports it, all
-    supersteps are routed in one fused kernel pass per phase; otherwise
-    each superstep's endpoint range is sliced out of the folded columns
-    and routed as one batch (empty supersteps short-circuit to
-    barrier-only cost).  Both paths are bit-identical.  The profile is
-    memoised per (trace, topology, policy); cached arrays are read-only.
+    kernels.  The policy's phase legs cover the whole trace, and each
+    block of supersteps spanning at most ``2**21`` (superstep, edge)
+    cells and ``2**15`` messages is routed in one fused kernel pass per
+    phase.  The profile is memoised per (trace, topology, policy);
+    cached arrays are read-only.
     """
     policy = policy or _DIRECT
     key = route_key(trace, topo, policy)
@@ -271,12 +197,24 @@ def route_trace(
     if cached is not None:
         return cached
 
-    folded = fold_trace(trace, topo.p, keep_empty=True)
-    cols = folded.columns()
-    arrays = _profile_arrays_fused(topo, policy, cols) if _fuses(cols, topo) else None
-    if arrays is None:
-        arrays = _profile_arrays_loop(topo, policy, cols)
-    congestion, dilation, time = arrays
+    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    S, offsets = cols.num_supersteps, cols.offsets
+    legs = policy.phase_legs(topo, cols.labels, offsets, cols.src, cols.dst)
+    sidx = cols.superstep_index()
+    congestion = np.zeros(S)
+    dilation = np.zeros(S, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // max(1, topo.num_edges()))
+    first = 0
+    while first < S:
+        fits = np.searchsorted(offsets, offsets[first] + _BLOCK_MESSAGES, "right")
+        last = min(S, first + rows, max(first + 1, int(fits) - 1))
+        lo, hi = int(offsets[first]), int(offsets[last])
+        block = [(src[lo:hi], dst[lo:hi]) for src, dst in legs]
+        congestion[first:last], dilation[first:last] = _route_legs(
+            topo, block, sidx[lo:hi] - first, last - first
+        )
+        first = last
+    time = congestion + dilation + 1.0
     for arr in (congestion, dilation, time):
         arr.setflags(write=False)
     profile = RoutedProfile(

@@ -19,24 +19,30 @@ leading index bits) correspond to good subnetworks:
   on the rows; a message ascends only through the levels where its
   endpoints' row bits differ (dimension-order on the bit indices).
 
-Every topology exposes its edge list with capacities and a **whole-batch
-vectorised** ``route_loads`` producing, for a batch of (src, dst) pairs,
-the per-edge loads — consumed by :mod:`repro.networks.routing` to time
-h-relations by the classic congestion + dilation bound.  The original
-per-message routers are retained verbatim as ``route_loads_reference``
-oracles and property-tested bit-identical to the kernels
-(`tests/test_networks.py`).
+Every topology exposes its edge list with capacities and one **fused,
+vectorised** load kernel, ``route_loads_multi``: for (src, dst) pairs
+tagged with a sorted segment id (a superstep of a folded trace) it
+returns the per-(segment, edge) loads and per-segment dilation in one
+pass over the flat ``seg * E + edge`` key space — consumed by
+:mod:`repro.networks.routing` to time h-relations by the classic
+congestion + dilation bound.  The original per-message routers are
+retained verbatim as ``route_loads_reference`` oracles and
+property-tested bit-identical to every segment of the kernel
+(`tests/test_networks.py`, `tests/test_routing_fused.py`).
 
-Vectorisation strategy: every shipped router moves messages along axis
-runs, so per-edge loads are sums of *interval indicators* over a flat
-edge-id space.  Each interval contributes ``+1`` at its first edge and
-``-1`` one past its last; one ``np.bincount`` per endpoint set plus one
-``np.cumsum`` recovers all loads with no per-message Python iteration
-(the endpoint marks of wrapped ring intervals split in two).  The
-fat-tree instead ascends all heap ancestors level-synchronously, and the
-hypercube/butterfly walk their ``log p`` dimensions with whole-batch
-masks.  Loads are accumulated in ``int64`` and converted to float at the
-end, so they are bit-identical to the references' ``+= 1.0`` sums.
+Vectorisation strategy: the ring, mesh and torus move messages along
+axis runs, so per-edge loads are sums of *interval indicators* over the
+flat edge-id space.  Each interval contributes ``+1`` at its first edge
+and ``-1`` one past its last; one ``np.bincount`` per endpoint set plus
+one ``np.cumsum`` recovers all loads with no per-message Python
+iteration (the endpoint marks of wrapped ring intervals split in two).
+The fat-tree ascends heap ancestors and the butterfly its levels
+round by round, dropping messages whose path has ended; the hypercube
+walks its ``log p`` dimensions over global ``seg * p + node`` ids.
+Dilation is a ``np.maximum.reduceat`` of the per-message path lengths
+over the sorted segments.  Loads are accumulated in ``int64`` and
+converted to float at the end, so they are bit-identical to the
+references' ``+= 1.0`` sums.
 """
 
 from __future__ import annotations
@@ -78,11 +84,26 @@ def _interval_loads(
 
     The classic difference-array trick: ``+1`` at each start, ``-1`` at
     each end, prefix-sum.  ``ends`` may equal ``num_edges`` (the sentinel
-    slot absorbs the mark).  Returns ``int64`` loads.
+    slot absorbs the mark), and an empty interval's marks cancel, so
+    zero-length runs need no filtering.  Returns ``int64`` loads.
     """
     delta = np.bincount(starts, minlength=num_edges + 1).astype(np.int64)
     delta -= np.bincount(ends, minlength=num_edges + 1)
     return np.cumsum(delta[:num_edges])
+
+
+def _shortest_runs(
+    a: np.ndarray, b: np.ndarray, ring: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(length, start)`` of the shorter way round a power-of-two ring.
+
+    The run from ``a`` to ``b`` covers edges ``[start, start + length)``
+    mod ``ring`` (edge ``e`` connects ``e -> e+1``); a tie at ``ring/2``
+    goes forward, matching the reference routers.
+    """
+    fwd = (b - a) & (ring - 1)
+    bwd = (a - b) & (ring - 1)
+    return np.minimum(fwd, bwd), np.where(fwd <= bwd, a, b)
 
 
 def _ring_runs(
@@ -103,6 +124,34 @@ def _ring_runs(
         starts = np.concatenate([starts, base[wrap]])
         ends = np.concatenate([ends, base[wrap] + stop[wrap] - ring])
     return starts, ends
+
+
+def _segment_max(
+    values: np.ndarray, seg: np.ndarray, num_segs: int
+) -> np.ndarray:
+    """Per-segment maximum of ``values`` (0 for an empty segment).
+
+    ``seg`` is non-decreasing, so each segment is one contiguous run and
+    a single ``np.maximum.reduceat`` over the non-empty runs covers all.
+    """
+    out = np.zeros(num_segs, dtype=np.int64)
+    if values.size:
+        bounds = np.searchsorted(seg, np.arange(num_segs + 1))
+        starts = bounds[:-1]
+        busy = starts < bounds[1:]
+        out[busy] = np.maximum.reduceat(values, starts[busy])
+    return out
+
+
+def _count(keys: list[np.ndarray], total: int) -> np.ndarray:
+    """int64 occurrence counts over ``[0, total)`` of the concatenated keys."""
+    flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    return np.bincount(flat, minlength=total)
+
+
+def _grid(loads: np.ndarray, num_segs: int, num_edges: int) -> np.ndarray:
+    """Flat ``seg * E + edge`` int64 loads as a float ``(num_segs, E)`` grid."""
+    return loads.reshape(num_segs, num_edges).astype(np.float64)
 
 
 def _path_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -208,35 +257,34 @@ class Topology:
             self._caps = caps
         return self._caps
 
-    def route_loads(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
-        """Per-edge loads and the maximum path length (dilation), batched."""
-        raise NotImplementedError
-
     def route_loads_multi(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         seg: np.ndarray,
         num_segs: int,
-    ) -> np.ndarray:
-        """Per-(segment, edge) loads of many independent batches at once.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge loads and dilation of many independent batches at once.
 
         ``seg[t]`` assigns message ``t`` to one of ``num_segs`` segments
-        (in practice: the supersteps of a folded trace); the result has
-        shape ``(num_segs, E)`` and row ``s`` equals
-        ``route_loads(src[seg == s], dst[seg == s])[0]`` bit-for-bit.
-        Implementations fuse all segments into one kernel pass over the
-        flat ``seg * E + edge`` key space — the multi-superstep router
-        calls this once per routing phase instead of once per superstep.
-        Topologies without a fused kernel may leave this unimplemented;
-        the router falls back to the per-superstep path.
+        (in practice: the supersteps of a folded trace) and must be
+        non-decreasing.  Returns ``(loads, dilation)`` of shapes
+        ``(num_segs, E)`` and ``(num_segs,)``: row ``s`` equals
+        ``route_loads_reference(src[seg == s], dst[seg == s])``
+        bit-for-bit — self-messages charge nothing and an empty segment
+        is all zeros.  Implementations fuse all segments into one kernel
+        pass over the flat ``seg * E + edge`` key space.  This is the
+        only load kernel: the router calls it once per routing phase and
+        superstep block.
         """
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement route_loads_multi"
+        )
 
     def route_loads_reference(
         self, src: np.ndarray, dst: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Per-message oracle for :meth:`route_loads` (bit-identical)."""
+        """Per-message oracle: the loads and dilation of one batch."""
         raise NotImplementedError
 
     def route_paths(
@@ -247,21 +295,21 @@ class Topology:
         Returns CSR ``(offsets, edges)``: message ``t`` traverses
         ``edges[offsets[t]:offsets[t+1]]`` in order (empty for
         self-messages).  The path multiset agrees with
-        :meth:`route_loads` — ``bincount(edges) == loads`` and per-path
-        lengths equal :meth:`pair_distance` — a property-tested
+        :meth:`route_loads_multi` — ``bincount(edges) == loads`` and
+        per-path lengths equal :meth:`pair_distance` — a property-tested
         invariant of every shipped topology.  This is the per-hop view
         the cycle-accurate simulator (:mod:`repro.sim`) consumes;
-        :meth:`route_loads` remains the cheap aggregate for analytic
-        pricing.
+        :meth:`route_loads_multi` remains the cheap aggregate for
+        analytic pricing.
         """
         raise NotImplementedError
 
     def pair_distance(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Routed path length of each (src, dst) pair (0 for self-messages).
 
-        Load conservation — ``route_loads(src, dst)[0].sum() ==
-        pair_distance(src, dst).sum()`` — is a property-tested invariant
-        of every topology.
+        Load conservation — the loads of one batch sum to
+        ``pair_distance(src, dst).sum()`` — is a property-tested
+        invariant of every topology.
         """
         raise NotImplementedError
 
@@ -288,34 +336,12 @@ class Ring(Topology):
         fwd = (dst - src) % self.p
         return np.minimum(fwd, (self.p - fwd) % self.p)
 
-    def route_loads(self, src, dst):
-        p = self.p
-        if src.size == 0:
-            return np.zeros(p), 0
-        fwd = (dst - src) % p
-        bwd = (src - dst) % p
-        length = np.minimum(fwd, bwd)
-        # Tie at p/2 goes forward, matching the reference router.
-        start = np.where(fwd <= bwd, src, dst)
-        move = length > 0
-        starts, ends = _ring_runs(
-            start[move], length[move], np.zeros(int(move.sum()), np.int64), p
-        )
-        loads = _interval_loads(starts, ends, p).astype(np.float64)
-        return loads, int(length.max(initial=0))
-
     def route_loads_multi(self, src, dst, seg, num_segs):
         p = self.p
-        if src.size == 0:
-            return np.zeros((num_segs, p))
-        fwd = (dst - src) % p
-        bwd = (src - dst) % p
-        length = np.minimum(fwd, bwd)
-        start = np.where(fwd <= bwd, src, dst)
-        move = length > 0
-        starts, ends = _ring_runs(start[move], length[move], (seg * p)[move], p)
+        length, start = _shortest_runs(src, dst, p)
+        starts, ends = _ring_runs(start, length, seg * p, p)
         loads = _interval_loads(starts, ends, num_segs * p)
-        return loads.reshape(num_segs, p).astype(np.float64)
+        return _grid(loads, num_segs, p), _segment_max(length, seg, num_segs)
 
     def route_paths(self, src, dst):
         p = self.p
@@ -387,32 +413,13 @@ class Mesh2D(Topology):
             self.col[src] - self.col[dst]
         )
 
-    def route_loads(self, src, dst):
+    def route_loads_multi(self, src, dst, seg, num_segs):
         # Dimension-order routing: horizontal along the source row, then
         # vertical along the destination column — both axis runs are
-        # contiguous intervals of flat edge ids.
+        # contiguous intervals of flat edge ids.  Horizontal edge
+        # (r, c)-(r, c+1) has id r*sx + c; vertical edge (r, c)-(r+1, c)
+        # has id sx*sx + c*sx + r.
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        r1, c1 = self.row[src], self.col[src]
-        r2, c2 = self.row[dst], self.col[dst]
-        dil = int(np.max(np.abs(r1 - r2) + np.abs(c1 - c2), initial=0))
-        sx = max(self.side, self.side_y)
-        off = sx * sx
-        # Horizontal edge (r, c)-(r, c+1) has id r*sx + c; vertical edge
-        # (r, c)-(r+1, c) has id sx*sx + c*sx + r.
-        hlo, hhi = np.minimum(c1, c2), np.maximum(c1, c2)
-        vlo, vhi = np.minimum(r1, r2), np.maximum(r1, r2)
-        mh = hhi > hlo
-        mv = vhi > vlo
-        starts = np.concatenate([(r1 * sx + hlo)[mh], (off + c2 * sx + vlo)[mv]])
-        ends = np.concatenate([(r1 * sx + hhi)[mh], (off + c2 * sx + vhi)[mv]])
-        return _interval_loads(starts, ends, E).astype(np.float64), dil
-
-    def route_loads_multi(self, src, dst, seg, num_segs):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
         r1, c1 = self.row[src], self.col[src]
         r2, c2 = self.row[dst], self.col[dst]
         sx = max(self.side, self.side_y)
@@ -420,19 +427,16 @@ class Mesh2D(Topology):
         base = seg * E
         hlo, hhi = np.minimum(c1, c2), np.maximum(c1, c2)
         vlo, vhi = np.minimum(r1, r2), np.maximum(r1, r2)
-        mh = hhi > hlo
-        mv = vhi > vlo
-        starts = np.concatenate(
-            [(base + r1 * sx + hlo)[mh], (base + off + c2 * sx + vlo)[mv]]
-        )
-        ends = np.concatenate(
-            [(base + r1 * sx + hhi)[mh], (base + off + c2 * sx + vhi)[mv]]
-        )
+        hrow = base + r1 * sx
+        vcol = base + off + c2 * sx
+        starts = np.concatenate([hrow + hlo, vcol + vlo])
+        ends = np.concatenate([hrow + hhi, vcol + vhi])
         loads = _interval_loads(starts, ends, num_segs * E)
-        return loads.reshape(num_segs, E).astype(np.float64)
+        length = (hhi - hlo) + (vhi - vlo)
+        return _grid(loads, num_segs, E), _segment_max(length, seg, num_segs)
 
     def route_paths(self, src, dst):
-        # Same dimension order as route_loads: horizontal along the
+        # Same dimension order as route_loads_multi: horizontal along the
         # source row, then vertical along the destination column.  Mesh
         # runs never wrap, so the ring-run expansion is exact.
         r1, c1 = self.row[src], self.col[src]
@@ -507,60 +511,21 @@ class Torus2D(Topology):
         dc, dr = self._axis_lengths(src, dst)
         return dc + dr
 
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        r1, c1 = self.row[src], self.col[src]
-        r2, c2 = self.row[dst], self.col[dst]
-        fwd_c = (c2 - c1) % self.w
-        bwd_c = (c1 - c2) % self.w
-        len_c = np.minimum(fwd_c, bwd_c)
-        fwd_r = (r2 - r1) % self.h
-        bwd_r = (r1 - r2) % self.h
-        len_r = np.minimum(fwd_r, bwd_r)
-        dil = int(np.max(len_c + len_r, initial=0))
-        # Ties go forward, matching Ring (and the reference router).
-        start_c = np.where(fwd_c <= bwd_c, c1, c2)
-        start_r = np.where(fwd_r <= bwd_r, r1, r2)
-        mh = len_c > 0
-        mv = len_r > 0
-        sh, eh = _ring_runs(start_c[mh], len_c[mh], (r1 * self.w)[mh], self.w)
-        sv, ev = _ring_runs(
-            start_r[mv], len_r[mv], (self.p + c2 * self.h)[mv], self.h
-        )
-        loads = _interval_loads(
-            np.concatenate([sh, sv]), np.concatenate([eh, ev]), E
-        )
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
         r1, c1 = self.row[src], self.col[src]
         r2, c2 = self.row[dst], self.col[dst]
-        fwd_c = (c2 - c1) % self.w
-        bwd_c = (c1 - c2) % self.w
-        len_c = np.minimum(fwd_c, bwd_c)
-        fwd_r = (r2 - r1) % self.h
-        bwd_r = (r1 - r2) % self.h
-        len_r = np.minimum(fwd_r, bwd_r)
-        start_c = np.where(fwd_c <= bwd_c, c1, c2)
-        start_r = np.where(fwd_r <= bwd_r, r1, r2)
+        len_c, start_c = _shortest_runs(c1, c2, self.w)
+        len_r, start_r = _shortest_runs(r1, r2, self.h)
         base = seg * E
-        mh = len_c > 0
-        mv = len_r > 0
-        sh, eh = _ring_runs(
-            start_c[mh], len_c[mh], (base + r1 * self.w)[mh], self.w
-        )
-        sv, ev = _ring_runs(
-            start_r[mv], len_r[mv], (base + self.p + c2 * self.h)[mv], self.h
-        )
+        sh, eh = _ring_runs(start_c, len_c, base + r1 * self.w, self.w)
+        sv, ev = _ring_runs(start_r, len_r, base + self.p + c2 * self.h, self.h)
         loads = _interval_loads(
             np.concatenate([sh, sv]), np.concatenate([eh, ev]), num_segs * E
         )
-        return loads.reshape(num_segs, E).astype(np.float64)
+        return _grid(loads, num_segs, E), _segment_max(
+            len_c + len_r, seg, num_segs
+        )
 
     def route_paths(self, src, dst):
         r1, c1 = self.row[src], self.col[src]
@@ -634,38 +599,23 @@ class Hypercube(Topology):
     def pair_distance(self, src, dst):
         return np.bitwise_count((src ^ dst).astype(np.uint64)).astype(np.int64)
 
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        diff = src ^ dst
-        dil = int(np.max(np.bitwise_count(diff.astype(np.uint64)), initial=0))
-        loads = np.zeros(E, dtype=np.int64)
-        cur = src.copy()
-        for d in range(self.dims):
-            flip = (diff >> d) & 1 == 1
-            if flip.any():
-                loads += np.bincount(cur[flip] * self.dims + d, minlength=E)
-                cur = cur ^ (flip.astype(np.int64) << d)
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
+        # Walk global node ids seg*p + node: edge (node, d) of segment
+        # seg is then (seg*p + node)*dims + d, and correcting a bit below
+        # log p never touches the segment bits.  Bits are corrected low
+        # to high, one edge each; one bincount counts every hop.
+        dims = self.dims
         diff = src ^ dst
-        base = seg * E
-        loads = np.zeros(total, dtype=np.int64)
-        cur = src.copy()
-        for d in range(self.dims):
-            flip = (diff >> d) & 1 == 1
-            if flip.any():
-                loads += np.bincount(
-                    base[flip] + cur[flip] * self.dims + d, minlength=total
-                )
-                cur = cur ^ (flip.astype(np.int64) << d)
-        return loads.reshape(num_segs, E).astype(np.float64)
+        cur = seg * self.p + src
+        hops = []
+        for d in range(dims):
+            bit = diff & (1 << d)
+            hops.append(cur[bit != 0] * dims + d)
+            cur ^= bit
+        E = self.num_edges()
+        loads = _count(hops, num_segs * E)
+        length = np.bitwise_count(diff).astype(np.int64)
+        return _grid(loads, num_segs, E), _segment_max(length, seg, num_segs)
 
     def route_paths(self, src, dst):
         # Dimension-order: bits corrected low to high, one edge each —
@@ -737,50 +687,32 @@ class FatTree(Topology):
         # back: 2 * (height - shared msb) = 2 * bit_length(src ^ dst).
         return 2 * _bit_length(src ^ dst)
 
-    def route_loads(self, src, dst):
-        # Level-synchronous heap-ancestor ascent: every round, each
-        # unfinished message charges the edge above its deeper endpoint
-        # and lifts it — at most 2*height whole-batch rounds.
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        loads = np.zeros(E, dtype=np.int64)
-        a = src + self.p - 1  # heap ids of the leaves
-        b = dst + self.p - 1
-        dil = 0
-        while True:
-            ne = a != b
-            if not ne.any():
-                break
-            up_a = ne & (a > b)
-            up_b = ne & (a < b)
-            loads += np.bincount(a[up_a] - 1, minlength=E)
-            loads += np.bincount(b[up_b] - 1, minlength=E)
-            a = np.where(up_a, (a - 1) >> 1, a)
-            b = np.where(up_b, (b - 1) >> 1, b)
-            dil += 1
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
+        # Leaves sit at equal depth, so a message climbs bit_length(src ^
+        # dst) levels from each end.  The heap node j levels above leaf x
+        # is ((x + p) >> j) - 1 and its parent edge has id one less.
+        # Level-synchronous: each round charges one edge on both sides
+        # of every unfinished message, then drops the finished ones
+        # (self-messages never enter).
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
-        loads = np.zeros(total, dtype=np.int64)
-        base = seg * E
-        a = src + self.p - 1
-        b = dst + self.p - 1
-        while True:
-            ne = a != b
-            if not ne.any():
-                break
-            up_a = ne & (a > b)
-            up_b = ne & (a < b)
-            loads += np.bincount((base + a - 1)[up_a], minlength=total)
-            loads += np.bincount((base + b - 1)[up_b], minlength=total)
-            a = np.where(up_a, (a - 1) >> 1, a)
-            b = np.where(up_b, (b - 1) >> 1, b)
-        return loads.reshape(num_segs, E).astype(np.float64)
+        diff = src ^ dst
+        length = 2 * _bit_length(diff)
+        live = diff != 0
+        base = (seg * E - 2)[live]
+        a = (src + self.p)[live]
+        b = (dst + self.p)[live]
+        diff = diff[live]
+        hops = []
+        while diff.size:
+            hops += [base + a, base + b]
+            a >>= 1
+            b >>= 1
+            diff >>= 1
+            live = diff != 0
+            if not live.all():
+                a, b, diff, base = a[live], b[live], diff[live], base[live]
+        loads = _count(hops, num_segs * E)
+        return _grid(loads, num_segs, E), _segment_max(length, seg, num_segs)
 
     def route_paths(self, src, dst):
         # Leaves sit at equal depth, so lifting both endpoints together
@@ -870,53 +802,32 @@ class Butterfly(Topology):
     def pair_distance(self, src, dst):
         return _bit_length(src ^ dst)
 
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        diff = src ^ dst
-        dil = int(_bit_length(diff).max(initial=0))
-        loads = np.zeros(E, dtype=np.int64)
-        cross_base = self.dims * self.p
-        cur = src.copy()
-        for l in range(dil):
-            active = (diff >> l) != 0  # highest differing bit is >= l
-            cross = active & (((diff >> l) & 1) == 1)
-            straight = active & ~cross
-            if straight.any():
-                loads += np.bincount(l * self.p + cur[straight], minlength=E)
-            if cross.any():
-                loads += np.bincount(
-                    cross_base + l * self.p + cur[cross], minlength=E
-                )
-                cur = cur ^ (cross.astype(np.int64) << l)
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
+        # Level l charges the straight or the cross edge out of the
+        # current row, walked as the global id seg*E + row (E is a
+        # multiple of p, so flipping a row bit never touches seg*E); a
+        # message leaves the loop after its highest differing bit
+        # (self-messages never enter).
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
-        diff = src ^ dst
-        base = seg * E
-        loads = np.zeros(total, dtype=np.int64)
         cross_base = self.dims * self.p
-        cur = src.copy()
-        for l in range(int(_bit_length(diff).max(initial=0))):
-            active = (diff >> l) != 0
-            cross = active & (((diff >> l) & 1) == 1)
-            straight = active & ~cross
-            if straight.any():
-                loads += np.bincount(
-                    (base + l * self.p + cur)[straight], minlength=total
-                )
-            if cross.any():
-                loads += np.bincount(
-                    (base + cross_base + l * self.p + cur)[cross],
-                    minlength=total,
-                )
-                cur = cur ^ (cross.astype(np.int64) << l)
-        return loads.reshape(num_segs, E).astype(np.float64)
+        diff = src ^ dst
+        length = _bit_length(diff)
+        live = diff != 0
+        row = (seg * E + src)[live]
+        diff = diff[live]
+        hops = []
+        level = 0
+        while diff.size:
+            bit = diff & 1
+            hops.append(row + bit * cross_base + level * self.p)
+            row ^= bit << level
+            diff >>= 1
+            level += 1
+            live = diff != 0
+            if not live.all():
+                row, diff = row[live], diff[live]
+        loads = _count(hops, num_segs * E)
+        return _grid(loads, num_segs, E), _segment_max(length, seg, num_segs)
 
     def route_paths(self, src, dst):
         # Levels are ascended in order, one edge per level, so the

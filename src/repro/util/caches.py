@@ -67,9 +67,9 @@ class LRU:
     lock guards only dict lookups and insertions, never the work that
     fills an entry: two threads racing on one key may both compute, the
     values are identical and the last write wins.  Every insertion runs
-    the ``REPRO_SANITIZE`` hooks (:func:`repro.util.sanitize.guard_cached`
-    requires each reachable array to be read-only;
-    :func:`~repro.util.sanitize.assert_locked` checks the lock).
+    the ``REPRO_SANITIZE`` hook :func:`repro.util.sanitize.guard_cached`,
+    which requires each reachable array to be read-only.  Callers of
+    :meth:`_insert` hold the lock; lint rule RPR004 checks that statically.
 
     A ``None`` key marks an uncacheable value (a foreign trace-like
     object without a ``cache_token``): lookups return ``None`` without
@@ -156,7 +156,6 @@ class LRU:
         return value
 
     def _insert(self, key: Hashable, value: Any) -> None:
-        sanitize.assert_locked(self._lock, f"{self.name} cache insert")
         self._data[key] = value
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)

@@ -8,8 +8,6 @@ do.  With ``REPRO_SANITIZE=1`` in the environment:
   each reachable ``ndarray`` must already be read-only — a writeable
   array raises :class:`SanitizerError` at the insertion site instead of
   corrupting some later lookup (:func:`guard_cached`);
-* cache mutation sites assert that their guarding lock is actually held
-  (:func:`assert_locked`);
 * a sampled fraction of fast-engine simulations (every
   ``REPRO_SANITIZE_SAMPLE``-th, default 4, counter-based and therefore
   deterministic) is re-run through the reference cycle loop and compared
@@ -38,7 +36,6 @@ __all__ = [
     "sample_every",
     "guard_cached",
     "reachable_arrays",
-    "assert_locked",
     "should_crosscheck",
     "should_spotcheck",
     "check_engine_parity",
@@ -51,7 +48,6 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 _counter_lock = threading.Lock()
 _arrays_checked = 0
-_lock_asserts = 0
 _engine_checks = 0
 _crosscheck_calls = 0
 _spotcheck_calls = 0
@@ -129,36 +125,6 @@ def guard_cached(value: Any, where: str = "cache") -> Any:
     with _counter_lock:
         _arrays_checked += checked
     return value
-
-
-def _lock_held(lock: Any) -> bool:
-    owned = getattr(lock, "_is_owned", None)  # RLock: held by THIS thread
-    if owned is not None:
-        return bool(owned())
-    locked = getattr(lock, "locked", None)  # Lock: held by someone
-    if locked is not None:
-        return bool(locked())
-    return True  # unknown lock type: nothing to assert
-
-
-def assert_locked(lock: Any, what: str = "cache mutation") -> None:
-    """Assert ``lock`` is held at a shared-cache mutation site.
-
-    ``RLock``\\ s are checked for ownership by the calling thread; plain
-    ``Lock``\\ s can only be checked for being held at all.  Raises
-    :class:`SanitizerError` on an unheld lock (lint's RPR004, enforced
-    at runtime).  No-op when sanitize mode is off.
-    """
-    if not enabled():
-        return
-    global _lock_asserts
-    with _counter_lock:
-        _lock_asserts += 1
-    if not _lock_held(lock):
-        _record_violation(
-            f"sanitizer[{what}]: shared cache mutated without holding "
-            "its lock — wrap the mutation in `with <lock>:`"
-        )
 
 
 def should_crosscheck() -> bool:
@@ -263,7 +229,6 @@ def sanitizer_stats() -> dict[str, int]:
         return {
             "enabled": int(enabled()),
             "arrays_checked": _arrays_checked,
-            "lock_asserts": _lock_asserts,
             "engine_checks": _engine_checks,
             "row_checks": _row_checks,
             "violations": _violations,
@@ -272,11 +237,10 @@ def sanitizer_stats() -> dict[str, int]:
 
 def clear_sanitizer() -> None:
     """Reset the sanitizer counters (wired into ``repro.clear_caches``)."""
-    global _arrays_checked, _lock_asserts, _engine_checks
+    global _arrays_checked, _engine_checks
     global _crosscheck_calls, _spotcheck_calls, _row_checks, _violations
     with _counter_lock:
         _arrays_checked = 0
-        _lock_asserts = 0
         _engine_checks = 0
         _crosscheck_calls = 0
         _spotcheck_calls = 0

@@ -67,3 +67,11 @@ def all_folds(v: int):
         out.append(p)
         p *= 2
     return out
+
+
+def route_loads(topo, src, dst) -> tuple[np.ndarray, int]:
+    """Loads and dilation of one batch: ``route_loads_multi`` on one segment."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    loads, dil = topo.route_loads_multi(src, dst, np.zeros(src.size, np.int64), 1)
+    return loads[0], int(dil[0])

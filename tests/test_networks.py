@@ -33,7 +33,7 @@ from repro.networks import (
 )
 from repro.util.intmath import ilog2
 
-from conftest import random_trace
+from conftest import random_trace, route_loads
 
 ALL = list(TOPOLOGIES)
 
@@ -144,7 +144,7 @@ class TestVectorizedRouters:
         topo = by_name(name, p)
         for _ in range(8):
             src, dst = random_endpoints(p, rng)
-            loads, dil = topo.route_loads(src, dst)
+            loads, dil = route_loads(topo, src, dst)
             ref_loads, ref_dil = topo.route_loads_reference(src, dst)
             assert np.array_equal(loads, ref_loads)
             assert dil == ref_dil
@@ -155,7 +155,7 @@ class TestVectorizedRouters:
         topo = by_name(name, 32)
         for _ in range(5):
             src, dst = random_endpoints(32, rng)
-            loads, dil = topo.route_loads(src, dst)
+            loads, dil = route_loads(topo, src, dst)
             dist = topo.pair_distance(src, dst)
             assert loads.sum() == dist.sum()
             assert dil == int(dist.max(initial=0))
@@ -172,7 +172,7 @@ class TestVectorizedRouters:
             (idx, idx[::-1].copy()),
             (idx, (idx + p // 2) % p),
         ]:
-            loads, dil = topo.route_loads(src, dst)
+            loads, dil = route_loads(topo, src, dst)
             ref_loads, ref_dil = topo.route_loads_reference(src, dst)
             assert np.array_equal(loads, ref_loads)
             assert dil == ref_dil

@@ -1,29 +1,63 @@
-"""Property tests: the fused multi-superstep router is bit-identical to
-the per-superstep loop, on every topology, under every policy."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Property tests: ``route_trace`` is bit-identical to a per-superstep,
+per-message oracle on every topology, under every policy — across
+superstep-block boundaries and on large batches — and every topology's
+``route_loads_multi`` kernel honours its per-segment contract."""
 
 import numpy as np
 import pytest
 
+import repro.networks.routing as routing
+from conftest import random_trace
 from repro.machine.folding import fold_trace
+from repro.machine.trace import Trace
 from repro.networks import by_name, by_policy, route_trace
-from repro.networks.routing import (
-    _FUSED_MAX_BATCH,
-    _FUSED_MAX_CELLS,
-    _profile_arrays_fused,
-    _profile_arrays_loop,
-)
+from repro.networks.policy import RoutingPolicy, ValiantPolicy
 from repro.networks.topology import TOPOLOGIES, Topology
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
+
+
+def oracle_profile(trace, topo, policy, steps=None):
+    """Per-superstep (congestion, dilation, time) from ``policy.phases``
+    and the per-message ``route_loads_reference`` router (only the
+    supersteps in ``steps``, when given; the others stay zero)."""
+    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    caps = topo.edge_capacities()
+    S = cols.num_supersteps
+    congestion = np.zeros(S)
+    dilation = np.zeros(S, dtype=np.int64)
+    for s in range(S) if steps is None else steps:
+        lo, hi = int(cols.offsets[s]), int(cols.offsets[s + 1])
+        if hi == lo:
+            continue
+        c, d = 0.0, 0
+        for src, dst in policy.phases(
+            topo, s, int(cols.labels[s]), cols.src[lo:hi], cols.dst[lo:hi]
+        ):
+            loads, dil = topo.route_loads_reference(src, dst)
+            c += float((loads / caps).max())
+            d += dil
+        congestion[s], dilation[s] = c, d
+    return congestion, dilation, congestion + dilation + 1.0
+
+
+def assert_matches_oracle(profile, oracle, steps=slice(None)):
+    names = ("congestion", "dilation", "time")
+    got = (profile.congestion, profile.dilation, profile.time)
+    for name, a, b in zip(names, got, oracle):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a[steps], b[steps]), name
+
+
+def batch_trace(batch):
+    """Two global supersteps of ``batch`` random cross messages on M(16)."""
+    rng = np.random.default_rng(batch)
+    trace = Trace(16)
+    for _ in range(2):
+        src = rng.integers(0, 16, batch)
+        trace.append(0, src, (src + 1 + rng.integers(0, 15, batch)) % 16)
+    return trace
 
 
 @pytest.fixture(scope="module")
@@ -38,174 +72,216 @@ def traces():
     }
 
 
+@pytest.fixture(autouse=True)
+def cold_routes():
+    routing.clear_route_cache()
+    yield
+    routing.clear_route_cache()
+
+
 @pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @pytest.mark.parametrize("p", [4, 16])
-def test_fused_bit_identical_to_loop(traces, topo_name, policy_name, p):
+def test_route_trace_matches_oracle(traces, topo_name, policy_name, p):
     topo = by_name(topo_name, p)
     policy = by_policy(policy_name, seed=5)
     for name, trace in traces.items():
-        cols = fold_trace(trace, p, keep_empty=True).columns()
-        loop = _profile_arrays_loop(topo, policy, cols)
-        fused = _profile_arrays_fused(topo, policy, cols)
-        assert fused is not None
-        for a, b, what in zip(loop, fused, ("congestion", "dilation", "time")):
-            assert np.array_equal(a, b), (name, what)
+        profile = route_trace(trace, topo, policy)
+        assert_matches_oracle(profile, oracle_profile(trace, topo, policy))
 
 
-def test_route_loads_multi_matches_per_segment_route_loads():
-    """Row s of the fused load grid == route_loads on segment s alone."""
-    rng = np.random.default_rng(11)
-    p, m, segs = 16, 300, 5
-    src = rng.integers(0, p, m)
-    dst = rng.integers(0, p, m)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    seg = rng.integers(0, segs, src.size)
-    for name in TOPOLOGY_NAMES:
-        topo = by_name(name, p)
-        grid = topo.route_loads_multi(src, dst, seg, segs)
-        assert grid.shape == (segs, topo.num_edges())
-        for s in range(segs):
-            mask = seg == s
-            expected, _ = topo.route_loads(src[mask], dst[mask])
-            assert np.array_equal(grid[s], expected), (name, s)
-
-
-def test_route_trace_falls_back_above_cell_ceiling(monkeypatch, traces):
-    """Dropping the grid ceiling to 0 forces the loop path; results match."""
-    import repro.networks.routing as routing
-
-    topo = by_name("torus2d", 16)
-    policy = by_policy("valiant", seed=2)
-    trace = traces["prefix"]  # many small supersteps: inside the fuse gate
-    cols = fold_trace(trace, 16, keep_empty=True).columns()
-    assert routing._fuses(cols, topo)
-    routing.clear_route_cache()
-    fused_profile = route_trace(trace, topo, policy)
-    monkeypatch.setattr(routing, "_FUSED_MAX_CELLS", 0)
-    routing.clear_route_cache()
-    loop_profile = route_trace(trace, topo, policy)
-    assert np.array_equal(fused_profile.time, loop_profile.time)
-    assert np.array_equal(fused_profile.congestion, loop_profile.congestion)
-    assert np.array_equal(fused_profile.dilation, loop_profile.dilation)
-    routing.clear_route_cache()
-
-
-def test_unfusible_topology_falls_back_to_loop(traces):
-    """A custom topology without route_loads_multi still routes correctly."""
-
-    class Star(Topology):
-        # Hub-and-spoke: every message crosses src-spoke then dst-spoke.
-        def __init__(self, p):
-            super().__init__(p)
-            self.name = "star"
-
-        def num_edges(self):
-            return self.p
-
-        def pair_distance(self, src, dst):
-            return np.where(src == dst, 0, 2)
-
-        def route_loads(self, src, dst):
-            loads = (
-                np.bincount(src, minlength=self.p)
-                + np.bincount(dst, minlength=self.p)
-            ).astype(np.float64)
-            return loads, 2 if src.size else 0
-
-    profile = route_trace(traces["prefix"], Star(16))
-    # Loop-path profile must be produced (no crash) and satisfy the
-    # barrier accounting: every superstep costs >= 1.
-    assert (profile.time >= 1.0).all()
-    assert profile.num_supersteps > 0
-
-
-def test_fused_gate_constants():
-    assert _FUSED_MAX_CELLS == 1 << 21
-    assert _FUSED_MAX_BATCH == 1024
-
-
-_DECISIONS = """
-import json
-
-import numpy as np
-from repro.api import run
-from repro.machine.folding import fold_trace
-from repro.machine.trace import Trace
-from repro.networks import by_name
-from repro.networks.routing import _fuses
-from repro.networks.topology import TOPOLOGIES
-
-
-def batch_trace(batch):
-    rng = np.random.default_rng(batch)
-    trace = Trace(16)
-    for _ in range(2):
-        src = rng.integers(0, 16, batch)
-        trace.append(0, src, (src + 1 + rng.integers(0, 15, batch)) % 16)
-    return trace
-
-
-def decisions():
-    traces = [
-        run("fft", n=256, seed=1).trace,
-        run("sort", n=128, seed=1).trace,
-        batch_trace(1024),
-        batch_trace(1025),
-    ]
-    return [
-        _fuses(fold_trace(t, p, keep_empty=True).columns(), by_name(name, p))
-        for t in traces
-        for name in TOPOLOGIES
-        for p in (4, 16)
-    ]
-"""
-
-#: The script's helpers, shared with the in-process tests below.
-_SCRIPT: dict = {}
-exec(_DECISIONS, _SCRIPT)
-
-
-@pytest.mark.parametrize("batch, fused", [(1024, True), (1025, False)])
-def test_average_batch_threshold_picks_path(monkeypatch, batch, fused):
-    """An average batch of 1024 messages fuses, 1025 loops; either way the
-    profile equals both the fused and the loop arrays bit for bit."""
-    import repro.networks.routing as routing
-
-    topo = by_name("torus2d", 16)
-    policy = by_policy("valiant", seed=3)
-    trace = _SCRIPT["batch_trace"](batch)
-    cols = fold_trace(trace, 16, keep_empty=True).columns()
-    calls = []
-    real = routing._profile_arrays_fused
-    monkeypatch.setattr(
-        routing,
-        "_profile_arrays_fused",
-        lambda *args: calls.append(args) or real(*args),
-    )
-    routing.clear_route_cache()
+@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_large_batches_match_oracle(topo_name, policy_name):
+    """Average batches above 1,024 messages route like any other."""
+    trace = batch_trace(1025)
+    topo = by_name(topo_name, 16)
+    policy = by_policy(policy_name, seed=3)
     profile = route_trace(trace, topo, policy)
-    assert bool(calls) is fused
-    loop = _profile_arrays_loop(topo, policy, cols)
-    fused_arrays = real(topo, policy, cols)
-    for arrays in (loop, fused_arrays):
-        for a, b in zip(arrays, (profile.congestion, profile.dilation, profile.time)):
+    assert_matches_oracle(profile, oracle_profile(trace, topo, policy))
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_trace_above_block_ceiling_matches_oracle(policy_name):
+    """Butterfly p=256 (4,096 edges) over 640 supersteps is 2.6M cells:
+    two superstep blocks, split after superstep 511."""
+    trace = random_trace(256, 640, np.random.default_rng(7), max_messages=12)
+    topo = by_name("butterfly", 256)
+    policy = by_policy(policy_name, seed=9)
+    S = fold_trace(trace, 256, keep_empty=True).num_supersteps
+    rows = routing._BLOCK_CELLS // topo.num_edges()
+    assert S * topo.num_edges() > routing._BLOCK_CELLS and rows == 512 < S
+    profile = route_trace(trace, topo, policy)
+    oracle = oracle_profile(trace, topo, policy)
+    assert_matches_oracle(profile, oracle, slice(rows - 2, rows + 2))
+    assert profile.congestion[rows - 1] > 0 and profile.congestion[rows] > 0
+    assert_matches_oracle(profile, oracle)
+
+
+@pytest.mark.parametrize("topo_name", ["hypercube", "butterfly"])
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_algorithm_trace_across_block_boundaries(topo_name, policy_name):
+    """stencil2d n=16 (3,111 supersteps, 849,864 messages) at p=256 is
+    cut into blocks by its message count; the supersteps on both sides
+    of every boundary match the oracle."""
+    from repro.api import run
+
+    trace = run("stencil2d", n=16).trace
+    topo = by_name(topo_name, 256)
+    policy = by_policy(policy_name, seed=8)
+    offsets = fold_trace(trace, 256, keep_empty=True).columns().offsets
+    assert offsets.size - 1 > 600 and offsets[-1] > 20 * routing._BLOCK_MESSAGES
+    rows = routing._BLOCK_CELLS // topo.num_edges()
+    bounds, first = [], 0
+    while first < offsets.size - 1:
+        budget = offsets[first] + routing._BLOCK_MESSAGES
+        fits = int(np.searchsorted(offsets, budget, "right")) - 1
+        first = min(offsets.size - 1, first + rows, max(first + 1, fits))
+        bounds.append(first)
+    assert len(bounds) > 20
+    steps = sorted({s for b in bounds[:-1] for s in (b - 1, b)})
+    profile = route_trace(trace, topo, policy)
+    oracle = oracle_profile(trace, topo, policy, steps)
+    assert_matches_oracle(profile, oracle, steps)
+
+
+@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_block_size_never_changes_the_profile(
+    monkeypatch, traces, topo_name, policy_name
+):
+    """Blocks cut by cells (one, three or all supersteps) or by messages
+    (one superstep each, or a few dozen messages) give the same arrays."""
+    topo = by_name(topo_name, 16)
+    policy = by_policy(policy_name, seed=4)
+    limits = [(1, 1 << 15), (3, 1 << 15), (1 << 10, 1), (1 << 10, 40)]
+    for trace in (traces["prefix"], traces["fft"]):
+        oracle = oracle_profile(trace, topo, policy)
+        for supersteps, messages in limits:
+            cells = supersteps * topo.num_edges()
+            monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(routing, "_BLOCK_MESSAGES", messages)
+            routing.clear_route_cache()
+            assert_matches_oracle(route_trace(trace, topo, policy), oracle)
+
+
+@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
+@pytest.mark.parametrize("p", [4, 16])
+def test_route_loads_multi_rows_match_reference(topo_name, p):
+    """Row s of the kernel == the per-message oracle on segment s alone,
+    with self-messages and empty segments (first, inner and last)."""
+    rng = np.random.default_rng(11 + p)
+    segs = 7
+    seg = np.sort(rng.choice([1, 2, 4, 5], 300))
+    src = rng.integers(0, p, seg.size)
+    dst = rng.integers(0, p, seg.size)
+    dst[::5] = src[::5]  # self-messages charge nothing
+    topo = by_name(topo_name, p)
+    loads, dil = topo.route_loads_multi(src, dst, seg, segs)
+    assert loads.shape == (segs, topo.num_edges()) and loads.dtype == np.float64
+    assert dil.shape == (segs,) and dil.dtype == np.int64
+    for s in range(segs):
+        mask = seg == s
+        ref_loads, ref_dil = topo.route_loads_reference(src[mask], dst[mask])
+        assert np.array_equal(loads[s], ref_loads), s
+        assert dil[s] == ref_dil, s
+    assert not loads[[0, 3, 6]].any() and not dil[[0, 3, 6]].any()
+
+
+@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
+def test_route_loads_multi_of_nothing_is_zero(topo_name):
+    topo = by_name(topo_name, 16)
+    none = np.empty(0, dtype=np.int64)
+    loads, dil = topo.route_loads_multi(none, none, none, 3)
+    assert loads.shape == (3, topo.num_edges()) and not loads.any()
+    assert dil.tolist() == [0, 0, 0]
+    idx = np.arange(16, dtype=np.int64)
+    loads, dil = topo.route_loads_multi(idx, idx, idx // 8, 2)
+    assert not loads.any() and dil.tolist() == [0, 0]
+
+
+class Star(Topology):
+    """Hub-and-spoke: every message crosses its src spoke, then its dst
+    spoke (edge i is node i's spoke)."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.name = "star"
+
+    def num_edges(self):
+        return self.p
+
+    def route_loads_reference(self, src, dst):
+        cross = src != dst
+        loads = np.bincount(src[cross], minlength=self.p) + np.bincount(
+            dst[cross], minlength=self.p
+        )
+        return loads.astype(np.float64), 2 if cross.any() else 0
+
+
+class FusedStar(Star):
+    def route_loads_multi(self, src, dst, seg, num_segs):
+        cross = src != dst
+        base = seg[cross] * self.p
+        keys = np.concatenate([base + src[cross], base + dst[cross]])
+        loads = np.bincount(keys, minlength=num_segs * self.p)
+        dil = 2 * np.bincount(seg[cross], minlength=num_segs).clip(max=1)
+        return loads.reshape(num_segs, self.p).astype(np.float64), dil
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_topology_with_only_the_multi_kernel_routes(traces, policy_name):
+    """A custom topology needs nothing but ``route_loads_multi``."""
+    topo = FusedStar(16)
+    policy = by_policy(policy_name, seed=2)
+    trace = traces["prefix"]
+    profile = route_trace(trace, topo, policy)
+    assert_matches_oracle(profile, oracle_profile(trace, topo, policy))
+    assert profile.max_dilation >= 2
+
+
+def test_topology_without_the_multi_kernel_raises(traces):
+    with pytest.raises(NotImplementedError, match="route_loads_multi"):
+        route_trace(traces["prefix"], Star(16))
+
+
+class PhasesOnlyValiant(RoutingPolicy):
+    """Valiant's phases with the base-class ``phase_legs`` derivation."""
+
+    name = "valiant-phases-only"
+
+    def __init__(self, seed):
+        self.valiant = ValiantPolicy(seed)
+
+    def phases(self, topo, step, label, src, dst):
+        return self.valiant.phases(topo, step, label, src, dst)
+
+
+@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
+def test_policy_with_only_phases_routes_through_base_phase_legs(traces, topo_name):
+    topo = by_name(topo_name, 16)
+    derived, valiant = PhasesOnlyValiant(6), ValiantPolicy(6)
+    for trace in traces.values():
+        cols = fold_trace(trace, 16, keep_empty=True).columns()
+        args = (topo, cols.labels, cols.offsets, cols.src, cols.dst)
+        for (a_src, a_dst), (b_src, b_dst) in zip(
+            derived.phase_legs(*args), valiant.phase_legs(*args), strict=True
+        ):
+            assert np.array_equal(a_src, b_src) and np.array_equal(a_dst, b_dst)
+        base = route_trace(trace, topo, derived)
+        fast = route_trace(trace, topo, valiant)
+        assert base is not fast
+        for a, b in zip(
+            (base.congestion, base.dilation, base.time),
+            (fast.congestion, fast.dilation, fast.time),
+        ):
             assert np.array_equal(a, b)
-    routing.clear_route_cache()
 
 
-def test_fuse_decision_is_the_same_in_a_fresh_process():
-    """The fused-or-looped choice depends on the trace and topology only,
-    so a fresh interpreter decides every cell the same way."""
-    here = _SCRIPT["decisions"]()
-    assert True in here and False in here
-    out = subprocess.run(
-        [sys.executable, "-c", _DECISIONS + "\nprint(json.dumps(decisions()))"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
+def test_base_phase_legs_of_an_empty_trace():
+    empty = np.empty(0, dtype=np.int64)
+    labels, offsets = np.zeros(2, np.int64), np.zeros(3, np.int64)
+    legs = PhasesOnlyValiant(0).phase_legs(
+        by_name("ring", 4), labels, offsets, empty, empty
     )
-    assert json.loads(out.stdout) == here
+    assert [(s.size, d.size) for s, d in legs] == [(0, 0)]

@@ -1,13 +1,12 @@
 """REPRO_SANITIZE=1: the runtime twin of the static lint pass.
 
-Covers the three hook families (read-only guard, lock asserts, sampled
-engine cross-check), the live env gating, the ``sanitizer`` entry of
+Covers the two hook families (read-only guard, sampled engine
+cross-check), the live env gating, the ``sanitizer`` entry of
 ``repro.cache_stats()``, and an injected fast-engine bug being trapped.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ class TestGating:
         # Hooks are no-ops: a writeable array passes straight through.
         arr = np.zeros(3)
         assert sanitize.guard_cached((arr,), "test") == (arr,)
-        sanitize.assert_locked(threading.Lock(), "test")
         assert not sanitize.should_crosscheck()
 
     def test_env_flag_is_read_live(self, monkeypatch):
@@ -64,7 +62,6 @@ class TestGating:
         assert {
             "enabled",
             "arrays_checked",
-            "lock_asserts",
             "engine_checks",
             "violations",
         } <= set(stats["sanitizer"])
@@ -124,30 +121,7 @@ class TestGuardCached:
         fold_degrees(_trace(), 4)  # a miss: inserts under the guard
         stats = repro.cache_stats()["sanitizer"]
         assert stats["arrays_checked"] > 0
-        assert stats["lock_asserts"] > 0
         assert stats["violations"] == 0
-
-
-# ----------------------------------------------------------------------
-# assert_locked — lock discipline
-# ----------------------------------------------------------------------
-class TestAssertLocked:
-    def test_unheld_rlock_trapped(self, sanitizing):
-        with pytest.raises(SanitizerError, match="without holding"):
-            sanitize.assert_locked(threading.RLock(), "test")
-
-    def test_held_locks_pass(self, sanitizing):
-        rlock = threading.RLock()
-        with rlock:
-            sanitize.assert_locked(rlock, "test")
-        lock = threading.Lock()
-        with lock:
-            sanitize.assert_locked(lock, "test")
-        assert repro.cache_stats()["sanitizer"]["lock_asserts"] == 2
-
-    def test_unheld_plain_lock_trapped(self, sanitizing):
-        with pytest.raises(SanitizerError):
-            sanitize.assert_locked(threading.Lock(), "test")
 
 
 # ----------------------------------------------------------------------

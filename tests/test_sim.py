@@ -5,7 +5,7 @@ the pipeline/plan/CLI integration."""
 import numpy as np
 import pytest
 
-from conftest import oracle_rows
+from conftest import oracle_rows, route_loads
 from repro.api import ExperimentPlan, run
 from repro.exec import ShmSubstrate, shutdown_pool
 from repro.networks import by_name, by_policy
@@ -31,7 +31,8 @@ class TestRoutePaths:
     @pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
     @pytest.mark.parametrize("p", [4, 16, 64])
     def test_paths_agree_with_loads_and_distances(self, topo_name, p):
-        """bincount(path edges) == route_loads; lengths == pair_distance."""
+        """bincount(path edges) == the kernel's loads (self-messages
+        included); lengths == pair_distance."""
         rng = np.random.default_rng(hash((topo_name, p)) % 2**32)
         topo = by_name(topo_name, p)
         for _ in range(5):
@@ -40,8 +41,7 @@ class TestRoutePaths:
             dst = rng.integers(0, p, m)
             offsets, edges = topo.route_paths(src, dst)
             assert np.array_equal(np.diff(offsets), topo.pair_distance(src, dst))
-            cross = src != dst
-            loads, _ = topo.route_loads(src[cross], dst[cross])
+            loads, _ = route_loads(topo, src, dst)
             assert np.array_equal(
                 np.bincount(edges, minlength=topo.num_edges()).astype(float),
                 loads,
@@ -153,7 +153,7 @@ class TestBoundInvariants:
         expected = np.zeros(topo.num_edges())
         for s in range(cols.num_supersteps):
             lo, hi = int(cols.offsets[s]), int(cols.offsets[s + 1])
-            loads, _ = topo.route_loads(cols.src[lo:hi], cols.dst[lo:hi])
+            loads, _ = route_loads(topo, cols.src[lo:hi], cols.dst[lo:hi])
             expected += loads
         assert np.array_equal(profile.edge_flits.astype(float), expected)
         assert profile.total_messages == cols.num_messages
