@@ -32,7 +32,11 @@ from repro.sim import clear_sim_cache, simulate_trace_reference, validate_grid
 
 #: The E11 trio at its classic operating points.
 SCALE = (("matmul", 256, 64), ("fft", 1024, 16), ("sort", 1024, 8))
-QUICK = (("matmul", 64, 16), ("fft", 256, 8), ("sort", 64, 8))
+#: The smoke grid adds stencil1d at n=16 (111 supersteps) so the smoke
+#: run also times and bound-checks a long trace.
+QUICK = (
+    ("matmul", 64, 16), ("fft", 256, 8), ("sort", 64, 8), ("stencil1d", 16, 8),
+)
 
 TOPO_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")

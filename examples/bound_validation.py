@@ -24,7 +24,7 @@ import sys
 
 from repro.api import ExperimentPlan, run
 from repro.networks import TOPOLOGIES, by_name, by_policy
-from repro.sim import ARBITERS, validate_bound
+from repro.sim import ARBITERS, validate_bound, validate_grid
 
 POLICIES = ("dimension-order", "valiant")
 
@@ -37,20 +37,23 @@ def main(n: int = 256) -> None:
 
     print(f"  {'topology':>10} {'policy':>16} {'cycles':>7} {'C+D':>7} "
           f"{'mean':>6} {'max':>6}")
+    grid = [(topo_name, policy_name)
+            for topo_name in TOPOLOGIES for policy_name in POLICIES]
+    reports = validate_grid([
+        (trace, by_name(topo_name, p), by_policy(policy_name, 11))
+        for topo_name, policy_name in grid
+    ])
     worst_cell, worst_ratio = None, 0.0
-    for topo_name in TOPOLOGIES:
-        topo = by_name(topo_name, p)
-        for policy_name in POLICIES:
-            report = validate_bound(trace, topo, by_policy(policy_name, 11))
-            prof = report.profile
-            cd = float(prof.congestion.sum() + prof.dilation.sum())
-            if report.max_ratio > worst_ratio:
-                worst_cell, worst_ratio = (topo_name, policy_name), report.max_ratio
-            print(
-                f"  {topo_name:>10} {policy_name:>16} {prof.total_cycles:>7} "
-                f"{cd:>7.0f} {report.mean_ratio:>6.2f} {report.max_ratio:>6.2f}"
-            )
-            assert report.ok, f"analytic model optimistic on {topo_name}"
+    for (topo_name, policy_name), report in zip(grid, reports):
+        prof = report.profile
+        cd = float(prof.congestion.sum() + prof.dilation.sum())
+        if report.max_ratio > worst_ratio:
+            worst_cell, worst_ratio = (topo_name, policy_name), report.max_ratio
+        print(
+            f"  {topo_name:>10} {policy_name:>16} {prof.total_cycles:>7} "
+            f"{cd:>7.0f} {report.mean_ratio:>6.2f} {report.max_ratio:>6.2f}"
+        )
+        assert report.ok, f"analytic model optimistic on {topo_name}"
 
     topo_name, policy_name = worst_cell
     print(f"\narbitration sensitivity on the worst cell "

@@ -18,7 +18,7 @@ Three subcommands expose the experiment API without writing any Python:
 ``python -m repro sim matmul --n 64 --p 16 [--topologies ...] [...]``
     Cycle-accurately simulate one algorithm's trace on a topology x
     policy grid and print the measured/(congestion+dilation) bound
-    constants (:func:`repro.sim.validate_bound`).
+    constants (:func:`repro.sim.validate_grid`).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     from repro.api import by_name as spec_by_name
     from repro.api import run
     from repro.networks import by_name, by_policy
-    from repro.sim import validate_bound
+    from repro.sim import validate_grid
 
     params = {}
     if spec_by_name(args.algorithm).needs_p:
@@ -105,26 +105,27 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         f"  {'topology':>10} {'policy':>16} {'cycles':>8} "
         f"{'max_ratio':>9} {'mean':>6}  ok"
     )
+    cells = [
+        (trace, by_name(topo_name, p), by_policy(policy_name, args.policy_seed))
+        for topo_name in topologies
+        for policy_name in policies
+    ]
+    reports = validate_grid(
+        cells,
+        args.arbiter,
+        seed=args.seed,
+        threshold=args.threshold,
+        flits_per_message=args.flits,
+    )
     worst = 0.0
-    for topo_name in topologies:
-        topo = by_name(topo_name, p)
-        for policy_name in policies:
-            report = validate_bound(
-                trace,
-                topo,
-                by_policy(policy_name, args.policy_seed),
-                args.arbiter,
-                seed=args.seed,
-                threshold=args.threshold,
-                flits_per_message=args.flits,
-            )
-            s = report.summary()
-            worst = max(worst, s["max_ratio"])
-            print(
-                f"  {s['topology']:>10} {s['policy']:>16} {s['cycles']:>8} "
-                f"{s['max_ratio']:>9.2f} {s['mean_ratio']:>6.2f}  "
-                f"{'yes' if s['ok'] else 'NO'}"
-            )
+    for report in reports:
+        s = report.summary()
+        worst = max(worst, s["max_ratio"])
+        print(
+            f"  {s['topology']:>10} {s['policy']:>16} {s['cycles']:>8} "
+            f"{s['max_ratio']:>9.2f} {s['mean_ratio']:>6.2f}  "
+            f"{'yes' if s['ok'] else 'NO'}"
+        )
     print(f"worst constant: {worst:.2f}")
     return 0 if worst <= args.threshold else 1
 

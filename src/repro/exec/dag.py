@@ -14,8 +14,8 @@ keyed like the fold/route/sim LRUs, so each unique stage runs once, and
 executes it in waves: emit is ``runtime.prepare``; the route wave runs
 every LRU-cold route node (folds run inside it) on the run's substrate
 (:mod:`repro.exec.local`, :mod:`repro.exec.shm`); the sim wave fuses
-sibling small-superstep nodes into :func:`repro.sim.engine.simulate_many`
-calls (gate :data:`FUSE_MAX_SUPERSTEPS`); assembly runs
+the cold sim nodes of each chunk into one
+:func:`repro.sim.engine.simulate_many` call per flit count; assembly runs
 ``runtime.eval_cell`` over the now-warm LRUs, in chunks interleaved with
 the sim wave so profiles are consumed before they can be evicted.  Rows
 are bit-identical to per-cell evaluation by construction: ``eval_cell``
@@ -40,17 +40,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "run_graph", "StageGraph", "stage_kernel", "STAGE_KERNELS",
-    "FUSE_MAX_SUPERSTEPS", "dag_stats", "clear_dag_stats",
+    "dag_stats", "clear_dag_stats",
 ]
 
-
-#: Sim nodes whose (unfolded) trace has at most this many supersteps
-#: join a fused :func:`simulate_many` batch; longer traces simulate per
-#: stage.  The fused cycle loop amortises per-phase Python overhead
-#: across cells but pays one merged sort over every cell's supersteps —
-#: measured on this grid family it wins ~1.4-1.6x below ~twenty
-#: supersteps per cell and loses ~4x at several hundred.
-FUSE_MAX_SUPERSTEPS = 64
 
 #: Cold sim nodes executed (and their dependent cells assembled) per
 #: scheduling chunk.  Must stay safely below the sim LRU capacity (128):
@@ -90,37 +82,21 @@ def _route_stage(trace: Any, topo: Any, policy: Any) -> Any:
 
 
 @stage_kernel("sim")
-def _sim_stage(
-    trace: Any, topo: Any, policy: Any, arbiter: str, arbiter_seed: int, flits: int
-) -> Any:
-    """Execute one sim node through the per-trace entry point."""
-    from repro.sim.engine import simulate_trace
-
-    return simulate_trace(
-        trace, topo, policy, arbiter, seed=arbiter_seed, flits_per_message=flits
-    )
-
-
-@stage_kernel("sim-batch")
-def _sim_batch_stage(specs: "list[tuple]", gate: int) -> list:
-    """Execute a batch of sim nodes, fusing the small-superstep ones.
+def _sim_batch_stage(specs: "list[tuple]") -> list:
+    """Execute a batch of sim nodes through fused :func:`simulate_many` calls.
 
     ``specs`` entries are ``(trace, topo, policy, arbiter, arbiter_seed,
-    flits)``.  Nodes of at most ``gate`` supersteps fuse through
-    :func:`simulate_many`, grouped by ``flits``; the rest simulate per
-    stage.  Profiles come back in spec order, bit-identical either way.
+    flits)``; nodes are grouped by ``flits``, one fused call per group.
+    Profiles come back in spec order.
     """
     from repro.sim import by_arbiter
     from repro.sim.engine import simulate_many
 
     out: list = [None] * len(specs)
-    fuse_groups: dict[int, list[int]] = {}
-    for j, (trace, topo, policy, arb, aseed, flits) in enumerate(specs):
-        if trace.num_supersteps <= gate:
-            fuse_groups.setdefault(flits, []).append(j)
-        else:
-            out[j] = _sim_stage(trace, topo, policy, arb, aseed, flits)
-    for flits, idxs in fuse_groups.items():
+    groups: dict[int, list[int]] = {}
+    for j, (*_, flits) in enumerate(specs):
+        groups.setdefault(flits, []).append(j)
+    for flits, idxs in groups.items():
         items = [
             (specs[j][0], specs[j][1], specs[j][2],
              by_arbiter(specs[j][3], specs[j][4]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-from repro.exec.dag import FUSE_MAX_SUPERSTEPS, _route_stage, _sim_batch_stage
+from repro.exec.dag import _route_stage, _sim_batch_stage
 from repro.exec.registry import register_executor
 
 __all__ = ["Substrate"]
@@ -58,7 +58,7 @@ class Substrate:
             _route_stage(trace, topo, policy)
 
     def run_sims(self, cold: list) -> None:
-        _sim_batch_stage([node for _sk, node in cold], FUSE_MAX_SUPERSTEPS)
+        _sim_batch_stage([node for _sk, node in cold])
 
     def close(self) -> None:
         """Release per-run resources (called once the waves are done)."""

@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.exec.dag import FUSE_MAX_SUPERSTEPS, _route_stage, _sim_batch_stage
+from repro.exec.dag import _route_stage, _sim_batch_stage
 from repro.exec.local import Substrate, _seed_routes, _seed_sims
 from repro.exec.registry import register_executor
 
@@ -158,7 +158,7 @@ def _sim_shard(payload: dict, specs: list[tuple]) -> list:
         if profile is not None:
             ROUTE_CACHE.seed(route_key(trace, topo, policy), profile)
         live.append((trace, topo, policy, arb, aseed, flits))
-    return _sim_batch_stage(live, FUSE_MAX_SUPERSTEPS)
+    return _sim_batch_stage(live)
 
 
 # ----------------------------------------------------------------------

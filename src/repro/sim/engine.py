@@ -54,7 +54,6 @@ from repro.sim.fastpath import expand_paths
 from repro.sim.fastpath import engine_stats as sim_engine_stats
 from repro.sim.fastpath import reset_engine_stats as reset_sim_engine_stats
 from repro.sim.fastpath import run_batch as _fast_run_batch
-from repro.sim.fastpath import run_trace as _fast_run_trace
 from repro.util import sanitize
 from repro.util.caches import LRU
 
@@ -335,14 +334,13 @@ def simulate_superstep(
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    cycles, max_queue = 0, 0
-    if src.size:
-        c, q, _ = _fast_run_trace(
-            topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
-            [(step, label, src, dst)], flits,
-        )
-        cycles, max_queue = int(c[0]), int(q[0])
-    return cycles, max_queue, int(src.size)
+    if not src.size:
+        return 0, 0, 0
+    ((cycles, max_queue, _),) = _fast_run_batch([(
+        topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
+        [(step, label, src, dst)], flits,
+    )])
+    return int(cycles[0]), int(max_queue[0]), int(src.size)
 
 
 def simulate_trace(
@@ -366,38 +364,13 @@ def simulate_trace(
     Each message expands to ``flits_per_message`` identical-path flits
     (message-major emission order).  Profiles are memoised per (trace,
     topology, policy, arbiter, flits); cached arrays are read-only.
+    This is the one-cell call of :func:`simulate_many`.
     """
-    policy = policy or _DIRECT
-    if isinstance(arbiter, str):
-        arbiter = by_arbiter(arbiter, seed)
-    flits = _check_flits(flits_per_message)
-    key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
-    cached = SIM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    cols, batches, delivered = _prep_trace(trace, topo)
-    S = cols.num_supersteps
-    cycles = np.zeros(S, dtype=np.int64)
-    max_queue = np.zeros(S, dtype=np.int64)
-    edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
-    if batches:
-        b_cycles, b_queue, edge_flits = _fast_run_trace(
-            topo, topo.edge_capacities(), policy, arbiter, batches, flits
-        )
-        idx = np.array([b[0] for b in batches], dtype=np.int64)
-        cycles[idx] = b_cycles
-        max_queue[idx] = b_queue
-        if sanitize.should_crosscheck():
-            sanitize.check_engine_parity(
-                (cycles, max_queue, edge_flits),
-                _reference_arrays(topo, policy, arbiter, batches, flits, S),
-                "simulate_trace",
-            )
-    return SIM_CACHE.put(key, _build_profile(
-        trace, topo, policy, arbiter, flits, cols, delivered,
-        cycles, max_queue, edge_flits,
-    ))
+    (profile,) = simulate_many(
+        [(trace, topo, policy, arbiter)],
+        seed=seed, flits_per_message=flits_per_message,
+    )
+    return profile
 
 
 def simulate_trace_reference(
@@ -517,9 +490,10 @@ def simulate_many(
     fast engine, every cache-missing cell whose arbiter rank is static
     joins one fused cycle loop (:func:`repro.sim.fastpath.run_batch`),
     so a whole experiment sweep costs its *longest* superstep chain
-    instead of the sum over cells.  ``policy``/``arbiter`` entries may
-    be ``None``/names exactly as in :func:`simulate_trace`; dynamic
-    arbiters fall back per cell.
+    instead of the sum over cells; dynamic-rank arbiters (random and
+    third-party) run their cells phase by phase in the same call.
+    ``policy``/``arbiter`` entries may be ``None``/names exactly as in
+    :func:`simulate_trace`.
     """
     flits = _check_flits(flits_per_message)
     norm = []
@@ -530,12 +504,6 @@ def simulate_many(
     profiles: list[SimProfile | None] = [None] * len(norm)
     pending: list[tuple] = []  # (item index, key, cols, batches, delivered)
     for i, (trace, topo, policy, arbiter) in enumerate(norm):
-        if arbiter.rank_mode == "dynamic":
-            profiles[i] = simulate_trace(
-                trace, topo, policy, arbiter,
-                seed=seed, flits_per_message=flits,
-            )
-            continue
         key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
         cached = SIM_CACHE.get(key)
         if cached is not None:

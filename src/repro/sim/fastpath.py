@@ -3,7 +3,8 @@
 Same observable results as the reference loop in
 :mod:`repro.sim.engine` — cycles, max queue, delivered sets and
 per-edge flit totals are bit-identical (a property-tested contract) —
-but organised around three optimizations:
+from one fused cycle loop whose per-cycle cost follows the active
+flits:
 
 * **superstep and cross-cell fusion** — supersteps of a trace are
   dynamically independent (each runs on its own credit state), and so
@@ -11,25 +12,23 @@ but organised around three optimizations:
   namespaced edge range, so an entire experiment grid advances inside
   one loop (:func:`run_batch`), cutting total iterations to the
   *longest* superstep chain anywhere instead of the sum over cells;
-* **incremental per-edge queues** — active flits live in one array kept
-  sorted by ``(edge, arbiter rank)``; a cycle serves the head of every
-  queue segment and re-inserts only the flits that moved
-  (counting-sort delta), instead of re-lexsorting the whole active set
-  every cycle.  Slot ids are emission-ordered per phase and phases
-  never share a namespaced edge, so the slot id doubles as the static
-  rank and each sort key decodes back to its flit — no parallel id
-  array rides along;
-* **event-driven quiescent skip** — when no edge holds more flits than
-  its guaranteed floor service (``queue <= floor(caps)`` everywhere),
-  every flit is certain to advance, so the engine walks whole hop
-  windows at once and jumps to the next cycle where contention (or a
-  phase boundary) can occur.
+* **sorted per-edge queues** — active flits live in one array kept
+  sorted by ``(edge, arbiter rank)``, so each edge's queue is a run of
+  equal edges; a cycle serves the head of every run and merges back
+  only the flits that moved.  Slot ids are emission-ordered per phase
+  and phases never share a namespaced edge, so the slot id doubles as
+  the static rank and each sort key decodes back to its flit;
+* **busy edges only** — credits and queue high-water marks are read and
+  written on the edges that hold flits this cycle (an edge idle on the
+  last cycle restarts from zero credit, as in the reference), and only
+  edges some flit crosses get state at all.
 
 Arbiters whose rank is a static function of the flit
 (:attr:`~repro.sim.arbiter.Arbiter.rank_mode` ``"index"`` or
-``"remaining"``) use the fused sorted-array path; ``"dynamic"``
-arbiters (random and third-party) fall back to the reference per-cycle
-rank computation, still accelerated by the quiescent skip.
+``"remaining"``) use the fused loop; ``"dynamic"`` arbiters (random and
+third-party) run each phase through the reference per-cycle rank
+computation, accelerated by a quiescent skip over stretches where no
+edge is contended.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "expand_paths",
     "reset_engine_stats",
     "run_batch",
-    "run_trace",
 ]
 
 #: Quiescent-skip lookahead window: starts small, doubles while fully
@@ -70,7 +68,13 @@ _stats = _zero_stats()
 
 
 def engine_stats() -> dict[str, int]:
-    """Counters of the fast engine's paths (skips, fused runs, ...)."""
+    """Counters of the fast engine's paths.
+
+    ``fused_runs`` counts fused-loop calls and ``serve_cycles`` the
+    cycles both paths walked one by one; ``dynamic_phases``, ``skips``
+    and ``skipped_cycles`` count only the dynamic-arbiter path (the
+    fused loop has no skip).
+    """
     with _stats_lock:
         return dict(_stats)
 
@@ -220,14 +224,27 @@ def _run_phase_dynamic(
     return cycles, max_queue
 
 
-class _PhaseChunk:
-    """One routed (and flit-expanded) phase batch of one superstep."""
+def _phase_paths(topo, policy, steps: list, flits: int):
+    """Routed, flit-expanded CSR paths of every phase that moves messages.
 
-    __slots__ = ("slots", "nf")
+    Yields ``(i, phase, step, offsets, edges)`` in order, ``i`` indexing
+    ``steps``.
+    """
+    for i, (step, label, src, dst) in enumerate(steps):
+        for ph, (ph_src, ph_dst) in enumerate(
+            policy.phases(topo, step, label, src, dst)
+        ):
+            cross = ph_src != ph_dst  # policies may add self-messages
+            if cross.any():
+                poff, pedges = topo.route_paths(ph_src[cross], ph_dst[cross])
+                yield (i, ph, step) + expand_paths(poff, pedges, flits)
 
-    def __init__(self, slots: np.ndarray):
-        self.slots = slots
-        self.nf = int(slots.size)
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge two sorted key arrays (timsort merges the two runs in O(n))."""
+    out = np.concatenate((a, b))
+    out.sort(kind="stable")
+    return out
 
 
 def _run_fused(
@@ -241,425 +258,184 @@ def _run_fused(
     dynamically independent — each superstep runs on its own namespaced
     edge range — so a whole experiment grid advances inside a single
     cycle loop and costs its *longest* superstep chain instead of the
-    sum over cells.  Returns per-cell ``(cycles, max_queue,
-    edge_flits)`` aligned with ``cells``.
+    sum over cells.  A cycle reads and writes only the edges that hold
+    flits, so its cost follows the active flits.  Returns per-cell
+    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``.
     """
-    # Global superstep index space: cell c owns supersteps
-    # gb[c]..gb[c+1], and superstep g owns edges enb[g]..enb[g+1].
-    n_cells = len(cells)
-    gb = np.zeros(n_cells + 1, dtype=np.int64)
-    e_sizes = []
-    for c_i, (topo, caps, policy, steps, flits) in enumerate(cells):
-        gb[c_i + 1] = gb[c_i] + len(steps)
-        e_sizes.extend([caps.size] * len(steps))
-    G = int(gb[-1])
-    enb = np.zeros(G + 1, dtype=np.int64)
-    np.cumsum(e_sizes, out=enb[1:])
-    Etot = int(enb[-1])
-    caps_ns = (
-        np.concatenate([np.tile(caps, len(steps)) for _, caps, _, steps, _ in cells])
-        if Etot
-        else np.zeros(0)
-    )
-    fcaps_ns = np.floor(caps_ns).astype(np.int64)
+    # Superstep g (numbered across cells) owns the namespaced edges
+    # g*Emax .. g*Emax + E - 1.
+    Emax = max((caps.size for _, caps, _, _, _ in cells), default=0)
+    nsteps = [len(steps) for _, _, _, steps, _ in cells]
 
     # Route + expand every phase of every superstep up front (pure
-    # functions of the batch — the reference does the same work lazily),
-    # assigning each flit a global slot so per-flit state never grows.
-    chunk_lists: list[list[_PhaseChunk]] = []
-    pos_parts, len_parts, off_parts, edge_parts = [], [], [], []
-    base = 0
+    # functions of the batch — the reference does the same work lazily).
+    # Non-empty phase j owns the flit slots pb[j]..pb[j+1] and belongs
+    # to superstep pg[j]; a superstep's phases are consecutive in j.
+    pb, pg = [0], []
+    len_parts, off_parts, edge_parts = [], [], []
     ebase = 0
     Lmax = 1
-    g = 0
+    g0 = 0
     for topo, caps, policy, steps, flits in cells:
-        for step, label, src, dst in steps:
-            chunks = []
-            for ph_src, ph_dst in policy.phases(topo, step, label, src, dst):
-                cross = ph_src != ph_dst  # policies may add self-messages
-                ph_src, ph_dst = ph_src[cross], ph_dst[cross]
-                if ph_src.size == 0:
-                    chunks.append(_PhaseChunk(np.empty(0, dtype=np.int64)))
-                    continue
-                poff, pedges = topo.route_paths(ph_src, ph_dst)
-                poff, pedges = expand_paths(poff, pedges, flits)
-                lengths = np.diff(poff).astype(np.int64)
-                keep = np.flatnonzero(lengths > 0)
-                nf = keep.size
-                chunks.append(
-                    _PhaseChunk(np.arange(base, base + nf, dtype=np.int64))
-                )
-                if nf == 0:
-                    continue
-                pos_parts.append(np.zeros(nf, dtype=np.int64))
-                len_parts.append(lengths[keep])
-                off_parts.append(poff[keep].astype(np.int64) + ebase)
-                edge_parts.append(pedges.astype(np.int64) + enb[g])
-                base += nf
-                ebase += int(pedges.size)
-                Lmax = max(Lmax, int(lengths[keep].max()))
-            chunk_lists.append(chunks)
-            g += 1
+        for i, _, _, poff, pedges in _phase_paths(topo, policy, steps, flits):
+            lengths = np.diff(poff).astype(np.int64)
+            keep = np.flatnonzero(lengths > 0)
+            if keep.size == 0:
+                continue
+            len_parts.append(lengths[keep])
+            off_parts.append(poff[keep].astype(np.int64) + ebase)
+            edge_parts.append(pedges.astype(np.int64) + (g0 + i) * Emax)
+            pb.append(pb[-1] + keep.size)
+            pg.append(g0 + i)
+            ebase += int(pedges.size)
+            Lmax = max(Lmax, int(lengths[keep].max()))
+        g0 += len(steps)
 
-    cycles_arr = np.zeros(G, dtype=np.int64)
-    qhigh = np.zeros(Etot, dtype=np.int64)
-    eflits_ns = np.zeros(Etot, dtype=np.int64)
+    G = g0
+    cycles = np.zeros(G, dtype=np.int64)
+    max_queue = np.zeros(G, dtype=np.int64)
+    ecell = np.cumsum([0] + [caps.size for _, caps, _, _, _ in cells])
+    edge_flits = np.zeros(int(ecell[-1]), dtype=np.int64)
+    base = pb[-1]
+    t = 0
+    if base:
+        # Only edges some flit crosses carry state: number them densely,
+        # in namespaced order, so sort keys and per-edge arrays stay
+        # proportional to the flit hops.  Dense edge u belongs to
+        # superstep g_u[u] and is edge e_u[u] of the cells' joint edges.
+        edges = np.concatenate(edge_parts)
+        uniq = np.unique(edges)
+        edges = uniq.searchsorted(edges)
+        U = uniq.size
+        g_u, e_u = np.divmod(uniq, Emax)
+        e_u += ecell[np.repeat(np.arange(len(cells)), nsteps)[g_u]]
+        caps_u = np.concatenate([caps for _, caps, _, _, _ in cells])[e_u]
+        length = np.concatenate(len_parts)
+        off = np.concatenate(off_parts)
+        pb_a = np.array(pb, dtype=np.int64)
+        pg_a = np.array(pg + [-1], dtype=np.int64)  # -1: no next phase
+        sstep = np.repeat(pg_a[:-1], np.diff(pb_a))
+        #: Namespaced edges never mix phases (phases of a superstep run
+        #: back to back; supersteps own disjoint edge ranges) and slot ids
+        #: are assigned in emission order per phase, so the slot id *is*
+        #: a valid static rank — and every sort key decodes back to its
+        #: flit as ``slot = key % KB``.
+        KB = np.int64(base + 1)
+        K1 = np.int64(Lmax + 1) * KB if remaining_mode else KB
+        if U * int(K1) >= 2**62:  # pragma: no cover
+            raise OverflowError("fast-engine sort keys would overflow int64")
+        pos = np.zeros(base, dtype=np.int64)
+        ar = np.arange(base, dtype=np.int64)
+        qhigh = np.zeros(U, dtype=np.int64)  # per-edge queue high-water mark
+        credits = np.zeros(U)
+        left = np.zeros(G, dtype=np.int64)  # running phase's flits in flight
+        cur = np.zeros(G, dtype=np.int64)  # running phase of each superstep
 
-    def _split() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Carve the global superstep arrays back into per-cell results."""
-        maxq_g = np.zeros(G, dtype=np.int64)
-        if Etot:
-            idx = np.minimum(enb[:-1], Etot - 1)
-            maxq_g = np.maximum.reduceat(qhigh, idx)
-            maxq_g[enb[1:] == enb[:-1]] = 0  # edgeless supersteps
-        ef_ns = (
-            np.bincount(edges_ns, minlength=Etot)
-            if base
-            else np.zeros(Etot, dtype=np.int64)
-        )
-        out = []
-        for c_i, (topo, caps, policy, steps, flits) in enumerate(cells):
-            g0, g1 = int(gb[c_i]), int(gb[c_i + 1])
-            E = caps.size
-            ef = ef_ns[enb[g0] : enb[g1]]
-            ef = (
-                ef.reshape(g1 - g0, E).sum(axis=0)
-                if E and g1 > g0
-                else np.zeros(E, dtype=np.int64)
-            )
-            out.append((cycles_arr[g0:g1], maxq_g[g0:g1], ef))
-        return out
+        def load(js: np.ndarray) -> np.ndarray:
+            """Start phases ``js`` (one per superstep): their sorted keys."""
+            n = pb_a[js + 1] - pb_a[js]
+            left[pg_a[js]] = n
+            cur[pg_a[js]] = js
+            slots = np.repeat(pb_a[js] - (np.cumsum(n) - n), n) + ar[: n.sum()]
+            keys = edges[off[slots]] * K1 + slots
+            if remaining_mode:
+                keys += (Lmax - length[slots]) * KB
+            keys.sort()
+            return keys
 
-    if base == 0:  # nothing routable anywhere
-        return _split()
-
-    pos = np.concatenate(pos_parts)
-    length = np.concatenate(len_parts)
-    off = np.concatenate(off_parts)
-    edges_ns = np.concatenate(edge_parts)
-    sstep = np.empty(base, dtype=np.int64)
-    for g_i, chunks in enumerate(chunk_lists):
-        for ch in chunks:
-            if ch.nf:
-                sstep[ch.slots] = g_i
-
-    #: Namespaced edges never mix phases (phases of a superstep run
-    #: sequentially; supersteps own disjoint edge ranges) and slot ids
-    #: are assigned in emission order per phase, so the slot id *is* a
-    #: valid static rank — and every sort key decodes back to its flit
-    #: as ``slot = key % KB``.  No parallel id array to carry.
-    KB = np.int64(base + 1)
-    K1 = np.int64(Lmax + 1) * KB if remaining_mode else KB
-    if int(Etot) * int(K1) >= 2**62:  # pragma: no cover
-        raise OverflowError("fast-engine sort keys would overflow int64")
-
-    def flit_keys(slots: np.ndarray) -> np.ndarray:
-        ge = edges_ns[off[slots] + pos[slots]]
-        if remaining_mode:
-            return ge * K1 + (Lmax - (length[slots] - pos[slots])) * KB + slots
-        return ge * K1 + slots
-
-    queue = np.zeros(Etot, dtype=np.int64)
-    credits = np.zeros(Etot)
-    scount = np.zeros(G, dtype=np.int64)
-    pidx = [-1] * G
-    #: Integer capacities provably hold zero credit at every cycle start
-    #: (accrue cap, serve or forfeit it whole), so their service floor is
-    #: just ``caps`` — the credit arrays can be skipped wholesale.
-    int_caps = bool(np.all(caps_ns == np.floor(caps_ns)))
-    #: By the same invariant, credit state only matters on the
-    #: fractional-capacity edge subset; the serve step replays the
-    #: reference's float ops on that compact slice alone.
-    compact_credits = not int_caps
-    if compact_credits:
-        frac_idx = np.flatnonzero(caps_ns != np.floor(caps_ns))
-        fcaps_frac = caps_ns[frac_idx]
-        fcred = np.zeros(frac_idx.size)
-        frac_g = np.searchsorted(enb, frac_idx, side="right") - 1
-        fsel = [np.flatnonzero(frac_g == g_i) for g_i in range(G)]
-        avail_buf = fcaps_ns.copy()
-    #: Per-edge flit totals are known at load time (every loaded flit
-    #: crosses its whole path), so ``_split`` derives them from
-    #: ``edges_ns`` — ``eflits_ns`` stays a scratch array for the
-    #: skip helper's signature.
-    ar = np.arange(base + 1, dtype=np.int64)  # shared arange pool
-    keep_buf = np.empty(base + 1, dtype=bool)  # merge keep-mask scratch
-
-    def merge(akey, bkey):
-        """Merge sorted (bkey small) into sorted (akey large)."""
-        n, m = akey.size, bkey.size
-        if m == 0:
-            return akey
-        if n == 0:
-            return bkey
-        at = np.searchsorted(akey, bkey) + ar[:m]
-        out_k = np.empty(n + m, dtype=np.int64)
-        keep = np.ones(n + m, dtype=bool)
-        keep[at] = False
-        out_k[at] = bkey
-        out_k[keep] = akey
-        return out_k
-
-    #: Non-empty phases not yet started, per superstep (vectorized
-    #: `has-pending` for the skip branches' phase-boundary caps).
-    pending = np.array(
-        [sum(1 for ch in chunks if ch.nf) for chunks in chunk_lists],
-        dtype=np.int64,
-    )
-
-    def start_next_phase(s: int) -> np.ndarray | None:
-        """Advance superstep ``s`` to its next non-empty phase, if any."""
-        chunks = chunk_lists[s]
-        while pidx[s] + 1 < len(chunks):
-            pidx[s] += 1
-            ch = chunks[pidx[s]]
-            if ch.nf:
-                scount[s] = ch.nf
-                pending[s] -= 1
-                if compact_credits:
-                    fcred[fsel[s]] = 0.0
-                else:
-                    credits[enb[s] : enb[s + 1]] = 0.0
-                return ch.slots
-        pidx[s] = len(chunks)
-        return None
-
-    def arrive(nkey_sorted):
-        """Account arrivals' queue growth and its high-water mark."""
-        ge = nkey_sorted // K1
-        np.add(queue, np.bincount(ge, minlength=Etot), out=queue)
-        qg = queue[ge]
-        qh = qhigh[ge]
-        qhigh[ge] = np.where(qg > qh, qg, qh)  # duplicates write one value
-
-    def insert(skey, slots):
-        nkey = np.sort(flit_keys(slots))
-        arrive(nkey)
-        return merge(skey, nkey)
-
-    skey = np.empty(0, dtype=np.int64)
-    for s in range(G):
-        slots = start_next_phase(s)
-        if slots is not None:
-            skey = insert(skey, slots)
-    alive_idx = np.flatnonzero(scount > 0)
-
-    #: Drain skip applies when every capacity is a positive integer and
-    #: the arbiter rank is static: a parked flit with in-queue rank r at
-    #: an edge of capacity c crosses exactly at cycle r // c, so whole
-    #: contended windows advance analytically unless a flying flit
-    #: lands on a draining edge (which would perturb the queue order).
-    drain_mode = int_caps and bool(caps_ns.size) and float(caps_ns.min()) >= 1.0
-    window = _WINDOW_MIN
-    skips = 0
-    skipped = 0
-    served_cycles = 0
-    #: Drain events pay a full re-sort; when contention shifts so fast
-    #: that they only net one cycle, fall back to the incremental serve
-    #: branch for a stretch (doubling on repeated failure) before
-    #: probing the drain again.
-    serve_countdown = 0
-    drain_fail = 0
-    #: Uniform integer capacity (all six stock topologies except the
-    #: fat tree): the congestion probe is a single max-reduce.
-    cap_u = (
-        int(fcaps_ns[0])
-        if int_caps and Etot and int(fcaps_ns.min()) == int(fcaps_ns.max())
-        else 0
-    )
-    while skey.size:
-        quiet = queue.max() <= cap_u if cap_u else not (queue > fcaps_ns).any()
-        if drain_mode and (quiet or serve_countdown <= 0):
+        # Cycle 0 starts the first phase of every superstep.
+        skey = load(np.flatnonzero(np.diff(pg_a[:-1], prepend=-1)))
+        prev = np.empty(0, dtype=np.int64)  # edges busy on the last cycle
+        while skey.size:
+            # Each edge's queue is a run of equal edges in the sorted keys.
             A = skey.size
-            ids = skey % KB
             ge = skey // K1
-            starts = np.cumsum(queue)
-            starts -= queue
-            rank = ar[:A] - starts[ge]
-            d = rank // fcaps_ns[ge]
-            head = off[ids] + pos[ids]
-            rem = length[ids] - pos[ids]
-            fin_t = d + rem  # cycle (exclusive) this flit is done by
-            mr = np.zeros(G, dtype=np.int64)
-            np.maximum.at(mr, sstep[ids], fin_t)
-            # Never skip across a phase boundary: the next phase's flits
-            # would have started contending inside the window.
-            cap = int(fin_t.max())
-            gate = (pending > 0) & (mr > 0)
-            if gate.any():
-                cap = min(cap, int(mr[gate].min()))
-            W = min(window, cap)
-            # Cycle 0 is always valid (it is the present state); probe
-            # forward until a flyer collides or the window closes.
-            k = 1
-            wmax = None
-            while k < W:
-                j = k
-                drainq = queue - j * fcaps_ns
-                np.maximum(drainq, 0, out=drainq)
-                thr = np.where(drainq > 0, drainq, fcaps_ns)
-                act = fin_t > j
-                o = np.maximum(j - d[act], 0)
-                cnt = np.bincount(edges_ns[head[act] + o], minlength=Etot)
-                if (cnt > thr).any():
-                    break
-                if wmax is None:
-                    wmax = cnt
-                else:
-                    np.maximum(wmax, cnt, out=wmax)
-                k += 1
-            if wmax is not None:
-                np.maximum(qhigh, wmax, out=qhigh)
-            adv = np.clip(k - d, 0, rem)
-            cycles_arr += np.minimum(k, mr)
-            pos[ids] += adv
-            done = adv == rem
-            finished = ids[done]
-            skey = np.sort(flit_keys(ids[~done]))
-            queue = np.bincount(skey // K1, minlength=Etot)
-            np.maximum(qhigh, queue, out=qhigh)
-            skips += 1
-            skipped += k
-            served_cycles += k
-            window = min(window * 2, _WINDOW_MAX) if k == W else _WINDOW_MIN
-            if k > 2:
-                drain_fail = 0
-            else:
-                drain_fail = min(drain_fail + 1, 4)
-                serve_countdown = _WINDOW_MIN << drain_fail
-        elif quiet:
-            ids = skey % KB
-            heads = off[ids] + pos[ids]
-            rem = length[ids] - pos[ids]
-            mr = np.zeros(G, dtype=np.int64)
-            np.maximum.at(mr, sstep[ids], rem)
-            # Never skip across a phase boundary: the next phase's flits
-            # would have started contending inside the window.
-            cap = int(rem.max())
-            gate = (pending > 0) & (mr > 0)
-            if gate.any():
-                cap = min(cap, int(mr[gate].min()))
-            W = min(window, cap)
-            if compact_credits:
-                # The skip helper replays credit float ops on the full
-                # array; integer edges provably hold zero, so the
-                # compact slice round-trips exactly.
-                credits[frac_idx] = fcred
-            k, wmax = _quiescent_skip(
-                edges_ns, heads, rem, caps_ns, fcaps_ns, credits, eflits_ns, W
-            )
-            if compact_credits:
-                fcred = credits[frac_idx]
-            np.maximum(qhigh, wmax, out=qhigh)
-            cycles_arr += np.minimum(k, mr)
-            adv = np.minimum(k, rem)
-            pos[ids] += adv
-            done = adv == rem
-            finished = ids[done]
-            skey = np.sort(flit_keys(ids[~done]))
-            queue = np.bincount(skey // K1, minlength=Etot)
-            np.maximum(qhigh, queue, out=qhigh)
-            skips += 1
-            skipped += k
-            window = min(window * 2, _WINDOW_MAX) if k == W else _WINDOW_MIN
-        else:
-            # One contended cycle: in the (edge, rank)-sorted array each
-            # edge's winners are the contiguous head range of its
-            # segment and the survivors the contiguous tail, so both
-            # fall out of range arithmetic — no rank array, no masks.
-            serve_countdown -= 1
-            cycles_arr[alive_idx] += 1
-            A = skey.size
-            if int_caps:
-                avail = fcaps_ns
-            else:
-                # Replay the reference's credit float ops, but only on
-                # the fractional-capacity slice (integer edges provably
-                # hold zero credit, so their floor service is static).
-                qf = queue[frac_idx]
-                busy_f = qf > 0
-                fcred[busy_f] += fcaps_frac[busy_f]
-                fcred[~busy_f] = 0.0
-                af = np.floor(fcred).astype(np.int64)
-                avail = avail_buf
-                avail[frac_idx] = af
+            bound = np.ones(A + 1, dtype=bool)
+            np.not_equal(ge[1:], ge[:-1], out=bound[1:A])
+            bound = bound.nonzero()[0]
+            starts = bound[:-1]
+            queue = bound[1:] - starts
+            seg = ge[starts]
+            qhigh[seg] = np.maximum(qhigh[seg], queue)
+            # The reference's credit float ops on the busy edges alone.
+            # ``credits`` is zero off the edges busy on the last cycle, so
+            # an edge keeps its credit only while it stays busy.
+            credit = credits[seg] + caps_u[seg]
+            credits[prev] = 0.0
+            avail = np.floor(credit).astype(np.int64)
             served = np.minimum(queue, avail)
-            if not int_caps:
-                sf = served[frac_idx]
-                fcred -= sf
-                spare = busy_f & (af > qf)
-                fcred[spare] %= 1.0
-            csq = queue.cumsum()
-            csv = served.cumsum()
-            rem_q = queue - served
-            diff = csq - csv
-            W = int(csv[-1]) if csv.size else 0
-            wpos = (diff - rem_q).repeat(served)
-            wpos += ar[:W]
-            wkey = skey[wpos]
-            wid = wkey % KB
-            R = A - W
-            spos = csv.repeat(rem_q)
-            spos += ar[:R]
-            skey2 = skey[spos]
-            queue = rem_q
+            credit -= served
+            np.remainder(credit, 1.0, out=credit, where=avail > queue)
+            credits[seg] = credit
+            prev = seg
+            # Winners are the head of each edge's run, survivors the tail.
+            win = ar[:A] < np.repeat(starts + served, queue)
+            wkey = skey[win]
+            skey = skey[~win]
+            rank = wkey % K1
+            wid = rank % KB if remaining_mode else rank
             posw = pos[wid] + 1
             pos[wid] = posw
             fin = posw == length[wid]
-            finished = wid[fin]
-            nfin = ~fin
-            aw = wid[nfin]
-            m = aw.size
-            if m:
-                ge2 = edges_ns[off[aw] + posw[nfin]]
-                # The sort key already encodes the rank: FIFO ranks are
-                # static and farthest-to-go drifts by exactly KB per hop.
-                rk = wkey[nfin] % K1
+            nfin = np.count_nonzero(fin)
+            if nfin < wid.size:
+                # The key already encodes the rank: FIFO ranks are static
+                # and farthest-to-go drifts by exactly KB per hop.
+                hop = ~fin
+                nkey = edges[off[wid[hop]] + posw[hop]] * K1 + rank[hop]
                 if remaining_mode:
-                    rk += KB
-                nkey = ge2 * K1 + rk
+                    nkey += KB
                 nkey.sort()
-                # Inlined merge of the (small) sorted arrivals into the
-                # (large) sorted survivors + arrival accounting; the
-                # helper-function forms live in merge()/arrive() for the
-                # cold phase-transition path.
-                if R:
-                    at = skey2.searchsorted(nkey)
-                    at += ar[:m]
-                    skey = np.empty(R + m, dtype=np.int64)
-                    kb = keep_buf[: skey.size]
-                    kb[:] = True
-                    kb[at] = False
-                    skey[at] = nkey
-                    skey[kb] = skey2
-                else:
-                    skey = nkey
-                ge_n = nkey // K1
-                queue += np.bincount(ge_n, minlength=Etot)
-                qg = queue[ge_n]
-                qh = qhigh[ge_n]
-                qhigh[ge_n] = np.where(qg > qh, qg, qh)
-            else:
-                skey = skey2
-            served_cycles += 1
-        if finished.size:
-            fin_s = np.bincount(sstep[finished], minlength=G)
-            scount -= fin_s
-            hit_zero = (fin_s > 0) & (scount == 0)
-            if hit_zero.any():
-                for s in np.flatnonzero(hit_zero).tolist():
-                    slots = start_next_phase(s)
-                    if slots is not None:
-                        skey = insert(skey, slots)
-                alive_idx = np.flatnonzero(scount > 0)
+                skey = _merge(skey, nkey)
+            if nfin:
+                fg = sstep[wid[fin]]
+                np.subtract.at(left, fg, 1)
+                gone = left[fg] == 0
+                if np.count_nonzero(gone):
+                    drained = np.unique(fg[gone])
+                    # A drained phase's busy edges are its finished flits'
+                    # edges; the next phase starts on zero credit there.
+                    credits[(wkey[fin] // K1)[gone]] = 0.0
+                    nxt = cur[drained] + 1
+                    more = pg_a[nxt] == drained
+                    # Phases run back to back, so a superstep's cycle
+                    # count is the global cycle its last phase drains at.
+                    cycles[drained[~more]] = t + 1
+                    if np.count_nonzero(more):
+                        skey = _merge(skey, load(nxt[more]))
+            t += 1
 
-    _bump(
-        fused_runs=1,
-        skips=skips,
-        skipped_cycles=skipped,
-        serve_cycles=served_cycles,
-    )
-    return _split()
+        # Fold the per-edge arrays back onto supersteps and cell edges.
+        np.maximum.at(max_queue, g_u, qhigh)
+        np.add.at(edge_flits, e_u, np.bincount(edges))
+    _bump(fused_runs=1, serve_cycles=t)
+
+    gb = np.cumsum([0] + nsteps)
+    return [
+        (cycles[gb[c]:gb[c + 1]], max_queue[gb[c]:gb[c + 1]],
+         edge_flits[ecell[c]:ecell[c + 1]])
+        for c in range(len(cells))
+    ]
+
+
+def _run_dynamic(
+    topo, caps: np.ndarray, policy, arbiter: Arbiter, steps: list, flits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One dynamic-rank cell, phase by phase through :func:`_run_phase_dynamic`."""
+    fcaps = np.floor(caps).astype(np.int64)
+    cycles = np.zeros(len(steps), dtype=np.int64)
+    max_queue = np.zeros(len(steps), dtype=np.int64)
+    edge_flits = np.zeros(caps.size, dtype=np.int64)
+    phases_run = 0
+    for i, ph, step, poff, pedges in _phase_paths(topo, policy, steps, flits):
+        c, q = _run_phase_dynamic(
+            caps, fcaps, poff, pedges, arbiter, step, ph, edge_flits
+        )
+        cycles[i] += c
+        max_queue[i] = max(max_queue[i], q)
+        phases_run += 1
+    _bump(dynamic_phases=phases_run)
+    return cycles, max_queue, edge_flits
 
 
 def run_batch(
@@ -672,15 +448,16 @@ def run_batch(
     ``steps`` its non-empty supersteps as ``(step, label, src, dst)``
     batches.  Static-rank cells fuse into one cycle loop per rank mode
     (the whole grid then costs its longest superstep chain, not the
-    sum); dynamic-rank cells fall back to the per-phase loop.  Results
-    are bit-identical to running each cell alone.  Returns per-cell
-    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``.
+    sum); dynamic-rank cells run phase by phase through
+    :func:`_run_phase_dynamic`.  Results are bit-identical to running
+    each cell alone.  Returns per-cell ``(cycles, max_queue,
+    edge_flits)`` aligned with ``cells``.
     """
     results: list = [None] * len(cells)
     by_mode: dict[str, list[int]] = {}
     for i, (topo, caps, policy, arbiter, steps, flits) in enumerate(cells):
         if arbiter.rank_mode == "dynamic":
-            results[i] = run_trace(topo, caps, policy, arbiter, steps, flits)
+            results[i] = _run_dynamic(topo, caps, policy, arbiter, steps, flits)
         else:
             by_mode.setdefault(arbiter.rank_mode, []).append(i)
     for mode, idxs in by_mode.items():
@@ -691,51 +468,3 @@ def run_batch(
         for i, res in zip(idxs, _run_fused(fused, mode == "remaining")):
             results[i] = res
     return results
-
-
-def run_trace(
-    topo,
-    caps: np.ndarray,
-    policy,
-    arbiter: Arbiter,
-    steps: list,
-    flits: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fast-engine execution of a trace's non-empty supersteps.
-
-    ``steps`` is a list of ``(step, label, src, dst)`` batches (already
-    self-message-filtered).  Returns per-step ``(cycles, max_queue)``
-    arrays aligned to ``steps`` plus the per-edge flit totals.
-    """
-    E = caps.size
-    edge_flits = np.zeros(E, dtype=np.int64)
-    if arbiter.rank_mode == "dynamic":
-        fcaps = np.floor(caps).astype(np.int64)
-        cycles = np.zeros(len(steps), dtype=np.int64)
-        max_queue = np.zeros(len(steps), dtype=np.int64)
-        phases_run = 0
-        for i, (step, label, src, dst) in enumerate(steps):
-            c_tot, q_tot = 0, 0
-            for ph, (ph_src, ph_dst) in enumerate(
-                policy.phases(topo, step, label, src, dst)
-            ):
-                cross = ph_src != ph_dst
-                ph_src, ph_dst = ph_src[cross], ph_dst[cross]
-                if ph_src.size == 0:
-                    continue
-                poff, pedges = topo.route_paths(ph_src, ph_dst)
-                poff, pedges = expand_paths(poff, pedges, flits)
-                c, q = _run_phase_dynamic(
-                    caps, fcaps, poff, pedges, arbiter, step, ph, edge_flits
-                )
-                c_tot += c
-                q_tot = max(q_tot, q)
-                phases_run += 1
-            cycles[i], max_queue[i] = c_tot, q_tot
-        _bump(dynamic_phases=phases_run)
-        return cycles, max_queue, edge_flits
-    ((cycles, max_queue, edge_flits),) = _run_fused(
-        [(topo, caps, policy, steps, flits)],
-        arbiter.rank_mode == "remaining",
-    )
-    return cycles, max_queue, edge_flits

@@ -19,7 +19,7 @@ from repro.machine.trace import Trace
 from repro.networks.policy import RoutingPolicy
 from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter
-from repro.sim.engine import SimProfile, simulate_many, simulate_trace
+from repro.sim.engine import SimProfile, simulate_many
 
 __all__ = ["BoundReport", "validate_bound", "validate_grid"]
 
@@ -93,15 +93,14 @@ def validate_bound(
     store-and-forward cycles of superstep ``s`` divided by its analytic
     ``flits_per_message * congestion + dilation`` price (NaN for
     barrier-only supersteps).  ``report.ok`` says every superstep
-    stayed within ``threshold``.
+    stayed within ``threshold``.  This is the one-cell call of
+    :func:`validate_grid`.
     """
-    profile = simulate_trace(
-        trace, topo, policy, arbiter,
-        seed=seed, flits_per_message=flits_per_message,
+    (report,) = validate_grid(
+        [(trace, topo, policy)], arbiter,
+        seed=seed, threshold=threshold, flits_per_message=flits_per_message,
     )
-    return BoundReport(
-        profile=profile, ratios=profile.bound_ratios(), threshold=float(threshold)
-    )
+    return report
 
 
 def validate_grid(

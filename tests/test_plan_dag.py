@@ -143,9 +143,9 @@ class TestOracleEquivalence:
         assert cold.metadata["executor_effective"] == "shm"
         assert cold.metadata["store_misses"] == len(plan)
 
-    def test_long_supersteps_take_the_unfused_sim_path(self, tmp_path):
-        # stencil1d at n=256 exceeds FUSE_MAX_SUPERSTEPS: sibling sims run
-        # per stage instead of in one fused cycle loop.
+    def test_long_supersteps_fuse_like_short_ones(self, tmp_path):
+        # stencil1d at n=256 has hundreds of supersteps: its sibling sims
+        # still join one fused cycle loop, in-line and in the shm pool.
         plan = ExperimentPlan.grid(
             ["stencil1d"], ns=[256], ps=[4, 8], topologies=["ring"], modes=["sim"]
         )

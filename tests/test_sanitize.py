@@ -146,13 +146,13 @@ class TestEngineCrossCheck:
     def test_injected_fast_engine_bug_trapped(self, sanitizing, monkeypatch):
         import repro.sim.engine as engine
 
-        real = engine._fast_run_trace
+        real = engine._fast_run_batch
 
-        def corrupted(*args, **kwargs):
-            cycles, queue, flits = real(*args, **kwargs)
-            return cycles + 1, queue, flits  # off-by-one per superstep
+        def corrupted(cells):
+            # off-by-one per superstep
+            return [(c + 1, q, f) for c, q, f in real(cells)]
 
-        monkeypatch.setattr(engine, "_fast_run_trace", corrupted)
+        monkeypatch.setattr(engine, "_fast_run_batch", corrupted)
         clear_sim_cache()
         topo = network_by_name("mesh2d", 16)
         with pytest.raises(SanitizerError, match="diverges from the reference"):

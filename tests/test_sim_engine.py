@@ -1,13 +1,13 @@
 """Fast-engine contract tests: bit-identity with the reference oracle
-(``simulate_trace_reference``), cross-cell batching, the quiescent/drain
-skip, flits validation, and the multi-flit fidelity knob."""
+(``simulate_trace_reference``), cross-cell batching, the dynamic-rank
+quiescent skip, flits validation, and the multi-flit fidelity knob."""
 
 import numpy as np
 import pytest
 
 from repro.api import run
 from repro.networks import by_name, by_policy
-from repro.networks.topology import TOPOLOGIES
+from repro.networks.topology import TOPOLOGIES, Ring
 from repro.sim import (
     clear_sim_cache,
     reset_sim_engine_stats,
@@ -70,20 +70,48 @@ class TestFastReferenceIdentity:
 # ----------------------------------------------------------------------
 # Cross-cell batching (simulate_many / validate_grid)
 # ----------------------------------------------------------------------
+class _WideRing(Ring):
+    """A ring of 1.5-flit links.  Every fat-tree leaf link has capacity
+    1, so only a topology like this one leaves fractional credit on the
+    processor-side link where one routing phase hands over to the next."""
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.name = "ring-1.5"
+
+    def _compute_edge_capacities(self) -> np.ndarray:
+        return np.full(self.num_edges(), 1.5)
+
+
 class TestBatchedSimulation:
-    def test_batch_matches_per_cell_simulation(self, engine_traces):
-        items = []
-        for topo_name in ("ring", "torus2d", "fat-tree"):
-            topo = by_name(topo_name, 16)
-            for policy_name in POLICY_NAMES:
-                for trace in engine_traces.values():
-                    items.append((trace, topo, by_policy(policy_name, 7), "fifo"))
+    @pytest.mark.parametrize("flits", (1, 3))
+    def test_batch_matches_per_cell_simulation(self, engine_traces, flits):
+        """One ``simulate_many`` batch against the per-cell reference
+        oracle: fractional capacities (fat-tree, 1.5-flit ring) beside
+        integer ones, valiant's two phases changing over on different
+        cycles, both static arbiters, a trace above 64 supersteps, an
+        edgeless p=1 cell and a dynamic-rank ``random`` cell."""
+        traces = dict(engine_traces, stencil1d=run("stencil1d", n=16).trace)
+        assert traces["stencil1d"].num_supersteps > 64
+        items = [
+            (trace, topo, by_policy(policy_name, 7), arb)
+            for topo in (
+                by_name("ring", 8), by_name("torus2d", 8),
+                by_name("fat-tree", 8), _WideRing(8),
+            )
+            for policy_name in POLICY_NAMES
+            for arb in ("fifo", "farthest-to-go")
+            for trace in traces.values()
+        ]
+        items.append((traces["fft"], by_name("hypercube", 1), None, "fifo"))
+        items.append((traces["sort"], by_name("fat-tree", 8), None, "random"))
         clear_sim_cache()
-        batched = simulate_many(items)
+        batched = simulate_many(items, flits_per_message=flits)
         for (trace, topo, policy, arb), prof in zip(items, batched):
-            clear_sim_cache()
-            single = simulate_trace(trace, topo, policy, arb)
-            _assert_profiles_identical(single, prof, (topo.name, policy.name))
+            ref = simulate_trace_reference(
+                trace, topo, policy, arb, flits_per_message=flits
+            )
+            _assert_profiles_identical(ref, prof, (topo.name, prof.policy, arb))
 
     def test_batch_seeds_the_profile_cache(self, engine_traces):
         topo = by_name("hypercube", 16)
@@ -125,16 +153,17 @@ class TestBatchedSimulation:
 
 
 # ----------------------------------------------------------------------
-# The event-driven skip (regression: it must actually fire)
+# The dynamic-rank path's quiescent skip (regression: it must fire)
 # ----------------------------------------------------------------------
 class TestQuiescentSkip:
     def test_skip_counter_fires_on_uncongested_trace(self, engine_traces):
         """An uncongested cell spends most cycles below the service
-        floor; the fast engine must skip those windows, not walk them."""
+        floor; the dynamic-rank path (here ``random``) must skip those
+        windows, not walk them."""
         topo = by_name("hypercube", 32)  # plenty of bandwidth for n=32
         clear_sim_cache()
         reset_sim_engine_stats()
-        simulate_trace(engine_traces["fft"], topo)
+        simulate_trace(engine_traces["fft"], topo, arbiter="random")
         stats = sim_engine_stats()
         assert stats["skips"] > 0
         assert stats["skipped_cycles"] > 0
