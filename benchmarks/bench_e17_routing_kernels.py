@@ -9,7 +9,8 @@ superstep ranges.  This bench times both paths on the same trace-scale
 workload across every shipped topology, asserts they produce identical
 totals, and doubles as the perf tripwire for ``BENCH_baseline.json``
 (``record_baseline.py`` records the vectorized and reference seconds and
-their ratio).
+their ratio).  A second row times :class:`ValiantPolicy`'s whole-trace
+draw against one seeded generator per superstep.
 """
 
 import time
@@ -32,6 +33,10 @@ from repro.networks import (
 #: routing dominates E11-style sweeps.
 SCALE = dict(v=512, supersteps=250, msgs=500, p=64)
 QUICK = dict(v=128, supersteps=60, msgs=40, p=16)
+#: A long sparse trace for the Valiant draw: many supersteps of a few
+#: messages, the shape where seeding one generator per superstep costs
+#: most.  It is cheap, so ``--quick`` runs it at full size.
+SPARSE = dict(v=1024, supersteps=2500, msgs=5, p=1024)
 
 
 def make_trace(v: int, supersteps: int, msgs: int, seed: int = 17) -> Trace:
@@ -145,3 +150,69 @@ def test_e17_routing_kernels(benchmark, quick):
     if not quick:
         # Acceptance floor for the columnar engine at trace scale.
         assert speedup >= 5.0, f"vectorized routing only {speedup:.1f}x faster"
+
+
+def valiant_legs(cfg=SPARSE):
+    """Valiant's legs of the folded sparse trace: the whole-trace draw."""
+    cols, topo = _sparse(cfg)
+    return ValiantPolicy(0).phase_legs(
+        topo, cols.labels, cols.offsets, cols.src, cols.dst
+    )
+
+
+def valiant_legs_reference(cfg=SPARSE):
+    """The same intermediates from one seeded generator per superstep."""
+    cols, topo = _sparse(cfg)
+    policy = ValiantPolicy(0)
+    bounds = cols.offsets.tolist()
+    return np.concatenate([
+        policy.intermediates_reference(
+            topo, s, int(cols.labels[s]), cols.src[lo:hi]
+        )
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ])
+
+
+def _sparse(cfg):
+    key = ("sparse",) + tuple(sorted(cfg.items()))
+    if key not in _workloads:
+        trace = make_trace(cfg["v"], cfg["supersteps"], cfg["msgs"])
+        cols = fold_trace(trace, cfg["p"], keep_empty=True).columns()
+        _workloads[key] = (cols, by_name("ring", cfg["p"]))
+    return _workloads[key]
+
+
+def test_e17_valiant_legs(benchmark, quick):
+    _sparse(SPARSE)  # build the trace outside the timed region
+
+    def both():
+        # Alternate the two draws and keep each one's best of three.
+        t_legs, t_ref = [], []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            legs = valiant_legs()
+            t_legs.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            mid = valiant_legs_reference()
+            t_ref.append(time.perf_counter() - t0)
+        return legs, mid, min(t_legs), min(t_ref)
+
+    legs, mid, t_legs, t_ref = benchmark.pedantic(both, rounds=1, iterations=1)
+    ratio = t_ref / t_legs if t_legs > 0 else float("inf")
+    emit_table(
+        "e17_valiant_legs",
+        f"E17  Valiant legs of a sparse {SPARSE['supersteps']}-superstep "
+        f"trace: phase_legs {t_legs * 1e3:.1f} ms vs per-superstep "
+        f"generators {t_ref * 1e3:.1f} ms ({ratio:.1f}x)",
+        ["draw", "ms", "intermediates"],
+        [
+            ["phase_legs", round(t_legs * 1e3, 2), int(legs[0][1].size)],
+            ["reference", round(t_ref * 1e3, 2), int(mid.size)],
+            ["ratio", round(ratio, 2), "-"],
+        ],
+    )
+    # Bit-identical intermediates, the policy's whole contract.
+    (_, mid_a), (mid_b, _) = legs
+    assert np.array_equal(mid_a, mid) and np.array_equal(mid_b, mid)
+    if not quick:
+        assert ratio >= 2.0, f"whole-trace Valiant draw only {ratio:.1f}x faster"

@@ -18,8 +18,11 @@ Flagged (outside test files):
   arguments (or an explicit ``None``) — an OS-entropy seed;
 * ``random.random()``-style calls on the stdlib ``random`` module.
 
-Seeds must thread through parameters instead (see
-``ValiantPolicy.intermediates`` for the house pattern).
+Seeds must thread through parameters instead.  The house pattern is
+``ValiantPolicy.intermediates_reference``: one
+``np.random.default_rng((key, seed, step))`` per superstep, keyed by
+explicit integers.  ``ValiantPolicy.phase_legs`` draws the same keyed
+streams for a whole trace at once, seeding one reused ``PCG64`` per key.
 """
 
 from __future__ import annotations

@@ -62,7 +62,11 @@ route_cache_stats = ROUTE_CACHE.stats
 #: back from the allocator warm instead of being paged in fresh: on a
 #: 2-CPU x86 host, sort n=4096 folded to p=64 (201k messages) routes
 #: 2-3x faster on the mesh and torus in 32k-message blocks than in one.
-#: A block always holds at least one superstep.
+#: A block always holds at least one superstep.  Smaller cell ceilings
+#: (2**18-2**20) only split long sparse traces at large p differently;
+#: on one such trace (2,500 supersteps at p=1024) they were faster in a
+#: process that had already freed large arrays and slower in a fresh one,
+#: so the ceiling stays at 2**21.
 _BLOCK_CELLS = 1 << 21
 _BLOCK_MESSAGES = 1 << 15
 

@@ -227,17 +227,44 @@ def _run_phase_dynamic(
 def _phase_paths(topo, policy, steps: list, flits: int):
     """Routed, flit-expanded CSR paths of every phase that moves messages.
 
-    Yields ``(i, phase, step, offsets, edges)`` in order, ``i`` indexing
-    ``steps``.
+    Yields ``(i, phase, step, offsets, edges)`` superstep by superstep
+    and phase by phase, ``i`` indexing ``steps``.  The cell's legs come
+    from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs`
+    call over its supersteps (``step`` is the superstep's ordinal in
+    the folded trace; ordinals absent from ``steps`` are empty), and
+    each leg is routed by one ``route_paths`` call and flit-expanded
+    once, then cut back into per-superstep blocks.
     """
-    for i, (step, label, src, dst) in enumerate(steps):
-        for ph, (ph_src, ph_dst) in enumerate(
-            policy.phases(topo, step, label, src, dst)
-        ):
-            cross = ph_src != ph_dst  # policies may add self-messages
-            if cross.any():
-                poff, pedges = topo.route_paths(ph_src[cross], ph_dst[cross])
-                yield (i, ph, step) + expand_paths(poff, pedges, flits)
+    if not steps:
+        return
+    ords = np.array([step for step, _, _, _ in steps], dtype=np.int64)
+    counts = np.array([src.size for _, _, src, _ in steps], dtype=np.int64)
+    labels = np.zeros(int(ords[-1]) + 1, dtype=np.int64)
+    labels[ords] = [label for _, label, _, _ in steps]
+    offsets = np.zeros(labels.size + 1, dtype=np.int64)
+    offsets[ords + 1] = counts
+    np.cumsum(offsets, out=offsets)
+    legs = policy.phase_legs(
+        topo, labels, offsets,
+        np.concatenate([src for _, _, src, _ in steps]),
+        np.concatenate([dst for _, _, _, dst in steps]),
+    )
+    owner = np.repeat(np.arange(len(steps)), counts)
+    blocks = []
+    for ph_src, ph_dst in legs:
+        cross = ph_src != ph_dst  # policies may add self-messages
+        poff, pedges = expand_paths(
+            *topo.route_paths(ph_src[cross], ph_dst[cross]), flits
+        )
+        # Flit range of each superstep's crossing messages.
+        bounds = flits * np.searchsorted(owner[cross], np.arange(len(steps) + 1))
+        blocks.append((poff, pedges, bounds.tolist()))
+    for i, step in enumerate(ords.tolist()):
+        for ph, (poff, pedges, bounds) in enumerate(blocks):
+            lo, hi = bounds[i], bounds[i + 1]
+            if hi > lo:
+                e0, e1 = poff[lo], poff[hi]
+                yield i, ph, step, poff[lo:hi + 1] - e0, pedges[e0:e1]
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -446,7 +473,11 @@ def run_batch(
     ``cells`` is a list of ``(topo, caps, policy, arbiter, steps,
     flits)`` — one entry per (trace, topology, policy, arbiter) cell,
     ``steps`` its non-empty supersteps as ``(step, label, src, dst)``
-    batches.  Static-rank cells fuse into one cycle loop per rank mode
+    batches in ascending superstep ordinal ``step``.  Each cell's
+    phase legs come from one ``policy.phase_legs`` call, and each leg
+    is routed and flit-expanded once (:func:`_phase_paths`), so set-up
+    costs no generator or ``route_paths`` call per superstep.
+    Static-rank cells fuse into one cycle loop per rank mode
     (the whole grid then costs its longest superstep chain, not the
     sum); dynamic-rank cells run phase by phase through
     :func:`_run_phase_dynamic`.  Results are bit-identical to running
