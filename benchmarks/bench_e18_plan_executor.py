@@ -19,7 +19,11 @@ the executor only picks where its waves run.  This bench times a
   shared-stage grid (each source priced on six topologies in both
   analytic and sim mode, so >60% of planned stage references hit a
   shared node), in-line and over the forced shm pool.  Its frame is
-  checked, untimed, against the per-cell oracle (``oracle_grid_rows``).
+  checked, untimed, against the per-cell oracle (``oracle_grid_rows``);
+* ``run_wide`` — an analytic plan with more unique route nodes than
+  ``ROUTE_CACHE`` holds, serial against the forced shm pool: each run
+  keeps the profiles its route wave returns, so no node is routed twice
+  however far the plan outgrows the LRU.
 
 All executor paths must produce bit-identical cell values.
 ``record_baseline.py`` records the timings; the headline ratio is
@@ -39,6 +43,7 @@ from repro.api import ExperimentPlan
 from repro.exec import ShmSubstrate
 from repro.machine.folding import clear_fold_cache
 from repro.networks import clear_route_cache
+from repro.networks.routing import ROUTE_CACHE
 from repro.util.caches import clear_caches
 
 #: The (n,1)-stencil is the many-small-supersteps regime the fused
@@ -298,5 +303,68 @@ def test_e18_dag_scheduler(benchmark, quick):
             ["stages planned", planned, "-"],
             ["stages unique", unique,
              f"shared ratio {dag.metadata['shared_stage_ratio']:.2f}"],
+        ],
+    )
+
+
+#: Five pre-emitted sources x five p x six topologies x two policies:
+#: 300 unique route nodes, more than ``ROUTE_CACHE``'s 256 slots.
+WIDE_SOURCES = (
+    ("fft", 256), ("prefix", 256), ("broadcast", 256), ("sort", 64), ("matmul", 64)
+)
+_wide: list = []
+
+
+def _wide_plan() -> ExperimentPlan:
+    if not _wide:
+        from repro.api import run
+
+        sources = {f"{a}{n}": run(a, n=n).trace for a, n in WIDE_SOURCES}
+        _wide.append(ExperimentPlan.grid(
+            algorithms=[f"@{name}" for name in sources],
+            ps=[4, 8, 16, 32, 64],
+            topologies=DAG_TOPOLOGIES,
+            policies=POLICIES,
+            sources=sources,
+            name="e18-wide",
+        ))
+    return _wide[0]
+
+
+def run_wide(executor="serial"):
+    """The wide analytic plan from cold caches on ``executor``."""
+    clear_caches()
+    return _wide_plan().run(executor=executor)
+
+
+def test_e18_routes_beyond_lru(benchmark, quick):
+    plan = _wide_plan()  # emission stays outside the timed region
+
+    def serial_and_shm():
+        t0 = time.perf_counter()
+        serial = run_wide()
+        t_serial = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        shm = run_wide(ShmSubstrate(workers=2, force=True))
+        t_shm = time.perf_counter() - t0
+        return serial, shm, t_serial, t_shm
+
+    serial, shm, t_serial, t_shm = benchmark.pedantic(
+        serial_and_shm, rounds=1, iterations=1
+    )
+    assert shm.rows == serial.rows
+    assert shm.metadata["executor_effective"] == "shm"
+    routes = len(plan)  # one analytic cell per unique route node
+    assert routes > ROUTE_CACHE.maxsize
+    ratio = t_shm / t_serial if t_serial > 0 else float("inf")
+    emit_table(
+        "e18_routes_beyond_lru",
+        f"E18d  {routes} route nodes (LRU holds {ROUTE_CACHE.maxsize}): "
+        f"serial {t_serial:.3f}s, shm {t_shm:.3f}s ({ratio:.2f}x)",
+        ["path", "seconds", "note"],
+        [
+            ["serial", round(t_serial, 3), f"{routes} route nodes"],
+            ["shm", round(t_shm, 3),
+             f"shm/serial {ratio:.2f} on {os.cpu_count() or 1} core(s)"],
         ],
     )

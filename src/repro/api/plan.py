@@ -39,9 +39,9 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.core.metrics import TraceMetrics
 from repro.machine.trace import Trace
 from repro.models.presets import PRESETS
-from repro.networks import RoutingPolicy, by_policy, fit, route_trace
+from repro.networks import TOPOLOGIES, RoutingPolicy, by_policy, fit, route_trace
 from repro.networks import by_name as topology_by_name
-from repro.sim import ARBITERS, simulate_trace
+from repro.sim import by_arbiter, simulate_trace
 
 from repro.api import registry
 from repro.api.frame import RESULT_COLUMNS, ResultFrame
@@ -143,15 +143,23 @@ class _PlanRuntime:
     def topology(self, name: str, p: int):
         """The shared :class:`Topology` instance for ``(name, p)``.
 
-        Built lazily and memoised per runtime: its ``edge_capacities``
-        cache then serves every cell (threads share the dict; a benign
-        duplicate construction under a race is identical, last wins).
+        Built lazily and memoised per runtime, so its ``edge_capacities``
+        cache serves every cell.
         """
         key = (name, p)
         topo = self._topos.get(key)
         if topo is None:
             topo = self._topos[key] = topology_by_name(name, p)
         return topo
+
+    def route_args(self, cell: PlanCell) -> tuple:
+        """``(trace, topology, policy)`` of a topology cell's route."""
+        tm = self._tms[self._source_key(cell)]
+        p = cell.p if cell.p is not None else tm.v
+        policy = cell.policy if cell.policy is not None else "dimension-order"
+        if not isinstance(policy, RoutingPolicy):
+            policy = by_policy(policy, cell.policy_seed)
+        return tm.trace, self.topology(cell.topology, p), policy
 
     def prepare(self, indices: Sequence[int] | None = None) -> None:
         """Materialise every distinct source the cells need, serially.
@@ -207,15 +215,31 @@ class _PlanRuntime:
 
     # -- cells ---------------------------------------------------------
     def eval_cell(self, i: int) -> tuple:
-        """Row tuple (RESULT_COLUMNS order) for cell ``i`` — pure given
-        the prepared sources, so it can run on any worker."""
+        """Row of cell ``i`` on its own, its profiles looked up through
+        ``route_trace``/``simulate_trace``: the per-cell oracle."""
+        cell = self.cells[i]
+        routed = sim = None
+        if cell.topology is not None:
+            trace, topo, policy = self.route_args(cell)
+            routed = route_trace(trace, topo, policy)
+            if cell.mode == "sim":
+                sim = simulate_trace(
+                    trace, topo, policy, cell.arbiter,
+                    seed=cell.arbiter_seed,
+                    flits_per_message=cell.flits_per_message,
+                )
+        return self.row(i, routed, sim)
+
+    def row(self, i: int, routed: Any, sim: Any) -> tuple:
+        """Row tuple (RESULT_COLUMNS order) for cell ``i`` from its route
+        and sim profiles — pure given the prepared sources."""
         cell = self.cells[i]
         key = self._source_key(cell)
         tm = self._tms[key]
         trace = tm.trace
-        label = cell.algorithm
+        p = cell.p if cell.p is not None else tm.v
         row: dict[str, Any] = {
-            "algorithm": label,
+            "algorithm": cell.algorithm,
             "n": cell.n,
             "v": tm.v,
             "p": cell.p,
@@ -224,37 +248,20 @@ class _PlanRuntime:
             "messages": trace.total_messages,
         }
         if cell.sigma is not None:
-            p = cell.p if cell.p is not None else tm.v
             row["H"] = tm.H(p, cell.sigma)
         if cell.machine is not None:
-            build = (self.plan.machines or PRESETS).get(cell.machine)
-            if build is None:
-                raise KeyError(f"unknown machine preset {cell.machine!r}")
-            p = cell.p if cell.p is not None else tm.v
-            row["machine"] = cell.machine
-            row["D"] = tm.D_machine(build(p))
+            build = (self.plan.machines or PRESETS)[cell.machine]
+            row.update(machine=cell.machine, D=tm.D_machine(build(p)))
         if cell.topology is not None:
-            p = cell.p if cell.p is not None else tm.v
-            topo = self.topology(cell.topology, p)
-            policy = cell.policy if cell.policy is not None else "dimension-order"
-            if not isinstance(policy, RoutingPolicy):
-                policy = by_policy(policy, cell.policy_seed)
-            profile = route_trace(trace, topo, policy)
-            routed = profile.total_time
             row.update(
                 topology=cell.topology,
-                policy=policy.name,
+                policy=routed.policy,
                 mode=cell.mode,
-                routed_time=routed,
-                max_congestion=profile.max_congestion,
-                max_dilation=profile.max_dilation,
+                routed_time=routed.total_time,
+                max_congestion=routed.max_congestion,
+                max_dilation=routed.max_dilation,
             )
             if cell.mode == "sim":
-                sim = simulate_trace(
-                    trace, topo, policy, cell.arbiter,
-                    seed=cell.arbiter_seed,
-                    flits_per_message=cell.flits_per_message,
-                )
                 row.update(
                     arbiter=sim.arbiter,
                     sim_cycles=sim.total_cycles,
@@ -262,7 +269,8 @@ class _PlanRuntime:
                 )
             if cell.relative_to_dbsp:
                 denom = self._denoms[(key, cell.topology, p)]
-                row["routed_over_dbsp"] = routed / denom if denom else float("inf")
+                ratio = routed.total_time / denom if denom else float("inf")
+                row["routed_over_dbsp"] = ratio
         if self.check:
             row["correct"] = self._checks.get(key)
         return tuple(row.get(c) for c in RESULT_COLUMNS)
@@ -452,7 +460,12 @@ class ExperimentPlan:
         return cls(cells, name=name)
 
     def validate(self) -> None:
-        """Validate every cell's size/params against the registry, eagerly."""
+        """Validate every cell eagerly, before anything is emitted: sizes
+        and params against the registry, and every topology, policy
+        (with its seed), machine and arbiter (with its seed) by name."""
+        machines = self.machines or PRESETS
+        policies: set = set()
+        arbiters: set = set()
         for cell in self.cells:
             if cell.mode not in ("analytic", "sim"):
                 raise ValueError(
@@ -464,11 +477,25 @@ class ExperimentPlan:
                         "mode='sim' needs a topology: the simulator measures "
                         "a routed cell, not a structural one"
                     )
-                if cell.arbiter not in ARBITERS:
+                if (cell.arbiter, cell.arbiter_seed) not in arbiters:
+                    by_arbiter(cell.arbiter, cell.arbiter_seed)
+                    arbiters.add((cell.arbiter, cell.arbiter_seed))
+            if cell.topology is not None:
+                if cell.topology not in TOPOLOGIES:
                     raise KeyError(
-                        f"unknown arbiter {cell.arbiter!r}; "
-                        f"choose from {sorted(ARBITERS)}"
+                        f"unknown topology {cell.topology!r}; "
+                        f"choose from {sorted(TOPOLOGIES)}"
                     )
+                policy = cell.policy if cell.policy is not None else "dimension-order"
+                pkey = (policy, cell.policy_seed)
+                if not isinstance(policy, RoutingPolicy) and pkey not in policies:
+                    by_policy(*pkey)
+                    policies.add(pkey)
+            if cell.machine is not None and cell.machine not in machines:
+                raise KeyError(
+                    f"unknown machine preset {cell.machine!r}; "
+                    f"choose from {sorted(machines)}"
+                )
             if cell.flits_per_message < 1:
                 raise ValueError(
                     f"flits_per_message must be >= 1, got {cell.flits_per_message}"
@@ -499,10 +526,13 @@ class ExperimentPlan:
     ) -> ResultFrame:
         """Execute every cell and collect the frame (always cell order).
 
-        The run compiles the plan's deduplicated stage graph
-        (:mod:`repro.exec.dag`): shared emit/fold/route/sim stages
-        execute once, sibling sim stages fuse into batched cycle loops,
-        and the frame's metadata records the dedup counters.
+        Every cell is validated (:meth:`validate`) before any source is
+        emitted.  The run then compiles the plan's deduplicated stage
+        graph (:mod:`repro.exec.dag`): each unique emit/fold/route/sim
+        stage executes once, sibling sim stages fuse into batched cycle
+        loops, every row is built from the profiles the run computed or
+        found warm in the LRUs, and the frame's metadata records the
+        dedup counters.
 
         ``executor`` names the substrate the graph's waves run on, from
         the :mod:`repro.exec` registry — ``"serial"`` (in-line) or

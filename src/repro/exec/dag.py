@@ -10,18 +10,17 @@ stage nodes ::
         -> sim(route, arbiter, seed, flits)   [mode="sim" cells]
         -> metrics(route, sigma, ...)         [analytic cells]
 
-keyed like the fold/route/sim LRUs, so each unique stage runs once, and
-executes it in waves: emit is ``runtime.prepare``; the route wave runs
-every LRU-cold route node (folds run inside it) on the run's substrate
-(:mod:`repro.exec.local`, :mod:`repro.exec.shm`); the sim wave fuses
-the cold sim nodes of each chunk into one
-:func:`repro.sim.engine.simulate_many` call per flit count; assembly runs
-``runtime.eval_cell`` over the now-warm LRUs, in chunks interleaved with
-the sim wave so profiles are consumed before they can be evicted.  Rows
-are bit-identical to per-cell evaluation by construction: ``eval_cell``
-performs the same lookups, it just never misses.  Worker artifacts are
-re-inserted through :meth:`~repro.util.caches.LRU.seed`, which
-re-freezes arrays.
+keyed like the fold/route/sim LRUs, so each unique stage runs once.
+Emit is ``runtime.prepare``; route and then sim nodes run in one wave
+each through the one wave step, :func:`_wave`: probe each node once in
+its LRU, hand the cold ones to the run's substrate
+(:mod:`repro.exec.local`, :mod:`repro.exec.shm`), which runs the kind's
+:data:`STAGE_KERNELS` entry (folds run inside the route kernel), put
+the artifacts into the LRU for later runs and keep them all.  Rows are
+built last by the pure ``runtime.row`` from those artifacts, so LRU
+eviction never forces a recompute, and they are bit-identical to
+per-cell evaluation (``runtime.eval_cell``): both call ``row`` on the
+same profiles.
 
 Dedup counters land on the frame's metadata and aggregate process-wide
 under ``repro.cache_stats()["dag"]``.
@@ -44,20 +43,21 @@ __all__ = [
 ]
 
 
-#: Cold sim nodes executed (and their dependent cells assembled) per
-#: scheduling chunk.  Must stay safely below the sim LRU capacity (128):
-#: a chunk's profiles are consumed by assembly before the next chunk's
-#: insertions can evict them.
+#: Sim nodes per fused cycle loop.  On a 300-sim plan (five sources x
+#: p 4-64 x six topologies x two policies, 2-CPU x86 host), fusing every
+#: node at once peaked at 201 MB RSS against 113 MB in chunks of 32, and
+#: was no faster (2.1-2.5 s against 2.2-2.3 s).
 SIM_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
 # Stage kernels
 # ----------------------------------------------------------------------
-#: kind -> the pure function executing one stage node (or a batch of
-#: siblings).  Lint's RPR007 holds every kernel to stage purity: the same
-#: node must compute the same artifact in any thread or worker.
-STAGE_KERNELS: dict[str, Callable] = {}
+#: kind -> the pure batch function computing a wave's cold nodes of that
+#: kind, artifacts in node order.  Lint's RPR007 holds every kernel to
+#: stage purity: the same node must compute the same artifact in any
+#: worker.
+STAGE_KERNELS: dict[str, Callable[[list], list]] = {}
 
 _kernel_lock = threading.Lock()
 
@@ -74,36 +74,35 @@ def stage_kernel(kind: str) -> Callable:
 
 
 @stage_kernel("route")
-def _route_stage(trace: Any, topo: Any, policy: Any) -> Any:
-    """Execute one route node (folding on demand); memoised in-process."""
-    from repro.networks import route_trace
+def _route_kernel(nodes: list[tuple]) -> list:
+    """Route ``(trace, topo, policy)`` nodes, folding on demand."""
+    from repro.networks.routing import compute_route
 
-    return route_trace(trace, topo, policy)
+    return [compute_route(*node) for node in nodes]
 
 
 @stage_kernel("sim")
-def _sim_batch_stage(specs: "list[tuple]") -> list:
-    """Execute a batch of sim nodes through fused :func:`simulate_many` calls.
+def _sim_kernel(nodes: list[tuple]) -> list:
+    """Simulate ``(trace, topo, policy, arbiter, arbiter_seed, flits,
+    routed)`` nodes, ``routed`` being the node's route profile.
 
-    ``specs`` entries are ``(trace, topo, policy, arbiter, arbiter_seed,
-    flits)``; nodes are grouped by ``flits``, one fused call per group.
-    Profiles come back in spec order.
+    Nodes are grouped by ``flits`` and run :data:`SIM_CHUNK` at a time
+    through one fused :func:`~repro.sim.engine.compute_sims` call.
     """
     from repro.sim import by_arbiter
-    from repro.sim.engine import simulate_many
+    from repro.sim.engine import compute_sims
 
-    out: list = [None] * len(specs)
+    out: list = [None] * len(nodes)
     groups: dict[int, list[int]] = {}
-    for j, (*_, flits) in enumerate(specs):
-        groups.setdefault(flits, []).append(j)
+    for j, node in enumerate(nodes):
+        groups.setdefault(node[5], []).append(j)
     for flits, idxs in groups.items():
-        items = [
-            (specs[j][0], specs[j][1], specs[j][2],
-             by_arbiter(specs[j][3], specs[j][4]))
-            for j in idxs
-        ]
-        for j, prof in zip(idxs, simulate_many(items, flits_per_message=flits)):
-            out[j] = prof
+        for lo in range(0, len(idxs), SIM_CHUNK):
+            chunk = idxs[lo : lo + SIM_CHUNK]
+            items = [nodes[j][:3] + (by_arbiter(*nodes[j][3:5]),) for j in chunk]
+            routed = [nodes[j][6] for j in chunk]
+            for j, profile in zip(chunk, compute_sims(items, routed, flits)):
+                out[j] = profile
     return out
 
 
@@ -148,59 +147,42 @@ class StageGraph:
 
     Built after ``runtime.prepare`` (node identity needs each source's
     virtual processor count for cells with ``p=None``).  Holds the
-    unique route/sim nodes with their live arguments, the cell lists
-    hanging off every sim node, and the dedup counters.
+    unique route/sim nodes with their live arguments, each cell's
+    route and sim node keys, and the dedup counters.
     """
 
     def __init__(self, runtime: Any, indices: Sequence[int]) -> None:
-        from repro.networks import RoutingPolicy, by_policy
-
-        self.runtime = runtime
-        self.indices = list(indices)
         #: route_key -> (trace, topo, policy)
         self.route_nodes: dict[tuple, tuple] = {}
         #: sim_key -> (trace, topo, policy, arbiter, arbiter_seed, flits)
         self.sim_nodes: dict[tuple, tuple] = {}
-        #: sim_key -> cell indices assembled once the node's profile exists
-        self.cells_by_sim: dict[tuple, list[int]] = {}
-        #: cells with no sim dependency (assembled right after routes)
-        self.plain_cells: list[int] = []
+        #: cell index -> (route_key, sim_key), ``None`` where it has none
+        self.cell_nodes: dict[int, tuple[Any, Any]] = {}
         emit_keys: set = set()
         fold_keys: set = set()
         metrics_keys: set = set()
         planned = 0
-        policies: dict[tuple, Any] = {}
-        for i in self.indices:
+        for i in indices:
             cell = runtime.cells[i]
             skey = runtime._source_key(cell)
             planned += 1  # one emit reference per cell
             emit_keys.add(skey)
             if cell.topology is None:
-                self.plain_cells.append(i)
+                self.cell_nodes[i] = (None, None)
                 continue
-            tm = runtime._tms[skey]
-            p = cell.p if cell.p is not None else tm.v
-            policy = cell.policy if cell.policy is not None else "dimension-order"
-            if not isinstance(policy, RoutingPolicy):
-                pkey = (policy, cell.policy_seed)
-                policy = policies.get(pkey)
-                if policy is None:
-                    policy = policies[pkey] = by_policy(*pkey)
-            route_key = (skey, cell.topology, p, policy.cache_key())
+            _, topo, policy = node = runtime.route_args(cell)
+            route_key = (skey, cell.topology, topo.p, policy.cache_key())
             planned += 3  # fold + route + (sim | metrics) references
-            fold_keys.add((skey, p))
-            if route_key not in self.route_nodes:
-                self.route_nodes[route_key] = (
-                    tm.trace, runtime.topology(cell.topology, p), policy
-                )
+            fold_keys.add((skey, topo.p))
+            self.route_nodes.setdefault(route_key, node)
+            sim_key = None
             if cell.mode == "sim":
                 arb = (cell.arbiter, cell.arbiter_seed, cell.flits_per_message)
                 sim_key = route_key + arb
-                self.sim_nodes.setdefault(sim_key, self.route_nodes[route_key] + arb)
-                self.cells_by_sim.setdefault(sim_key, []).append(i)
+                self.sim_nodes.setdefault(sim_key, node + arb)
             else:
                 metrics_keys.add(route_key + (cell.sigma, cell.relative_to_dbsp))
-                self.plain_cells.append(i)
+            self.cell_nodes[i] = (route_key, sim_key)
         self.counters = dict(
             planned=planned,
             unique=len(emit_keys) + len(fold_keys) + len(self.route_nodes)
@@ -233,9 +215,9 @@ def run_graph(
 ) -> tuple[list[tuple], dict]:
     """Rows for ``indices`` (in order) plus the run's metadata.
 
-    Prepares the sources, compiles the :class:`StageGraph` and runs its
-    route and sim waves on ``substrate``, assembling each cell as soon
-    as its stages are warm.
+    Prepares the sources, compiles the :class:`StageGraph`, runs its
+    route wave and then its sim wave on ``substrate``, and builds every
+    row from the profiles the waves returned.
     """
     from repro.networks.routing import ROUTE_CACHE, route_key
     from repro.sim.engine import SIM_CACHE, sim_key
@@ -247,55 +229,63 @@ def run_graph(
     graph.counters["executed"] += len(runtime._tms) - sources_before
     meta: dict[str, Any] = {}
     waves = substrate.open(runtime, indices, max_workers, meta)
-    rows: dict[int, tuple] = {}
-
-    def assemble(cells: list[int]) -> None:
-        for i in cells:
-            rows[i] = _assemble(runtime, i)
-
     try:
-        waves.run_routes(_split(graph, graph.route_nodes, ROUTE_CACHE, route_key)[1])
-        assemble(graph.plain_cells)
-        warm, cold = _split(graph, graph.sim_nodes, SIM_CACHE, sim_key)
-        for sk in warm:
-            assemble(graph.cells_by_sim[sk])
-        # Chunked execution interleaved with assembly: each chunk's
-        # profiles are consumed before later chunks can evict them.
-        for lo in range(0, len(cold), SIM_CHUNK):
-            chunk = cold[lo : lo + SIM_CHUNK]
-            waves.run_sims(chunk)
-            for sk, _node in chunk:
-                assemble(graph.cells_by_sim[sk])
+        routed = _wave(graph, waves, "route", graph.route_nodes, ROUTE_CACHE, route_key)
+        sim_nodes = {
+            key: node + (routed[key[:4]],) for key, node in graph.sim_nodes.items()
+        }
+        sims = _wave(
+            graph, waves, "sim", sim_nodes, SIM_CACHE, lambda *node: sim_key(*node[:6])
+        )
     finally:
         waves.close()
+    rows: list[tuple] = []
+    for i in indices:
+        rkey, skey = graph.cell_nodes[i]
+        rows.append(_assemble(runtime, i, routed.get(rkey), sims.get(skey)))
     _accumulate(graph.counters)
     for key in ("planned", "unique", "executed", "cache_hit"):
         meta[f"dag_stages_{key}"] = graph.counters[key]
     meta["shared_stage_ratio"] = round(graph.shared_ratio, 4)
-    return [rows[i] for i in indices], meta
+    return rows, meta
 
 
-def _split(
-    graph: StageGraph, nodes: dict, cache: LRU, cache_key: Callable
-) -> tuple[list, list]:
-    """LRU-warm node keys and cold ``(key, node)`` pairs, both counted
-    in the graph (the probes leave the LRU's own counters alone)."""
-    warm, cold = [], []
+def _wave(
+    graph: StageGraph,
+    substrate: "Substrate",
+    kind: str,
+    nodes: dict[tuple, tuple],
+    cache: LRU,
+    cache_key: Callable[..., Any],
+) -> dict[tuple, Any]:
+    """The one wave step: the artifact of every node, by node key.
+
+    Probes each node once in ``cache`` (warm nodes count as cache hits),
+    runs the cold ones in one ``substrate.run(kind, ...)`` call (counted
+    as executed) and puts their artifacts into ``cache`` so the next
+    run starts warm.
+    """
+    artifacts: dict[tuple, Any] = {}
+    cold: list[tuple[tuple, tuple]] = []
     for key, node in nodes.items():
-        if cache.peek(cache_key(*node)) is None:
+        hit = cache.get(cache_key(*node))
+        if hit is None:
             cold.append((key, node))
         else:
-            warm.append(key)
-    graph.counters["cache_hit"] += len(warm)
+            artifacts[key] = hit
+    graph.counters["cache_hit"] += len(artifacts)
     graph.counters["executed"] += len(cold)
-    return warm, cold
+    if cold:
+        for (key, node), artifact in zip(cold, substrate.run(kind, cold)):
+            artifacts[key] = cache.put(cache_key(*node), artifact)
+    return artifacts
 
 
-def _assemble(runtime: Any, i: int) -> tuple:
-    """Assemble one cell row off the warm LRUs (sampled cross-check
-    against a fresh, cache-bypassing per-cell recompute under
+def _assemble(runtime: Any, i: int, routed: Any, sim: Any) -> tuple:
+    """Build one cell row from its profiles (sampled cross-check against
+    a fresh, cache-bypassing per-cell recompute under
     ``REPRO_SANITIZE=1``)."""
-    row = runtime.eval_cell(i)
+    row = runtime.row(i, routed, sim)
     if sanitize.enabled() and sanitize.should_spotcheck():
         sanitize.check_row_parity(row, runtime.fresh_eval(i), f"dag cell {i}")
     return row

@@ -1,11 +1,11 @@
 """The in-line executor: where a plan's stage waves run by default.
 
-:class:`Substrate` itself (``serial``) runs waves in-line, landing
-artifacts in the in-process LRUs.  It is also the base every other
-substrate (the ``shm`` pool, third-party ones) extends, and
-:func:`_seed_routes`/:func:`_seed_sims` land artifacts computed
-elsewhere in those LRUs.  Substrates only choose where a node runs, so
-all produce bit-identical rows.
+:class:`Substrate` itself (``serial``) runs each wave's cold nodes
+in-line through the kind's :data:`~repro.exec.dag.STAGE_KERNELS` entry.
+It is also the base every other substrate (the ``shm`` pool,
+third-party ones) extends.  Substrates only choose where a node runs,
+never what it computes, so all produce bit-identical rows; the wave
+step in :mod:`repro.exec.dag` owns the LRUs and the artifacts.
 """
 
 from __future__ import annotations
@@ -13,33 +13,18 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-from repro.exec.dag import _route_stage, _sim_batch_stage
+from repro.exec.dag import STAGE_KERNELS
 from repro.exec.registry import register_executor
 
 __all__ = ["Substrate"]
-
-
-def _seed_routes(cold: list, profiles: list) -> None:
-    from repro.networks.routing import ROUTE_CACHE, route_key
-
-    for (_rkey, node), profile in zip(cold, profiles):
-        ROUTE_CACHE.seed(route_key(*node), profile)
-
-
-def _seed_sims(cold: list, profiles: list) -> None:
-    from repro.sim.engine import SIM_CACHE, sim_key
-
-    for (_sk, node), profile in zip(cold, profiles):
-        SIM_CACHE.seed(sim_key(*node), profile)
 
 
 class Substrate:
     """How a plan run executes its waves of cold stage nodes.
 
     The base class is the ``serial`` executor: waves run in-line.
-    Subclasses override :meth:`run_routes`/:meth:`run_sims` (and
-    :meth:`open` when they can degrade).  ``cold`` wave entries are
-    ``(node_key, node_args)`` pairs from the stage graph.
+    Subclasses override :meth:`run` (and :meth:`open` when they can
+    degrade).
     """
 
     name = "serial"
@@ -53,12 +38,10 @@ class Substrate:
         meta["executor_effective"] = self.name
         return copy.copy(self)
 
-    def run_routes(self, cold: list) -> None:
-        for _rkey, (trace, topo, policy) in cold:
-            _route_stage(trace, topo, policy)
-
-    def run_sims(self, cold: list) -> None:
-        _sim_batch_stage([node for _sk, node in cold])
+    def run(self, kind: str, nodes: list[tuple[tuple, tuple]]) -> list:
+        """The artifacts of one wave's ``(node_key, node_args)`` nodes of
+        stage ``kind``, in node order."""
+        return STAGE_KERNELS[kind]([args for _key, args in nodes])
 
     def close(self) -> None:
         """Release per-run resources (called once the waves are done)."""

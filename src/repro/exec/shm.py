@@ -1,11 +1,15 @@
 """The ``shm`` executor: stage waves over a persistent shared-memory pool.
 
 One worker pool per process, created on first use and reused by every
-run (workers keep their imports and LRUs).  Every prepared source's
+run (workers keep their imports and fold LRU).  Every prepared source's
 ``int64`` trace columns ship once, zero-copy, in a single
 ``multiprocessing.shared_memory`` block that workers map as read-only
-views; sim shards carry their nodes' route profiles, so workers never
-re-route.
+views.  A wave's cold nodes are cut into one contiguous shard per
+worker, and every shard, of any stage kind, enters the worker through
+:func:`_shard`, which runs the kind's stage kernel.  Sim nodes carry
+their route profiles, so workers never re-route.  The parent re-freezes
+the returned arrays (pickling drops numpy's read-only flag) before its
+wave step caches them.
 
 Degradation is recorded, never silent: on a single-CPU host, for tiny
 plans, or when the plan cannot ship (a foreign trace-like source, an
@@ -26,13 +30,14 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from repro.exec.dag import _route_stage, _sim_batch_stage
-from repro.exec.local import Substrate, _seed_routes, _seed_sims
+from repro.exec.dag import STAGE_KERNELS
+from repro.exec.local import Substrate
 from repro.exec.registry import register_executor
+from repro.util import sanitize
 
 __all__ = ["ShmSubstrate", "shutdown_pool"]
 
@@ -127,38 +132,24 @@ def _attach(payload: dict) -> dict[str, Any]:
     return state
 
 
-def _node(state: dict, skey: tuple, topo_name: str, p: int) -> tuple:
-    """(trace, topology) of one node in this worker."""
+def _shard(payload: dict, kind: str, specs: list[tuple]) -> list:
+    """Worker entry: one shard of a wave's cold nodes of stage ``kind``.
+
+    Each spec is ``(source_key, topology_name, p, *rest)``: the node is
+    this worker's zero-copy trace and ``(name, p)`` topology plus
+    ``rest`` (the policy, and for sims the arbiter fields and route
+    profile).
+    """
     from repro.networks import by_name
 
-    topo = state["topos"].get((topo_name, p))
-    if topo is None:
-        topo = state["topos"][(topo_name, p)] = by_name(topo_name, p)
-    return state["traces"][skey], topo
-
-
-def _route_shard(payload: dict, specs: list[tuple]) -> list:
-    """Worker entry: route nodes against zero-copy shared trace columns."""
     state = _attach(payload)
-    return [
-        _route_stage(*_node(state, skey, topo_name, p), policy)
-        for skey, topo_name, p, policy in specs
-    ]
-
-
-def _sim_shard(payload: dict, specs: list[tuple]) -> list:
-    """Worker entry: sim nodes, seeding each node's route profile first
-    (shipped by the parent) so the sims never re-route."""
-    from repro.networks.routing import ROUTE_CACHE, route_key
-
-    state = _attach(payload)
-    live = []
-    for skey, topo_name, p, policy, arb, aseed, flits, profile in specs:
-        trace, topo = _node(state, skey, topo_name, p)
-        if profile is not None:
-            ROUTE_CACHE.seed(route_key(trace, topo, policy), profile)
-        live.append((trace, topo, policy, arb, aseed, flits))
-    return _sim_batch_stage(live)
+    topos = state["topos"]
+    nodes: list[tuple] = []
+    for skey, name, p, *rest in specs:
+        if (name, p) not in topos:
+            topos[(name, p)] = by_name(name, p)
+        nodes.append((state["traces"][skey], topos[(name, p)], *rest))
+    return STAGE_KERNELS[kind](nodes)
 
 
 # ----------------------------------------------------------------------
@@ -248,25 +239,27 @@ class ShmSubstrate(Substrate):
         meta.update(executor_effective="shm", shm_workers=workers)
         return run
 
-    def _wave(
-        self, cold: list, fn: Callable, specs: list, inline: Callable, seed: Callable
-    ) -> None:
-        """Run ``fn(payload, shard)`` over one contiguous shard of ``specs``
-        per worker and seed the artifacts.  If the pool breaks, it is
-        shut down and this and every later wave of the run go in-line."""
+    def run(self, kind: str, nodes: list[tuple[tuple, tuple]]) -> list:
+        """Run one contiguous shard of ``nodes`` per worker.  If the pool
+        breaks, it is shut down and this and every later wave of the run
+        go in-line."""
         if not self.failed:
+            specs = [key[:3] + args[2:] for key, args in nodes]
             step = -(-len(specs) // self.workers)
             try:
                 futures = [
-                    self.pool.submit(fn, self.payload, specs[lo : lo + step])
+                    self.pool.submit(_shard, self.payload, kind, specs[lo : lo + step])
                     for lo in range(0, len(specs), step)
                 ]
                 artifacts = [out for f in futures for out in f.result()]
+                for arr in sanitize.reachable_arrays(artifacts):
+                    arr.setflags(write=False)  # unpickling made them writeable
+                return artifacts
             except RuntimeError as err:  # dead worker, or pool shut down elsewhere
                 warnings.warn(
                     f"shared-memory pool failed ({err!r}); finishing in-line",
                     RuntimeWarning,
-                    stacklevel=6,
+                    stacklevel=5,
                 )
                 shutdown_pool(self.pool)
                 self.failed = True
@@ -274,25 +267,7 @@ class ShmSubstrate(Substrate):
                     executor_effective="serial",
                     executor_downgrade=f"pool failure ({err})",
                 )
-            else:
-                seed(cold, artifacts)
-                return
-        inline(cold)
-
-    def run_routes(self, cold: list) -> None:
-        if cold:
-            specs = [rkey[:3] + node[2:] for rkey, node in cold]
-            self._wave(cold, _route_shard, specs, super().run_routes, _seed_routes)
-
-    def run_sims(self, cold: list) -> None:
-        from repro.networks.routing import ROUTE_CACHE, route_key
-
-        if cold:
-            specs = [
-                sk[:3] + node[2:] + (ROUTE_CACHE.peek(route_key(*node[:3])),)
-                for sk, node in cold
-            ]
-            self._wave(cold, _sim_shard, specs, super().run_sims, _seed_sims)
+        return super().run(kind, nodes)
 
     def close(self) -> None:
         self.block.close()

@@ -20,13 +20,14 @@ and flags:
   dict/list/set display or comprehension, or a ``dict``/``list``/
   ``set``/``OrderedDict``/``defaultdict`` call).
 
-The registered memoisation LRUs are the sanctioned exception — reading
-through them is what makes stage dedup work.  In a module that calls
+The registered memoisation LRUs are the sanctioned exception: a cached
+artifact is the same in every process.  In a module that calls
 ``register_cache(...)``, names following the cache-naming convention
-(``cache`` in the identifier, as in RPR002) are therefore allowed; in
-practice kernels should touch caches only through their public memoised
-entry points (``route_trace``, ``simulate_trace``, ...), which is what
-the shipped kernels do.
+(``cache`` in the identifier, as in RPR002) are therefore allowed.  The
+shipped kernels need no such read: they call the uncached bodies
+(``compute_route``, ``compute_sims``), reach only the fold memo through
+``fold_trace``, and leave the route and sim LRUs to the wave step that
+dispatches them.
 """
 
 from __future__ import annotations

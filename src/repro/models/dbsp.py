@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.machine.folding import F_vector, S_vector
+from repro.core.metrics import TraceMetrics
 from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
@@ -108,12 +108,8 @@ class DBSP:
 def communication_time(
     trace: Trace, p: int, g, ell
 ) -> float:
-    """``D_A(n, p, g, ell)`` of the trace folded onto ``D-BSP(p, g, ell)``."""
-    logp = ilog2(p)
-    g = np.asarray(g, dtype=np.float64)
-    ell = np.asarray(ell, dtype=np.float64)
-    if g.shape != (logp,) or ell.shape != (logp,):
-        raise ValueError(f"g and ell must have length log2(p)={logp}")
-    F = F_vector(trace, p).astype(np.float64)
-    S = S_vector(trace, p).astype(np.float64)
-    return float(F @ g + S @ ell)
+    """``D_A(n, p, g, ell)`` of the trace folded onto ``D-BSP(p, g, ell)``.
+
+    Eq. 2 itself is :meth:`repro.core.metrics.TraceMetrics.D`.
+    """
+    return TraceMetrics(trace).D(p, g, ell)

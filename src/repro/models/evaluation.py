@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.metrics import TraceMetrics
 from repro.machine.folding import F_vector, S_vector
 from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
@@ -29,13 +30,10 @@ __all__ = ["EvaluationModel", "communication_complexity"]
 def communication_complexity(trace: Trace, p: int, sigma: float) -> float:
     """``H_A(n, p, sigma)`` of the trace folded onto ``M(p, sigma)``.
 
-    ``p`` must be a power of two with ``p <= v``; ``sigma >= 0``.
+    ``p`` must be a power of two with ``p <= v``; ``sigma >= 0``.  Eq. 1
+    itself is :meth:`repro.core.metrics.TraceMetrics.H`.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    F = F_vector(trace, p)
-    S = S_vector(trace, p)
-    return float(F.sum() + sigma * S.sum())
+    return TraceMetrics(trace).H(p, sigma)
 
 
 @dataclass(frozen=True)

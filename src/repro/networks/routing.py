@@ -41,6 +41,7 @@ __all__ = [
     "RoutedCost",
     "RoutedProfile",
     "route_trace",
+    "compute_route",
     "route_key",
     "clear_route_cache",
     "route_cache_stats",
@@ -200,7 +201,14 @@ def route_trace(
     cached = ROUTE_CACHE.get(key)
     if cached is not None:
         return cached
+    return ROUTE_CACHE.put(key, compute_route(trace, topo, policy))
 
+
+def compute_route(
+    trace: Trace, topo: Topology, policy: RoutingPolicy
+) -> RoutedProfile:
+    """:func:`route_trace`'s uncached body: the same profile, computed
+    afresh and never looked up in or added to ``ROUTE_CACHE``."""
     cols = fold_trace(trace, topo.p, keep_empty=True).columns()
     S, offsets = cols.num_supersteps, cols.offsets
     legs = policy.phase_legs(topo, cols.labels, offsets, cols.src, cols.dst)
@@ -221,7 +229,7 @@ def route_trace(
     time = congestion + dilation + 1.0
     for arr in (congestion, dilation, time):
         arr.setflags(write=False)
-    profile = RoutedProfile(
+    return RoutedProfile(
         topology=topo.name,
         policy=policy.name,
         p=topo.p,
@@ -230,4 +238,3 @@ def route_trace(
         dilation=dilation,
         time=time,
     )
-    return ROUTE_CACHE.put(key, profile)

@@ -100,7 +100,10 @@ class RandomArbiter(Arbiter):
     rank_mode = "dynamic"
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"RandomArbiter seed must be non-negative, got {seed}")
+        self.seed = seed
 
     def cache_key(self) -> tuple:
         return (self.name, self.seed)

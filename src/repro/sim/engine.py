@@ -47,7 +47,7 @@ import numpy as np
 from repro.machine.folding import fold_trace
 from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
-from repro.networks.routing import route_trace
+from repro.networks.routing import RoutedProfile, route_trace
 from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter, by_arbiter
 from repro.sim.fastpath import expand_paths
@@ -62,6 +62,7 @@ __all__ = [
     "simulate_trace",
     "simulate_trace_reference",
     "simulate_many",
+    "compute_sims",
     "simulate_superstep",
     "sim_key",
     "clear_sim_cache",
@@ -399,8 +400,8 @@ def simulate_trace_reference(
         topo, policy, arbiter, batches, flits, cols.num_supersteps
     )
     return _build_profile(
-        trace, topo, policy, arbiter, flits, cols, delivered,
-        cycles, max_queue, edge_flits,
+        route_trace(trace, topo, policy), topo, policy, arbiter, flits,
+        cols, delivered, cycles, max_queue, edge_flits,
     )
 
 
@@ -444,7 +445,7 @@ def _prep_trace(trace: Trace, topo: Topology) -> tuple:
 
 
 def _build_profile(
-    trace: Trace,
+    routed: RoutedProfile,
     topo: Topology,
     policy: RoutingPolicy,
     arbiter: Arbiter,
@@ -455,8 +456,8 @@ def _build_profile(
     max_queue: np.ndarray,
     edge_flits: np.ndarray,
 ) -> SimProfile:
-    """Assemble the immutable profile (analytic columns + measured)."""
-    routed = route_trace(trace, topo, policy)
+    """Assemble the immutable profile (``routed``'s analytic columns +
+    measured)."""
     caps = topo.edge_capacities().copy()
     for arr in (cycles, max_queue, delivered, edge_flits, caps):
         arr.setflags(write=False)
@@ -486,14 +487,11 @@ def simulate_many(
     """Simulate many ``(trace, topo, policy, arbiter)`` cells, batched.
 
     The grid twin of :func:`simulate_trace`: results, cache keys and
-    cached contents are bit-identical to per-cell calls — but with the
-    fast engine, every cache-missing cell whose arbiter rank is static
-    joins one fused cycle loop (:func:`repro.sim.fastpath.run_batch`),
-    so a whole experiment sweep costs its *longest* superstep chain
-    instead of the sum over cells; dynamic-rank arbiters (random and
-    third-party) run their cells phase by phase in the same call.
-    ``policy``/``arbiter`` entries may be ``None``/names exactly as in
-    :func:`simulate_trace`.
+    cached contents are bit-identical to per-cell calls — but every
+    cache-missing cell goes to one :func:`compute_sims` call, so a
+    whole experiment sweep costs its *longest* superstep chain instead
+    of the sum over cells.  ``policy``/``arbiter`` entries may be
+    ``None``/names exactly as in :func:`simulate_trace`.
     """
     flits = _check_flits(flits_per_message)
     norm = []
@@ -501,43 +499,51 @@ def simulate_many(
         if isinstance(arbiter, str):
             arbiter = by_arbiter(arbiter, seed)
         norm.append((trace, topo, policy or _DIRECT, arbiter))
-    profiles: list[SimProfile | None] = [None] * len(norm)
-    pending: list[tuple] = []  # (item index, key, cols, batches, delivered)
-    for i, (trace, topo, policy, arbiter) in enumerate(norm):
-        key = sim_key(trace, topo, policy, arbiter, flits_per_message=flits)
-        cached = SIM_CACHE.get(key)
-        if cached is not None:
-            profiles[i] = cached
-            continue
-        cols, batches, delivered = _prep_trace(trace, topo)
-        pending.append((i, key, cols, batches, delivered))
-    if pending:
-        cells = [
-            (norm[i][1], norm[i][1].edge_capacities(), norm[i][2], norm[i][3],
-             batches, flits)
-            for i, _, _, batches, _ in pending
-        ]
-        results = _fast_run_batch(cells)
-        for (i, key, cols, batches, delivered), (b_cycles, b_queue, ef) in zip(
-            pending, results
-        ):
-            trace, topo, policy, arbiter = norm[i]
-            S = cols.num_supersteps
-            cycles = np.zeros(S, dtype=np.int64)
-            max_queue = np.zeros(S, dtype=np.int64)
-            if batches:
-                idx = np.array([b[0] for b in batches], dtype=np.int64)
-                cycles[idx] = b_cycles
-                max_queue[idx] = b_queue
-            edge_flits = np.ascontiguousarray(ef)
-            if batches and sanitize.should_crosscheck():
-                sanitize.check_engine_parity(
-                    (cycles, max_queue, edge_flits),
-                    _reference_arrays(topo, policy, arbiter, batches, flits, S),
-                    "simulate_many",
-                )
-            profiles[i] = SIM_CACHE.put(key, _build_profile(
-                trace, topo, policy, arbiter, flits, cols, delivered,
-                cycles, max_queue, edge_flits,
-            ))
+    keys = [sim_key(*item, flits_per_message=flits) for item in norm]
+    profiles = [SIM_CACHE.get(key) for key in keys]
+    cold = [i for i, profile in enumerate(profiles) if profile is None]
+    fresh = compute_sims(
+        [norm[i] for i in cold], [route_trace(*norm[i][:3]) for i in cold], flits
+    )
+    for i, profile in zip(cold, fresh):
+        profiles[i] = SIM_CACHE.seed(keys[i], profile)
+    return profiles
+
+
+def compute_sims(
+    items: list, routed: list[RoutedProfile], flits: int
+) -> list[SimProfile]:
+    """:func:`simulate_many`'s uncached body over built ``(trace, topo,
+    policy, arbiter)`` cells and each cell's ``routed`` profile (whose
+    analytic columns the sim profile copies).  Static-rank cells join
+    one fused cycle loop, dynamic-rank ones run phase by phase
+    (:func:`repro.sim.fastpath.run_batch`); no LRU is read or written.
+    """
+    prepped = [_prep_trace(trace, topo) for trace, topo, _, _ in items]
+    results = _fast_run_batch([
+        (topo, topo.edge_capacities(), policy, arbiter, batches, flits)
+        for (_, topo, policy, arbiter), (_, batches, _) in zip(items, prepped)
+    ])
+    profiles = []
+    for (_, topo, policy, arbiter), (cols, batches, delivered), route, (
+        b_cycles, b_queue, ef
+    ) in zip(items, prepped, routed, results):
+        S = cols.num_supersteps
+        cycles = np.zeros(S, dtype=np.int64)
+        max_queue = np.zeros(S, dtype=np.int64)
+        if batches:
+            idx = np.array([b[0] for b in batches], dtype=np.int64)
+            cycles[idx] = b_cycles
+            max_queue[idx] = b_queue
+        edge_flits = np.ascontiguousarray(ef)
+        if batches and sanitize.should_crosscheck():
+            sanitize.check_engine_parity(
+                (cycles, max_queue, edge_flits),
+                _reference_arrays(topo, policy, arbiter, batches, flits, S),
+                "simulate_many",
+            )
+        profiles.append(_build_profile(
+            route, topo, policy, arbiter, flits, cols, delivered,
+            cycles, max_queue, edge_flits,
+        ))
     return profiles

@@ -114,8 +114,8 @@ class LRU:
             return value
 
     def peek(self, key: Hashable | None) -> Any:
-        """Like :meth:`get` but uncounted: a scheduler probe, so that
-        the eventual lookup, not the probe, is what the counters record."""
+        """Like :meth:`get` but uncounted: a probe that leaves the
+        counters to real lookups."""
         if key is None:
             return None
         with self._lock:
@@ -137,8 +137,9 @@ class LRU:
     def seed(self, key: Hashable | None, value: Any) -> Any:
         """Insert a value computed elsewhere unless ``key`` is present.
 
-        The parent-side hook for worker results: pickling drops numpy's
-        read-only flag, so every reachable array is re-frozen first.
+        Every reachable array is frozen first, so the value may come
+        from code the cache cannot vouch for (a batch kernel, a worker
+        whose pickling dropped numpy's read-only flag).
         Returns the entry that ends up cached (an existing one wins; the
         values are bit-identical by construction).  Uncounted.
         """

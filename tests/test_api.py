@@ -321,6 +321,50 @@ class TestExperimentPlan:
         with pytest.raises(ValueError):
             plan.run()
 
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (dict(topology="nope"), KeyError, "unknown topology 'nope'"),
+            (dict(topology="ring", policy="nope"), KeyError, "unknown policy 'nope'"),
+            (
+                dict(topology="ring", policy="valiant", policy_seed=-1),
+                ValueError, "seed must be non-negative, got -1",
+            ),
+            (dict(machine="nope"), KeyError, "unknown machine preset 'nope'"),
+            (
+                dict(topology="ring", mode="sim", arbiter="random", arbiter_seed=-1),
+                ValueError, "seed must be non-negative, got -1",
+            ),
+        ],
+        ids=["topology", "policy", "policy-seed", "machine", "arbiter-seed"],
+    )
+    def test_bad_names_and_seeds_fail_before_any_emission(self, bad, error, match):
+        good = PlanCell(algorithm="fft", n=64, p=8, topology="ring", sigma=1.0)
+        plan = ExperimentPlan([good, PlanCell(algorithm="fft", n=64, p=8, **bad)])
+        repro.clear_caches()
+        with pytest.raises(error, match=match):
+            plan.validate()
+        with pytest.raises(error, match=match):
+            plan.run()
+        stats = repro.cache_stats()
+        assert stats["fold"]["misses"] == 0 and stats["route"]["misses"] == 0
+
+    def test_validate_accepts_policy_instances_and_plan_machines(self):
+        from repro.models import PRESETS
+        from repro.networks import ValiantPolicy
+
+        cells = [
+            PlanCell(algorithm="fft", n=64, p=8, topology="ring",
+                     policy=ValiantPolicy(3)),
+            PlanCell(algorithm="fft", n=64, p=8, machine="mine"),
+        ]
+        plan = ExperimentPlan(cells, machines={"mine": PRESETS["hypercube"]})
+        plan.validate()
+        assert plan.run().rows == oracle_rows(plan)
+        preset = ExperimentPlan(cells[1:], machines={"other": PRESETS["hypercube"]})
+        with pytest.raises(KeyError, match="unknown machine preset 'mine'"):
+            preset.validate()
+
     def test_json_roundtrip(self, tmp_path):
         plan = self._grid()
         path = tmp_path / "plan.json"

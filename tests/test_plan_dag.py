@@ -170,6 +170,55 @@ class TestOracleEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Each unique node once, however small the LRUs
+# ----------------------------------------------------------------------
+class TestEachNodeOnce:
+    """A plan larger than the route and sim LRUs still computes each
+    unique node exactly once: the run keeps the profiles its waves
+    return instead of re-reading (and, after eviction, recomputing)
+    them through the LRUs."""
+
+    @pytest.mark.parametrize("executor", ["serial", "shm"])
+    def test_plans_beyond_lru_capacity(self, executor, monkeypatch):
+        from repro.api.plan import _PlanRuntime
+        from repro.exec import StageGraph
+        from repro.networks.routing import ROUTE_CACHE
+        from repro.sim.engine import SIM_CACHE
+
+        # The sanitizer's spot checks re-route fresh trace clones.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        plan = ExperimentPlan.grid(
+            ["fft", "prefix"], ns=[64], ps=[4, 8],
+            topologies=["ring", "hypercube", "torus2d"],
+            policies=["dimension-order", "valiant"],
+            modes=["analytic", "sim"],
+        )
+        oracle = oracle_rows(plan)
+        runtime = _PlanRuntime(plan)
+        runtime.prepare()
+        counters = StageGraph(runtime, range(len(plan))).counters
+        routes, sims = counters["route_nodes"], counters["sim_nodes"]
+        monkeypatch.setattr(ROUTE_CACHE, "maxsize", 4)
+        monkeypatch.setattr(SIM_CACHE, "maxsize", 4)
+        assert routes == sims == 24
+        substrate = (
+            "serial" if executor == "serial" else ShmSubstrate(workers=2, force=True)
+        )
+        clear_caches()
+        try:
+            frame = plan.run(executor=substrate)
+        finally:
+            shutdown_pool()
+        assert frame.rows == oracle
+        assert frame.metadata["executor_effective"] == executor
+        stats = cache_stats()
+        assert stats["route"]["evictions"] > 0 and stats["sim"]["evictions"] > 0
+        assert (stats["route"]["misses"], stats["route"]["hits"]) == (routes, 0)
+        assert (stats["sim"]["misses"], stats["sim"]["hits"]) == (sims, 0)
+        assert frame.metadata["dag_stages_executed"] == 2 + routes + sims
+
+
+# ----------------------------------------------------------------------
 # Dedup accounting
 # ----------------------------------------------------------------------
 class TestDedupCounters:

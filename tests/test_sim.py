@@ -327,6 +327,16 @@ class TestSimPlan:
         with pytest.raises(KeyError, match="arbiter"):
             bad_arb.run()
 
+    def test_negative_random_arbiter_seed_is_rejected_with_the_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            by_arbiter("random", -1)
+        plan = ExperimentPlan.grid(
+            ["fft"], ns=[64], ps=[8], topologies=["ring"], modes=["sim"],
+            arbiter="random", arbiter_seed=-1,
+        )
+        with pytest.raises(ValueError, match="got -1"):
+            plan.run()
+
     def test_sim_mode_without_topology_fails_fast(self):
         """Asking for a simulation of a structural cell is a mistake,
         not a silent no-op row."""
