@@ -20,15 +20,25 @@ the pure-numpy fast engine (cross-cell batched via ``validate_grid``)
 and ``run_sweep_reference`` loops the per-cycle reference oracle
 (``simulate_trace_reference``) over the cells — their ratio is the
 recorded engine speedup, their profiles are bit-identical.
+
+``arbiter_times`` prints what per-cycle random ranks cost: the same
+cold grid under the random and the fifo arbiter, timed in one process
+with alternating repeats.
 """
 
+import statistics
 import time
 
 import numpy as np
 
 from _util import emit_table, flatness
 from repro.networks import TOPOLOGIES, by_name, by_policy, route_trace
-from repro.sim import clear_sim_cache, simulate_trace_reference, validate_grid
+from repro.sim import (
+    clear_sim_cache,
+    simulate_many,
+    simulate_trace_reference,
+    validate_grid,
+)
 
 #: The E11 trio at its classic operating points.
 SCALE = (("matmul", 256, 64), ("fft", 1024, 16), ("sort", 1024, 8))
@@ -37,6 +47,10 @@ SCALE = (("matmul", 256, 64), ("fft", 1024, 16), ("sort", 1024, 8))
 QUICK = (
     ("matmul", 64, 16), ("fft", 256, 8), ("sort", 64, 8), ("stencil1d", 16, 8),
 )
+
+#: The random-vs-fifo row: sort at its most contended operating point,
+#: where nearly every active flit waits in a contended queue each cycle.
+ARBITER_CFG = (("sort", 128, 16),)
 
 TOPO_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
@@ -150,3 +164,45 @@ def test_e19_cycle_sim(benchmark, quick):
     # The constant band is *flat*: no (topology, policy) cell hides an
     # asymptotic gap between the analytic and the measured engine.
     assert flatness([r[4] for r in rows]) < 8.0
+
+
+def arbiter_times(repeats: int = 7, cfg=ARBITER_CFG) -> tuple[dict, dict]:
+    """Cold ``simulate_many`` seconds of the grid under fifo and random.
+
+    Repeats alternate which arbiter runs first.  Returns every repeat's
+    seconds per arbiter and the last repeat's profiles per arbiter.
+    """
+    cells = _cells(cfg)
+    times: dict[str, list[float]] = {"fifo": [], "random": []}
+    profiles: dict[str, list] = {}
+    for r in range(repeats):
+        for arbiter in ("fifo", "random")[:: 1 if r % 2 == 0 else -1]:
+            clear_sim_cache()
+            t0 = time.perf_counter()
+            profiles[arbiter] = simulate_many(
+                [(trace, topo, policy, arbiter) for _, trace, topo, policy in cells]
+            )
+            times[arbiter].append(time.perf_counter() - t0)
+    return times, profiles
+
+
+def test_e19_random_vs_fifo(quick):
+    times, profiles = arbiter_times(3 if quick else 7)
+    rows = [
+        [r + 1, f, rnd, rnd / f]
+        for r, (f, rnd) in enumerate(zip(times["fifo"], times["random"]))
+    ]
+    ratio = statistics.median(times["random"]) / statistics.median(times["fifo"])
+    alg, n, p = ARBITER_CFG[0]
+    emit_table(
+        "e19_arbiter_ratio",
+        f"E19  random/fifo, cold simulate_many of {alg} n={n} p={p} on "
+        f"{len(TOPO_NAMES)}x{len(POLICY_NAMES)} cells: median "
+        f"ratio {ratio:.2f}",
+        ["repeat", "fifo_s", "random_s", "ratio"],
+        rows,
+    )
+    # Arbitration only reorders queues: paths fix every edge's traffic.
+    for fifo, rnd in zip(profiles["fifo"], profiles["random"]):
+        assert np.array_equal(fifo.delivered, rnd.delivered)
+        assert np.array_equal(fifo.edge_flits, rnd.edge_flits)

@@ -4,9 +4,10 @@ Frames are property-tested *bit-identical* across the serial, thread,
 process and shm executors, and memoised profiles are only safe to cache
 because every random draw is a pure function of explicit seeds (the
 Valiant policy's ``(seed, superstep)`` draw, the random arbiter's
-``(seed, step, phase, cycle)`` draw).  One bare ``np.random.*`` call —
-or a ``default_rng()`` with no seed — breaks both properties silently:
-results still *look* plausible, they just stop being reproducible.
+counter-based hash of each flit's ``(seed, step, phase, cycle,
+index)``).  One bare ``np.random.*`` call — or a ``default_rng()`` with
+no seed — breaks both properties silently: results still *look*
+plausible, they just stop being reproducible.
 
 Flagged (outside test files):
 

@@ -15,11 +15,7 @@ Flagged:
   name lists differ (e.g. ``simulate_trace`` /
   ``simulate_trace_reference``);
 * modules defining both ``simulate_trace`` and ``simulate_many``:
-  their keyword-only parameter sets must be equal;
-* modules defining both ``simulate_trace`` and ``simulate_superstep``:
-  every keyword-only parameter of ``simulate_trace`` must be accepted
-  by ``simulate_superstep`` (the superstep twin may add ``step``/
-  ``label`` context, never drop a simulation-affecting kwarg).
+  their keyword-only parameter sets must be equal.
 """
 
 from __future__ import annotations
@@ -87,7 +83,6 @@ class EngineParityCheck(Check):
         top = dict(next(iter_scopes(ctx.tree))[1])
         trace = top.get("simulate_trace")
         many = top.get("simulate_many")
-        superstep = top.get("simulate_superstep")
         if trace is not None and many is not None:
             if _kwonly(trace) != _kwonly(many):
                 yield ctx.violation(
@@ -96,15 +91,6 @@ class EngineParityCheck(Check):
                     "simulate_many is the grid twin of simulate_trace but "
                     f"their keyword-only surfaces differ ({sorted(_kwonly(trace))}"
                     f" vs {sorted(_kwonly(many))})",
-                )
-        if trace is not None and superstep is not None:
-            dropped = _kwonly(trace) - _kwonly(superstep)
-            if dropped:
-                yield ctx.violation(
-                    self.id,
-                    superstep,
-                    f"simulate_superstep drops keyword(s) {sorted(dropped)} "
-                    "that simulate_trace accepts",
                 )
 
 

@@ -26,7 +26,6 @@ from repro.sim.engine import (
     sim_cache_stats,
     sim_engine_stats,
     simulate_many,
-    simulate_superstep,
     simulate_trace,
     simulate_trace_reference,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "simulate_trace",
     "simulate_trace_reference",
     "simulate_many",
-    "simulate_superstep",
     "clear_sim_cache",
     "sim_cache_stats",
     "sim_engine_stats",

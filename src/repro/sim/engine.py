@@ -28,14 +28,15 @@ Mechanics (one phase of one superstep):
   bracket around the LMR ``O(C + D)`` schedule.
 
 Whole traces are simulated by :func:`simulate_trace` (the event-driven
-fast engine of :mod:`repro.sim.fastpath`) into a columnar
-:class:`SimProfile`, memoised exactly like
-:class:`~repro.networks.routing.RoutedProfile` (keyed by trace
+fast engine of :mod:`repro.sim.fastpath`, one fused cycle loop for
+every arbiter) into a columnar :class:`SimProfile`, memoised exactly
+like :class:`~repro.networks.routing.RoutedProfile` (keyed by trace
 identity+version x topology x policy x arbiter).
 :func:`simulate_trace_reference` is its uncached test oracle: the
 original per-cycle loop, vectorized over the flat (message, hop) arrays
-— one ``lexsort`` + ``bincount`` round per cycle — that the fast engine
-is property-tested bit-identical against.
+— one :meth:`~repro.sim.arbiter.Arbiter.priorities` call over the
+phase's active flits and one ``lexsort`` + ``bincount`` round per
+cycle — that the fast engine is property-tested bit-identical against.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "simulate_trace_reference",
     "simulate_many",
     "compute_sims",
-    "simulate_superstep",
     "sim_key",
     "clear_sim_cache",
     "sim_cache_stats",
@@ -309,41 +309,6 @@ def _simulate_batch(
     return cycles, max_queue
 
 
-def simulate_superstep(
-    topo: Topology,
-    src: np.ndarray,
-    dst: np.ndarray,
-    policy: RoutingPolicy | None = None,
-    arbiter: Arbiter | str = "fifo",
-    *,
-    step: int = 0,
-    label: int = 0,
-    seed: int = 0,
-    flits_per_message: int = 1,
-) -> tuple[int, int, int]:
-    """Measured (cycles, max queue, delivered) of one superstep's batch.
-
-    ``step``/``label`` follow the
-    :func:`~repro.networks.routing.superstep_time` convention;
-    ``delivered`` counts messages even when each expands to
-    ``flits_per_message`` flits.
-    """
-    if isinstance(arbiter, str):
-        arbiter = by_arbiter(arbiter, seed)
-    flits = _check_flits(flits_per_message)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if not src.size:
-        return 0, 0, 0
-    ((cycles, max_queue, _),) = _fast_run_batch([(
-        topo, topo.edge_capacities(), policy or _DIRECT, arbiter,
-        [(step, label, src, dst)], flits,
-    )])
-    return int(cycles[0]), int(max_queue[0]), int(src.size)
-
-
 def simulate_trace(
     trace: Trace,
     topo: Topology,
@@ -515,8 +480,8 @@ def compute_sims(
 ) -> list[SimProfile]:
     """:func:`simulate_many`'s uncached body over built ``(trace, topo,
     policy, arbiter)`` cells and each cell's ``routed`` profile (whose
-    analytic columns the sim profile copies).  Static-rank cells join
-    one fused cycle loop, dynamic-rank ones run phase by phase
+    analytic columns the sim profile copies).  The cells run in one
+    fused cycle loop per arbiter group
     (:func:`repro.sim.fastpath.run_batch`); no LRU is read or written.
     """
     prepped = [_prep_trace(trace, topo) for trace, topo, _, _ in items]

@@ -742,33 +742,6 @@ class TestEngineParity:
         )
         assert len(found) == 1 and "keyword-only surfaces differ" in found[0].message
 
-    def test_simulate_superstep_may_extend_not_drop(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            """
-            def simulate_trace(trace, topo, *, seed=0, flits=1):
-                return None
-
-            def simulate_superstep(trace, topo, *, seed=0, flits=1, step=0):
-                return None
-            """,
-            "RPR006",
-        )
-        assert found == []
-        found = lint_snippet(
-            tmp_path,
-            """
-            def simulate_trace(trace, topo, *, seed=0, flits=1):
-                return None
-
-            def simulate_superstep(trace, topo, *, seed=0, step=0):
-                return None
-            """,
-            "RPR006",
-            filename="drop.py",
-        )
-        assert len(found) == 1 and "drops keyword" in found[0].message
-
     def test_noqa_suppresses(self, tmp_path):
         found = lint_snippet(
             tmp_path,

@@ -8,6 +8,7 @@ import pytest
 from conftest import oracle_rows, route_loads
 from repro.api import ExperimentPlan, run
 from repro.exec import ShmSubstrate, shutdown_pool
+from repro.machine import Trace
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES
 from repro.sim import (
@@ -15,7 +16,6 @@ from repro.sim import (
     by_arbiter,
     clear_sim_cache,
     sim_cache_stats,
-    simulate_superstep,
     simulate_trace,
     validate_bound,
 )
@@ -61,6 +61,18 @@ class TestRoutePaths:
 # ----------------------------------------------------------------------
 # Event-loop micro-behaviour (exact, hand-checkable cases)
 # ----------------------------------------------------------------------
+def _one_superstep(topo, src, dst) -> tuple[int, int, int]:
+    """Measured (cycles, max queue, delivered) of a one-superstep trace."""
+    trace = Trace(topo.p)
+    trace.append(0, src, dst)
+    profile = simulate_trace(trace, topo)
+    return (
+        int(profile.cycles[0]),
+        int(profile.max_queue[0]),
+        int(profile.delivered[0]),
+    )
+
+
 class TestSuperstepSim:
     def test_serialised_flits_on_one_edge(self):
         """k flits over one unit-capacity edge need exactly k cycles."""
@@ -68,19 +80,15 @@ class TestSuperstepSim:
         for k in (1, 2, 5):
             src = np.zeros(k, dtype=np.int64)
             dst = np.ones(k, dtype=np.int64)
-            cycles, max_queue, delivered = simulate_superstep(topo, src, dst)
-            assert (cycles, max_queue, delivered) == (k, k, k)
+            assert _one_superstep(topo, src, dst) == (k, k, k)
 
     def test_uncontended_path_costs_its_length(self):
         topo = by_name("ring", 16)
-        cycles, max_queue, delivered = simulate_superstep(
-            topo, np.array([0]), np.array([5])
-        )
-        assert (cycles, max_queue, delivered) == (5, 1, 1)
+        assert _one_superstep(topo, np.array([0]), np.array([5])) == (5, 1, 1)
 
     def test_empty_superstep_is_free(self):
         topo = by_name("ring", 8)
-        assert simulate_superstep(topo, np.array([2]), np.array([2])) == (0, 0, 0)
+        assert _one_superstep(topo, np.array([2]), np.array([2])) == (0, 0, 0)
 
     def test_pipelining_beats_serial_hops(self):
         """A convoy down a shared line pipelines: D + (k-1), not k*D."""
@@ -88,7 +96,7 @@ class TestSuperstepSim:
         k, d = 4, 6
         src = np.zeros(k, dtype=np.int64)
         dst = np.full(k, d, dtype=np.int64)
-        cycles, _, _ = simulate_superstep(topo, src, dst)
+        cycles, _, _ = _one_superstep(topo, src, dst)
         assert cycles == d + (k - 1)
 
 

@@ -1,6 +1,6 @@
 """Fast-engine contract tests: bit-identity with the reference oracle
-(``simulate_trace_reference``), cross-cell batching, the dynamic-rank
-quiescent skip, flits validation, and the multi-flit fidelity knob."""
+(``simulate_trace_reference``), cross-cell batching, per-flit pure
+arbiter ranks, flits validation, and the multi-flit fidelity knob."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,9 @@ from repro.api import run
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES, Ring
 from repro.sim import (
+    Arbiter,
+    RandomArbiter,
+    by_arbiter,
     clear_sim_cache,
     reset_sim_engine_stats,
     sim_cache_stats,
@@ -65,6 +68,97 @@ class TestFastReferenceIdentity:
             _assert_profiles_identical(
                 ref, fast, (name, topo_name, policy_name, arbiter_name, flits)
             )
+
+    @pytest.mark.parametrize("topo_name", ("ring", "fat-tree", "butterfly"))
+    def test_third_party_arbiters_run_fused(self, engine_traces, topo_name):
+        """An arbiter that only overrides ``priorities`` runs in the
+        fused loop bit-identical to the reference — with int64 ranks
+        that tie (a per-cycle farthest-to-go, which must also match the
+        static one) and with float ranks."""
+
+        class PerCycleFarthest(Arbiter):
+            name = "per-cycle-farthest"
+
+            def priorities(self, step, phase, cycle, index, remaining):
+                return -np.asarray(remaining, dtype=np.int64)
+
+        class Wavy(Arbiter):
+            name = "wavy"
+
+            def priorities(self, step, phase, cycle, index, remaining):
+                return np.sin(7.3 * np.asarray(index) + 1.1 * np.asarray(cycle))
+
+        topo = by_name(topo_name, 16)
+        policy = by_policy("valiant", seed=7)
+        trace = engine_traces["sort"]
+        for arbiter in (PerCycleFarthest(), Wavy()):
+            fast = simulate_trace(trace, topo, policy, arbiter)
+            ref = simulate_trace_reference(trace, topo, policy, arbiter)
+            _assert_profiles_identical(ref, fast, (topo_name, arbiter.name))
+        _assert_profiles_identical(
+            simulate_trace(trace, topo, policy, "farthest-to-go"),
+            simulate_trace(trace, topo, policy, PerCycleFarthest()),
+            topo_name,
+        )
+
+
+# ----------------------------------------------------------------------
+# Random ranks: a per-flit pure counter-based hash
+# ----------------------------------------------------------------------
+class TestRandomRank:
+    @pytest.mark.parametrize("seed", (0, 1, 12345))
+    def test_rank_is_per_flit_pure(self, seed):
+        """Ranking any subset of flits gives each flit the rank it gets
+        in the call over the full set — what lets the fused loop rank
+        many supersteps and cells in one call."""
+        rng = np.random.default_rng(seed)
+        n = 500
+        step = rng.integers(0, 40, n)
+        phase = rng.integers(0, 2, n)
+        cycle = rng.integers(0, 300, n)
+        index = rng.integers(0, 5000, n)
+        remaining = rng.integers(1, 9, n)
+        arbiter = RandomArbiter(seed)
+        full = arbiter.priorities(step, phase, cycle, index, remaining)
+        for _ in range(5):
+            sub = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            part = arbiter.priorities(
+                step[sub], phase[sub], cycle[sub], index[sub], remaining[sub]
+            )
+            assert np.array_equal(part, full[sub])
+        # The reference's per-phase call: scalar counters, one phase.
+        mask = (step == step[0]) & (phase == phase[0]) & (cycle == cycle[0])
+        scalar = arbiter.priorities(
+            int(step[0]), int(phase[0]), int(cycle[0]), index[mask], remaining[mask]
+        )
+        assert np.array_equal(scalar, full[mask])
+
+    def test_seed_and_counters_change_ranks(self):
+        index = np.arange(256)
+        remaining = np.ones(256, dtype=np.int64)
+        base = RandomArbiter(0).priorities(3, 0, 7, index, remaining)
+        assert np.unique(base).size == index.size  # no ties within a phase
+        for arbiter, args in (
+            (RandomArbiter(1), (3, 0, 7)),
+            (RandomArbiter(0), (4, 0, 7)),
+            (RandomArbiter(0), (3, 1, 7)),
+            (RandomArbiter(0), (3, 0, 8)),
+        ):
+            other = arbiter.priorities(*args, index, remaining)
+            # An independent redraw: the winner order is reshuffled.
+            assert not np.array_equal(np.argsort(other), np.argsort(base))
+            assert np.mean(other < base) == pytest.approx(0.5, abs=0.15)
+
+    def test_random_profile_is_pinned(self):
+        """Any change to the rank hash moves random-arbiter rows (and
+        must be recorded as a migration): pin one small profile."""
+        trace = run("fft", n=32).trace
+        profile = simulate_trace_reference(trace, by_name("ring", 16), arbiter="random")
+        assert profile.cycles.tolist() == [32, 8, 4, 4, 4, 9, 8, 33, 4, 4, 4, 27]
+        assert profile.max_queue.tolist() == [8, 4, 4, 4, 4, 6, 4, 8, 4, 4, 4, 8]
+        clear_sim_cache()
+        fast = simulate_trace(trace, by_name("ring", 16), arbiter="random")
+        _assert_profiles_identical(profile, fast, "pinned")
 
 
 # ----------------------------------------------------------------------
@@ -153,23 +247,27 @@ class TestBatchedSimulation:
 
 
 # ----------------------------------------------------------------------
-# The dynamic-rank path's quiescent skip (regression: it must fire)
+# Engine counters: one fused run per arbiter group
 # ----------------------------------------------------------------------
-class TestQuiescentSkip:
-    def test_skip_counter_fires_on_uncongested_trace(self, engine_traces):
-        """An uncongested cell spends most cycles below the service
-        floor; the dynamic-rank path (here ``random``) must skip those
-        windows, not walk them."""
-        topo = by_name("hypercube", 32)  # plenty of bandwidth for n=32
+class TestEngineCounters:
+    def test_one_fused_run_per_arbiter_group(self, engine_traces):
+        """fifo and farthest-to-go cells fuse per static rank mode, every
+        other arbiter per cache key: four groups, four fused runs."""
+        topo = by_name("mesh2d", 16)
+        items = [
+            (trace, topo, by_policy("valiant", 7), arbiter)
+            for trace in engine_traces.values()
+            for arbiter in (
+                "fifo", "farthest-to-go", by_arbiter("random", 0),
+                by_arbiter("random", 5),
+            )
+        ]
         clear_sim_cache()
         reset_sim_engine_stats()
-        simulate_trace(engine_traces["fft"], topo, arbiter="random")
+        simulate_many(items)
         stats = sim_engine_stats()
-        assert stats["skips"] > 0
-        assert stats["skipped_cycles"] > 0
-        # The skip must net real cycles: the serve loop alone would have
-        # walked every one of them.
-        assert stats["skipped_cycles"] >= stats["skips"]
+        assert set(stats) == {"fused_runs", "serve_cycles"}
+        assert stats["fused_runs"] == 4
 
     def test_reference_oracle_leaves_sim_counters_unchanged(self, engine_traces):
         topo = by_name("ring", 16)
