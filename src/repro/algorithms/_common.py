@@ -46,17 +46,6 @@ class AlgorithmResult:
     schedule: Schedule | None = None
 
     @classmethod
-    def _from_machine(cls, machine: Machine, n: int, **kw):
-        return cls(
-            trace=machine.trace,
-            v=machine.v,
-            n=n,
-            supersteps=machine.trace.num_supersteps,
-            messages=machine.trace.total_messages,
-            **kw,
-        )
-
-    @classmethod
     def from_schedule(cls, schedule: Schedule, n: int, *, check: bool = True, **kw):
         """Validate a compiled schedule (metric-only) and wrap its trace.
 
@@ -95,13 +84,6 @@ class SendBuffer:
         if len(src):
             self._src.append(np.asarray(src, dtype=np.int64))
             self._dst.append(np.asarray(dst, dtype=np.int64))
-
-    def add_pairs(self, pairs) -> None:
-        """Append from an iterable of ``(src, dst)`` Python ints."""
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        if len(arr):
-            self._src.append(arr[:, 0])
-            self._dst.append(arr[:, 1])
 
     def flush(self, target: ScheduleBuilder | Machine, label: int) -> None:
         src = (

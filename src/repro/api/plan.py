@@ -42,6 +42,7 @@ from repro.models.presets import PRESETS
 from repro.networks import TOPOLOGIES, RoutingPolicy, by_policy, fit, route_trace
 from repro.networks import by_name as topology_by_name
 from repro.sim import by_arbiter, simulate_trace
+from repro.util.intmath import is_power_of_two
 
 from repro.api import registry
 from repro.api.frame import RESULT_COLUMNS, ResultFrame
@@ -460,13 +461,19 @@ class ExperimentPlan:
         return cls(cells, name=name)
 
     def validate(self) -> None:
-        """Validate every cell eagerly, before anything is emitted: sizes
-        and params against the registry, and every topology, policy
-        (with its seed), machine and arbiter (with its seed) by name."""
+        """Validate every cell eagerly, before anything is emitted: sizes,
+        machine sizes ``p`` and params against the registry, and every
+        topology, policy (with its seed), machine and arbiter (with its
+        seed) by name."""
         machines = self.machines or PRESETS
         policies: set = set()
         arbiters: set = set()
-        for cell in self.cells:
+        for i, cell in enumerate(self.cells):
+            if cell.p is not None and not is_power_of_two(cell.p):
+                raise ValueError(
+                    f"cell {i} ({cell.algorithm} n={cell.n}): p must be a "
+                    f"positive power of two, got {cell.p!r}"
+                )
             if cell.mode not in ("analytic", "sim"):
                 raise ValueError(
                     f"unknown cell mode {cell.mode!r}; choose analytic or sim"

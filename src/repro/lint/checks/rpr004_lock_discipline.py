@@ -203,8 +203,7 @@ class LockDisciplineCheck(Check):
                     self.id,
                     node,
                     f"{node.value.id}.{node.attr} reaches into an LRU's "
-                    "private state, bypassing its lock — use get/peek/put/"
-                    "seed/clear",
+                    "private state, bypassing its lock — use get/put/seed/clear",
                 )
 
 

@@ -27,7 +27,7 @@ algorithm code records instead of executes.  Execution is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -130,10 +130,6 @@ class Schedule:
         if validate:
             trace.validate()  # marks the trace, so folds skip their own check
         return trace
-
-    def with_payload(self, payload: Callable[[int], Sequence[Any]]) -> "Schedule":
-        """A copy of this schedule with a payload callback attached."""
-        return replace(self, payload=payload)
 
     @staticmethod
     def concat(schedules: Sequence["Schedule"]) -> "Schedule":

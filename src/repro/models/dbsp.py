@@ -93,14 +93,6 @@ class DBSP:
         """The vector ``ell_i / g_i`` constrained by Theorem 3.4."""
         return np.array(self.ell) / np.array(self.g)
 
-    def as_bsp_sigma(self) -> float:
-        """The flat-BSP latency this machine degenerates to when ``g == 1``.
-
-        Useful for sanity checks: a ``DBSP`` with all ``g_i = 1`` and all
-        ``ell_i = sigma`` has ``D == H(.., sigma)``.
-        """
-        return float(self.ell[0]) if self.ell else 0.0
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"D-BSP(p={self.p}, g={self.g}, ell={self.ell})"
 

@@ -17,11 +17,9 @@ from repro.networks.policy import (
     by_policy,
 )
 from repro.networks.routing import (
-    RoutedCost,
     RoutedProfile,
     clear_route_cache,
     route_trace,
-    superstep_time,
 )
 from repro.networks.simulate import (
     NetworkComparison,
@@ -56,8 +54,6 @@ __all__ = [
     "by_policy",
     "POLICIES",
     "fit",
-    "superstep_time",
-    "RoutedCost",
     "RoutedProfile",
     "route_trace",
     "clear_route_cache",

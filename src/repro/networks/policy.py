@@ -21,16 +21,18 @@ random-walk / compact oblivious-routing lines in PAPERS.md):
   the streams of a whole trace are seeded at once (:func:`_draw_lows`)
   instead of through one generator object per superstep.
 
-Policies yield *phases*: each phase is an endpoint batch routed
-independently; the engine sums congestion and dilation over phases and
-charges one barrier per superstep (Valiant's two phases model its two
-store-and-forward rounds).
+A policy routes through one method, :meth:`RoutingPolicy.phase_legs`:
+given the folded trace's columns, it returns one ``(src, dst)`` leg per
+*phase*, each aligned with the flat message order.  The analytic router
+and the cycle simulator make the identical call; each routes every
+phase on its own, sums congestion and dilation (or cycles) over phases
+and charges one barrier per superstep (Valiant's two phases model its
+two store-and-forward rounds).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
 
 import numpy as np
 
@@ -203,30 +205,18 @@ def _draw_lows(
 
 
 class RoutingPolicy:
-    """Base: rewrite one superstep's endpoint batch into routing phases."""
+    """Base: rewrite a folded trace's endpoint columns into routing phases.
+
+    A third-party policy overrides :meth:`phase_legs` (and
+    :meth:`cache_key` when it has parameters) and registers a
+    constructor in :data:`POLICIES`.
+    """
 
     name: str = "policy"
 
     def cache_key(self) -> tuple:
         """Hashable identity used to memoise routed profiles."""
         return (self.name,)
-
-    def phases(
-        self,
-        topo: Topology,
-        step: int,
-        label: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-    ) -> Iterator[Phase]:
-        """Yield the (src, dst) batches to route for superstep ``step``.
-
-        ``label`` is the superstep's cluster label on the folded machine
-        (messages connect processors sharing ``label`` leading bits).
-        Implementations must be deterministic in ``(self, step, label,
-        src, dst)`` so memoised profiles stay reproducible.
-        """
-        raise NotImplementedError
 
     def phase_legs(
         self,
@@ -236,27 +226,20 @@ class RoutingPolicy:
         src: np.ndarray,
         dst: np.ndarray,
     ) -> list[Phase]:
-        """Whole-trace phase legs for the multi-superstep router.
+        """The ``(src, dst)`` leg of every phase, over the whole trace.
 
-        ``src``/``dst`` are the flat endpoint columns of a folded trace
-        (superstep ``s`` owns ``[offsets[s], offsets[s+1])``).  Returns
-        one ``(src, dst)`` pair per phase, each aligned with the flat
-        message order.  The default calls :meth:`phases` superstep by
-        superstep (skipping empty ones) and concatenates each phase;
-        overrides must agree with it message for message.
+        ``labels``/``offsets``/``src``/``dst`` are the columns of a trace
+        folded onto ``topo.p``: superstep ``s`` has cluster label
+        ``labels[s]`` (its messages connect processors sharing that many
+        leading bits) and owns messages ``[offsets[s], offsets[s+1])``.
+        Each leg is aligned with the flat message order; phases run one
+        after the other within a superstep.  Implementations must be
+        deterministic in ``self`` and the columns, so memoised profiles
+        stay reproducible.
         """
-        bounds = offsets.tolist()
-        steps = [
-            list(self.phases(topo, s, int(labels[s]), src[lo:hi], dst[lo:hi]))
-            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-            if hi > lo
-        ]
-        if not steps:
-            return [(src, dst)]
-        return [
-            tuple(np.concatenate(ends) for ends in zip(*legs))
-            for legs in zip(*steps)
-        ]
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement phase_legs"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
@@ -266,9 +249,6 @@ class DimensionOrderPolicy(RoutingPolicy):
     """Deterministic single-phase routing along the topology's own paths."""
 
     name = "dimension-order"
-
-    def phases(self, topo, step, label, src, dst):
-        yield src, dst
 
     def phase_legs(self, topo, labels, offsets, src, dst):
         return [(src, dst)]
@@ -347,11 +327,6 @@ class ValiantPolicy(RoutingPolicy):
         rng = np.random.default_rng((_VALIANT_KEY, self.seed, step))
         low = rng.integers(0, 1 << shift, size=src.size, dtype=np.int64)
         return (src >> shift << shift) | low
-
-    def phases(self, topo, step, label, src, dst):
-        mid = self.intermediates(topo, step, label, src)
-        yield src, mid
-        yield mid, dst
 
     def phase_legs(self, topo, labels, offsets, src, dst):
         # Every superstep's intermediates in one draw over the trace.

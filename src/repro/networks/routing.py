@@ -37,8 +37,6 @@ from repro.networks.topology import Topology
 from repro.util.caches import LRU
 
 __all__ = [
-    "superstep_time",
-    "RoutedCost",
     "RoutedProfile",
     "route_trace",
     "compute_route",
@@ -83,13 +81,6 @@ def route_key(
 
 
 @dataclass(frozen=True)
-class RoutedCost:
-    congestion: float
-    dilation: int
-    time: float
-
-
-@dataclass(frozen=True)
 class RoutedProfile:
     """Columnar routing record of one folded trace on one topology.
 
@@ -122,42 +113,6 @@ class RoutedProfile:
     @property
     def max_dilation(self) -> int:
         return int(self.dilation.max(initial=0))
-
-    def superstep(self, s: int) -> RoutedCost:
-        """The classic per-superstep cost triple (compatibility view)."""
-        return RoutedCost(
-            float(self.congestion[s]), int(self.dilation[s]), float(self.time[s])
-        )
-
-
-def superstep_time(
-    topo: Topology,
-    src: np.ndarray,
-    dst: np.ndarray,
-    policy: RoutingPolicy | None = None,
-    *,
-    step: int = 0,
-    label: int = 0,
-) -> RoutedCost:
-    """Routed time of one superstep's messages on ``topo``.
-
-    When passing a policy for a *folded i-superstep*, supply ``step`` and
-    ``label``: the defaults describe a lone global (label-0) superstep,
-    under which :class:`~repro.networks.policy.ValiantPolicy` draws its
-    intermediates machine-wide — correct for label 0, cluster-violating
-    for finer labels.  :func:`route_trace` passes the true per-superstep
-    values and is the canonical whole-trace path.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    legs = (policy or _DIRECT).phases(topo, step, label, src, dst)
-    congestion, dilation = _route_legs(
-        topo, legs, np.zeros(src.size, dtype=np.int64), 1
-    )
-    c, d = float(congestion[0]), int(dilation[0])
-    return RoutedCost(c, d, c + d + 1.0)
 
 
 def _route_legs(

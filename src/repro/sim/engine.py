@@ -37,6 +37,11 @@ original per-cycle loop, vectorized over the flat (message, hop) arrays
 — one :meth:`~repro.sim.arbiter.Arbiter.priorities` call over the
 phase's active flits and one ``lexsort`` + ``bincount`` round per
 cycle — that the fast engine is property-tested bit-identical against.
+Both engines read one superstep layout, the folded trace's
+:class:`~repro.machine.trace.TraceColumns`, and take every phase leg
+from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` call
+over it, the call the analytic router makes; barrier-only supersteps
+report zero cycles, queue and deliveries.
 """
 
 from __future__ import annotations
@@ -273,42 +278,6 @@ def _run_phase_reference(
     return cycles, max_queue
 
 
-def _simulate_batch(
-    topo: Topology,
-    caps: np.ndarray,
-    policy: RoutingPolicy,
-    arbiter: Arbiter,
-    step: int,
-    label: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    edge_flits: np.ndarray,
-    flits: int = 1,
-) -> tuple[int, int]:
-    """One superstep's batch through every policy phase; (cycles, max queue).
-
-    Phases execute sequentially — phase 2 starts only after phase 1
-    fully delivers, matching the analytic engine's summed per-phase
-    congestion/dilation.  ``edge_flits`` is accumulated in place.
-    """
-    cycles, max_queue = 0, 0
-    for ph, (ph_src, ph_dst) in enumerate(
-        policy.phases(topo, step, label, src, dst)
-    ):
-        cross = ph_src != ph_dst  # policy legs may introduce self-messages
-        ph_src, ph_dst = ph_src[cross], ph_dst[cross]
-        if ph_src.size == 0:
-            continue
-        poff, pedges = topo.route_paths(ph_src, ph_dst)
-        poff, pedges = expand_paths(poff, pedges, flits)
-        c, q = _run_phase_reference(
-            caps, poff, pedges, arbiter, step, ph, edge_flits
-        )
-        cycles += c
-        max_queue = max(max_queue, q)
-    return cycles, max_queue
-
-
 def simulate_trace(
     trace: Trace,
     topo: Topology,
@@ -322,11 +291,12 @@ def simulate_trace(
 
     Consumes the same columnar artifacts as
     :func:`~repro.networks.routing.route_trace` — the memoised
-    ``keep_empty`` fold and the policy's per-superstep phase batches —
-    so a sim profile and its analytic twin describe the identical
-    message sets.  The analytic congestion/dilation columns are copied
-    straight from the memoised :class:`RoutedProfile`, which makes
-    ``measured/(C+D)`` comparisons self-consistent by construction.
+    ``keep_empty`` fold and the policy's phase legs from the identical
+    ``phase_legs`` call — so a sim profile and its analytic twin
+    describe the identical message sets.  The analytic
+    congestion/dilation columns are copied straight from the memoised
+    :class:`RoutedProfile`, which makes ``measured/(C+D)`` comparisons
+    self-consistent by construction.
     Each message expands to ``flits_per_message`` identical-path flits
     (message-major emission order).  Profiles are memoised per (trace,
     topology, policy, arbiter, flits); cached arrays are read-only.
@@ -360,13 +330,10 @@ def simulate_trace_reference(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    cols, batches, delivered = _prep_trace(trace, topo)
-    cycles, max_queue, edge_flits = _reference_arrays(
-        topo, policy, arbiter, batches, flits, cols.num_supersteps
-    )
+    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
     return _build_profile(
-        route_trace(trace, topo, policy), topo, policy, arbiter, flits,
-        cols, delivered, cycles, max_queue, edge_flits,
+        route_trace(trace, topo, policy), topo, policy, arbiter, flits, cols,
+        *_reference_arrays(topo, policy, arbiter, cols, flits),
     )
 
 
@@ -374,39 +341,40 @@ def _reference_arrays(
     topo: Topology,
     policy: RoutingPolicy,
     arbiter: Arbiter,
-    batches: list,
+    cols,
     flits: int,
-    S: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-superstep cycles and max queue, plus edge flits, of
-    ``batches`` through the reference cycle loop (``REPRO_SANITIZE``
-    compares the fast engine against it)."""
+    """Per-superstep cycles and max queue, plus edge flits, of the folded
+    columns ``cols`` through the reference cycle loop (``REPRO_SANITIZE``
+    compares the fast engine against it).
+
+    The policy's legs come from one ``phase_legs`` call over the whole
+    trace, sliced per superstep.  A superstep's phases execute
+    sequentially — phase 2 starts only after phase 1 fully delivers,
+    matching the analytic engine's summed per-phase congestion/dilation.
+    """
+    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
     caps = topo.edge_capacities()
-    cycles = np.zeros(S, dtype=np.int64)
-    max_queue = np.zeros(S, dtype=np.int64)
+    cycles = np.zeros(cols.num_supersteps, dtype=np.int64)
+    max_queue = np.zeros(cols.num_supersteps, dtype=np.int64)
     edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
-    for s, label, b_src, b_dst in batches:
-        cycles[s], max_queue[s] = _simulate_batch(
-            topo, caps, policy, arbiter, s, label, b_src, b_dst,
-            edge_flits, flits,
-        )
+    bounds = cols.offsets.tolist()
+    for s in np.flatnonzero(cols.counts).tolist():
+        lo, hi = bounds[s], bounds[s + 1]
+        for ph, (ph_src, ph_dst) in enumerate(legs):
+            ph_src, ph_dst = ph_src[lo:hi], ph_dst[lo:hi]
+            cross = ph_src != ph_dst  # policy legs may introduce self-messages
+            if not cross.any():
+                continue
+            poff, pedges = expand_paths(
+                *topo.route_paths(ph_src[cross], ph_dst[cross]), flits
+            )
+            c, q = _run_phase_reference(
+                caps, poff, pedges, arbiter, s, ph, edge_flits
+            )
+            cycles[s] += c
+            max_queue[s] = max(max_queue[s], q)
     return cycles, max_queue, edge_flits
-
-
-def _prep_trace(trace: Trace, topo: Topology) -> tuple:
-    """Fold a trace and slice its non-empty superstep batches."""
-    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
-    S = cols.num_supersteps
-    delivered = np.zeros(S, dtype=np.int64)
-    offsets, src, dst = cols.offsets, cols.src, cols.dst
-    batches = []
-    for s in range(S):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        if hi == lo:
-            continue  # barrier-only superstep: nothing to move
-        batches.append((s, int(cols.labels[s]), src[lo:hi], dst[lo:hi]))
-        delivered[s] = hi - lo
-    return cols, batches, delivered
 
 
 def _build_profile(
@@ -416,13 +384,13 @@ def _build_profile(
     arbiter: Arbiter,
     flits: int,
     cols,
-    delivered: np.ndarray,
     cycles: np.ndarray,
     max_queue: np.ndarray,
     edge_flits: np.ndarray,
 ) -> SimProfile:
     """Assemble the immutable profile (``routed``'s analytic columns +
-    measured)."""
+    measured); every folded message is delivered."""
+    delivered = cols.counts
     caps = topo.edge_capacities().copy()
     for arr in (cycles, max_queue, delivered, edge_flits, caps):
         arr.setflags(write=False)
@@ -484,31 +452,26 @@ def compute_sims(
     fused cycle loop per arbiter group
     (:func:`repro.sim.fastpath.run_batch`); no LRU is read or written.
     """
-    prepped = [_prep_trace(trace, topo) for trace, topo, _, _ in items]
+    columns = [
+        fold_trace(trace, topo.p, keep_empty=True).columns()
+        for trace, topo, _, _ in items
+    ]
     results = _fast_run_batch([
-        (topo, topo.edge_capacities(), policy, arbiter, batches, flits)
-        for (_, topo, policy, arbiter), (_, batches, _) in zip(items, prepped)
+        (topo, topo.edge_capacities(), policy, arbiter, cols, flits)
+        for (_, topo, policy, arbiter), cols in zip(items, columns)
     ])
     profiles = []
-    for (_, topo, policy, arbiter), (cols, batches, delivered), route, (
-        b_cycles, b_queue, ef
-    ) in zip(items, prepped, routed, results):
-        S = cols.num_supersteps
-        cycles = np.zeros(S, dtype=np.int64)
-        max_queue = np.zeros(S, dtype=np.int64)
-        if batches:
-            idx = np.array([b[0] for b in batches], dtype=np.int64)
-            cycles[idx] = b_cycles
-            max_queue[idx] = b_queue
-        edge_flits = np.ascontiguousarray(ef)
-        if batches and sanitize.should_crosscheck():
+    for (_, topo, policy, arbiter), cols, route, (
+        cycles, max_queue, edge_flits
+    ) in zip(items, columns, routed, results):
+        if sanitize.should_crosscheck():
             sanitize.check_engine_parity(
                 (cycles, max_queue, edge_flits),
-                _reference_arrays(topo, policy, arbiter, batches, flits, S),
+                _reference_arrays(topo, policy, arbiter, cols, flits),
                 "simulate_many",
             )
         profiles.append(_build_profile(
-            route, topo, policy, arbiter, flits, cols, delivered,
+            route, topo, policy, arbiter, flits, cols,
             cycles, max_queue, edge_flits,
         ))
     return profiles

@@ -8,10 +8,11 @@ flits:
 
 * **superstep and cross-cell fusion** — supersteps of a trace are
   dynamically independent (each runs on its own credit state), and so
-  are whole simulations: every superstep of every cell gets its own
-  namespaced edge range, so an entire experiment grid advances inside
-  one loop (:func:`run_batch`), cutting total iterations to the
-  *longest* superstep chain anywhere instead of the sum over cells;
+  are whole simulations: every folded superstep of every cell gets its
+  own namespaced edge range (a barrier-only one never loads a phase),
+  so an entire experiment grid advances inside one loop
+  (:func:`run_batch`), cutting total iterations to the *longest*
+  superstep chain anywhere instead of the sum over cells;
 * **sorted per-edge queues** — active flits live in one array kept
   sorted by ``(edge, static rank)``, so each edge's queue is a run of
   equal edges; a cycle serves the head of every run and merges back
@@ -109,32 +110,20 @@ def expand_paths(
     return new_offsets, edges[np.repeat(starts, rep) + hop]
 
 
-def _phase_paths(topo, policy, steps: list, flits: int):
+def _phase_paths(topo, policy, cols, flits: int):
     """Routed, flit-expanded CSR paths of every phase that moves messages.
 
-    Yields ``(i, phase, step, offsets, edges)`` superstep by superstep
-    and phase by phase, ``i`` indexing ``steps``.  The cell's legs come
-    from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs`
-    call over its supersteps (``step`` is the superstep's ordinal in
-    the folded trace; ordinals absent from ``steps`` are empty), and
-    each leg is routed by one ``route_paths`` call and flit-expanded
-    once, then cut back into per-superstep blocks.
+    Yields ``(step, phase, offsets, edges)`` superstep by superstep and
+    phase by phase, ``step`` the superstep's ordinal in the folded
+    trace columns ``cols``.  The legs come from the same
+    :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` call
+    :func:`~repro.networks.routing.compute_route` makes, and each leg
+    is routed by one ``route_paths`` call and flit-expanded once, then
+    cut back into per-superstep blocks.
     """
-    if not steps:
-        return
-    ords = np.array([step for step, _, _, _ in steps], dtype=np.int64)
-    counts = np.array([src.size for _, _, src, _ in steps], dtype=np.int64)
-    labels = np.zeros(int(ords[-1]) + 1, dtype=np.int64)
-    labels[ords] = [label for _, label, _, _ in steps]
-    offsets = np.zeros(labels.size + 1, dtype=np.int64)
-    offsets[ords + 1] = counts
-    np.cumsum(offsets, out=offsets)
-    legs = policy.phase_legs(
-        topo, labels, offsets,
-        np.concatenate([src for _, _, src, _ in steps]),
-        np.concatenate([dst for _, _, _, dst in steps]),
-    )
-    owner = np.repeat(np.arange(len(steps)), counts)
+    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
+    owner = cols.superstep_index()
+    steps = np.arange(cols.num_supersteps + 1)
     blocks = []
     for ph_src, ph_dst in legs:
         cross = ph_src != ph_dst  # policies may add self-messages
@@ -142,14 +131,14 @@ def _phase_paths(topo, policy, steps: list, flits: int):
             *topo.route_paths(ph_src[cross], ph_dst[cross]), flits
         )
         # Flit range of each superstep's crossing messages.
-        bounds = flits * np.searchsorted(owner[cross], np.arange(len(steps) + 1))
+        bounds = flits * np.searchsorted(owner[cross], steps)
         blocks.append((poff, pedges, bounds.tolist()))
-    for i, step in enumerate(ords.tolist()):
+    for step in np.flatnonzero(cols.counts).tolist():
         for ph, (poff, pedges, bounds) in enumerate(blocks):
-            lo, hi = bounds[i], bounds[i + 1]
+            lo, hi = bounds[step], bounds[step + 1]
             if hi > lo:
                 e0, e1 = poff[lo], poff[hi]
-                yield i, ph, step, poff[lo:hi + 1] - e0, pedges[e0:e1]
+                yield step, ph, poff[lo:hi + 1] - e0, pedges[e0:e1]
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,7 +163,7 @@ def _run_fused(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All supersteps of every cell in one loop over namespaced edges.
 
-    ``cells`` is a list of ``(topo, caps, policy, steps, flits)``
+    ``cells`` is a list of ``(topo, caps, policy, cols, flits)``
     simulations under ``arbiter`` (any arbiter of the same static
     :attr:`~repro.sim.arbiter.Arbiter.rank_mode` gives the same
     result).  Cells are dynamically independent — each superstep runs
@@ -184,10 +173,11 @@ def _run_fused(
     flits, so its cost follows the active flits.  Returns per-cell
     ``(cycles, max_queue, edge_flits)`` aligned with ``cells``.
     """
-    # Superstep g (numbered across cells) owns the namespaced edges
-    # g*Emax .. g*Emax + E - 1.
+    # Superstep g (every folded superstep, numbered across cells) owns
+    # the namespaced edges g*Emax .. g*Emax + E - 1; an empty one never
+    # loads a phase, so it reports zeros.
     Emax = max((caps.size for _, caps, _, _, _ in cells), default=0)
-    nsteps = [len(steps) for _, _, _, steps, _ in cells]
+    nsteps = [cols.num_supersteps for _, _, _, cols, _ in cells]
 
     # Route + expand every phase of every superstep up front (pure
     # functions of the batch — the reference does the same work lazily).
@@ -199,8 +189,8 @@ def _run_fused(
     ebase = 0
     Lmax = 1
     g0 = 0
-    for topo, caps, policy, steps, flits in cells:
-        for i, ph, _, poff, pedges in _phase_paths(topo, policy, steps, flits):
+    for (topo, caps, policy, cols, flits), S in zip(cells, nsteps):
+        for step, ph, poff, pedges in _phase_paths(topo, policy, cols, flits):
             lengths = np.diff(poff).astype(np.int64)
             if not lengths.all():
                 # Slot k - pb[j] must be flit k's index in its phase.
@@ -209,13 +199,13 @@ def _run_fused(
                 )
             len_parts.append(lengths)
             end_parts.append(poff[1:].astype(np.int64) + ebase)
-            edge_parts.append(pedges.astype(np.int64) + (g0 + i) * Emax)
+            edge_parts.append(pedges.astype(np.int64) + (g0 + step) * Emax)
             pb.append(pb[-1] + lengths.size)
-            pg.append(g0 + i)
+            pg.append(g0 + step)
             pph.append(ph)
             ebase += int(pedges.size)
             Lmax = max(Lmax, int(lengths.max()))
-        g0 += len(steps)
+        g0 += S
 
     G = g0
     cycles = np.zeros(G, dtype=np.int64)
@@ -246,9 +236,8 @@ def _run_fused(
         if not static:
             # Per-cycle ranking reads each flit's superstep ordinal,
             # routing phase, cycle in phase and index in phase.
-            gstep = np.array(
-                [step for _, _, _, steps, _ in cells for step, _, _, _ in steps],
-                dtype=np.int32,
+            gstep = np.concatenate(
+                [np.arange(n, dtype=np.int32) for n in nsteps]
             )
             pph_a = np.array(pph, dtype=np.int32)
             gph = np.zeros(G, dtype=np.int32)  # running phase's routing phase
@@ -394,18 +383,19 @@ def run_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fast-engine execution of many independent simulations at once.
 
-    ``cells`` is a list of ``(topo, caps, policy, arbiter, steps,
+    ``cells`` is a list of ``(topo, caps, policy, arbiter, cols,
     flits)`` — one entry per (trace, topology, policy, arbiter) cell,
-    ``steps`` its non-empty supersteps as ``(step, label, src, dst)``
-    batches in ascending superstep ordinal ``step``.  Each cell's
-    phase legs come from one ``policy.phase_legs`` call, and each leg
+    ``cols`` the :class:`~repro.machine.trace.TraceColumns` of its
+    trace folded onto ``topo.p`` (``keep_empty``).  Each cell's phase
+    legs come from one ``policy.phase_legs`` call, and each leg
     is routed and flit-expanded once (:func:`_phase_paths`), so set-up
     costs no generator or ``route_paths`` call per superstep.  Cells
     fuse into one cycle loop per static rank mode and one per other
     arbiter's :meth:`~repro.sim.arbiter.Arbiter.cache_key` (each group
     then costs its longest superstep chain, not the sum).  Results are
     bit-identical to running each cell alone.  Returns per-cell
-    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``.
+    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``, with
+    one entry per folded superstep (zeros on barrier-only ones).
     """
     results: list = [None] * len(cells)
     groups: dict = {}

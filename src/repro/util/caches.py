@@ -113,17 +113,6 @@ class LRU:
                 self._counts["hits"] += 1
             return value
 
-    def peek(self, key: Hashable | None) -> Any:
-        """Like :meth:`get` but uncounted: a probe that leaves the
-        counters to real lookups."""
-        if key is None:
-            return None
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
     def put(self, key: Hashable | None, value: Any) -> Any:
         """Insert (or replace) ``value``, evicting the least recent
         entry beyond ``maxsize``; returns ``value``."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine.trace import Trace
+from repro.networks.policy import DimensionOrderPolicy, ValiantPolicy
 from repro.util.intmath import ilog2
 
 
@@ -75,3 +76,15 @@ def route_loads(topo, src, dst) -> tuple[np.ndarray, int]:
     dst = np.asarray(dst, dtype=np.int64)
     loads, dil = topo.route_loads_multi(src, dst, np.zeros(src.size, np.int64), 1)
     return loads[0], int(dil[0])
+
+
+def oracle_legs(policy, topo, step, label, src, dst) -> list:
+    """One superstep's ``(src, dst)`` phase legs, built apart from the
+    policy's ``phase_legs``: the identity for dimension-order, and
+    Valiant's two legs through ``intermediates_reference`` (one seeded
+    generator per superstep)."""
+    if isinstance(policy, ValiantPolicy):
+        mid = policy.intermediates_reference(topo, step, label, src)
+        return [(src, mid), (mid, dst)]
+    assert isinstance(policy, DimensionOrderPolicy), policy
+    return [(src, dst)]

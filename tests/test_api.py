@@ -335,12 +335,24 @@ class TestExperimentPlan:
                 dict(topology="ring", mode="sim", arbiter="random", arbiter_seed=-1),
                 ValueError, "seed must be non-negative, got -1",
             ),
+            (
+                dict(p=3, topology="ring", mode="sim"), ValueError,
+                r"cell 1 \(fft n=64\): p must be a positive power of two, got 3",
+            ),
+            (
+                dict(p=0, sigma=1.0), ValueError,
+                r"cell 1 \(fft n=64\): p must be a positive power of two, got 0",
+            ),
         ],
-        ids=["topology", "policy", "policy-seed", "machine", "arbiter-seed"],
+        ids=[
+            "topology", "policy", "policy-seed", "machine", "arbiter-seed",
+            "p-not-power-of-two", "p-zero",
+        ],
     )
     def test_bad_names_and_seeds_fail_before_any_emission(self, bad, error, match):
         good = PlanCell(algorithm="fft", n=64, p=8, topology="ring", sigma=1.0)
-        plan = ExperimentPlan([good, PlanCell(algorithm="fft", n=64, p=8, **bad)])
+        bad = PlanCell(**{"algorithm": "fft", "n": 64, "p": 8, **bad})
+        plan = ExperimentPlan([good, bad])
         repro.clear_caches()
         with pytest.raises(error, match=match):
             plan.validate()

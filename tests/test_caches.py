@@ -1,4 +1,4 @@
-"""repro.util.caches.LRU: counters, probes, seeding, eviction, threads."""
+"""repro.util.caches.LRU: counters, seeding, eviction, threads."""
 
 from __future__ import annotations
 
@@ -40,19 +40,12 @@ class TestCounters:
         assert lru.get("a") is value
         assert lru.stats() == {"hits": 1, "misses": 1, "evictions": 0}
 
-    def test_peek_counts_nothing(self):
-        lru = LRU("t-peek", 4)
-        assert lru.peek("a") is None
-        lru.put("a", _frozen(3))
-        assert lru.peek("a") is not None
-        assert lru.stats() == {"hits": 0, "misses": 0, "evictions": 0}
-
     def test_none_key_is_uncacheable(self):
         lru = LRU("t-none", 4)
         value = _frozen(2)
         assert lru.put(None, value) is value
         assert lru.seed(None, value) is value
-        assert lru.get(None) is None and lru.peek(None) is None
+        assert lru.get(None) is None
         assert lru.stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
     def test_registered_under_its_name(self):
@@ -69,22 +62,24 @@ class TestEviction:
         for key in "abc":
             lru.put(key, _frozen(1))
         assert lru.stats()["evictions"] == 1
-        assert lru.peek("a") is None and lru.peek("c") is not None
+        assert lru.get("a") is None and lru.get("c") is not None
         lru.get("b")  # b becomes most recent, so d evicts c
         lru.put("d", _frozen(1))
-        assert lru.peek("c") is None and lru.peek("b") is not None
-        assert lru.stats() == {"hits": 1, "misses": 0, "evictions": 2}
+        assert lru.get("c") is None and lru.get("b") is not None
+        assert lru.stats() == {"hits": 3, "misses": 2, "evictions": 2}
         lru.clear()
         assert lru.stats() == {"hits": 0, "misses": 0, "evictions": 0}
-        assert all(lru.peek(key) is None for key in "abcd")
+        assert all(lru.get(key) is None for key in "abcd")
+        assert lru.stats() == {"hits": 0, "misses": 4, "evictions": 0}
 
-    def test_peek_refreshes_recency(self):
+    def test_get_refreshes_recency(self):
         lru = LRU("t-recency", 2)
         lru.put("a", _frozen(1))
         lru.put("b", _frozen(1))
-        lru.peek("a")
+        lru.get("a")
         lru.put("c", _frozen(1))
-        assert lru.peek("a") is not None and lru.peek("b") is None
+        assert lru.get("a") is not None and lru.get("b") is None
+        assert lru.stats() == {"hits": 2, "misses": 1, "evictions": 1}
 
     def test_local_shares_counters_not_entries(self):
         lru = LRU("t-local", 8)
@@ -92,8 +87,9 @@ class TestEviction:
         local.put("x", _frozen(1))
         local.put("y", _frozen(1))
         assert local.get("y") is not None
-        assert lru.peek("y") is None
         assert lru.stats() == {"hits": 1, "misses": 0, "evictions": 1}
+        assert lru.get("y") is None  # the entry is local's alone
+        assert local.stats() == {"hits": 1, "misses": 1, "evictions": 1}
         assert "t-local" in caches.registered_caches()
         lru.clear()
         assert local.stats() == {"hits": 0, "misses": 0, "evictions": 0}
@@ -125,7 +121,8 @@ class TestSanitized:
         lru = LRU("t-trap", 4)
         with pytest.raises(sanitize.SanitizerError, match="t-trap"):
             lru.put("k", np.arange(3))
-        assert lru.peek("k") is None
+        assert lru.get("k") is None
+        assert lru.stats() == {"hits": 0, "misses": 1, "evictions": 0}
 
     def test_thread_hammer_records_no_violations(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -144,7 +141,7 @@ class TestSanitized:
                             lru.put(key, value)
                         else:
                             lru.seed(key, _Profile(np.arange(4)))
-                    lru.peek((key + 1) % keys)
+                    lru.get((key + 1) % keys)
             except BaseException as err:  # surfaced by the assert below
                 errors.append(err)
 
@@ -163,8 +160,9 @@ class TestSanitized:
         assert not any(w.is_alive() for w in workers)
         assert errors == []
         stats = lru.stats()
-        assert stats["hits"] + stats["misses"] == threads * rounds  # no lost update
-        assert sum(lru.peek(k) is not None for k in range(keys)) <= 16
+        # Two lookups a round; no lost update.
+        assert stats["hits"] + stats["misses"] == 2 * threads * rounds
+        assert sum(lru.get(k) is not None for k in range(keys)) <= 16
         sane = sanitize.sanitizer_stats()
         assert sane["violations"] == 0
         sanitize.clear_sanitizer()

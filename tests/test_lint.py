@@ -572,7 +572,7 @@ class TestLockDiscipline:
             _OPTIONS = {"fast": True}
 
             def lookup(key, value):
-                if _CACHE.peek(key) is None:
+                if _CACHE.get(key) is None:
                     _CACHE.seed(key, value)
                 return _CACHE.get(key)
 

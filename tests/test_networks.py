@@ -29,13 +29,21 @@ from repro.networks import (
     fit,
     route_trace,
     routed_time,
-    superstep_time,
 )
 from repro.util.intmath import ilog2
 
-from conftest import random_trace, route_loads
+from conftest import oracle_legs, random_trace, route_loads
 
 ALL = list(TOPOLOGIES)
+
+
+def superstep_cost(topo, src, dst, label=0):
+    """(congestion, dilation, time) of one superstep: ``route_trace`` on
+    a one-superstep trace over ``topo.p`` processors."""
+    trace = Trace(topo.p)
+    trace.append(label, np.asarray(src, np.int64), np.asarray(dst, np.int64))
+    profile = route_trace(trace, topo)
+    return profile.congestion[0], profile.dilation[0], profile.time[0]
 
 
 def random_endpoints(p, rng, n=None):
@@ -56,40 +64,42 @@ class TestTopologies:
     @pytest.mark.parametrize("name", ALL)
     def test_empty_routing(self, name):
         topo = by_name(name, 16)
-        cost = superstep_time(topo, np.empty(0, np.int64), np.empty(0, np.int64))
-        assert cost.congestion == 0.0
+        congestion, _, _ = superstep_cost(
+            topo, np.empty(0, np.int64), np.empty(0, np.int64)
+        )
+        assert congestion == 0.0
 
     @pytest.mark.parametrize("name", ALL)
     def test_self_messages_free(self, name):
         topo = by_name(name, 16)
         idx = np.arange(16, dtype=np.int64)
-        cost = superstep_time(topo, idx, idx)
-        assert cost.congestion == 0.0
-        assert cost.time == 1.0  # barrier only
+        congestion, _, time = superstep_cost(topo, idx, idx)
+        assert congestion == 0.0
+        assert time == 1.0  # barrier only
 
     def test_ring_dilation(self):
         topo = Ring(16)
-        cost = superstep_time(topo, np.array([0]), np.array([8]))
-        assert cost.dilation == 8
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 1  # wraps the short way
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([8]))
+        assert dilation == 8
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 1  # wraps the short way
 
     def test_hypercube_dilation_is_hamming(self):
         topo = Hypercube(16)
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 4
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 4
 
     def test_mesh_dilation_is_manhattan(self):
         topo = Mesh2D(16)
         # Morton 0 = (0,0), Morton 15 = (3,3).
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 6
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 6
 
     def test_torus_wraps_both_axes(self):
         topo = Torus2D(16)
         # Morton 0 = (0,0), Morton 15 = (3,3): one wrap hop per axis.
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 2
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 2
 
     def test_torus_never_longer_than_mesh(self, rng):
         src, dst = random_endpoints(64, rng, n=300)
@@ -98,15 +108,15 @@ class TestTopologies:
 
     def test_fat_tree_dilation_height(self):
         topo = FatTree(16)
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 8  # up 4 + down 4
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 8  # up 4 + down 4
 
     def test_butterfly_dilation_is_msb(self):
         topo = Butterfly(16)
-        cost = superstep_time(topo, np.array([0]), np.array([15]))
-        assert cost.dilation == 4  # highest differing bit index + 1
-        cost = superstep_time(topo, np.array([0]), np.array([1]))
-        assert cost.dilation == 1
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([15]))
+        assert dilation == 4  # highest differing bit index + 1
+        _, dilation, _ = superstep_cost(topo, np.array([0]), np.array([1]))
+        assert dilation == 1
 
     @pytest.mark.parametrize("name", ALL)
     def test_congestion_counts_bottleneck(self, name):
@@ -114,8 +124,8 @@ class TestTopologies:
         # All-to-one: the edge into node 0 is a bottleneck everywhere.
         src = np.arange(1, 8, dtype=np.int64)
         dst = np.zeros(7, dtype=np.int64)
-        cost = superstep_time(topo, src, dst)
-        assert cost.congestion >= 2.0
+        congestion, _, _ = superstep_cost(topo, src, dst)
+        assert congestion >= 2.0
 
     @pytest.mark.parametrize("name", ALL)
     def test_edge_capacities_cached_and_frozen(self, name):
@@ -242,18 +252,25 @@ class TestPolicies:
         topo = Ring(16)
         src = rng.integers(0, 16, size=40)
         dst = rng.integers(0, 16, size=40)
-        phases = list(ValiantPolicy(0).phases(topo, 0, 0, src, dst))
-        assert len(phases) == 2
+        policy = ValiantPolicy(0)
+        phases = policy.phase_legs(topo, np.array([0]), np.array([0, 40]), src, dst)
+        want = oracle_legs(policy, topo, 0, 0, src, dst)
+        assert len(phases) == len(want) == 2
         (s1, d1), (s2, d2) = phases
         assert np.array_equal(s1, src)
         assert np.array_equal(d1, s2)
         assert np.array_equal(d2, dst)
+        assert np.array_equal(d1, want[0][1])
 
     def test_dimension_order_single_phase(self, rng):
         topo = Ring(16)
         src, dst = random_endpoints(16, rng)
-        phases = list(DimensionOrderPolicy().phases(topo, 0, 0, src, dst))
+        offsets = np.array([0, src.size])
+        phases = DimensionOrderPolicy().phase_legs(
+            topo, np.array([0]), offsets, src, dst
+        )
         assert len(phases) == 1
+        assert phases[0][0] is src and phases[0][1] is dst
 
 
 class TestRouteTrace:
@@ -267,14 +284,14 @@ class TestRouteTrace:
         profile = route_trace(t, topo)
         folded = fold_trace(t, 16, keep_empty=True)
         assert profile.num_supersteps == folded.num_supersteps
-        for s, rec in enumerate(folded.records):
-            cost = superstep_time(topo, rec.src, rec.dst)
-            assert profile.congestion[s] == cost.congestion
-            assert profile.dilation[s] == cost.dilation
-            assert profile.time[s] == cost.time
-        assert profile.total_time == pytest.approx(
-            sum(superstep_time(topo, r.src, r.dst).time for r in folded.records)
-        )
+        costs = [
+            superstep_cost(topo, r.src, r.dst, r.label) for r in folded.records
+        ]
+        for s, (congestion, dilation, time) in enumerate(costs):
+            assert profile.congestion[s] == congestion
+            assert profile.dilation[s] == dilation
+            assert profile.time[s] == time
+        assert profile.total_time == pytest.approx(sum(c[2] for c in costs))
 
     def test_empty_supersteps_cost_one_barrier(self):
         t = Trace(16)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import repro.networks.routing as routing
-from conftest import random_trace
+from conftest import oracle_legs, random_trace
 from repro.machine.folding import fold_trace
 from repro.machine.trace import Trace
 from repro.networks import by_name, by_policy, route_trace
-from repro.networks.policy import RoutingPolicy, ValiantPolicy
+from repro.networks.policy import RoutingPolicy
 from repro.networks.topology import TOPOLOGIES, Topology
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
@@ -19,7 +19,7 @@ POLICY_NAMES = ("dimension-order", "valiant")
 
 
 def oracle_profile(trace, topo, policy, steps=None):
-    """Per-superstep (congestion, dilation, time) from ``policy.phases``
+    """Per-superstep (congestion, dilation, time) from ``oracle_legs``
     and the per-message ``route_loads_reference`` router (only the
     supersteps in ``steps``, when given; the others stay zero)."""
     cols = fold_trace(trace, topo.p, keep_empty=True).columns()
@@ -32,8 +32,8 @@ def oracle_profile(trace, topo, policy, steps=None):
         if hi == lo:
             continue
         c, d = 0.0, 0
-        for src, dst in policy.phases(
-            topo, s, int(cols.labels[s]), cols.src[lo:hi], cols.dst[lo:hi]
+        for src, dst in oracle_legs(
+            policy, topo, s, int(cols.labels[s]), cols.src[lo:hi], cols.dst[lo:hi]
         ):
             loads, dil = topo.route_loads_reference(src, dst)
             c += float((loads / caps).max())
@@ -245,43 +245,12 @@ def test_topology_without_the_multi_kernel_raises(traces):
         route_trace(traces["prefix"], Star(16))
 
 
-class PhasesOnlyValiant(RoutingPolicy):
-    """Valiant's phases with the base-class ``phase_legs`` derivation."""
+class BarePolicy(RoutingPolicy):
+    """A policy that overrides nothing but its name."""
 
-    name = "valiant-phases-only"
-
-    def __init__(self, seed):
-        self.valiant = ValiantPolicy(seed)
-
-    def phases(self, topo, step, label, src, dst):
-        return self.valiant.phases(topo, step, label, src, dst)
+    name = "bare"
 
 
-@pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
-def test_policy_with_only_phases_routes_through_base_phase_legs(traces, topo_name):
-    topo = by_name(topo_name, 16)
-    derived, valiant = PhasesOnlyValiant(6), ValiantPolicy(6)
-    for trace in traces.values():
-        cols = fold_trace(trace, 16, keep_empty=True).columns()
-        args = (topo, cols.labels, cols.offsets, cols.src, cols.dst)
-        for (a_src, a_dst), (b_src, b_dst) in zip(
-            derived.phase_legs(*args), valiant.phase_legs(*args), strict=True
-        ):
-            assert np.array_equal(a_src, b_src) and np.array_equal(a_dst, b_dst)
-        base = route_trace(trace, topo, derived)
-        fast = route_trace(trace, topo, valiant)
-        assert base is not fast
-        for a, b in zip(
-            (base.congestion, base.dilation, base.time),
-            (fast.congestion, fast.dilation, fast.time),
-        ):
-            assert np.array_equal(a, b)
-
-
-def test_base_phase_legs_of_an_empty_trace():
-    empty = np.empty(0, dtype=np.int64)
-    labels, offsets = np.zeros(2, np.int64), np.zeros(3, np.int64)
-    legs = PhasesOnlyValiant(0).phase_legs(
-        by_name("ring", 4), labels, offsets, empty, empty
-    )
-    assert [(s.size, d.size) for s, d in legs] == [(0, 0)]
+def test_policy_without_phase_legs_raises(traces):
+    with pytest.raises(NotImplementedError, match="BarePolicy .*phase_legs"):
+        route_trace(traces["prefix"], by_name("ring", 16), BarePolicy())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import run
+from repro.machine.trace import Trace
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES, Ring
 from repro.sim import (
@@ -244,6 +245,57 @@ class TestBatchedSimulation:
         reset_sim_engine_stats()
         simulate_many(items)
         assert sim_engine_stats()["fused_runs"] == 1
+
+
+# ----------------------------------------------------------------------
+# Barrier-only supersteps: numbered like the rest, zero in every column
+# ----------------------------------------------------------------------
+def _barrier_trace() -> Trace:
+    """Seven supersteps on M(16): empty ones at the start, in the middle
+    (one of them holding only self-messages, which the fold drops) and
+    at the end, around three contended cluster-legal batches."""
+    rng = np.random.default_rng(4)
+    none = np.empty(0, dtype=np.int64)
+    trace = Trace(16)
+    batches = ((0, 0), (1, 0), (0, 64), (2, 0), (1, 48), (0, -3), (1, 40), (0, 0))
+    for label, m in batches:
+        if m < 0:  # self-messages only
+            src = rng.integers(0, 16, -m)
+            trace.append(label, src, src.copy())
+            continue
+        src = rng.integers(0, 16, m) if m else none
+        shift = 4 - label
+        dst = (src >> shift << shift) | rng.integers(0, 1 << shift, src.size)
+        trace.append(label, src, dst)
+    return trace
+
+
+class TestBarrierOnlySupersteps:
+    @pytest.mark.parametrize("arbiter_name", ARBITER_NAMES)
+    @pytest.mark.parametrize("flits", (1, 3))
+    def test_empty_supersteps_report_zeros(self, arbiter_name, flits):
+        """Both policies on three topologies in one fused batch equal the
+        reference bit for bit, so every busy superstep keeps its true
+        ordinal (the Valiant draw and the random rank both read it) and
+        its own flit range."""
+        trace = _barrier_trace()
+        items = [
+            (trace, by_name(topo_name, 16), by_policy(policy_name, 3), arbiter_name)
+            for topo_name in ("ring", "fat-tree", "butterfly")
+            for policy_name in POLICY_NAMES
+        ]
+        cross = [int(np.count_nonzero(r.src != r.dst)) for r in trace.records]
+        empty, busy = [0, 1, 3, 5, 7], [2, 4, 6]
+        assert min(cross[s] for s in busy) > 30
+        clear_sim_cache()
+        batch = simulate_many(items, seed=9, flits_per_message=flits)
+        for item, fast in zip(items, batch):
+            ref = simulate_trace_reference(*item, seed=9, flits_per_message=flits)
+            _assert_profiles_identical(ref, fast, item[1:])
+            assert fast.delivered.tolist() == cross
+            for col in (fast.cycles, fast.max_queue, fast.delivered):
+                assert col[empty].tolist() == [0] * len(empty)
+            assert (fast.cycles[busy] > 0).all()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """``ValiantPolicy`` draws every intermediate of a trace in one pass, and
 each one equals the per-superstep seeded generator of
-``intermediates_reference`` — through ``phase_legs``, ``intermediates``
-and ``phases`` alike."""
+``intermediates_reference`` — through ``phase_legs`` and
+``intermediates`` alike."""
 
 import numpy as np
 import pytest
@@ -23,8 +23,8 @@ WORKLOAD_PS = (8, 16)
 
 
 def assert_pinned(policy, topo, labels, offsets, src, dst):
-    """``phase_legs``, ``intermediates`` and ``phases`` against the oracle,
-    message for message."""
+    """``phase_legs`` and ``intermediates`` against the oracle, message
+    for message."""
     bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     want = [
         policy.intermediates_reference(topo, s, int(labels[s]), src[lo:hi])
@@ -40,12 +40,6 @@ def assert_pinned(policy, topo, labels, offsets, src, dst):
         label = int(labels[s])
         got = policy.intermediates(topo, s, label, src[lo:hi])
         assert np.array_equal(got, want[s]), s
-        (p_src, p_mid), (q_mid, q_dst) = policy.phases(
-            topo, s, label, src[lo:hi], dst[lo:hi]
-        )
-        assert np.array_equal(p_mid, want[s]) and np.array_equal(q_mid, want[s])
-        assert np.array_equal(p_src, src[lo:hi])
-        assert np.array_equal(q_dst, dst[lo:hi])
 
 
 def columns(p, counts, labels, seed=0):
