@@ -9,7 +9,7 @@ n-MM instances encode all-pairs shortest-path relaxation steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

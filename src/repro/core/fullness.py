@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.metrics import TraceMetrics
-from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
 __all__ = ["fullness_profile", "measured_gamma", "is_full"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.metrics import TraceMetrics
-from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
 __all__ = ["wiseness_profile", "measured_alpha", "is_wise"]

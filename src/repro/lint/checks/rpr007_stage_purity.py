@@ -25,8 +25,8 @@ artifact is the same in every process.  In a module that calls
 ``register_cache(...)``, names following the cache-naming convention
 (``cache`` in the identifier, as in RPR002) are therefore allowed.  The
 shipped kernels need no such read: they call the uncached bodies
-(``compute_route``, ``compute_sims``), reach only the fold memo through
-``fold_trace``, and leave the route and sim LRUs to the wave step that
+(``compute_route``, ``compute_sims``), reach only the trace-local fold
+and phase-legs memo through ``fold_legs``, and leave the route and sim LRUs to the wave step that
 dispatches them.
 """
 

@@ -15,7 +15,7 @@ them is always legal at label ``log2(v // seg_size)`` or finer.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "permute_in_segment",

@@ -26,11 +26,11 @@ property-tested bit-identical to the kernels.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.machine.trace import Trace, TraceColumns
+from repro.machine.trace import Trace
 from repro.util.caches import LRU
 from repro.util.intmath import ilog2
 
@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 
+_T = TypeVar("_T")
+
+
 def _check_fold(v: int, p: int) -> None:
     ilog2(p)
     if p > v:
@@ -60,10 +63,14 @@ def _check_fold(v: int, p: int) -> None:
 # LRU memoisation
 # ----------------------------------------------------------------------
 FOLD_CACHE = LRU("fold", 512)
-#: Label-sorted message contexts and folded-trace columns are O(num
-#: messages) each, so they live on the trace instance itself (released
-#: with it) in a small per-trace LRU sharing ``FOLD_CACHE``'s lock and
-#: counters, not in the module-level cache.
+#: Label-sorted message contexts, folded-trace columns and routing
+#: policies' phase legs (:func:`repro.networks.routing.fold_legs`) are
+#: O(num messages) each, so they live on the trace instance itself
+#: (released with it) in a small per-trace LRU sharing ``FOLD_CACHE``'s
+#: lock and counters, not in the module-level cache.  A trace routed at
+#: k values of p under two policies holds 1 + 3k entries: e18's wide
+#: plan (p 4-64, so k = 5) fills all 16 and evicts nothing; a sixth p
+#: evicts.
 _TRACE_LOCAL_MAX = 16
 
 #: Reset the fold counters and drop the module-level entries (per-trace
@@ -198,11 +205,16 @@ def _stats_kernel(trace: Trace, p: int) -> tuple[np.ndarray, np.ndarray]:
     return deg, cnt
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(value: _T) -> _T:
     """Mark a cached result read-only: shared across callers, so an
-    in-place mutation would silently poison every future lookup."""
-    arr.setflags(write=False)
-    return arr
+    in-place mutation would silently poison every future lookup.  The
+    arrays of a (nested) tuple are frozen in turn."""
+    if isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    else:
+        value.setflags(write=False)
+    return value
 
 
 def _fold_stats(trace: Trace, p: int) -> tuple[np.ndarray, np.ndarray]:

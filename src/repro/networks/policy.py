@@ -23,11 +23,15 @@ random-walk / compact oblivious-routing lines in PAPERS.md):
 
 A policy routes through one method, :meth:`RoutingPolicy.phase_legs`:
 given the folded trace's columns, it returns one ``(src, dst)`` leg per
-*phase*, each aligned with the flat message order.  The analytic router
-and the cycle simulator make the identical call; each routes every
-phase on its own, sums congestion and dilation (or cycles) over phases
-and charges one barrier per superstep (Valiant's two phases model its
-two store-and-forward rounds).
+*phase*, each aligned with the flat message order.  Legs depend only on
+the policy, ``topo.p`` and the columns — the M(p) clusters are
+processor-id ranges whatever the network — so
+:func:`~repro.networks.routing.fold_legs` draws them once per (folded
+trace, p, policy) and the analytic router and the cycle simulator of
+every topology share that draw.  Each routes every phase on its own,
+sums congestion and dilation (or cycles) over phases and charges one
+barrier per superstep (Valiant's two phases model its two
+store-and-forward rounds).
 """
 
 from __future__ import annotations
@@ -234,8 +238,10 @@ class RoutingPolicy:
         leading bits) and owns messages ``[offsets[s], offsets[s+1])``.
         Each leg is aligned with the flat message order; phases run one
         after the other within a superstep.  Implementations must be
-        deterministic in ``self`` and the columns, so memoised profiles
-        stay reproducible.
+        deterministic in ``self``, ``topo.p`` and the columns, and read
+        nothing else of ``topo``: the legs are memoised per (folded
+        trace, ``topo.p``, :meth:`cache_key`) and shared by every
+        topology (:func:`~repro.networks.routing.fold_legs`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement phase_legs"

@@ -14,13 +14,15 @@ tracks ``ell_i`` (latency), the +1 the barrier.  Multi-phase policies
 dilation over their phases and still pay one barrier.
 
 Whole traces are routed by :func:`route_trace`: one pass over the folded
-trace's columnar superstep ranges (no per-record objects).  Each policy
-phase leg goes through the topology's fused ``route_loads_multi``
-kernel in superstep blocks of at most ``2**21`` (superstep, edge) cells
-and ``2**15`` messages, and the resulting :class:`RoutedProfile` is
-memoised exactly like the fold kernels — keyed by (trace
-identity+version, topology, policy), since network sweeps route the
-same trace on many machines.
+trace's columnar superstep ranges (no per-record objects).  The policy's
+phase legs come from :func:`fold_legs`, drawn once per (folded trace,
+p, policy) and memoised beside the fold on the trace itself, so every
+topology and every sim cell of a sweep reuses one draw.  Each leg goes
+through the topology's fused ``route_loads_multi`` kernel in superstep
+blocks of at most ``2**21`` (superstep, edge) cells and ``2**15``
+messages, and the resulting :class:`RoutedProfile` is memoised exactly
+like the fold kernels — keyed by (trace identity+version, topology,
+policy), since network sweeps route the same trace on many machines.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.folding import fold_trace
-from repro.machine.trace import Trace
+from repro.machine.folding import _frozen, _trace_cached, fold_trace
+from repro.machine.trace import Trace, TraceColumns
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.topology import Topology
 from repro.util.caches import LRU
@@ -40,6 +42,7 @@ __all__ = [
     "RoutedProfile",
     "route_trace",
     "compute_route",
+    "fold_legs",
     "route_key",
     "clear_route_cache",
     "route_cache_stats",
@@ -115,6 +118,39 @@ class RoutedProfile:
         return int(self.dilation.max(initial=0))
 
 
+Legs = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def fold_legs(
+    trace: Trace, topo: Topology, policy: RoutingPolicy
+) -> tuple[TraceColumns, Legs]:
+    """The ``keep_empty`` fold of ``trace`` onto ``topo.p`` and the
+    policy's phase legs over it.
+
+    Legs depend only on the policy, ``topo.p`` and the folded columns
+    (the M(p) clusters are processor-id ranges whatever the network), so
+    one draw serves every topology and every sim cell of a (trace, p,
+    policy).  They are memoised in the trace's own fold LRU under
+    ``("legs", trace version, p, policy.cache_key())`` and released
+    with the trace; the arrays are read-only.
+    """
+    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+
+    def compute() -> Legs:
+        return _frozen(tuple(
+            tuple(leg)
+            for leg in policy.phase_legs(
+                topo, cols.labels, cols.offsets, cols.src, cols.dst
+            )
+        ))
+
+    token = getattr(trace, "cache_token", None)
+    if token is None:  # foreign trace-like object: draw uncached
+        return cols, compute()
+    key = ("legs", token[1], topo.p, policy.cache_key())
+    return cols, _trace_cached(trace, key, compute)
+
+
 def _route_legs(
     topo: Topology,
     legs: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -145,11 +181,11 @@ def route_trace(
 
     The fold (``keep_empty=True`` — surviving supersteps that lost all
     their messages still cost a barrier) comes from the memoised folding
-    kernels.  The policy's phase legs cover the whole trace, and each
-    block of supersteps spanning at most ``2**21`` (superstep, edge)
-    cells and ``2**15`` messages is routed in one fused kernel pass per
-    phase.  The profile is memoised per (trace, topology, policy);
-    cached arrays are read-only.
+    kernels and the policy's phase legs, which cover the whole trace,
+    from :func:`fold_legs`.  Each block of supersteps spanning at most
+    ``2**21`` (superstep, edge) cells and ``2**15`` messages is routed
+    in one fused kernel pass per phase.  The profile is memoised per
+    (trace, topology, policy); cached arrays are read-only.
     """
     policy = policy or _DIRECT
     key = route_key(trace, topo, policy)
@@ -164,9 +200,8 @@ def compute_route(
 ) -> RoutedProfile:
     """:func:`route_trace`'s uncached body: the same profile, computed
     afresh and never looked up in or added to ``ROUTE_CACHE``."""
-    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    cols, legs = fold_legs(trace, topo, policy)
     S, offsets = cols.num_supersteps, cols.offsets
-    legs = policy.phase_legs(topo, cols.labels, offsets, cols.src, cols.dst)
     sidx = cols.superstep_index()
     congestion = np.zeros(S)
     dilation = np.zeros(S, dtype=np.int64)

@@ -4,7 +4,7 @@
 The execution flow mirrors the analytic engine stage for stage::
 
     topology (route_paths: hop-ordered edge walks)
-        x routing policy (the phase_legs call route_trace makes)
+        x routing policy (the phase legs route_trace draws: fold_legs)
         x link arbiter (fifo / farthest-to-go / seeded random)
         -> simulate_trace (vectorized per-cycle advancement)
         -> SimProfile (per-superstep measured cycles, memoised)

@@ -39,8 +39,10 @@ phase's active flits and one ``lexsort`` + ``bincount`` round per
 cycle — that the fast engine is property-tested bit-identical against.
 Both engines read one superstep layout, the folded trace's
 :class:`~repro.machine.trace.TraceColumns`, and take every phase leg
-from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` call
-over it, the call the analytic router makes; barrier-only supersteps
+from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` draw
+over it: the fast engine shares the analytic router's memoised draw
+(:func:`~repro.networks.routing.fold_legs`), the reference makes its own
+call so the oracle stays apart from the memo.  Barrier-only supersteps
 report zero cycles, queue and deliveries.
 """
 
@@ -53,7 +55,7 @@ import numpy as np
 from repro.machine.folding import fold_trace
 from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
-from repro.networks.routing import RoutedProfile, route_trace
+from repro.networks.routing import RoutedProfile, fold_legs, route_trace
 from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter, by_arbiter
 from repro.sim.fastpath import expand_paths
@@ -291,12 +293,12 @@ def simulate_trace(
 
     Consumes the same columnar artifacts as
     :func:`~repro.networks.routing.route_trace` — the memoised
-    ``keep_empty`` fold and the policy's phase legs from the identical
-    ``phase_legs`` call — so a sim profile and its analytic twin
-    describe the identical message sets.  The analytic
-    congestion/dilation columns are copied straight from the memoised
-    :class:`RoutedProfile`, which makes ``measured/(C+D)`` comparisons
-    self-consistent by construction.
+    ``keep_empty`` fold and the policy's phase legs from the one
+    memoised draw (:func:`~repro.networks.routing.fold_legs`) — so a
+    sim profile and its analytic twin describe the identical message
+    sets.  The analytic congestion/dilation columns are copied straight
+    from the memoised :class:`RoutedProfile`, which makes
+    ``measured/(C+D)`` comparisons self-consistent by construction.
     Each message expands to ``flits_per_message`` identical-path flits
     (message-major emission order).  Profiles are memoised per (trace,
     topology, policy, arbiter, flits); cached arrays are read-only.
@@ -349,7 +351,8 @@ def _reference_arrays(
     compares the fast engine against it).
 
     The policy's legs come from one ``phase_legs`` call over the whole
-    trace, sliced per superstep.  A superstep's phases execute
+    trace, sliced per superstep; the call bypasses the legs memo, so the
+    oracle does not share a bug in it.  A superstep's phases execute
     sequentially — phase 2 starts only after phase 1 fully delivers,
     matching the analytic engine's summed per-phase congestion/dilation.
     """
@@ -450,20 +453,19 @@ def compute_sims(
     policy, arbiter)`` cells and each cell's ``routed`` profile (whose
     analytic columns the sim profile copies).  The cells run in one
     fused cycle loop per arbiter group
-    (:func:`repro.sim.fastpath.run_batch`); no LRU is read or written.
+    (:func:`repro.sim.fastpath.run_batch`).  Folds and phase legs come
+    from the traces' own memo (:func:`~repro.networks.routing.fold_legs`);
+    the route and sim LRUs are neither read nor written.
     """
-    columns = [
-        fold_trace(trace, topo.p, keep_empty=True).columns()
-        for trace, topo, _, _ in items
-    ]
+    folded = [fold_legs(*item[:3]) for item in items]
     results = _fast_run_batch([
-        (topo, topo.edge_capacities(), policy, arbiter, cols, flits)
-        for (_, topo, policy, arbiter), cols in zip(items, columns)
+        (topo, topo.edge_capacities(), legs, arbiter, cols, flits)
+        for (_, topo, _, arbiter), (cols, legs) in zip(items, folded)
     ])
     profiles = []
-    for (_, topo, policy, arbiter), cols, route, (
+    for (_, topo, policy, arbiter), (cols, _), route, (
         cycles, max_queue, edge_flits
-    ) in zip(items, columns, routed, results):
+    ) in zip(items, folded, routed, results):
         if sanitize.should_crosscheck():
             sanitize.check_engine_parity(
                 (cycles, max_queue, edge_flits),

@@ -110,18 +110,18 @@ def expand_paths(
     return new_offsets, edges[np.repeat(starts, rep) + hop]
 
 
-def _phase_paths(topo, policy, cols, flits: int):
+def _phase_paths(topo, legs, cols, flits: int):
     """Routed, flit-expanded CSR paths of every phase that moves messages.
 
     Yields ``(step, phase, offsets, edges)`` superstep by superstep and
     phase by phase, ``step`` the superstep's ordinal in the folded
-    trace columns ``cols``.  The legs come from the same
-    :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` call
-    :func:`~repro.networks.routing.compute_route` makes, and each leg
-    is routed by one ``route_paths`` call and flit-expanded once, then
-    cut back into per-superstep blocks.
+    trace columns ``cols``.  ``legs`` are the policy's phase legs over
+    ``cols``, the memoised draw
+    :func:`~repro.networks.routing.compute_route` routes too
+    (:func:`~repro.networks.routing.fold_legs`); each leg is routed by
+    one ``route_paths`` call and flit-expanded once, then cut back into
+    per-superstep blocks.
     """
-    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
     owner = cols.superstep_index()
     steps = np.arange(cols.num_supersteps + 1)
     blocks = []
@@ -163,7 +163,7 @@ def _run_fused(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All supersteps of every cell in one loop over namespaced edges.
 
-    ``cells`` is a list of ``(topo, caps, policy, cols, flits)``
+    ``cells`` is a list of ``(topo, caps, legs, cols, flits)``
     simulations under ``arbiter`` (any arbiter of the same static
     :attr:`~repro.sim.arbiter.Arbiter.rank_mode` gives the same
     result).  Cells are dynamically independent — each superstep runs
@@ -189,8 +189,8 @@ def _run_fused(
     ebase = 0
     Lmax = 1
     g0 = 0
-    for (topo, caps, policy, cols, flits), S in zip(cells, nsteps):
-        for step, ph, poff, pedges in _phase_paths(topo, policy, cols, flits):
+    for (topo, caps, legs, cols, flits), S in zip(cells, nsteps):
+        for step, ph, poff, pedges in _phase_paths(topo, legs, cols, flits):
             lengths = np.diff(poff).astype(np.int64)
             if not lengths.all():
                 # Slot k - pb[j] must be flit k's index in its phase.
@@ -383,12 +383,14 @@ def run_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fast-engine execution of many independent simulations at once.
 
-    ``cells`` is a list of ``(topo, caps, policy, arbiter, cols,
+    ``cells`` is a list of ``(topo, caps, legs, arbiter, cols,
     flits)`` — one entry per (trace, topology, policy, arbiter) cell,
     ``cols`` the :class:`~repro.machine.trace.TraceColumns` of its
-    trace folded onto ``topo.p`` (``keep_empty``).  Each cell's phase
-    legs come from one ``policy.phase_legs`` call, and each leg
-    is routed and flit-expanded once (:func:`_phase_paths`), so set-up
+    trace folded onto ``topo.p`` (``keep_empty``) and ``legs`` its
+    policy's phase legs over ``cols``
+    (:func:`~repro.networks.routing.fold_legs`, drawn once per (trace,
+    p, policy) and shared with the analytic router).  Each leg is
+    routed and flit-expanded once (:func:`_phase_paths`), so set-up
     costs no generator or ``route_paths`` call per superstep.  Cells
     fuse into one cycle loop per static rank mode and one per other
     arbiter's :meth:`~repro.sim.arbiter.Arbiter.cache_key` (each group

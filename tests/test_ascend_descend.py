@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.ascend_descend import ascend_descend_trace, rebalance_superstep
-from repro.core.fullness import measured_gamma
 from repro.core.metrics import TraceMetrics
 from repro.core.wiseness import measured_alpha
 from repro.machine.folding import fold_trace

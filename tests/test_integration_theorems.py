@@ -16,9 +16,8 @@ from repro.core import TraceMetrics, measured_alpha, measured_beta, verify_trans
 from repro.core.ascend_descend import ascend_descend_trace
 from repro.core.fullness import measured_gamma
 from repro.core.optimality import transfer_factor
-from repro.machine.folding import fold_trace
 from repro.machine.trace import Trace
-from repro.models import fat_tree_dbsp, flat_bsp, hypercube_dbsp, mesh_dbsp
+from repro.models import fat_tree_dbsp, hypercube_dbsp, mesh_dbsp
 from repro.networks import by_name, compare_with_dbsp
 
 

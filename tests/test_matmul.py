@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import matmul
-from repro.algorithms.semiring import BOOLEAN, MIN_PLUS, STANDARD
+from repro.algorithms.semiring import BOOLEAN, MIN_PLUS
 from repro.core import TraceMetrics, measured_alpha
 from repro.core.lower_bounds import mm_lower_bound
 from repro.core.theory import h_mm_closed

@@ -24,7 +24,6 @@ from repro.networks import (
     ValiantPolicy,
     by_name,
     by_policy,
-    clear_route_cache,
     compare_with_dbsp,
     fit,
     route_trace,
