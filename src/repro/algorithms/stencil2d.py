@@ -24,7 +24,10 @@ generates exactly that structure as a static trace — each phase-opening
 superstep carries one message per VP of each active segment crossing the
 sub-segment boundary (plus the paper's wiseness dummies), and base-level
 polyhedra contribute ``Theta(n_tau)`` wavefront supersteps — so every
-quantity in Theorem 4.13 is measurable from the trace.  Value-level 2D
+quantity in Theorem 4.13 is measurable from the trace.  The structure
+depends on ``n`` and ``k`` only, so the 17 stages are identical:
+:func:`generate` records one stage and replicates it with
+:meth:`~repro.machine.program.Schedule.concat`.  Value-level 2D
 stencils are validated separately by :mod:`repro.dag.stencil_dag`'s
 direct evaluator.
 """
@@ -37,7 +40,7 @@ import numpy as np
 
 from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
 from repro.core.theory import stencil_k
-from repro.machine.program import ScheduleBuilder
+from repro.machine.program import Schedule, ScheduleBuilder
 from repro.util.intmath import ilog2
 
 __all__ = ["generate", "Stencil2DSchedule", "STAGES"]
@@ -98,7 +101,9 @@ def generate(n: int, *, k: int | None = None, wise: bool = True,
     ``n`` must be a power of two.  ``stages`` defaults to the paper's 17
     polyhedra; reduce it (e.g. to 1) to study a single octahedron.
     Each stage is preceded by the paper's O(1) 0-supersteps of constant
-    degree redistributing stage inputs.
+    degree redistributing stage inputs.  The stages' superstep sequences
+    are identical, so one is recorded and repeated ``stages`` times;
+    ``stages=0`` gives an empty schedule.
     """
     ilog2(n)
     v = n * n
@@ -110,12 +115,14 @@ def generate(n: int, *, k: int | None = None, wise: bool = True,
     while m >= kk and (v // (kk * kk) ** levels) >= kk * kk:
         levels += 1
         m //= kk
-    for _stage in range(stages):
+    if stages > 0:
         # Stage-opening 0-superstep: O(1) messages per VP.
         _phase_superstep(builder, root, v, 0, wise)
         _eval_polyhedron(builder, root, v, n, kk, wise)
+    stage = builder.build()
+    schedule = Schedule.concat([stage] * stages) if stages > 0 else stage
     return Stencil2DSchedule.from_schedule(
-        builder.build(), n, k=kk, phases_per_level=4 * kk - 3, levels=levels
+        schedule, n, k=kk, phases_per_level=4 * kk - 3, levels=levels
     )
 
 
