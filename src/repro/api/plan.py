@@ -302,6 +302,21 @@ def _plan_source(spec, cell: PlanCell, params: dict):
     return _Source(spec, spec.name, cell.n, cell.seed, tuple(sorted(params.items())))
 
 
+_BUILTIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _typed(x: Any) -> Any:
+    """``x`` with every leaf paired with its type, so ``1``, ``1.0`` and
+    ``True`` stay apart as set members (a validator may accept one and
+    reject another); raises ``TypeError`` for anything but builtin
+    scalars and tuples of them."""
+    if type(x) is tuple:
+        return tuple(map(_typed, x))
+    if type(x) in _BUILTIN_SCALARS:
+        return type(x), x
+    raise TypeError(f"no typed identity: {type(x).__name__}")
+
+
 def _as_pipeline(obj, *, label: str) -> Pipeline:
     if isinstance(obj, Pipeline):
         return obj
@@ -464,10 +479,13 @@ class ExperimentPlan:
         """Validate every cell eagerly, before anything is emitted: sizes,
         machine sizes ``p`` and params against the registry, and every
         topology, policy (with its seed), machine and arbiter (with its
-        seed) by name."""
+        seed) by name.  ``spec.validate`` runs once per distinct
+        (algorithm, n, p, params), or per cell for params that have no
+        typed identity (arrays, lists, numpy scalars)."""
         machines = self.machines or PRESETS
         policies: set = set()
         arbiters: set = set()
+        sources: set = set()
         for i, cell in enumerate(self.cells):
             if cell.p is not None and not is_power_of_two(cell.p):
                 raise ValueError(
@@ -511,6 +529,15 @@ class ExperimentPlan:
                 if cell.algorithm[1:] not in self.sources:
                     raise KeyError(f"no source for {cell.algorithm!r}")
                 continue
+            try:
+                source = (
+                    cell.algorithm, type(cell.n), cell.n, type(cell.p), cell.p,
+                    _typed(cell.params),
+                )
+                if source in sources:
+                    continue
+            except TypeError:  # unhashable or untyped params: check this cell
+                source = None
             spec = registry.by_name(cell.algorithm)
             params = dict(cell.params)
             if spec.needs_p:
@@ -518,6 +545,8 @@ class ExperimentPlan:
             if cell.n is None:
                 raise ValueError(f"{cell.algorithm}: cell needs a problem size n")
             spec.validate(cell.n, **params)
+            if source is not None:
+                sources.add(source)
 
     # ------------------------------------------------------------------
     # Execution

@@ -13,8 +13,9 @@ not pure functions of their declaration are never cached:
 non-JSON params, and machine cells of plans with custom machine
 builders.
 
-:class:`ResultStore` is a small sqlite table (``key -> row JSON``) with
-LRU eviction by access sequence.  ``ExperimentPlan.run(store=...)``
+:class:`ResultStore` is a small sqlite table (``key -> row JSON``, keyed
+``WITHOUT ROWID``) with LRU eviction by access sequence when bounded.
+``ExperimentPlan.run(store=...)``
 consults it before compiling the stage graph (:func:`store_hits`): the
 whole plan is keyed in one pass and its hits read in a few batched
 queries; hits skip emission, folds, routes and sims; only the misses
@@ -139,14 +140,21 @@ def _declarative(values: tuple) -> tuple | None:
     return tuple(out)
 
 
+@functools.cache
+def _key_prefix(fingerprint: str, check: bool) -> Any:
+    """The sha256 state after every key's ``fingerprint:check:`` prefix;
+    a cell's key is a ``.copy()`` of it fed the cell, the same digest
+    as hashing prefix and cell in one go."""
+    return hashlib.sha256(f"{fingerprint}:{check}:".encode())
+
+
 def cell_keys(cells: Iterable[Any], *, check: bool = False) -> list[str | None]:
     """Canonical sha256 identity of each cell's row, in one pass: ``None``
     for a cell that is not a pure function of its declaration (see the
     module doc).  Keys cover every :class:`PlanCell` field, ``check`` and
     the code fingerprint; ``1``, ``1.0`` and ``True`` key apart, a numpy
     scalar keys like its Python twin."""
-    prefix = f"{_code_fingerprint()}:{bool(check)}:"
-    sha256 = hashlib.sha256
+    prefix = _key_prefix(_code_fingerprint(), bool(check))
     keys: list[str | None] = []
     for cell in cells:
         values = _FIELDS(cell)
@@ -159,7 +167,9 @@ def cell_keys(cells: Iterable[Any], *, check: bool = False) -> list[str | None]:
                 keys.append(None)
                 continue
             values = plain
-        keys.append(sha256((prefix + repr(values)).encode()).hexdigest())
+        digest = prefix.copy()
+        digest.update(repr(values).encode())
+        keys.append(digest.hexdigest())
     return keys
 
 
@@ -191,8 +201,12 @@ class ResultStore:
     store in one batch before and after execution, so contention is
     nil).  ``max_rows`` bounds the table; eviction drops the
     least-recently-*accessed* rows, so warm sweeps keep their working
-    set while rows keyed by older code age out.  A file that is not a
-    result store (not sqlite, truncated, another schema) raises
+    set while rows keyed by older code age out.  Access recency is
+    recorded only when ``max_rows`` is set: an unbounded store's reads
+    write nothing (and are not blocked by another connection's write
+    transaction), so a file filled unbounded and later opened bounded
+    first evicts in insertion order.  A file that is not a result store
+    (not sqlite, truncated, another schema) raises
     :class:`sqlite3.DatabaseError` naming its path.
     """
 
@@ -210,7 +224,7 @@ class ResultStore:
                     " key TEXT PRIMARY KEY,"
                     " version TEXT NOT NULL,"
                     " row TEXT NOT NULL,"
-                    " seq INTEGER NOT NULL)"
+                    " seq INTEGER NOT NULL) WITHOUT ROWID"
                 )
                 cur = self._conn.execute("SELECT COALESCE(MAX(seq), 0) FROM results")
                 self._seq = int(cur.fetchone()[0])
@@ -225,12 +239,13 @@ class ResultStore:
 
     # -- batch API (what plan runs use) --------------------------------
     def get_many(self, keys: Sequence[str]) -> dict[str, tuple]:
-        """Stored rows for ``keys`` (touching their access sequence, in
-        input order).
+        """Stored rows for ``keys``.
 
         Reads in chunked ``IN`` queries, decoding each row as it leaves
-        the cursor.  Counts one hit per found key and one miss per
-        absent key.
+        the cursor.  A bounded store (``max_rows`` set) then touches the
+        found keys' access sequence, in input order, and commits; an
+        unbounded one writes nothing, so it never records recency.
+        Counts one hit per found key and one miss per absent key.
         """
         found: dict[str, tuple] = {}
         with self._lock:
@@ -242,14 +257,15 @@ class ResultStore:
                 )
                 for key, row in cur:
                     found[key] = tuple(_decode_row(row)[0])
-            touched = [key for key in keys if key in found]
-            seq = self._seq
-            self._seq += len(touched)
-            self._conn.executemany(
-                "UPDATE results SET seq = ? WHERE key = ?",
-                zip(range(seq + 1, self._seq + 1), touched),
-            )
-            self._conn.commit()
+            if self.max_rows is not None:
+                touched = [key for key in keys if key in found]
+                seq = self._seq
+                self._seq += len(touched)
+                self._conn.executemany(
+                    "UPDATE results SET seq = ? WHERE key = ?",
+                    zip(range(seq + 1, self._seq + 1), touched),
+                )
+                self._conn.commit()
         hits, misses = len(found), len(keys) - len(found)
         self.hits += hits
         self.misses += misses
@@ -262,15 +278,18 @@ class ResultStore:
         """Insert (or refresh) rows, then evict past ``max_rows``."""
         if not rows:
             return
+        version = _version()
         with self._lock, self._conn:
-            for key, row in rows.items():
-                self._seq += 1
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO results (key, version, row, seq)"
-                    " VALUES (?, ?, ?, ?)",
-                    (key, _version(), json.dumps(row, default=_json_scalar),
-                     self._seq),
-                )
+            records = [
+                (key, version, json.dumps(row, default=_json_scalar), seq)
+                for seq, (key, row) in enumerate(rows.items(), self._seq + 1)
+            ]
+            self._seq += len(records)
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO results (key, version, row, seq)"
+                " VALUES (?, ?, ?, ?)",
+                records,
+            )
             evicted = 0
             if self.max_rows is not None:
                 (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()

@@ -1,6 +1,7 @@
 """Tests for the unified experiment API: registry, pipeline, plan, CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,54 @@ class TestExperimentPlan:
         preset = ExperimentPlan(cells[1:], machines={"other": PRESETS["hypercube"]})
         with pytest.raises(KeyError, match="unknown machine preset 'mine'"):
             preset.validate()
+
+    @pytest.mark.parametrize(
+        "good,bad",
+        [
+            (dict(algorithm="bsp-fft", p=4), dict(algorithm="bsp-fft", p=16)),
+            (
+                dict(algorithm="broadcast", params=(("kappa", 4),)),
+                dict(algorithm="broadcast", params=(("kappa", 3),)),
+            ),
+        ],
+        ids=["p", "param"],
+    )
+    def test_validate_memo_still_rejects_a_new_source(self, good, bad):
+        # Many identical valid cells, then one with the same (algorithm, n)
+        # and an unsupported p or param.
+        cells = [PlanCell(n=64, **good)] * 20
+        ExperimentPlan(cells).validate()
+        with pytest.raises(ValueError):
+            ExperimentPlan([*cells, PlanCell(n=64, **bad)]).validate()
+
+    def test_validate_checks_each_typed_source_once(self):
+        seen = []
+
+        def check(n, k=1):
+            seen.append(k)
+            if type(k) is not int or k < 1:
+                raise ValueError(f"k must be a positive int, got {k!r}")
+
+        register(AlgorithmSpec(
+            name="_checked", summary="test spec", kind="oblivious",
+            section="test", emit=None, check=check,
+        ))
+        try:
+            one = PlanCell(algorithm="_checked", n=64, params=(("k", 1),))
+            ExperimentPlan([one] * 30).validate()
+            assert seen == [1]
+            # 1.0 and True equal 1 but are other sources, checked anew.
+            for k in (1.0, True):
+                with pytest.raises(ValueError, match="positive int"):
+                    ExperimentPlan([one, replace(one, params=(("k", k),))]).validate()
+            # Unhashable params are checked on every cell.
+            seen.clear()
+            array = replace(one, params=(("k", np.array([1, 2])),))
+            with pytest.raises(ValueError, match="positive int"):
+                ExperimentPlan([one, array]).validate()
+            assert len(seen) == 2
+        finally:
+            unregister("_checked")
 
     def test_json_roundtrip(self, tmp_path):
         plan = self._grid()
