@@ -93,7 +93,7 @@ def run_sweep_reference(cfg=SCALE, workload=None):
     trace, topos = workload if workload is not None else _workload(cfg)
     rows = []
     for topo in topos:
-        folded = fold_trace(trace, topo.p, keep_empty=True)
+        folded = fold_trace(trace, topo.p)
         caps = topo.edge_capacities()
         total = 0.0
         for rec in folded.records:
@@ -177,7 +177,7 @@ def _sparse(cfg):
     key = ("sparse",) + tuple(sorted(cfg.items()))
     if key not in _workloads:
         trace = make_trace(cfg["v"], cfg["supersteps"], cfg["msgs"])
-        cols = fold_trace(trace, cfg["p"], keep_empty=True).columns()
+        cols = fold_trace(trace, cfg["p"]).columns()
         _workloads[key] = (cols, by_name("ring", cfg["p"]))
     return _workloads[key]
 

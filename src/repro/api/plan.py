@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -585,7 +586,10 @@ class ExperimentPlan:
         compiled: warm cells skip emission, folding, routing and
         simulation entirely, and the misses' rows are stored afterwards.
         A store opened from a path is closed when the run ends; a
-        caller's :class:`~repro.exec.ResultStore` stays open.
+        caller's :class:`~repro.exec.ResultStore` stays open.  If the
+        store refuses the write (another connection holds a write lock
+        past sqlite's busy timeout), the computed frame is still
+        returned and its ``meta`` records ``store_write_skipped=<rows>``.
 
         ``check=True`` additionally runs every registry source through
         its spec's ``adapt`` numpy oracle and reports the verdict in the
@@ -625,7 +629,11 @@ class ExperimentPlan:
                 info.update(meta)
                 rows.update(zip(misses, computed))
                 if store is not None:
-                    store.put_many({keys[i]: rows[i] for i in misses if i in keys})
+                    fresh = {keys[i]: rows[i] for i in misses if i in keys}
+                    try:
+                        store.put_many(fresh)
+                    except sqlite3.OperationalError:  # e.g. "database is locked"
+                        info["store_write_skipped"] = len(fresh)
         finally:
             if owned is not None:
                 owned.close()

@@ -168,7 +168,7 @@ def ascend_descend_trace(
     ``A-tilde`` of Theorem 5.3's proof) whose metrics can be evaluated on
     any ``M(p', sigma)`` or ``D-BSP(p', g, ell)`` with ``p' <= p``.
     """
-    folded = fold_trace(trace, p, keep_empty=True)
+    folded = fold_trace(trace, p)
     out = Trace(p)
     for rec in folded.records:  # zero-copy views into the folded columns
         rebalance_superstep(

@@ -3,11 +3,11 @@
 One execution of a network-oblivious algorithm on its specification
 machine ``M(v(n))`` determines, through folding, its behaviour on *every*
 ``M(p, sigma)`` and ``D-BSP(p, g, ell)`` with ``p <= v(n)``.
-:class:`TraceMetrics` wraps a trace and memoises the folded quantities so
-parameter sweeps (the bulk of the experiments) do not recompute degrees.
-The underlying kernels (:mod:`repro.machine.folding`) are columnar and
-carry their own cross-instance LRU, so even fresh ``TraceMetrics`` over
-the same trace stay cheap.
+:class:`TraceMetrics` wraps a trace and reads the folded quantities from
+the folding kernels (:mod:`repro.machine.folding`), which memoise one
+fold table per trace version, on the trace itself, for every ``p``; so
+parameter sweeps (the bulk of the experiments) do not recompute degrees,
+and even fresh ``TraceMetrics`` over the same trace stay cheap.
 
 The exposed quantities use the paper's notation:
 
@@ -29,31 +29,22 @@ __all__ = ["TraceMetrics"]
 
 
 class TraceMetrics:
-    """Memoised folded metrics of one recorded trace."""
+    """Folded metrics of one recorded trace (memoised by the kernels)."""
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.v = trace.v
-        self._F: dict[int, np.ndarray] = {}
-        self._S: dict[int, np.ndarray] = {}
-        self._deg: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def degrees(self, p: int) -> np.ndarray:
         """Per-superstep folded degrees ``h_s(n, p)`` (cached)."""
-        if p not in self._deg:
-            self._deg[p] = fold_degrees(self.trace, p)
-        return self._deg[p]
+        return fold_degrees(self.trace, p)
 
     def F(self, p: int) -> np.ndarray:
-        if p not in self._F:
-            self._F[p] = F_vector(self.trace, p)
-        return self._F[p]
+        return F_vector(self.trace, p)
 
     def S(self, p: int) -> np.ndarray:
-        if p not in self._S:
-            self._S[p] = S_vector(self.trace, p)
-        return self._S[p]
+        return S_vector(self.trace, p)
 
     # ------------------------------------------------------------------
     def H(self, p: int, sigma: float) -> float:

@@ -1,7 +1,7 @@
 """RPR003 — seeded RNG: no ambient randomness outside tests.
 
-Frames are property-tested *bit-identical* across the serial, thread,
-process and shm executors, and memoised profiles are only safe to cache
+Frames are property-tested *bit-identical* across the serial and shm
+executors, and memoised profiles are only safe to cache
 because every random draw is a pure function of explicit seeds (the
 Valiant policy's ``(seed, superstep)`` draw, the random arbiter's
 counter-based hash of each flit's ``(seed, step, phase, cycle,

@@ -124,17 +124,17 @@ Legs = tuple[tuple[np.ndarray, np.ndarray], ...]
 def fold_legs(
     trace: Trace, topo: Topology, policy: RoutingPolicy
 ) -> tuple[TraceColumns, Legs]:
-    """The ``keep_empty`` fold of ``trace`` onto ``topo.p`` and the
-    policy's phase legs over it.
+    """The fold of ``trace`` onto ``topo.p`` and the policy's phase legs
+    over it.
 
     Legs depend only on the policy, ``topo.p`` and the folded columns
     (the M(p) clusters are processor-id ranges whatever the network), so
     one draw serves every topology and every sim cell of a (trace, p,
     policy).  They are memoised in the trace's own fold LRU under
-    ``("legs", trace version, p, policy.cache_key())`` and released
-    with the trace; the arrays are read-only.
+    ``("legs", p, policy.cache_key())`` and the trace version, and
+    released with the trace; the arrays are read-only.
     """
-    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    cols = fold_trace(trace, topo.p).columns()
 
     def compute() -> Legs:
         return _frozen(tuple(
@@ -144,10 +144,7 @@ def fold_legs(
             )
         ))
 
-    token = getattr(trace, "cache_token", None)
-    if token is None:  # foreign trace-like object: draw uncached
-        return cols, compute()
-    key = ("legs", token[1], topo.p, policy.cache_key())
+    key = ("legs", topo.p, policy.cache_key())
     return cols, _trace_cached(trace, key, compute)
 
 
@@ -179,9 +176,9 @@ def route_trace(
 ) -> RoutedProfile:
     """Route an entire trace, folded onto ``topo.p``, in one columnar pass.
 
-    The fold (``keep_empty=True`` — surviving supersteps that lost all
-    their messages still cost a barrier) comes from the memoised folding
-    kernels and the policy's phase legs, which cover the whole trace,
+    The fold (surviving supersteps that lost all their messages still
+    cost a barrier) comes from the memoised folding kernels and the
+    policy's phase legs, which cover the whole trace,
     from :func:`fold_legs`.  Each block of supersteps spanning at most
     ``2**21`` (superstep, edge) cells and ``2**15`` messages is routed
     in one fused kernel pass per phase.  The profile is memoised per

@@ -293,7 +293,7 @@ def simulate_trace(
 
     Consumes the same columnar artifacts as
     :func:`~repro.networks.routing.route_trace` — the memoised
-    ``keep_empty`` fold and the policy's phase legs from the one
+    fold and the policy's phase legs from the one
     memoised draw (:func:`~repro.networks.routing.fold_legs`) — so a
     sim profile and its analytic twin describe the identical message
     sets.  The analytic congestion/dilation columns are copied straight
@@ -332,7 +332,7 @@ def simulate_trace_reference(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    cols = fold_trace(trace, topo.p).columns()
     return _build_profile(
         route_trace(trace, topo, policy), topo, policy, arbiter, flits, cols,
         *_reference_arrays(topo, policy, arbiter, cols, flits),

@@ -386,7 +386,7 @@ def run_batch(
     ``cells`` is a list of ``(topo, caps, legs, arbiter, cols,
     flits)`` — one entry per (trace, topology, policy, arbiter) cell,
     ``cols`` the :class:`~repro.machine.trace.TraceColumns` of its
-    trace folded onto ``topo.p`` (``keep_empty``) and ``legs`` its
+    trace folded onto ``topo.p`` and ``legs`` its
     policy's phase legs over ``cols``
     (:func:`~repro.networks.routing.fold_legs`, drawn once per (trace,
     p, policy) and shared with the analytic router).  Each leg is

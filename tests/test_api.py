@@ -239,18 +239,28 @@ class TestCacheStats:
         clear_route_cache()
         assert route_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
-    def test_fold_cache_reports_evictions(self, monkeypatch):
+    def test_fold_cache_reports_evictions(self):
+        # Each trace's fold memo holds its table, and at each p the fold,
+        # the level row and two policies' legs; more Valiant seeds at one
+        # p than that leaves room for must evict the oldest legs.
         import repro.machine.folding as folding
+        from repro.networks.policy import ValiantPolicy
+        from repro.networks.routing import fold_legs
 
         clear_fold_cache()
-        monkeypatch.setattr(folding.FOLD_CACHE, "maxsize", 2)
         trace = run("prefix", n=64, seed=2).trace
-        before = fold_cache_stats()
-        for p in (2, 4, 8, 16):
-            folding.fold_degrees(trace, p)
+        room = folding._local_maxsize(trace.v)
+        topo = topo_by_name("ring", 8)
+        for seed in range(room + 3):
+            fold_legs(trace, topo, ValiantPolicy(seed))
         stats = fold_cache_stats()
-        assert stats["misses"] >= before["misses"] + 4
-        assert stats["evictions"] >= 2
+        # table + fold + room + 3 legs: 5 more entries than there is room.
+        assert stats["misses"] == room + 5
+        assert stats["evictions"] == 5
+        # The fold is read by every draw, so it survives.
+        fold_trace(trace, 8)
+        assert fold_cache_stats()["evictions"] == 5
+        assert fold_cache_stats()["hits"] == stats["hits"] + 1
         clear_fold_cache()
         assert fold_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
 

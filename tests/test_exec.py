@@ -479,6 +479,28 @@ class TestResultStore:
         assert warm.rows == cold.rows == oracle_rows(plan)
         assert warm.metadata["store_hits"] == len(plan)
 
+    def test_cold_run_against_a_locked_store_returns_its_frame(self, tmp_path):
+        path = tmp_path / "results.db"
+        ResultStore(path).close()
+        plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4, 8])
+        writer = sqlite3.connect(str(path), isolation_level=None)
+        try:
+            writer.execute("BEGIN IMMEDIATE")  # holds the write lock
+            # put_many waits out sqlite's busy timeout, then gives up.
+            cold = plan.run(store=path)
+        finally:
+            writer.close()
+        assert cold.rows == plan.run().rows
+        assert cold.metadata["store_write_skipped"] == len(plan)
+        assert cold.metadata["store_misses"] == len(plan)
+        # Once the lock is released the store takes writes again.
+        again = plan.run(store=path)
+        assert "store_write_skipped" not in again.metadata
+        assert again.metadata["store_misses"] == len(plan)
+        warm = plan.run(store=path)
+        assert warm.metadata["store_hits"] == len(plan)
+        assert warm.rows == cold.rows
+
     def test_get_many_across_chunks_equals_per_key_reads(self, tmp_path):
         # Bounded: access recency is recorded only when max_rows is set.
         store = ResultStore(tmp_path / "results.db", max_rows=10**6)

@@ -8,6 +8,7 @@ switch to the fast kernels without re-deriving anything.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,12 +65,12 @@ class TestKernelsMatchReference:
                 fold_message_counts(t, p), fold_message_counts_reference(t, p)
             )
 
-    @given(traces, st.booleans())
+    @given(traces)
     @settings(max_examples=60, deadline=None)
-    def test_fold_trace(self, t, keep_empty):
+    def test_fold_trace(self, t):
         for p in _folds(t.v):
-            got = fold_trace(t, p, keep_empty=keep_empty)
-            ref = fold_trace_reference(t, p, keep_empty=keep_empty)
+            got = fold_trace(t, p)
+            ref = fold_trace_reference(t, p)
             assert got.v == ref.v
             assert got.num_supersteps == ref.num_supersteps
             for rg, rr in zip(got.records, ref.records):
@@ -88,6 +89,31 @@ class TestKernelsMatchReference:
         assert np.array_equal(fold_degrees(t, p), fold_degrees_reference(t, p))
 
 
+EMIT_HEAVY_SOURCES = (
+    ("stencil1d", 32), ("stencil2d", 8), ("sort", 256), ("matmul", 64),
+    ("fft", 1024),
+)
+
+
+@pytest.mark.parametrize("algorithm,n", EMIT_HEAVY_SOURCES)
+def test_table_rows_match_reference_on_emitted_traces(algorithm, n):
+    """The Hypothesis strategy stops at v = 128; real emitted traces reach
+    v = 1024, so every p of each source is checked against the oracles."""
+    from repro.api import run
+
+    t = run(algorithm, n=n, seed=1).trace
+    for p in _folds(t.v):
+        assert np.array_equal(fold_degrees(t, p), fold_degrees_reference(t, p))
+        assert np.array_equal(
+            fold_message_counts(t, p), fold_message_counts_reference(t, p)
+        )
+        assert np.array_equal(F_vector(t, p), F_vector_reference(t, p))
+        assert np.array_equal(S_vector(t, p), S_vector_reference(t, p))
+        got, ref = fold_trace(t, p).columns(), fold_trace_reference(t, p).columns()
+        for name in ("labels", "offsets", "src", "dst"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
 class TestFoldCache:
     def test_cache_returns_consistent_results(self, rng):
         clear_fold_cache()
@@ -104,34 +130,37 @@ class TestFoldCache:
 
     def test_cached_results_are_read_only(self, rng):
         t = random_trace(16, 5, rng)
-        import pytest
-
         for arr in (fold_degrees(t, 8), F_vector(t, 8), fold_trace(t, 8).columns().src):
             with pytest.raises(ValueError):
                 arr[:] = 0  # shared cache entries must not be mutable
 
-    def test_label_sorted_cache_is_read_only(self, rng):
-        # Regression (RPR002): the per-trace label-sorted arrays are cached
-        # and shared across every fold of the same trace version; a caller
-        # writing through them would silently corrupt later folds.
-        from repro.machine.folding import _label_sorted
+    def test_fold_table_is_read_only(self, rng):
+        # Regression (RPR002): the per-trace fold table and level rows are
+        # cached and shared across every fold of the same trace version; a
+        # caller writing through them would silently corrupt later folds.
+        from repro.machine.folding import _level, _table
 
         t = random_trace(16, 5, rng)
         fold_degrees(t, 8)  # populate the per-trace cache
-        import pytest
-
-        for arr in _label_sorted(t):
+        for arr in (*_table(t), *_level(t, 3)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0
+                arr.flat[0] = 0
 
     def test_cluster_illegal_trace_rejected(self):
-        import pytest
-
         t = Trace(8)
         t.append(1, np.array([0]), np.array([4]))  # crosses its 1-cluster
         with pytest.raises(ValueError, match="cluster-illegal"):
             fold_degrees(t, 2)
+
+    def test_label_outside_range_rejected(self):
+        t = Trace(8)
+        t.append(0, np.array([0]), np.array([4]))
+        t.append(3, np.array([5]), np.array([5]))  # label log v carries a message
+        t.append(7, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        for fold in (fold_degrees, fold_trace, S_vector):
+            with pytest.raises(ValueError, match="label 3 carries messages"):
+                fold(t, 2)
 
     def test_mutation_invalidates(self, rng):
         t = random_trace(16, 4, rng)

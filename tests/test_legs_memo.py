@@ -67,6 +67,24 @@ def test_one_draw_per_source_p_seed(monkeypatch):
     assert shm.rows == serial.rows
 
 
+def test_wide_p_sweep_draws_once_without_evictions(monkeypatch):
+    # Every p a trace can fold to, under both shipped policies, fits in
+    # its fold memo: the sim wave reads the legs the route wave drew.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plan = ExperimentPlan.grid(
+        algorithms=["fft"], ns=[256], ps=[2, 4, 8, 16, 32, 64],
+        topologies=["ring", "hypercube"],
+        policies=["dimension-order", CountingValiant(0)],
+        modes=["analytic", "sim"],
+    )
+    repro.clear_caches()
+    CountingValiant.calls.clear()
+    plan.run(executor="serial")
+    assert len(CountingValiant.calls) == 6
+    assert sum(CountingValiant.calls.values()) == 6
+    assert repro.cache_stats()["fold"]["evictions"] == 0
+
+
 @pytest.fixture
 def trace(rng):
     return random_trace(64, 12, rng)
@@ -75,7 +93,7 @@ def trace(rng):
 def test_policies_get_distinct_frozen_legs(trace):
     topo = by_name("torus2d", 16)
     policies = (ValiantPolicy(0), ValiantPolicy(1), DimensionOrderPolicy())
-    cols = fold_trace(trace, 16, keep_empty=True).columns()
+    cols = fold_trace(trace, 16).columns()
     drawn = []
     for policy in policies:
         got_cols, legs = fold_legs(trace, topo, policy)

@@ -281,7 +281,7 @@ class TestRouteTrace:
         t = random_trace(64, 8, rng, max_messages=64)
         topo = by_name(name, 16)
         profile = route_trace(t, topo)
-        folded = fold_trace(t, 16, keep_empty=True)
+        folded = fold_trace(t, 16)
         assert profile.num_supersteps == folded.num_supersteps
         costs = [
             superstep_cost(topo, r.src, r.dst, r.label) for r in folded.records

@@ -22,7 +22,7 @@ def oracle_profile(trace, topo, policy, steps=None):
     """Per-superstep (congestion, dilation, time) from ``oracle_legs``
     and the per-message ``route_loads_reference`` router (only the
     supersteps in ``steps``, when given; the others stay zero)."""
-    cols = fold_trace(trace, topo.p, keep_empty=True).columns()
+    cols = fold_trace(trace, topo.p).columns()
     caps = topo.edge_capacities()
     S = cols.num_supersteps
     congestion = np.zeros(S)
@@ -108,7 +108,7 @@ def test_trace_above_block_ceiling_matches_oracle(policy_name):
     trace = random_trace(256, 640, np.random.default_rng(7), max_messages=12)
     topo = by_name("butterfly", 256)
     policy = by_policy(policy_name, seed=9)
-    S = fold_trace(trace, 256, keep_empty=True).num_supersteps
+    S = fold_trace(trace, 256).num_supersteps
     rows = routing._BLOCK_CELLS // topo.num_edges()
     assert S * topo.num_edges() > routing._BLOCK_CELLS and rows == 512 < S
     profile = route_trace(trace, topo, policy)
@@ -129,7 +129,7 @@ def test_algorithm_trace_across_block_boundaries(topo_name, policy_name):
     trace = run("stencil2d", n=16).trace
     topo = by_name(topo_name, 256)
     policy = by_policy(policy_name, seed=8)
-    offsets = fold_trace(trace, 256, keep_empty=True).columns().offsets
+    offsets = fold_trace(trace, 256).columns().offsets
     assert offsets.size - 1 > 600 and offsets[-1] > 20 * routing._BLOCK_MESSAGES
     rows = routing._BLOCK_CELLS // topo.num_edges()
     bounds, first = [], 0

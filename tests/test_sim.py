@@ -157,7 +157,7 @@ class TestBoundInvariants:
         profile = simulate_trace(trace, topo)
         from repro.machine.folding import fold_trace
 
-        cols = fold_trace(trace, 8, keep_empty=True).columns()
+        cols = fold_trace(trace, 8).columns()
         expected = np.zeros(topo.num_edges())
         for s in range(cols.num_supersteps):
             lo, hi = int(cols.offsets[s]), int(cols.offsets[s + 1])

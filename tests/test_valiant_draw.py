@@ -96,7 +96,7 @@ def test_workload_traces_match_the_oracle(algorithm, n, seed):
     trace = run(algorithm, n=n, seed=1).trace
     policy = ValiantPolicy(seed)
     for p in WORKLOAD_PS:
-        cols = fold_trace(trace, p, keep_empty=True).columns()
+        cols = fold_trace(trace, p).columns()
         assert_pinned(
             policy, by_name("hypercube", p),
             cols.labels, cols.offsets, cols.src, cols.dst,
