@@ -22,7 +22,7 @@ True
 
 from repro import core, machine, models
 from repro.core import TraceMetrics
-from repro.machine import Machine, Trace
+from repro.machine import Trace
 from repro.machine.folding import fold_trace
 from repro.models import DBSP, EvaluationModel
 
@@ -49,7 +49,6 @@ __all__ = [
     "sim",
     "analysis",
     "api",
-    "Machine",
     "Trace",
     "TraceMetrics",
     "DBSP",

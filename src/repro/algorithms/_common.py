@@ -5,10 +5,10 @@ All algorithms in this package follow the same discipline:
 * they are *static*: the superstep sequence, labels and message endpoint
   sets depend only on the input size;
 * they **emit** their communication as a columnar
-  :class:`~repro.machine.program.Schedule` (the "compile" half): a
-  director builds each superstep's message arrays for all VPs at once
-  into a :class:`~repro.machine.program.ScheduleBuilder`, and the engine
-  executes/validates the finished IR in one vectorised pass;
+  :class:`~repro.machine.program.Schedule`: a director builds each
+  superstep's message arrays for all VPs at once into a
+  :class:`~repro.machine.program.ScheduleBuilder`, and the finished IR
+  is validated in one vectorised pass;
 * value motion is tracked in driver-held numpy arrays whose ownership
   convention mirrors the VP layout exactly — every recorded message
   corresponds to one matrix/vector entry (or a wiseness dummy) moving
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.engine import Machine
 from repro.machine.program import Schedule, ScheduleBuilder
 from repro.machine.trace import Trace
 
@@ -33,9 +32,9 @@ __all__ = ["AlgorithmResult", "SendBuffer", "add_wiseness_dummies"]
 class AlgorithmResult:
     """Base result: the specification machine trace plus metadata.
 
-    ``schedule`` carries the compiled IR the trace was executed from
-    (``None`` for interactively driven runs) — downstream consumers can
-    re-execute or re-analyse it without re-running the algorithm.
+    ``schedule`` carries the compiled IR the trace was lowered from —
+    downstream consumers can re-analyse it without re-running the
+    algorithm.
     """
 
     trace: Trace
@@ -47,12 +46,10 @@ class AlgorithmResult:
 
     @classmethod
     def from_schedule(cls, schedule: Schedule, n: int, *, check: bool = True, **kw):
-        """Validate a compiled schedule (metric-only) and wrap its trace.
+        """Validate a compiled schedule and wrap its trace.
 
-        The pure metric-only path: no ``Machine`` (and its ``v`` local
-        stores) is allocated — value motion already happened driver-side.
-        Use :func:`repro.machine.engine.execute` when payload delivery to
-        VP inboxes is needed.
+        Value motion already happened driver-side; the schedule only
+        records which messages carried it.
         """
         return cls(
             trace=schedule.to_trace(validate=check),
@@ -70,10 +67,8 @@ class SendBuffer:
 
     Level-synchronous recursions (all tasks of a recursion level emit into
     the *same* superstep) append per-task endpoint arrays here; ``flush``
-    submits the concatenated arrays as one superstep of the target — a
-    :class:`~repro.machine.program.ScheduleBuilder` (the compiled path)
-    or a live :class:`~repro.machine.engine.Machine` (both expose the
-    same ``superstep`` signature).
+    records the concatenated arrays as one superstep of a
+    :class:`~repro.machine.program.ScheduleBuilder`.
     """
 
     def __init__(self) -> None:
@@ -85,14 +80,14 @@ class SendBuffer:
             self._src.append(np.asarray(src, dtype=np.int64))
             self._dst.append(np.asarray(dst, dtype=np.int64))
 
-    def flush(self, target: ScheduleBuilder | Machine, label: int) -> None:
+    def flush(self, target: ScheduleBuilder, label: int) -> None:
         src = (
             np.concatenate(self._src) if self._src else np.empty(0, dtype=np.int64)
         )
         dst = (
             np.concatenate(self._dst) if self._dst else np.empty(0, dtype=np.int64)
         )
-        target.superstep(label, (), src_arr=src, dst_arr=dst)
+        target.superstep(label, src, dst)
         self._src.clear()
         self._dst.clear()
 

@@ -82,10 +82,7 @@ def run(values: np.ndarray, *, kappa: int = 2) -> BroadcastResult:
                     srcs.append(r)
                     dsts.append(d)
         builder.superstep(
-            label,
-            (),
-            src_arr=np.array(srcs, dtype=np.int64),
-            dst_arr=np.array(dsts, dtype=np.int64),
+            label, np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)
         )
         known = new_known
         i += 1
@@ -104,7 +101,7 @@ def flat_run(values: np.ndarray) -> BroadcastResult:
     ilog2(n)
     builder = ScheduleBuilder(n)
     dst = np.arange(1, n, dtype=np.int64)
-    builder.superstep(0, (), src_arr=np.zeros(n - 1, dtype=np.int64), dst_arr=dst)
+    builder.superstep(0, np.zeros(n - 1, dtype=np.int64), dst)
     out = values.copy()
     out[:] = values[0]
     return BroadcastResult.from_schedule(builder.build(), n, output=out, kappa=n)

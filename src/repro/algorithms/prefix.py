@@ -67,7 +67,7 @@ def run(
         stride = 1 << (d + 1)
         right = np.arange(stride - 1, v, stride, dtype=np.int64)
         left = right - (1 << d)
-        builder.superstep(logv - d - 1, (), src_arr=left, dst_arr=right)
+        builder.superstep(logv - d - 1, left, right)
         val[right] = op(val[left], val[right])
 
     # Down-sweep: root seeds the identity; each node pushes prefixes down.
@@ -80,7 +80,7 @@ def run(
         # left and right swap/combine: two messages per pair.
         src = np.concatenate([left, right])
         dst = np.concatenate([right, left])
-        builder.superstep(logv - d - 1, (), src_arr=src, dst_arr=dst)
+        builder.superstep(logv - d - 1, src, dst)
         t = val[left].copy()
         val[left] = val[right]
         val[right] = op(t, val[right])

@@ -90,7 +90,7 @@ class _Ctx:
     """
 
     def __init__(self, machine, owner, wise, k):
-        self.machine = machine  # ScheduleBuilder (Machine-compatible recorder)
+        self.machine = machine  # the ScheduleBuilder recording the supersteps
         self.owner = owner
         self.wise = wise
         self.k = k

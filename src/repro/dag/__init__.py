@@ -1,4 +1,5 @@
-"""DAG computation substrate: builders, oracles, generic scheduler."""
+"""DAG computation substrate: builders, oracles and a level-synchronous
+scheduler that records through ``ScheduleBuilder``."""
 
 from repro.dag.diamond import (
     StripeDecomposition,

@@ -7,10 +7,12 @@ with the *finest* legal label (the minimum shared-most-significant-bit
 count over its messages) so the schedule exploits as much submachine
 locality as the assignment exposes.
 
-This is the reproduction's "scheduler" utility: it turns an assignment
-into a measurable trace, letting the experiments compare hand-crafted
-network-oblivious schedules (Section 4) against straightforward
-level-synchronous ones on the same DAG.
+This is the reproduction's "scheduler" utility: it records an
+assignment's supersteps into a
+:class:`~repro.machine.program.ScheduleBuilder` and returns the validated
+trace, letting the experiments compare hand-crafted network-oblivious
+schedules (Section 4) against straightforward level-synchronous ones on
+the same DAG.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from repro.algorithms._common import AlgorithmResult
 from repro.dag.graph import StaticDAG
-from repro.machine.engine import Machine
-from repro.util.intmath import ilog2
+from repro.machine.program import ScheduleBuilder
 
 __all__ = ["evaluate_on_machine", "DAGEvalResult", "block_assignment"]
 
@@ -63,15 +64,15 @@ def evaluate_on_machine(
     from their operand values (operand k of every node in the batch is
     ``operand_value_lists[k]``; batches group nodes of equal indegree).
 
-    Returns every node's value plus the recorded trace.
+    Returns every node's value plus the recorded schedule and its
+    validated trace.
     """
-    ilog2(v)
+    builder = ScheduleBuilder(v)  # rejects a non-power-of-two v
     levels = dag.levels()
     assign = block_assignment(dag, v) if assignment is None else assignment
     if assign.shape != (dag.num_nodes,):
         raise ValueError("assignment must give one VP per node")
 
-    machine = Machine(v, deliver=False)
     values = np.zeros(dag.num_nodes, dtype=np.complex128)
     src_nodes = dag.sources
     if inputs.shape[0] != src_nodes.shape[0]:
@@ -80,7 +81,7 @@ def evaluate_on_machine(
         )
     values[src_nodes] = inputs
 
-    logv = ilog2(v)
+    logv = builder.logv
     for l in range(1, int(levels.max()) + 1):
         nodes = np.flatnonzero(levels == l)
         # Gather arc endpoints of this level.
@@ -101,7 +102,7 @@ def evaluate_on_machine(
             diff = src ^ dst
             label = int(logv - int(np.max(diff)).bit_length())
             label = max(0, min(label, logv - 1))
-        machine.superstep(label, (), src_arr=src, dst_arr=dst)
+        builder.superstep(label, src, dst)
         for indeg, us in by_indeg.items():
             us = np.array(us)
             operands = [
@@ -109,12 +110,6 @@ def evaluate_on_machine(
             ]
             values[us] = combine(us, operands)
 
-    return DAGEvalResult(
-        trace=machine.trace,
-        v=v,
-        n=dag.num_nodes,
-        supersteps=machine.trace.num_supersteps,
-        messages=machine.trace.total_messages,
-        values=values,
-        assignment=assign,
+    return DAGEvalResult.from_schedule(
+        builder.build(), dag.num_nodes, values=values, assignment=assign
     )

@@ -1,6 +1,5 @@
-"""The M(v) machine substrate: schedule IR, simulator, traces, folding."""
+"""The M(v) machine substrate: schedule IR, traces, folding, persistence."""
 
-from repro.machine.engine import ClusterViolation, Machine, execute
 from repro.machine.folding import (
     F_vector,
     S_vector,
@@ -9,19 +8,14 @@ from repro.machine.folding import (
     fold_message_counts,
     fold_trace,
 )
-from repro.machine.program import Schedule, ScheduleBuilder, compile_schedule
-from repro.machine.store import LocalStore
-from repro.machine.trace import SuperstepRecord, Trace, TraceColumns
+from repro.machine.program import Schedule, ScheduleBuilder
+from repro.machine.trace import ClusterViolation, SuperstepRecord, Trace, TraceColumns
 from repro.machine.trace_io import load_trace, save_trace
 
 __all__ = [
-    "Machine",
     "ClusterViolation",
-    "execute",
     "Schedule",
     "ScheduleBuilder",
-    "compile_schedule",
-    "LocalStore",
     "Trace",
     "TraceColumns",
     "SuperstepRecord",

@@ -40,6 +40,7 @@ __all__ = [
     "Trace",
     "TraceColumns",
     "assemble_columns",
+    "check_csr",
     "validate_columns",
 ]
 
@@ -162,6 +163,36 @@ def assemble_columns(
     return np.array(labels, dtype=np.int64), offsets, src, dst
 
 
+def check_csr(
+    labels: np.ndarray,
+    offsets: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> None:
+    """Raise :class:`ValueError` unless the four arrays form a CSR record.
+
+    All four are 1-D; ``src`` and ``dst`` have one entry per message;
+    ``offsets`` has ``labels.size + 1`` entries, starts at 0, never
+    decreases and ends at the message count.
+    """
+    if any(a.ndim != 1 for a in (labels, offsets, src, dst)):
+        raise ValueError("labels, offsets, src and dst must be 1-D arrays")
+    if src.size != dst.size:
+        raise ValueError(f"src has {src.size} messages but dst has {dst.size}")
+    if offsets.size != labels.size + 1:
+        raise ValueError(
+            f"offsets has {offsets.size} entries, need labels.size + 1 = "
+            f"{labels.size + 1}"
+        )
+    if offsets[0] != 0 or offsets[-1] != src.size:
+        raise ValueError(
+            f"offsets must run from 0 to the message count {src.size}, "
+            f"got {int(offsets[0])}..{int(offsets[-1])}"
+        )
+    if (np.diff(offsets) < 0).any():
+        raise ValueError("offsets decrease")
+
+
 def validate_columns(
     v: int,
     labels: np.ndarray,
@@ -171,13 +202,15 @@ def validate_columns(
 ) -> None:
     """Vectorised validation of a columnar superstep record on ``M(v)``.
 
-    Checks label range, endpoint bounds and the i-cluster constraint (a
-    message of an i-superstep may only connect VPs sharing the ``i`` most
-    significant index bits) in whole-array passes.  Raises
+    Checks the CSR shape (:func:`check_csr`), label range, endpoint
+    bounds and the i-cluster constraint (a message of an i-superstep may
+    only connect VPs sharing the ``i`` most significant index bits) in
+    whole-array passes.  Raises
     :class:`ClusterViolation` for cluster crossings, :class:`ValueError`
     otherwise.
     """
     logv = ilog2(v)
+    check_csr(labels, offsets, src, dst)
     max_label = max(1, logv)
     if labels.size and (labels.min() < 0 or labels.max() >= max_label):
         t = int(np.argmax((labels < 0) | (labels >= max_label)))
@@ -336,8 +369,8 @@ class Trace:
         """Whether the current contents passed :meth:`validate`.
 
         Folding kernels use this to skip their own cluster-legality pass
-        when the trace was already validated (e.g. by the engine's
-        schedule execution).
+        when the trace was already validated (e.g. by
+        ``Schedule.to_trace(validate=True)``).
         """
         return self._valid_version == self._version
 
@@ -396,31 +429,6 @@ class Trace:
         self._labels.extend(other._labels)
         self._srcs.extend(other._srcs)
         self._dsts.extend(other._dsts)
-        self._invalidate()
-
-    def extend_columns(
-        self,
-        labels: np.ndarray,
-        offsets: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-    ) -> None:
-        """Bulk-append supersteps given in columnar form (views, no copies).
-
-        Like :meth:`from_columns`, the caller hands over ownership: the
-        flat arrays are frozen so later in-place mutation (e.g. of a
-        Schedule's arrays) cannot bypass cache invalidation.
-        """
-        for arr in (labels, offsets, src, dst):
-            arr.setflags(write=False)
-        for s in range(int(labels.shape[0])):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            sv, dv = src[lo:hi], dst[lo:hi]
-            sv.setflags(write=False)
-            dv.setflags(write=False)
-            self._labels.append(int(labels[s]))
-            self._srcs.append(sv)
-            self._dsts.append(dv)
         self._invalidate()
 
     # ------------------------------------------------------------------

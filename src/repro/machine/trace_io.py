@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.machine.program import Schedule
 from repro.machine.trace import Trace
 
 __all__ = ["save_trace", "load_trace"]
@@ -54,6 +55,4 @@ def load_trace(path) -> Trace:
         offsets = data["offsets"]
         src = data["src"]
         dst = data["dst"]
-    trace = Trace.from_columns(v, labels, offsets, src, dst)
-    trace.validate()
-    return trace
+    return Schedule(v, labels, offsets, src, dst).to_trace(validate=True)

@@ -44,6 +44,28 @@ def small_trace(rng):
     return random_trace(16, 6, rng)
 
 
+# Malformed CSR records on M(8): (labels, offsets, src, dst, the words of
+# the broken invariant in the ValueError).  load_trace and Schedule.validate
+# both check through validate_columns and must reject each of them.
+MALFORMED_CSR = [
+    # offsets starting past 0 (2 messages, 1 counted)
+    pytest.param([0], [1, 3], [0, 1], [1, 0], "from 0", id="starts-late"),
+    # offsets past both ends (2 messages, none counted)
+    pytest.param([0, 0], [2, 3, 4], [0, 1], [1, 0], "from 0", id="shifted"),
+    pytest.param([0, 0], [0, 2], [0, 1], [1, 0], "labels.size + 1",
+                 id="offsets-short"),
+    pytest.param([0], [0, 1, 2], [0, 1], [1, 0], "labels.size + 1",
+                 id="offsets-long"),
+    pytest.param([0, 0], [0, 3, 2], [0, 1], [1, 0], "decrease",
+                 id="decreasing"),
+    pytest.param([0], [0, 1], [0, 1], [1, 0], "message count",
+                 id="ends-short"),
+    pytest.param([0], [0, 2], [0, 1], [1, 0, 2], "messages but dst has",
+                 id="src-dst-lengths"),
+    pytest.param([0], [0, 2], [[0, 1]], [[1, 0]], "1-D", id="2d-endpoints"),
+]
+
+
 def oracle_rows(plan, *, check: bool = False) -> tuple:
     """Per-cell reference rows of ``plan``: the test oracle of every run.
 

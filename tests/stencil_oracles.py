@@ -38,7 +38,7 @@ class _Ctx:
     """
 
     def __init__(self, machine, grid, owner, rule, fill, wise, k):
-        self.machine = machine  # ScheduleBuilder (Machine-compatible recorder)
+        self.machine = machine  # the ScheduleBuilder recording the supersteps
         self.grid = grid
         self.owner = owner
         self.rule = rule

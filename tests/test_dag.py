@@ -141,8 +141,46 @@ class TestGenericEvaluation:
             dag, 4, np.array([1, 2, 3, 4], dtype=complex),
             lambda us, ops: ops[0] + ops[1],
         )
-        res.trace.validate()
+        assert res.trace.is_validated  # one whole-array pass at the end
+        assert res.schedule.num_supersteps == res.supersteps == 2
         assert res.values[6].real == 10.0
+
+    @pytest.mark.parametrize("v", [1, 2, 4, 8])
+    def test_one_message_per_cross_vp_arc(self, v):
+        """Each superstep carries exactly its level's arcs between two VPs."""
+        dag = build_fft_dag(16)
+        res = evaluate_on_machine(
+            dag, v, np.zeros(16, dtype=complex), lambda us, ops: ops[0] + ops[1]
+        )
+        assign, levels = res.assignment, dag.levels()
+        assert res.trace.is_validated
+        for l, rec in enumerate(res.trace.records, start=1):
+            pairs = sorted(
+                (int(assign[q]), int(assign[u]))
+                for u in np.flatnonzero(levels == l)
+                for q in dag.preds(u)
+                if assign[q] != assign[u]
+            )
+            assert sorted(zip(rec.src.tolist(), rec.dst.tolist())) == pairs
+        if v == 1:
+            assert res.messages == 0
+
+    @pytest.mark.parametrize(
+        "v, n_inputs, assignment",
+        [
+            (6, 4, None),  # v not a power of two
+            (4, 3, None),  # one input value short
+            (4, 4, np.zeros(3, np.int64)),  # assignment misses nodes
+        ],
+        ids=["v-not-power-of-two", "inputs-short", "assignment-short"],
+    )
+    def test_bad_arguments_rejected(self, v, n_inputs, assignment):
+        dag = StaticDAG.from_pred_lists([[], [], [], [], [0, 1], [2, 3]])
+        with pytest.raises(ValueError):
+            evaluate_on_machine(
+                dag, v, np.ones(n_inputs, dtype=complex),
+                lambda us, ops: ops[0] + ops[1], assignment=assignment,
+            )
 
     def test_block_assignment_spread(self):
         dag = build_fft_dag(8)

@@ -64,7 +64,7 @@ class TestPackageSurface:
     def test_top_level_exports(self):
         import repro
 
-        for name in ("Machine", "Trace", "TraceMetrics", "DBSP", "EvaluationModel"):
+        for name in ("Trace", "TraceMetrics", "DBSP", "EvaluationModel"):
             assert hasattr(repro, name)
 
     def test_version(self):

@@ -177,23 +177,22 @@ class TestFoldCache:
         assert np.array_equal(fold_degrees(b, 8), fold_degrees_reference(b, 8))
 
 
-class TestScheduleExecutionMatchesInteractive:
-    """Schedule-based execution is bit-identical to per-superstep driving."""
+class TestScheduleReplayIsBitIdentical:
+    """A trace replayed through ``ScheduleBuilder`` lowers back to itself."""
 
     @given(traces)
     @settings(max_examples=40, deadline=None)
     def test_replay(self, t):
-        from repro.machine.engine import Machine, execute
         from repro.machine.program import ScheduleBuilder
 
-        interactive = Machine(t.v, deliver=False)
         builder = ScheduleBuilder(t.v)
         for rec in t.records:
-            interactive.superstep(rec.label, (), src_arr=rec.src, dst_arr=rec.dst)
-            builder.superstep(rec.label, (), src_arr=rec.src, dst_arr=rec.dst)
-        compiled = execute(builder.build())
-        ca = interactive.trace.columns()
-        cb = compiled.trace.columns()
+            builder.superstep(rec.label, rec.src, rec.dst)
+        replayed = builder.build().to_trace(validate=True)
+        assert replayed.is_validated
+        ca = t.columns()
+        cb = replayed.columns()
+        assert replayed.v == t.v
         assert np.array_equal(ca.labels, cb.labels)
         assert np.array_equal(ca.offsets, cb.offsets)
         assert np.array_equal(ca.src, cb.src)

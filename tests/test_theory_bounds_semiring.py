@@ -1,8 +1,9 @@
-"""Tests for closed forms (core.theory), lower bounds, semirings, collectives."""
+"""Tests for closed forms (core.theory), lower bounds, semirings, dummy messages."""
 
 import numpy as np
 import pytest
 
+from repro.algorithms._common import SendBuffer, add_wiseness_dummies
 from repro.algorithms.semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, STANDARD
 from repro.core.lower_bounds import (
     broadcast_gap_lower_bound,
@@ -27,12 +28,6 @@ from repro.core.theory import (
     h_stencil2_closed,
     sort_exponent,
     stencil_k,
-)
-from repro.machine.collectives import (
-    all_to_all_segment,
-    cyclic_shift,
-    permute_in_segment,
-    wiseness_dummies,
 )
 
 
@@ -148,34 +143,23 @@ class TestSemirings:
             assert np.allclose(sr.matmul(x, y), sr.mul(x, y))
 
 
-class TestCollectives:
-    def test_permute(self):
-        msgs = permute_in_segment(4, 4, lambda t: (t + 1) % 4, lambda t: t)
-        assert len(msgs) == 4
-        assert all(4 <= s < 8 and 4 <= d < 8 for s, d, _ in msgs)
+class TestWisenessDummies:
+    @staticmethod
+    def _dummies(v, label, multiplicity):
+        from repro.machine.program import ScheduleBuilder
 
-    def test_permute_skips_fixed_points(self):
-        msgs = permute_in_segment(0, 4, lambda t: t, lambda t: t)
-        assert msgs == []
+        buf = SendBuffer()
+        add_wiseness_dummies(buf, v, label, multiplicity)
+        b = ScheduleBuilder(v)
+        buf.flush(b, label)
+        return b.build()
 
-    def test_permute_validates_range(self):
-        with pytest.raises(ValueError):
-            permute_in_segment(0, 4, lambda t: t + 4, lambda t: t)
+    def test_pattern(self):
+        s = self._dummies(16, 1, 2)
+        assert s.num_messages == 4 * 2  # v/2^{label+1} senders x multiplicity
+        assert np.array_equal(s.dst, s.src + 4)
+        s.validate()  # the dummies stay inside the label-cluster
 
-    def test_cyclic_shift(self):
-        msgs = cyclic_shift(0, 8, 3, lambda t: t)
-        dsts = sorted(d for _, d, _ in msgs)
-        assert dsts == list(range(8))
-
-    def test_all_to_all(self):
-        msgs = all_to_all_segment(8, 4, lambda t: t)
-        assert len(msgs) == 4 * 3
-
-    def test_wiseness_dummies_pattern(self):
-        msgs = wiseness_dummies(16, 1, 2)
-        assert len(msgs) == 4 * 2  # v/2^{label+1} senders x multiplicity
-        for s, d, _ in msgs:
-            assert d == s + 4
-
-    def test_wiseness_dummies_degenerate(self):
-        assert wiseness_dummies(2, 1, 1) == []
+    def test_degenerate(self):
+        assert self._dummies(2, 1, 1).num_messages == 0
+        assert self._dummies(16, 1, 0).num_messages == 0

@@ -1,5 +1,7 @@
 """Tests for trace persistence and the analysis sweep utilities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.core.metrics import TraceMetrics
 from repro.machine.trace import Trace
 from repro.machine.trace_io import load_trace, save_trace
 
-from conftest import random_trace
+from conftest import MALFORMED_CSR, random_trace
 
 
 class TestTraceIO:
@@ -56,6 +58,24 @@ class TestTraceIO:
         data["format_version"] = np.int64(99)
         np.savez(path, **data)
         with pytest.raises(ValueError):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "labels, offsets, src, dst, invariant", MALFORMED_CSR
+    )
+    def test_malformed_csr_rejected(self, tmp_path, labels, offsets, src, dst,
+                                    invariant):
+        path = tmp_path / "bad.npz"
+        np.savez(
+            path,
+            format_version=np.int64(1),
+            v=np.int64(8),
+            labels=np.array(labels, np.int64),
+            offsets=np.array(offsets, np.int64),
+            src=np.array(src, np.int64),
+            dst=np.array(dst, np.int64),
+        )
+        with pytest.raises(ValueError, match=re.escape(invariant)):
             load_trace(path)
 
 
