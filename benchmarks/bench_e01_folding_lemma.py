@@ -15,7 +15,7 @@ from _util import emit_table
 from repro.algorithms import fft, matmul, sorting
 from repro.core.lemmas import lemma_3_1_slack
 from repro.core.metrics import TraceMetrics
-from repro.machine.trace import Trace
+from repro.machine.program import ScheduleBuilder
 
 
 def _cases():
@@ -26,9 +26,9 @@ def _cases():
         "fft(n=256)": fft.run(rng.random(256) + 0j).trace,
         "sort(n=256)": sorting.run(rng.permutation(256).astype(float)).trace,
     }
-    t = Trace(256)
-    t.append(0, np.zeros(256, np.int64), np.full(256, 128, np.int64))
-    cases["point-to-point"] = t
+    t = ScheduleBuilder(256)
+    t.superstep(0, np.zeros(256, np.int64), np.full(256, 128, np.int64))
+    cases["point-to-point"] = t.build()
     return cases
 
 

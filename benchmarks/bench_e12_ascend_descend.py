@@ -12,7 +12,7 @@ import numpy as np
 from _util import emit_table
 from repro.core import TraceMetrics, measured_alpha, measured_gamma
 from repro.core.ascend_descend import ascend_descend_trace
-from repro.machine.trace import Trace
+from repro.machine.program import ScheduleBuilder
 from repro.models import mesh_dbsp
 
 from conftest import *  # noqa
@@ -22,8 +22,9 @@ def run_sweep():
     rows = []
     for p in (16, 64, 256):
         m = 16 * p
-        t = Trace(p)
-        t.append(0, np.zeros(m, np.int64), np.full(m, p // 2, np.int64))
+        builder = ScheduleBuilder(p)
+        builder.superstep(0, np.zeros(m, np.int64), np.full(m, p // 2, np.int64))
+        t = builder.build()
         tm = TraceMetrics(t)
         tilde = ascend_descend_trace(t, p)
         tm_t = TraceMetrics(tilde)

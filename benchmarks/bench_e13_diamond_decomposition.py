@@ -31,8 +31,8 @@ def run_sweep():
     # Measured superstep labels of a real diamond evaluation.
     res = stencil1d.evaluate_diamond(64, k=4)
     label_hist = {}
-    for rec in res.trace.records:
-        label_hist[rec.label] = label_hist.get(rec.label, 0) + 1
+    for label in res.trace.labels.tolist():
+        label_hist[label] = label_hist.get(label, 0) + 1
     predicted = phase_counts(64, 4)
     return rows, label_hist, predicted
 

@@ -4,7 +4,7 @@ Every experiment in this suite reduces to folding one recorded trace onto
 many machines: ``h_s(n,p)`` / ``F^i(n,p)`` / ``fold_trace`` across a
 sweep of ``p``.  This bench stresses exactly that path with a
 superstep-heavy random trace (thousands of supersteps, hundreds of
-thousands of messages) — the regime where per-record Python iteration
+thousands of messages) — the regime where per-superstep Python iteration
 dominates and the columnar kernels pay off.  It doubles as the perf
 tripwire for ``BENCH_baseline.json``.
 """
@@ -14,6 +14,7 @@ import numpy as np
 from _util import emit_table, geometric
 from repro.core.metrics import TraceMetrics
 from repro.machine.folding import F_vector, fold_degrees, fold_message_counts, fold_trace
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 
 
@@ -31,10 +32,10 @@ def make_trace(v: int, supersteps: int, msgs: int, seed: int = 16) -> Trace:
     shift = (logv - labels)[:, None]
     low = rng.integers(0, v, size=(supersteps, msgs)) & ((1 << shift) - 1)
     dst = (src >> shift << shift) | low
-    trace = Trace(v)
+    builder = ScheduleBuilder(v)
     for s in range(supersteps):
-        trace.append(int(labels[s]), src[s], dst[s])
-    return trace
+        builder.superstep(int(labels[s]), src[s], dst[s])
+    return builder.build()
 
 
 def run_sweep(v: int = 1024, supersteps: int = 4000, msgs: int = 100):

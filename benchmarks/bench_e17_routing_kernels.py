@@ -19,6 +19,7 @@ import numpy as np
 
 from _util import emit_table
 from repro.machine.folding import fold_trace
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.networks import (
     TOPOLOGIES,
@@ -48,14 +49,14 @@ def make_trace(v: int, supersteps: int, msgs: int, seed: int = 17) -> Trace:
     shift = (logv - labels)[:, None]
     low = rng.integers(0, v, size=(supersteps, msgs)) & ((1 << shift) - 1)
     dst = (src >> shift << shift) | low
-    trace = Trace(v)
+    builder = ScheduleBuilder(v)
     for s in range(supersteps):
-        trace.append(int(labels[s]), src[s], dst[s])
-    return trace
+        builder.superstep(int(labels[s]), src[s], dst[s])
+    return builder.build()
 
 
 #: Workloads are memoised per configuration so construction (the trace
-#: append loop, topology setup) stays outside every timed region —
+#: recording loop, topology setup) stays outside every timed region —
 #: ``record_baseline.py`` then measures the same pure-routing seconds the
 #: in-test speedup assertion does.
 _workloads: dict[tuple, tuple] = {}
@@ -89,18 +90,19 @@ def run_sweep(cfg=SCALE, workload=None):
 
 
 def run_sweep_reference(cfg=SCALE, workload=None):
-    """Pre-engine path: per-message reference routers over the records view."""
+    """Pre-engine path: per-message reference routers, superstep by superstep."""
     trace, topos = workload if workload is not None else _workload(cfg)
     rows = []
     for topo in topos:
         folded = fold_trace(trace, topo.p)
         caps = topo.edge_capacities()
         total = 0.0
-        for rec in folded.records:
-            if rec.src.size == 0:
+        for s in range(folded.num_supersteps):
+            _, src, dst = folded.superstep(s)
+            if src.size == 0:
                 total += 1.0
                 continue
-            loads, dil = topo.route_loads_reference(rec.src, rec.dst)
+            loads, dil = topo.route_loads_reference(src, dst)
             total += float((loads / caps).max()) + dil + 1.0
         rows.append([topo.name, round(total, 1)])
     return rows
@@ -154,20 +156,20 @@ def test_e17_routing_kernels(benchmark, quick):
 
 def valiant_legs(cfg=SPARSE):
     """Valiant's legs of the folded sparse trace: the whole-trace draw."""
-    cols, topo = _sparse(cfg)
+    folded, topo = _sparse(cfg)
     return ValiantPolicy(0).phase_legs(
-        topo, cols.labels, cols.offsets, cols.src, cols.dst
+        topo, folded.labels, folded.offsets, folded.src, folded.dst
     )
 
 
 def valiant_legs_reference(cfg=SPARSE):
     """The same intermediates from one seeded generator per superstep."""
-    cols, topo = _sparse(cfg)
+    folded, topo = _sparse(cfg)
     policy = ValiantPolicy(0)
-    bounds = cols.offsets.tolist()
+    bounds = folded.offsets.tolist()
     return np.concatenate([
         policy.intermediates_reference(
-            topo, s, int(cols.labels[s]), cols.src[lo:hi]
+            topo, s, int(folded.labels[s]), folded.src[lo:hi]
         )
         for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ])
@@ -177,8 +179,7 @@ def _sparse(cfg):
     key = ("sparse",) + tuple(sorted(cfg.items()))
     if key not in _workloads:
         trace = make_trace(cfg["v"], cfg["supersteps"], cfg["msgs"])
-        cols = fold_trace(trace, cfg["p"]).columns()
-        _workloads[key] = (cols, by_name("ring", cfg["p"]))
+        _workloads[key] = (fold_trace(trace, cfg["p"]), by_name("ring", cfg["p"]))
     return _workloads[key]
 
 

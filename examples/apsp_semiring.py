@@ -33,12 +33,12 @@ def main(side: int = 16) -> None:
     np.fill_diagonal(W, 0.0)
 
     dist = W.copy()
-    combined = Trace(side * side)
+    traces = []
     rounds = int(np.ceil(np.log2(side)))
     for r in range(rounds):
         res = matmul.run(dist, dist, semiring=MIN_PLUS)
         dist = res.product
-        combined.extend(res.trace)
+        traces.append(res.trace)
         print(f"squaring round {r + 1}/{rounds}: "
               f"{res.supersteps} supersteps, {res.messages} messages")
 
@@ -48,7 +48,7 @@ def main(side: int = 16) -> None:
     ok = np.allclose(np.where(np.isinf(dist), np.inf, dist), ref, equal_nan=True)
     print(f"\nAPSP matches scipy Floyd-Warshall: {ok}")
 
-    metrics = TraceMetrics(combined)
+    metrics = TraceMetrics(Trace.concat(traces))
     n = side * side
     print("\naccumulated communication of all squarings:")
     print(f"  {'p':>6} {'H(p, 0)':>10} {'H(p, 4)':>10}")

@@ -4,11 +4,11 @@ All algorithms in this package follow the same discipline:
 
 * they are *static*: the superstep sequence, labels and message endpoint
   sets depend only on the input size;
-* they **emit** their communication as a columnar
-  :class:`~repro.machine.program.Schedule`: a director builds each
-  superstep's message arrays for all VPs at once into a
-  :class:`~repro.machine.program.ScheduleBuilder`, and the finished IR
-  is validated in one vectorised pass;
+* they **emit** their communication into a
+  :class:`~repro.machine.program.ScheduleBuilder`: a director builds
+  each superstep's message arrays for all VPs at once, and the built
+  :class:`~repro.machine.trace.Trace` is validated in one vectorised
+  pass;
 * value motion is tracked in driver-held numpy arrays whose ownership
   convention mirrors the VP layout exactly — every recorded message
   corresponds to one matrix/vector entry (or a wiseness dummy) moving
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.program import Schedule, ScheduleBuilder
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 
 __all__ = ["AlgorithmResult", "SendBuffer", "add_wiseness_dummies"]
@@ -30,34 +30,29 @@ __all__ = ["AlgorithmResult", "SendBuffer", "add_wiseness_dummies"]
 
 @dataclass
 class AlgorithmResult:
-    """Base result: the specification machine trace plus metadata.
-
-    ``schedule`` carries the compiled IR the trace was lowered from —
-    downstream consumers can re-analyse it without re-running the
-    algorithm.
-    """
+    """Base result: the specification machine trace plus metadata."""
 
     trace: Trace
     v: int
     n: int
     supersteps: int
     messages: int
-    schedule: Schedule | None = None
 
     @classmethod
-    def from_schedule(cls, schedule: Schedule, n: int, *, check: bool = True, **kw):
-        """Validate a compiled schedule and wrap its trace.
+    def from_schedule(cls, trace: Trace, n: int, *, check: bool = True, **kw):
+        """Wrap a built trace, validated first when ``check`` is set.
 
-        Value motion already happened driver-side; the schedule only
-        records which messages carried it.
+        Value motion already happened in the emitter's own arrays; the
+        trace only records which messages carried it.
         """
+        if check:
+            trace.validate()
         return cls(
-            trace=schedule.to_trace(validate=check),
-            v=schedule.v,
+            trace=trace,
+            v=trace.v,
             n=n,
-            supersteps=schedule.num_supersteps,
-            messages=schedule.num_messages,
-            schedule=schedule,
+            supersteps=trace.num_supersteps,
+            messages=trace.total_messages,
             **kw,
         )
 

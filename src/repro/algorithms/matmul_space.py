@@ -202,15 +202,14 @@ def _api_adapt(result: SpaceMatMulResult) -> dict:
         return {}
     A, B = inputs
     ok = bool(np.allclose(result.product, A @ B))
-    cols = result.trace.columns()
+    trace = result.trace
     levels = ilog2(int(np.sqrt(result.v)))
-    ok = ok and cols.num_supersteps == 2 ** (levels + 1) - 2
-    labels, offsets, src = cols.labels, cols.offsets, cols.src
+    ok = ok and trace.num_supersteps == 2 ** (levels + 1) - 2
     for i in range(levels):
-        ok = ok and int(np.count_nonzero(labels == 2 * i)) == 2 ** (i + 1)
-    for s in range(cols.num_supersteps):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        if hi > lo and int(np.bincount(src[lo:hi]).max()) > 3:
+        ok = ok and int(np.count_nonzero(trace.labels == 2 * i)) == 2 ** (i + 1)
+    for s in range(trace.num_supersteps):
+        _, src, _ = trace.superstep(s)
+        if src.size and int(np.bincount(src).max()) > 3:
             ok = False  # a VP shipped more than its A+B pair (+dummy)
     return {"correct": ok}
 

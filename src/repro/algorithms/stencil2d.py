@@ -27,7 +27,7 @@ polyhedra contribute ``Theta(n_tau)`` wavefront supersteps — so every
 quantity in Theorem 4.13 is measurable from the trace.  The structure
 depends on ``n`` and ``k`` only, so the 17 stages are identical:
 :func:`generate` records one stage and replicates it with
-:meth:`~repro.machine.program.Schedule.concat`.  Value-level 2D
+:meth:`~repro.machine.trace.Trace.concat`.  Value-level 2D
 stencils are validated separately by :mod:`repro.dag.stencil_dag`'s
 direct evaluator.
 """
@@ -40,7 +40,8 @@ import numpy as np
 
 from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
 from repro.core.theory import stencil_k
-from repro.machine.program import Schedule, ScheduleBuilder
+from repro.machine.program import ScheduleBuilder
+from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
 __all__ = ["generate", "Stencil2DSchedule", "STAGES"]
@@ -120,9 +121,9 @@ def generate(n: int, *, k: int | None = None, wise: bool = True,
         _phase_superstep(builder, root, v, 0, wise)
         _eval_polyhedron(builder, root, v, n, kk, wise)
     stage = builder.build()
-    schedule = Schedule.concat([stage] * stages) if stages > 0 else stage
+    trace = Trace.concat([stage] * stages) if stages > 0 else stage
     return Stencil2DSchedule.from_schedule(
-        schedule, n, k=kk, phases_per_level=4 * kk - 3, levels=levels
+        trace, n, k=kk, phases_per_level=4 * kk - 3, levels=levels
     )
 
 
@@ -163,13 +164,12 @@ def _api_adapt(result: Stencil2DSchedule) -> dict:
     if inputs is None:  # result not emitted through the registry
         return {}
     n, k, stages = inputs
-    cols = result.trace.columns()
+    trace = result.trace
     expected = stages * (1 + _superstep_count(n * n, n, k))
-    ok = cols.num_supersteps == expected
-    offsets, src = cols.offsets, cols.src
-    for s in range(cols.num_supersteps):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        if hi > lo and int(np.bincount(src[lo:hi]).max()) > 2:
+    ok = trace.num_supersteps == expected
+    for s in range(trace.num_supersteps):
+        _, src, _ = trace.superstep(s)
+        if src.size and int(np.bincount(src).max()) > 2:
             ok = False  # a VP sent more than O(1) boundary messages
     return {"correct": bool(ok)}
 

@@ -286,10 +286,8 @@ class _PlanRuntime:
         reference row for the sanitizer's sampled row-parity check.
         """
         key = self._source_key(self.cells[i])
-        cols = self._tms[key].trace.columns()
-        clone = Trace.from_columns(
-            self._tms[key].v, cols.labels, cols.offsets, cols.src, cols.dst
-        )
+        trace = self._tms[key].trace
+        clone = Trace(trace.v, trace.labels, trace.offsets, trace.src, trace.dst)
         fresh = _PlanRuntime(self.plan, check=self.check)
         fresh._tms = {**self._tms, key: TraceMetrics(clone)}
         fresh._denoms = dict(self._denoms)

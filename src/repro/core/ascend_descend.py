@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.folding import fold_trace
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
@@ -60,7 +61,7 @@ def _spread_round_robin(
     return out
 
 
-def _prefix_supersteps(out: Trace, p: int, k: int) -> None:
+def _prefix_supersteps(out: ScheduleBuilder, p: int, k: int) -> None:
     """Emit the tree-based prefix pattern within every k-cluster.
 
     Up-sweep then down-sweep over a binary tree on the cluster's
@@ -79,18 +80,18 @@ def _prefix_supersteps(out: Trace, p: int, k: int) -> None:
         senders = local % stride == (1 << d)
         src = ranks[senders]
         dst = base[senders] + (local[senders] - (1 << d))
-        out.append(k, src, dst)
+        out.superstep(k, src, dst)
     # Down-sweep: mirror pattern.
     for d in range(depth - 1, -1, -1):
         stride = 1 << (d + 1)
         receivers = local % stride == (1 << d)
         dst = ranks[receivers]
         src = base[receivers] + (local[receivers] - (1 << d))
-        out.append(k, src, dst)
+        out.superstep(k, src, dst)
 
 
 def rebalance_superstep(
-    out: Trace,
+    out: ScheduleBuilder,
     p: int,
     label: int,
     src: np.ndarray,
@@ -98,7 +99,7 @@ def rebalance_superstep(
     *,
     include_prefix: bool = True,
 ) -> None:
-    """Append the ascend–descend expansion of one i-superstep to ``out``.
+    """Record the ascend–descend expansion of one i-superstep into ``out``.
 
     ``src``/``dst`` are processor-level endpoints on ``M(p)`` (message
     pairs with ``src == dst`` are ignored: they are local).  The emitted
@@ -112,7 +113,7 @@ def rebalance_superstep(
 
     if holders.size == 0:
         # Still a synchronisation: the original superstep happens (empty).
-        out.append(label, holders, dest)
+        out.superstep(label, holders, dest)
         return
 
     # ----- ascend: k = logp-1 down to label+1 ------------------------------
@@ -124,12 +125,12 @@ def rebalance_superstep(
         if include_prefix:
             _prefix_supersteps(out, p, k)
         if not outbound.any():
-            out.append(k, np.empty(0, np.int64), np.empty(0, np.int64))
+            out.superstep(k, np.empty(0, np.int64), np.empty(0, np.int64))
             continue
         idx = np.flatnonzero(outbound)
         new_holder = _spread_round_robin(idx, hc[idx], csize)
         moved = new_holder != holders[idx]
-        out.append(k, holders[idx][moved], new_holder[moved])
+        out.superstep(k, holders[idx][moved], new_holder[moved])
         holders[idx] = new_holder
 
     # ----- descend: k = label up to logp-1 ---------------------------------
@@ -148,10 +149,10 @@ def rebalance_superstep(
             idx = np.flatnonzero(part)
             new_holder = _spread_round_robin(idx, target_sub[idx], subsize)
             moved = new_holder != holders[idx]
-            out.append(k, holders[idx][moved], new_holder[moved])
+            out.superstep(k, holders[idx][moved], new_holder[moved])
             holders[idx] = new_holder
         else:
-            out.append(k, np.empty(0, np.int64), np.empty(0, np.int64))
+            out.superstep(k, np.empty(0, np.int64), np.empty(0, np.int64))
 
     if not np.array_equal(holders, dest):  # pragma: no cover - invariant
         raise AssertionError("ascend-descend failed to deliver all messages")
@@ -169,9 +170,8 @@ def ascend_descend_trace(
     any ``M(p', sigma)`` or ``D-BSP(p', g, ell)`` with ``p' <= p``.
     """
     folded = fold_trace(trace, p)
-    out = Trace(p)
-    for rec in folded.records:  # zero-copy views into the folded columns
-        rebalance_superstep(
-            out, p, rec.label, rec.src, rec.dst, include_prefix=include_prefix
-        )
-    return out
+    out = ScheduleBuilder(p)
+    for s in range(folded.num_supersteps):
+        label, src, dst = folded.superstep(s)  # zero-copy views
+        rebalance_superstep(out, p, label, src, dst, include_prefix=include_prefix)
+    return out.build()

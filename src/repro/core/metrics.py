@@ -5,7 +5,7 @@ machine ``M(v(n))`` determines, through folding, its behaviour on *every*
 ``M(p, sigma)`` and ``D-BSP(p, g, ell)`` with ``p <= v(n)``.
 :class:`TraceMetrics` wraps a trace and reads the folded quantities from
 the folding kernels (:mod:`repro.machine.folding`), which memoise one
-fold table per trace version, on the trace itself, for every ``p``; so
+fold table per trace, on the trace itself, for every ``p``; so
 parameter sweeps (the bulk of the experiments) do not recompute degrees,
 and even fresh ``TraceMetrics`` over the same trace stay cheap.
 

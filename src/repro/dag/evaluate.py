@@ -64,8 +64,7 @@ def evaluate_on_machine(
     from their operand values (operand k of every node in the batch is
     ``operand_value_lists[k]``; batches group nodes of equal indegree).
 
-    Returns every node's value plus the recorded schedule and its
-    validated trace.
+    Returns every node's value plus the recorded, validated trace.
     """
     builder = ScheduleBuilder(v)  # rejects a non-power-of-two v
     levels = dag.levels()

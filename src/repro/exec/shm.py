@@ -125,7 +125,7 @@ def _attach(payload: dict) -> dict[str, Any]:
     flat = np.ndarray((payload["total"],), dtype=np.int64, buffer=shm.buf)
     flat.setflags(write=False)
     traces = {
-        key: Trace.from_columns(v, *(flat[a:b] for a, b in spans))
+        key: Trace(v, *(flat[a:b] for a, b in spans))
         for key, (v, spans) in payload["manifest"].items()
     }
     state.update(shm=shm, traces=traces)  # repro: noqa[RPR004]
@@ -165,9 +165,9 @@ def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
     blocks: list[np.ndarray] = []
     total = 0
     for key, tm in runtime._tms.items():
-        cols = tm.trace.columns()
+        trace = tm.trace
         spans = []
-        for arr in (cols.labels, cols.offsets, cols.src, cols.dst):
+        for arr in (trace.labels, trace.offsets, trace.src, trace.dst):
             a = np.ascontiguousarray(arr, dtype=np.int64)
             spans.append((total, total + a.size))
             blocks.append(a)

@@ -1,4 +1,8 @@
-"""The M(v) machine substrate: schedule IR, traces, folding, persistence."""
+"""The M(v) machine substrate: the recorder, traces, folding, persistence.
+
+Algorithms record through :class:`ScheduleBuilder`, whose ``build()``
+returns the one immutable columnar record of a run, a :class:`Trace`.
+"""
 
 from repro.machine.folding import (
     F_vector,
@@ -8,17 +12,14 @@ from repro.machine.folding import (
     fold_message_counts,
     fold_trace,
 )
-from repro.machine.program import Schedule, ScheduleBuilder
-from repro.machine.trace import ClusterViolation, SuperstepRecord, Trace, TraceColumns
+from repro.machine.program import ScheduleBuilder
+from repro.machine.trace import ClusterViolation, Trace
 from repro.machine.trace_io import load_trace, save_trace
 
 __all__ = [
     "ClusterViolation",
-    "Schedule",
     "ScheduleBuilder",
     "Trace",
-    "TraceColumns",
-    "SuperstepRecord",
     "fold_degrees",
     "fold_message_counts",
     "fold_trace",

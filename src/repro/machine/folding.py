@@ -14,8 +14,8 @@ This module computes the folded quantities ``h_s(n,p)``, ``F^i(n,p)`` and
 materialise the folded trace itself (used by the ascend–descend protocol
 of Section 5 and by the network-routing validation experiments).
 
-Implementation: the clusters nest, so one table per trace version serves
-every ``p``.  Let ``c`` be the number of leading bits that a message's
+Implementation: the clusters nest, so one table per trace serves every
+``p``.  Let ``c`` be the number of leading bits that a message's
 ``src`` and ``dst`` share (``c = log v - bit_length(src ^ dst)``); the
 message crosses the fold onto ``2^j`` processors exactly when ``c < j``.
 The table holds ``c`` per message, the cross-message counts of every
@@ -24,9 +24,9 @@ level (one ``np.bincount`` over (superstep, c) and a cumulative sum along
 the ``F`` row built from it, is filled on first use from one
 ``np.bincount`` over fused (superstep, processor) keys, or a sort-based
 group-by when that dense grid would dwarf the message count.  Every
-memoised value lives on the trace instance in a small LRU keyed by the
-trace version, so it is released with the trace and invalidated by an
-``append``.  The per-record ``SuperstepRecord.degree`` path is kept as
+memoised value lives on the trace instance in a small LRU, so it is
+released with the trace (traces are immutable, so nothing invalidates
+it).  The original superstep-by-superstep computations are kept as the
 ``*_reference`` functions and property-tested bit-identical to the
 kernels.
 """
@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.util.caches import LRU
 from repro.util.intmath import ilog2
@@ -84,7 +85,7 @@ fold_cache_stats = FOLD_CACHE.stats
 
 def _local_maxsize(v: int) -> int:
     """Entries of a trace's fold memo: its table plus, at each of the
-    ``log v + 1`` values of ``p`` it folds to, the folded columns, the
+    ``log v + 1`` values of ``p`` it folds to, the folded trace, the
     level row and the phase legs of both shipped routing policies
     (:func:`repro.networks.routing.fold_legs`)."""
     return 1 + 4 * (ilog2(v) + 1)
@@ -92,15 +93,13 @@ def _local_maxsize(v: int) -> int:
 
 def _trace_cached(trace: Trace, key: tuple, compute: Callable[[], _T]) -> _T:
     """Memoise a value derived from ``trace`` on the trace instance itself,
-    under ``key`` and the trace version; a foreign trace-like object
-    (no ``cache_token``) computes uncached."""
-    token = getattr(trace, "cache_token", None)
-    if token is None:
+    under ``key``; a foreign trace-like object (no ``cache_token``)
+    computes uncached."""
+    if getattr(trace, "cache_token", None) is None:
         return compute()
-    cache = getattr(trace, "_local_fold_cache", None)
+    cache = trace._local_fold_cache
     if cache is None:
         cache = trace._local_fold_cache = FOLD_CACHE.local(_local_maxsize(trace.v))
-    key = (token[1],) + key
     value = cache.get(key)
     if value is None:
         value = cache.put(key, compute())
@@ -110,10 +109,13 @@ def _trace_cached(trace: Trace, key: tuple, compute: Callable[[], _T]) -> _T:
 def _frozen(value: _T) -> _T:
     """Mark a cached result read-only: shared across callers, so an
     in-place mutation would silently poison every future lookup.  The
-    arrays of a (nested) tuple are frozen in turn."""
+    arrays of a (nested) tuple and the four columns of a
+    :class:`~repro.machine.trace.Trace` are frozen in turn."""
     if isinstance(value, tuple):
         for item in value:
             _frozen(item)
+    elif isinstance(value, Trace):
+        _frozen((value.labels, value.offsets, value.src, value.dst))
     else:
         value.setflags(write=False)
     return value
@@ -133,28 +135,27 @@ class _FoldTable(NamedTuple):
 
 
 def _table(trace: Trace) -> _FoldTable:
-    """The trace's fold table (cached per trace version).
+    """The trace's fold table (cached per trace).
 
     The kernels rely on cluster legality (a message of an i-superstep
     shares its ``i`` leading bits, ``c >= i``), so it is checked here on
-    the counts rows, once per trace version, and a violating trace is
+    the counts rows, once per trace, and a violating trace is
     rejected loudly rather than silently under-counted.
     """
 
     def compute() -> _FoldTable:
-        cols = trace.columns()
         logv = ilog2(trace.v)
-        S = cols.num_supersteps
-        labels = cols.labels
+        S = trace.num_supersteps
+        labels = trace.labels
         # frexp's exponent is the bit length (exact below 2^53).
-        c = (logv - np.frexp(cols.src ^ cols.dst)[1]).astype(np.int8)
+        c = (logv - np.frexp(trace.src ^ trace.dst)[1]).astype(np.int8)
         hist = np.bincount(
-            cols.superstep_index() * (logv + 1) + c, minlength=S * (logv + 1)
+            trace.superstep_index() * (logv + 1) + c, minlength=S * (logv + 1)
         ).reshape(S, logv + 1)
         counts = np.zeros((logv + 1, S), dtype=np.int64)
         np.cumsum(hist[:, :logv].T, axis=0, out=counts[1:])
         if not getattr(trace, "is_validated", False):
-            high = (cols.counts > 0) & (labels >= max(logv, 1))
+            high = (trace.counts > 0) & (labels >= max(logv, 1))
             if high.any():
                 raise ValueError(
                     f"cannot fold: superstep label {int(labels[high].max())} "
@@ -184,16 +185,15 @@ def _level(trace: Trace, j: int) -> tuple[np.ndarray, np.ndarray]:
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         table = _table(trace)
-        cols = trace.columns()
-        S = cols.num_supersteps
+        S = trace.num_supersteps
         deg = np.zeros(S, dtype=np.int64)
         if table.counts[j].any():
             p = 1 << j
             cross = table.c < j
-            sidx = cols.superstep_index()[cross]
+            sidx = trace.superstep_index()[cross]
             shift = ilog2(trace.v) - j
-            sp = cols.src[cross] >> shift
-            dp = cols.dst[cross] >> shift
+            sp = trace.src[cross] >> shift
+            dp = trace.dst[cross] >> shift
             grid = S * p
             if grid <= max(4 * sp.size, 1 << 20):
                 key = sidx * p
@@ -204,8 +204,8 @@ def _level(trace: Trace, j: int) -> tuple[np.ndarray, np.ndarray]:
                 for procs in (sp, dp):
                     uniq, counts = np.unique(sidx * p + procs, return_counts=True)
                     np.maximum.at(deg, uniq // p, counts)
-        keep = cols.labels < j
-        F = np.bincount(cols.labels[keep], weights=deg[keep], minlength=j)
+        keep = trace.labels < j
+        F = np.bincount(trace.labels[keep], weights=deg[keep], minlength=j)
         return _frozen((deg, F.astype(np.int64)))
 
     return _trace_cached(trace, ("level", j), compute)
@@ -255,91 +255,118 @@ def fold_trace(trace: Trace, p: int) -> Trace:
     on the folded machine.
 
     Built from the fold table: the messages with ``c < log p`` and the
-    table's counts row.  The folded *columns* are cached per
-    ``(trace, p)`` in the trace's own memo, and every call wraps them in
-    a fresh ``Trace``, so callers may append to the result without
-    poisoning the cache; the shared endpoint arrays themselves are
-    read-only.
+    table's counts row.  The folded trace is memoised per ``(trace, p)``
+    in the trace's own memo, so every call returns the same immutable
+    object and its own memos (``superstep_index``, its folds) are shared
+    by every caller.
     """
     logp = _check_fold(trace.v, p)
 
-    def compute() -> tuple:
+    def compute() -> Trace:
         table = _table(trace)  # legality gate, same contract as the degrees
-        cols = trace.columns()
         shift = ilog2(trace.v) - logp
-        ss_kept = cols.labels < logp
+        ss_kept = trace.labels < logp
         msg_kept = table.c < logp
         new_counts = table.counts[logp][ss_kept]
         offsets = np.zeros(new_counts.size + 1, dtype=np.int64)
         np.cumsum(new_counts, out=offsets[1:])
-        return (
-            _frozen(cols.labels[ss_kept]),
-            _frozen(offsets),
-            _frozen(cols.src[msg_kept] >> shift),
-            _frozen(cols.dst[msg_kept] >> shift),
-        )
+        return _frozen(Trace(
+            p,
+            trace.labels[ss_kept],
+            offsets,
+            trace.src[msg_kept] >> shift,
+            trace.dst[msg_kept] >> shift,
+        ))
 
-    return Trace.from_columns(p, *_trace_cached(trace, ("fold", p), compute))
+    return _trace_cached(trace, ("fold", p), compute)
 
 
 # ----------------------------------------------------------------------
-# Per-record reference implementations
+# Superstep-by-superstep reference implementations
 # ----------------------------------------------------------------------
-# These are the original record-by-record computations, retained verbatim
-# as the oracle the vectorised kernels are property-tested against.
+# These are the original superstep-by-superstep computations, retained as
+# the oracle the vectorised kernels are property-tested against.
+
+
+def _degree(v: int, p: int, src: np.ndarray, dst: np.ndarray) -> int:
+    """Degree ``h_s(n, p)`` of one superstep folded onto ``p`` processors.
+
+    Under folding, processor ``r`` of ``M(p)`` carries VPs
+    ``[r*(v/p), (r+1)*(v/p))``; only messages crossing a processor
+    boundary are communicated.  The degree is the maximum over
+    processors of messages sent *or* received (the h of the
+    h-relation, Section 2).
+    """
+    block = v // p
+    sp = src // block
+    dp = dst // block
+    cross = sp != dp
+    if not cross.any():
+        return 0
+    sent = np.bincount(sp[cross], minlength=p)
+    recv = np.bincount(dp[cross], minlength=p)
+    return int(max(sent.max(), recv.max()))
+
+
+def _message_count(v: int, p: int, src: np.ndarray, dst: np.ndarray) -> int:
+    """Cross-processor messages of one superstep under folding to ``p``."""
+    block = v // p
+    return int(np.count_nonzero(src // block != dst // block))
+
+
+def _supersteps(trace: Trace):
+    """``(label, src, dst)`` of every superstep, in order."""
+    return (trace.superstep(s) for s in range(trace.num_supersteps))
 
 
 def fold_degrees_reference(trace: Trace, p: int) -> np.ndarray:
-    """Record-by-record ``h_s(n, p)`` (oracle for :func:`fold_degrees`)."""
+    """Superstep-by-superstep ``h_s(n, p)`` (oracle for :func:`fold_degrees`)."""
     _check_fold(trace.v, p)
-    return np.array([rec.degree(trace.v, p) for rec in trace.records], dtype=np.int64)
+    return np.array(
+        [_degree(trace.v, p, src, dst) for _, src, dst in _supersteps(trace)],
+        dtype=np.int64,
+    )
 
 
 def fold_message_counts_reference(trace: Trace, p: int) -> np.ndarray:
-    """Record-by-record cross-message counts (oracle)."""
+    """Superstep-by-superstep cross-message counts (oracle)."""
     _check_fold(trace.v, p)
     return np.array(
-        [rec.message_count(trace.v, p) for rec in trace.records], dtype=np.int64
+        [_message_count(trace.v, p, src, dst) for _, src, dst in _supersteps(trace)],
+        dtype=np.int64,
     )
 
 
 def F_vector_reference(trace: Trace, p: int) -> np.ndarray:
-    """Record-by-record ``F^i(n, p)`` (oracle for :func:`F_vector`)."""
-    _check_fold(trace.v, p)
-    logp = ilog2(p)
+    """Superstep-by-superstep ``F^i(n, p)`` (oracle for :func:`F_vector`)."""
+    logp = _check_fold(trace.v, p)
     out = np.zeros(logp, dtype=np.int64)
-    if logp == 0:
-        return out
-    for rec in trace.records:
-        if rec.label < logp:
-            out[rec.label] += rec.degree(trace.v, p)
+    for label, src, dst in _supersteps(trace):
+        if label < logp:
+            out[label] += _degree(trace.v, p, src, dst)
     return out
 
 
 def S_vector_reference(trace: Trace, p: int) -> np.ndarray:
-    """Record-by-record ``S^i(n)`` (oracle for :func:`S_vector`)."""
-    _check_fold(trace.v, p)
-    logp = ilog2(p)
+    """Superstep-by-superstep ``S^i(n)`` (oracle for :func:`S_vector`)."""
+    logp = _check_fold(trace.v, p)
     out = np.zeros(logp, dtype=np.int64)
-    if logp == 0:
-        return out
-    for rec in trace.records:
-        if rec.label < logp:
-            out[rec.label] += 1
+    for label, _, _ in _supersteps(trace):
+        if label < logp:
+            out[label] += 1
     return out
 
 
 def fold_trace_reference(trace: Trace, p: int) -> Trace:
-    """Record-by-record folded trace (oracle for :func:`fold_trace`)."""
-    _check_fold(trace.v, p)
-    logp = ilog2(p)
+    """Superstep-by-superstep folded trace (oracle for :func:`fold_trace`)."""
+    logp = _check_fold(trace.v, p)
     block = trace.v // p
-    folded = Trace(p)
-    for rec in trace.records:
-        if rec.label >= logp:
+    folded = ScheduleBuilder(p)
+    for label, src, dst in _supersteps(trace):
+        if label >= logp:
             continue
-        sp = rec.src // block
-        dp = rec.dst // block
+        sp = src // block
+        dp = dst // block
         cross = sp != dp
-        folded.append(rec.label, sp[cross], dp[cross])
-    return folded
+        folded.superstep(label, sp[cross], dp[cross])
+    return folded.build()

@@ -7,9 +7,10 @@ users ship reference traces with their papers.
 
 Format: one compressed ``.npz`` with ``v``, per-superstep ``labels``, the
 concatenated ``src``/``dst`` arrays and the ``offsets`` splitting them —
-exactly the in-memory columnar layout (:class:`~repro.machine.trace.
-TraceColumns`), so saving is a direct dump and loading rebuilds the trace
-zero-copy.  Stable, byte-portable, loadable with plain numpy.
+exactly the in-memory columnar layout of a
+:class:`~repro.machine.trace.Trace`, so saving is a direct dump and
+loading rebuilds the trace zero-copy.  Stable, byte-portable, loadable
+with plain numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.machine.program import Schedule
 from repro.machine.trace import Trace
 
 __all__ = ["save_trace", "load_trace"]
@@ -29,15 +29,14 @@ _FORMAT_VERSION = 1
 def save_trace(trace: Trace, path) -> None:
     """Write ``trace`` to ``path`` (``.npz``, compressed)."""
     path = Path(path)
-    cols = trace.columns()
     np.savez_compressed(
         path,
         format_version=np.int64(_FORMAT_VERSION),
         v=np.int64(trace.v),
-        labels=cols.labels,
-        offsets=cols.offsets,
-        src=cols.src,
-        dst=cols.dst,
+        labels=trace.labels,
+        offsets=trace.offsets,
+        src=trace.src,
+        dst=trace.dst,
     )
 
 
@@ -50,9 +49,8 @@ def load_trace(path) -> Trace:
                 f"unsupported trace format version {version} "
                 f"(expected {_FORMAT_VERSION})"
             )
-        v = int(data["v"])
-        labels = data["labels"]
-        offsets = data["offsets"]
-        src = data["src"]
-        dst = data["dst"]
-    return Schedule(v, labels, offsets, src, dst).to_trace(validate=True)
+        trace = Trace(
+            int(data["v"]), data["labels"], data["offsets"], data["src"], data["dst"]
+        )
+    trace.validate()
+    return trace

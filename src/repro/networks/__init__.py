@@ -1,6 +1,6 @@
 """Point-to-point network substrate: topologies, policies, routing, D-BSP fitting.
 
-The routed-timing flow mirrors the Schedule IR (compile once, analyse often):
+The routed-timing flow mirrors the immutable trace (record once, analyse often):
 
     topology (vectorised path kernels, cached capacities)
         x routing policy (endpoint rewriting: dimension-order, Valiant)

@@ -14,15 +14,15 @@ tracks ``ell_i`` (latency), the +1 the barrier.  Multi-phase policies
 dilation over their phases and still pay one barrier.
 
 Whole traces are routed by :func:`route_trace`: one pass over the folded
-trace's columnar superstep ranges (no per-record objects).  The policy's
+trace's columnar superstep ranges (no per-superstep objects).  The policy's
 phase legs come from :func:`fold_legs`, drawn once per (folded trace,
 p, policy) and memoised beside the fold on the trace itself, so every
 topology and every sim cell of a sweep reuses one draw.  Each leg goes
 through the topology's fused ``route_loads_multi`` kernel in superstep
 blocks of at most ``2**21`` (superstep, edge) cells and ``2**15``
 messages, and the resulting :class:`RoutedProfile` is memoised exactly
-like the fold kernels — keyed by (trace identity+version, topology,
-policy), since network sweeps route the same trace on many machines.
+like the fold kernels — keyed by (trace identity, topology, policy),
+since network sweeps route the same trace on many machines.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.folding import _frozen, _trace_cached, fold_trace
-from repro.machine.trace import Trace, TraceColumns
+from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.topology import Topology
 from repro.util.caches import LRU
@@ -123,29 +123,29 @@ Legs = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 def fold_legs(
     trace: Trace, topo: Topology, policy: RoutingPolicy
-) -> tuple[TraceColumns, Legs]:
+) -> tuple[Trace, Legs]:
     """The fold of ``trace`` onto ``topo.p`` and the policy's phase legs
     over it.
 
-    Legs depend only on the policy, ``topo.p`` and the folded columns
+    Legs depend only on the policy, ``topo.p`` and the folded trace
     (the M(p) clusters are processor-id ranges whatever the network), so
     one draw serves every topology and every sim cell of a (trace, p,
     policy).  They are memoised in the trace's own fold LRU under
-    ``("legs", p, policy.cache_key())`` and the trace version, and
-    released with the trace; the arrays are read-only.
+    ``("legs", p, policy.cache_key())`` and released with the trace;
+    the arrays are read-only.
     """
-    cols = fold_trace(trace, topo.p).columns()
+    folded = fold_trace(trace, topo.p)
 
     def compute() -> Legs:
         return _frozen(tuple(
             tuple(leg)
             for leg in policy.phase_legs(
-                topo, cols.labels, cols.offsets, cols.src, cols.dst
+                topo, folded.labels, folded.offsets, folded.src, folded.dst
             )
         ))
 
     key = ("legs", topo.p, policy.cache_key())
-    return cols, _trace_cached(trace, key, compute)
+    return folded, _trace_cached(trace, key, compute)
 
 
 def _route_legs(
@@ -197,9 +197,9 @@ def compute_route(
 ) -> RoutedProfile:
     """:func:`route_trace`'s uncached body: the same profile, computed
     afresh and never looked up in or added to ``ROUTE_CACHE``."""
-    cols, legs = fold_legs(trace, topo, policy)
-    S, offsets = cols.num_supersteps, cols.offsets
-    sidx = cols.superstep_index()
+    folded, legs = fold_legs(trace, topo, policy)
+    S, offsets = folded.num_supersteps, folded.offsets
+    sidx = folded.superstep_index()
     congestion = np.zeros(S)
     dilation = np.zeros(S, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // max(1, topo.num_edges()))
@@ -220,7 +220,7 @@ def compute_route(
         topology=topo.name,
         policy=policy.name,
         p=topo.p,
-        labels=cols.labels,
+        labels=folded.labels,
         congestion=congestion,
         dilation=dilation,
         time=time,

@@ -31,14 +31,14 @@ Whole traces are simulated by :func:`simulate_trace` (the event-driven
 fast engine of :mod:`repro.sim.fastpath`, one fused cycle loop for
 every arbiter) into a columnar :class:`SimProfile`, memoised exactly
 like :class:`~repro.networks.routing.RoutedProfile` (keyed by trace
-identity+version x topology x policy x arbiter).
+identity x topology x policy x arbiter).
 :func:`simulate_trace_reference` is its uncached test oracle: the
 original per-cycle loop, vectorized over the flat (message, hop) arrays
 — one :meth:`~repro.sim.arbiter.Arbiter.priorities` call over the
 phase's active flits and one ``lexsort`` + ``bincount`` round per
 cycle — that the fast engine is property-tested bit-identical against.
-Both engines read one superstep layout, the folded trace's
-:class:`~repro.machine.trace.TraceColumns`, and take every phase leg
+Both engines read one superstep layout, the folded
+:class:`~repro.machine.trace.Trace`'s columns, and take every phase leg
 from one :meth:`~repro.networks.policy.RoutingPolicy.phase_legs` draw
 over it: the fast engine shares the analytic router's memoised draw
 (:func:`~repro.networks.routing.fold_legs`), the reference makes its own
@@ -332,10 +332,10 @@ def simulate_trace_reference(
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, seed)
     flits = _check_flits(flits_per_message)
-    cols = fold_trace(trace, topo.p).columns()
+    folded = fold_trace(trace, topo.p)
     return _build_profile(
-        route_trace(trace, topo, policy), topo, policy, arbiter, flits, cols,
-        *_reference_arrays(topo, policy, arbiter, cols, flits),
+        route_trace(trace, topo, policy), topo, policy, arbiter, flits, folded,
+        *_reference_arrays(topo, policy, arbiter, folded, flits),
     )
 
 
@@ -343,11 +343,11 @@ def _reference_arrays(
     topo: Topology,
     policy: RoutingPolicy,
     arbiter: Arbiter,
-    cols,
+    folded: Trace,
     flits: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-superstep cycles and max queue, plus edge flits, of the folded
-    columns ``cols`` through the reference cycle loop (``REPRO_SANITIZE``
+    trace ``folded`` through the reference cycle loop (``REPRO_SANITIZE``
     compares the fast engine against it).
 
     The policy's legs come from one ``phase_legs`` call over the whole
@@ -356,13 +356,13 @@ def _reference_arrays(
     sequentially — phase 2 starts only after phase 1 fully delivers,
     matching the analytic engine's summed per-phase congestion/dilation.
     """
-    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
+    legs = policy.phase_legs(topo, folded.labels, folded.offsets, folded.src, folded.dst)
     caps = topo.edge_capacities()
-    cycles = np.zeros(cols.num_supersteps, dtype=np.int64)
-    max_queue = np.zeros(cols.num_supersteps, dtype=np.int64)
+    cycles = np.zeros(folded.num_supersteps, dtype=np.int64)
+    max_queue = np.zeros(folded.num_supersteps, dtype=np.int64)
     edge_flits = np.zeros(topo.num_edges(), dtype=np.int64)
-    bounds = cols.offsets.tolist()
-    for s in np.flatnonzero(cols.counts).tolist():
+    bounds = folded.offsets.tolist()
+    for s in np.flatnonzero(folded.counts).tolist():
         lo, hi = bounds[s], bounds[s + 1]
         for ph, (ph_src, ph_dst) in enumerate(legs):
             ph_src, ph_dst = ph_src[lo:hi], ph_dst[lo:hi]
@@ -386,14 +386,14 @@ def _build_profile(
     policy: RoutingPolicy,
     arbiter: Arbiter,
     flits: int,
-    cols,
+    folded: Trace,
     cycles: np.ndarray,
     max_queue: np.ndarray,
     edge_flits: np.ndarray,
 ) -> SimProfile:
     """Assemble the immutable profile (``routed``'s analytic columns +
     measured); every folded message is delivered."""
-    delivered = cols.counts
+    delivered = folded.counts
     caps = topo.edge_capacities().copy()
     for arr in (cycles, max_queue, delivered, edge_flits, caps):
         arr.setflags(write=False)
@@ -402,7 +402,7 @@ def _build_profile(
         policy=policy.name,
         arbiter=arbiter.name,
         p=topo.p,
-        labels=cols.labels,
+        labels=folded.labels,
         cycles=cycles,
         congestion=routed.congestion,
         dilation=routed.dilation,
@@ -457,23 +457,23 @@ def compute_sims(
     from the traces' own memo (:func:`~repro.networks.routing.fold_legs`);
     the route and sim LRUs are neither read nor written.
     """
-    folded = [fold_legs(*item[:3]) for item in items]
+    fold_and_legs = [fold_legs(*item[:3]) for item in items]
     results = _fast_run_batch([
-        (topo, topo.edge_capacities(), legs, arbiter, cols, flits)
-        for (_, topo, _, arbiter), (cols, legs) in zip(items, folded)
+        (topo, topo.edge_capacities(), legs, arbiter, folded, flits)
+        for (_, topo, _, arbiter), (folded, legs) in zip(items, fold_and_legs)
     ])
     profiles = []
-    for (_, topo, policy, arbiter), (cols, _), route, (
+    for (_, topo, policy, arbiter), (folded, _), route, (
         cycles, max_queue, edge_flits
-    ) in zip(items, folded, routed, results):
+    ) in zip(items, fold_and_legs, routed, results):
         if sanitize.should_crosscheck():
             sanitize.check_engine_parity(
                 (cycles, max_queue, edge_flits),
-                _reference_arrays(topo, policy, arbiter, cols, flits),
+                _reference_arrays(topo, policy, arbiter, folded, flits),
                 "simulate_many",
             )
         profiles.append(_build_profile(
-            route, topo, policy, arbiter, flits, cols,
+            route, topo, policy, arbiter, flits, folded,
             cycles, max_queue, edge_flits,
         ))
     return profiles

@@ -110,20 +110,20 @@ def expand_paths(
     return new_offsets, edges[np.repeat(starts, rep) + hop]
 
 
-def _phase_paths(topo, legs, cols, flits: int):
+def _phase_paths(topo, legs, folded, flits: int):
     """Routed, flit-expanded CSR paths of every phase that moves messages.
 
     Yields ``(step, phase, offsets, edges)`` superstep by superstep and
     phase by phase, ``step`` the superstep's ordinal in the folded
-    trace columns ``cols``.  ``legs`` are the policy's phase legs over
-    ``cols``, the memoised draw
+    trace ``folded``.  ``legs`` are the policy's phase legs over
+    ``folded``, the memoised draw
     :func:`~repro.networks.routing.compute_route` routes too
     (:func:`~repro.networks.routing.fold_legs`); each leg is routed by
     one ``route_paths`` call and flit-expanded once, then cut back into
     per-superstep blocks.
     """
-    owner = cols.superstep_index()
-    steps = np.arange(cols.num_supersteps + 1)
+    owner = folded.superstep_index()
+    steps = np.arange(folded.num_supersteps + 1)
     blocks = []
     for ph_src, ph_dst in legs:
         cross = ph_src != ph_dst  # policies may add self-messages
@@ -133,7 +133,7 @@ def _phase_paths(topo, legs, cols, flits: int):
         # Flit range of each superstep's crossing messages.
         bounds = flits * np.searchsorted(owner[cross], steps)
         blocks.append((poff, pedges, bounds.tolist()))
-    for step in np.flatnonzero(cols.counts).tolist():
+    for step in np.flatnonzero(folded.counts).tolist():
         for ph, (poff, pedges, bounds) in enumerate(blocks):
             lo, hi = bounds[step], bounds[step + 1]
             if hi > lo:
@@ -163,7 +163,7 @@ def _run_fused(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All supersteps of every cell in one loop over namespaced edges.
 
-    ``cells`` is a list of ``(topo, caps, legs, cols, flits)``
+    ``cells`` is a list of ``(topo, caps, legs, folded, flits)``
     simulations under ``arbiter`` (any arbiter of the same static
     :attr:`~repro.sim.arbiter.Arbiter.rank_mode` gives the same
     result).  Cells are dynamically independent — each superstep runs
@@ -177,7 +177,7 @@ def _run_fused(
     # the namespaced edges g*Emax .. g*Emax + E - 1; an empty one never
     # loads a phase, so it reports zeros.
     Emax = max((caps.size for _, caps, _, _, _ in cells), default=0)
-    nsteps = [cols.num_supersteps for _, _, _, cols, _ in cells]
+    nsteps = [folded.num_supersteps for _, _, _, folded, _ in cells]
 
     # Route + expand every phase of every superstep up front (pure
     # functions of the batch — the reference does the same work lazily).
@@ -189,8 +189,8 @@ def _run_fused(
     ebase = 0
     Lmax = 1
     g0 = 0
-    for (topo, caps, legs, cols, flits), S in zip(cells, nsteps):
-        for step, ph, poff, pedges in _phase_paths(topo, legs, cols, flits):
+    for (topo, caps, legs, folded, flits), S in zip(cells, nsteps):
+        for step, ph, poff, pedges in _phase_paths(topo, legs, folded, flits):
             lengths = np.diff(poff).astype(np.int64)
             if not lengths.all():
                 # Slot k - pb[j] must be flit k's index in its phase.
@@ -383,11 +383,11 @@ def run_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fast-engine execution of many independent simulations at once.
 
-    ``cells`` is a list of ``(topo, caps, legs, arbiter, cols,
+    ``cells`` is a list of ``(topo, caps, legs, arbiter, folded,
     flits)`` — one entry per (trace, topology, policy, arbiter) cell,
-    ``cols`` the :class:`~repro.machine.trace.TraceColumns` of its
-    trace folded onto ``topo.p`` and ``legs`` its
-    policy's phase legs over ``cols``
+    ``folded`` its :class:`~repro.machine.trace.Trace` folded onto
+    ``topo.p`` and ``legs`` its
+    policy's phase legs over ``folded``
     (:func:`~repro.networks.routing.fold_legs`, drawn once per (trace,
     p, policy) and shared with the analytic router).  Each leg is
     routed and flit-expanded once (:func:`_phase_paths`), so set-up

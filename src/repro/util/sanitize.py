@@ -81,11 +81,14 @@ def _record_violation(message: str) -> None:
 
 
 def reachable_arrays(value: Any, depth: int = 0):
-    """Every ``ndarray`` reachable through containers and dataclasses."""
+    """Every ``ndarray`` reachable through containers, dataclasses and
+    the four columns of a trace (an object with a ``cache_token``)."""
     if depth > 4:  # cached values are shallow; don't chase object graphs
         return
     if isinstance(value, np.ndarray):
         yield value
+    elif hasattr(value, "cache_token"):
+        yield from (value.labels, value.offsets, value.src, value.dst)
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from reachable_arrays(item, depth + 1)

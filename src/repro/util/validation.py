@@ -1,7 +1,7 @@
 """Argument-validation helpers with informative error messages.
 
 Thin wrappers used at public API boundaries; internal hot loops rely on
-the vectorised ``validate_columns`` checks instead.
+the vectorised ``Trace.validate`` checks instead.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, ValiantPolicy
 from repro.util.intmath import ilog2
@@ -24,7 +25,7 @@ def random_trace(
 ) -> Trace:
     """A random legal trace on M(v): every message obeys its label's cluster."""
     logv = ilog2(v)
-    trace = Trace(v)
+    builder = ScheduleBuilder(v)
     for _ in range(num_supersteps):
         label = int(rng.integers(0, max(1, logv)))
         m = int(rng.integers(0, max_messages + 1))
@@ -35,8 +36,16 @@ def random_trace(
             dst = (src >> shift << shift) | low
         else:
             dst = rng.integers(0, v, size=m)
-        trace.append(label, src, dst)
-    return trace
+        builder.superstep(label, src, dst)
+    return builder.build()
+
+
+def make_trace(v: int, *supersteps) -> Trace:
+    """A trace on M(v) recorded from ``(label, src, dst)`` supersteps."""
+    builder = ScheduleBuilder(v)
+    for label, src, dst in supersteps:
+        builder.superstep(label, src, dst)
+    return builder.build()
 
 
 @pytest.fixture
@@ -45,8 +54,8 @@ def small_trace(rng):
 
 
 # Malformed CSR records on M(8): (labels, offsets, src, dst, the words of
-# the broken invariant in the ValueError).  load_trace and Schedule.validate
-# both check through validate_columns and must reject each of them.
+# the broken invariant in the ValueError).  load_trace and Trace.validate
+# both check through check_csr and must reject each of them.
 MALFORMED_CSR = [
     # offsets starting past 0 (2 messages, 1 counted)
     pytest.param([0], [1, 3], [0, 1], [1, 0], "from 0", id="starts-late"),

@@ -102,7 +102,7 @@ class TestRegistry:
     def test_spec_runs_are_seed_deterministic(self):
         a = by_name("sort").run(64, seed=7)
         b = by_name("sort").run(64, seed=7)
-        assert np.array_equal(a.trace.columns().src, b.trace.columns().src)
+        assert np.array_equal(a.trace.src, b.trace.src)
         assert np.array_equal(a.output, b.output)
 
 

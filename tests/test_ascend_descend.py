@@ -6,11 +6,11 @@ import pytest
 from repro.core.ascend_descend import ascend_descend_trace, rebalance_superstep
 from repro.core.metrics import TraceMetrics
 from repro.core.wiseness import measured_alpha
-from repro.machine.folding import fold_trace
-from repro.machine.trace import Trace
+from repro.machine.folding import fold_degrees, fold_trace
+from repro.machine.program import ScheduleBuilder
 from repro.models import mesh_dbsp
 
-from conftest import random_trace
+from conftest import make_trace, random_trace
 
 
 def delivery_multiset(trace_on_p):
@@ -34,28 +34,24 @@ class TestDelivery:
         # match the folded original (chains conserve flow endpoints).
         folded = fold_trace(t, p)
         net_orig = np.zeros(p, dtype=np.int64)
-        for rec in folded.records:
-            keep = rec.src != rec.dst
-            np.add.at(net_orig, rec.src[keep], 1)
-            np.add.at(net_orig, rec.dst[keep], -1)
+        keep = folded.src != folded.dst
+        np.add.at(net_orig, folded.src[keep], 1)
+        np.add.at(net_orig, folded.dst[keep], -1)
         net_new = np.zeros(p, dtype=np.int64)
-        for rec in out.records:
-            np.add.at(net_new, rec.src, 1)
-            np.add.at(net_new, rec.dst, -1)
+        np.add.at(net_new, out.src, 1)
+        np.add.at(net_new, out.dst, -1)
         assert np.array_equal(net_orig, net_new)
 
     def test_labels_at_least_original(self, rng):
         """Lemma 5.1: the expansion of an i-superstep uses labels >= i."""
-        t = Trace(32)
         src = np.arange(8, 12)
-        t.append(2, src, src + 4)  # a 2-superstep within cluster [8, 16)
+        t = make_trace(32, (2, src, src + 4))  # a 2-superstep within cluster [8, 16)
         out = ascend_descend_trace(t, 32)
         out.validate()
-        assert all(rec.label >= 2 for rec in out.records)
+        assert (out.labels >= 2).all()
 
     def test_empty_superstep_preserved(self):
-        t = Trace(16)
-        t.append(1, np.empty(0, np.int64), np.empty(0, np.int64))
+        t = make_trace(16, (1, [], []))
         out = ascend_descend_trace(t, 16)
         assert out.num_supersteps >= 1
 
@@ -71,25 +67,18 @@ class TestBalancing:
         """
         v = p = 32
         m = 128
-        t = Trace(v)
-        t.append(0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64))
-        rec0 = t.records[0]
+        t = make_trace(v, (0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64)))
         out = ascend_descend_trace(t, p, include_prefix=False)
         out.validate()
-        import math
-
-        logp = 5
-        for rec in out.records:
-            k = rec.label
+        for k, degree in zip(out.labels.tolist(), fold_degrees(out, p)):
             fold = min(p, 1 << (k + 1))
-            bound = 2 * (2 ** (k + 1)) * rec0.degree(v, fold) / p + 2
-            assert rec.degree(p, p) <= bound
+            bound = 2 * (2 ** (k + 1)) * fold_degrees(t, fold)[0] / p + 2
+            assert degree <= bound
 
     def test_wise_after_protocol(self):
         """Theorem 5.3's proof makes A-tilde wise; check alpha improves."""
         v = p = 32
-        t = Trace(v)
-        t.append(0, np.zeros(64, np.int64), np.full(64, v // 2, np.int64))
+        t = make_trace(v, (0, np.zeros(64, np.int64), np.full(64, v // 2, np.int64)))
         tm_raw = TraceMetrics(t)
         out = ascend_descend_trace(t, p, include_prefix=False)
         tm_ad = TraceMetrics(out)
@@ -99,8 +88,7 @@ class TestBalancing:
         """Bilardi et al. '07a observation: spreading beats direct send."""
         v = p = 64
         m = 4096
-        t = Trace(v)
-        t.append(0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64))
+        t = make_trace(v, (0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64)))
         machine = mesh_dbsp(p, d=1)  # strong bandwidth asymmetry
         d_raw = TraceMetrics(t).D_machine(machine)
         out = ascend_descend_trace(t, p, include_prefix=False)
@@ -111,9 +99,8 @@ class TestBalancing:
         """On an already-wise pattern the protocol costs at most the
         Theorem 5.3 polylog factor."""
         v = p = 16
-        t = Trace(v)
         src = np.arange(v // 2)
-        t.append(0, src, src + v // 2)
+        t = make_trace(v, (0, src, src + v // 2))
         machine = mesh_dbsp(p, d=2)
         d_raw = TraceMetrics(t).D_machine(machine)
         out = ascend_descend_trace(t, p)
@@ -124,16 +111,13 @@ class TestBalancing:
 
 class TestPrefixSupersteps:
     def test_prefix_emits_constant_degree(self):
-        t = Trace(16)
-        t.append(0, np.array([0]), np.array([8]))
+        t = make_trace(16, (0, [0], [8]))
         out = ascend_descend_trace(t, 16, include_prefix=True)
         out.validate()
-        for rec in out.records:
-            assert rec.degree(16, 16) <= 2
+        assert fold_degrees(out, 16).max() <= 2
 
     def test_prefix_increases_superstep_count_logarithmically(self):
-        t = Trace(16)
-        t.append(0, np.array([0]), np.array([8]))
+        t = make_trace(16, (0, [0], [8]))
         bare = ascend_descend_trace(t, 16, include_prefix=False)
         full = ascend_descend_trace(t, 16, include_prefix=True)
         logp = 4
@@ -143,16 +127,17 @@ class TestPrefixSupersteps:
 
 class TestRebalanceUnit:
     def test_direct_call_appends(self):
-        out = Trace(8)
+        out = ScheduleBuilder(8)
         rebalance_superstep(
             out, 8, 0, np.array([0, 0]), np.array([4, 5]), include_prefix=False
         )
         assert out.num_supersteps >= 1
-        out.validate()
+        out.build().validate()
 
     def test_self_messages_ignored(self):
-        out = Trace(8)
+        out = ScheduleBuilder(8)
         rebalance_superstep(
             out, 8, 0, np.array([3]), np.array([3]), include_prefix=False
         )
-        assert all(rec.num_messages == 0 for rec in out.records)
+        built = out.build()
+        assert built.num_supersteps >= 1 and built.total_messages == 0

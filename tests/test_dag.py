@@ -142,7 +142,7 @@ class TestGenericEvaluation:
             lambda us, ops: ops[0] + ops[1],
         )
         assert res.trace.is_validated  # one whole-array pass at the end
-        assert res.schedule.num_supersteps == res.supersteps == 2
+        assert res.trace.num_supersteps == res.supersteps == 2
         assert res.values[6].real == 10.0
 
     @pytest.mark.parametrize("v", [1, 2, 4, 8])
@@ -154,14 +154,15 @@ class TestGenericEvaluation:
         )
         assign, levels = res.assignment, dag.levels()
         assert res.trace.is_validated
-        for l, rec in enumerate(res.trace.records, start=1):
+        for l in range(1, res.trace.num_supersteps + 1):
+            _, src, dst = res.trace.superstep(l - 1)
             pairs = sorted(
                 (int(assign[q]), int(assign[u]))
                 for u in np.flatnonzero(levels == l)
                 for q in dag.preds(u)
                 if assign[q] != assign[u]
             )
-            assert sorted(zip(rec.src.tolist(), rec.dst.tolist())) == pairs
+            assert sorted(zip(src.tolist(), dst.tolist())) == pairs
         if v == 1:
             assert res.messages == 0
 
@@ -205,5 +206,4 @@ class TestGenericEvaluation:
             dag, 8, np.zeros(8, dtype=complex), lambda us, ops: ops[0] + ops[1],
             assignment=np.tile(np.arange(8), 4),
         )
-        labels = [r.label for r in res.trace.records]
-        assert labels == [2, 1, 0]
+        assert res.trace.labels.tolist() == [2, 1, 0]

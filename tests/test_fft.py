@@ -7,6 +7,7 @@ from repro.algorithms import fft
 from repro.core import TraceMetrics, measured_alpha
 from repro.core.lower_bounds import fft_lower_bound
 from repro.core.theory import h_fft_closed
+from repro.machine.folding import fold_degrees
 
 
 class TestCorrectness:
@@ -48,19 +49,18 @@ class TestStructure:
     def test_labels_follow_recursion(self):
         """For n = 2^{2^k}: labels are (1 - 1/2^i) log n (Sec. 4.2)."""
         res = fft.run(np.zeros(16, dtype=complex))
-        labels = {rec.label for rec in res.trace.records}
+        labels = set(res.trace.labels.tolist())
         assert labels == {0, 2, 3}  # log n = 4: 0, (1-1/2)*4, (1-1/4)*4
 
     def test_static_structure(self, rng):
         t1 = fft.run(rng.random(32) + 0j).trace
         t2 = fft.run(np.zeros(32, dtype=complex)).trace
         assert t1.num_supersteps == t2.num_supersteps
-        assert [r.label for r in t1.records] == [r.label for r in t2.records]
+        assert np.array_equal(t1.labels, t2.labels)
 
     def test_constant_degree(self, rng):
         res = fft.run(rng.random(64) + 0j)
-        for rec in res.trace.records:
-            assert rec.degree(64, 64) <= 3
+        assert fold_degrees(res.trace, 64).max() <= 3
 
 
 class TestCommunication:

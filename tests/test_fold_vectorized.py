@@ -1,8 +1,8 @@
-"""Property tests: columnar folding kernels == per-record references.
+"""Property tests: columnar folding kernels == per-superstep references.
 
 The vectorised ``fold_degrees``/``F_vector``/``S_vector``/``fold_trace``/
 ``fold_message_counts`` must be *bit-identical* to the original
-record-by-record implementations (kept as ``*_reference``) on arbitrary
+superstep-by-superstep implementations (kept as ``*_reference``) on arbitrary
 legal traces — this is the contract that lets every downstream metric
 switch to the fast kernels without re-deriving anything.
 """
@@ -25,9 +25,18 @@ from repro.machine.folding import (
     fold_trace,
     fold_trace_reference,
 )
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 
-from conftest import all_folds, random_trace
+from conftest import all_folds, make_trace, random_trace
+
+COLUMNS = ("labels", "offsets", "src", "dst")
+
+
+def _same_columns(a: Trace, b: Trace) -> bool:
+    return a.v == b.v and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in COLUMNS
+    )
 
 traces = st.builds(
     lambda seed, logv, steps: random_trace(
@@ -69,22 +78,16 @@ class TestKernelsMatchReference:
     @settings(max_examples=60, deadline=None)
     def test_fold_trace(self, t):
         for p in _folds(t.v):
-            got = fold_trace(t, p)
-            ref = fold_trace_reference(t, p)
-            assert got.v == ref.v
-            assert got.num_supersteps == ref.num_supersteps
-            for rg, rr in zip(got.records, ref.records):
-                assert rg.label == rr.label
-                assert np.array_equal(rg.src, rr.src)
-                assert np.array_equal(rg.dst, rr.dst)
+            assert _same_columns(fold_trace(t, p), fold_trace_reference(t, p))
 
     def test_sparse_grid_path(self):
         """Force the sort-based group-by branch (huge S*p, few messages)."""
         v = 1 << 12
-        t = Trace(v)
+        builder = ScheduleBuilder(v)
         rng = np.random.default_rng(7)
         for _ in range(600):
-            t.append(0, rng.integers(0, v, 3), rng.integers(0, v, 3))
+            builder.superstep(0, rng.integers(0, v, 3), rng.integers(0, v, 3))
+        t = builder.build()
         p = v  # S * p = 600 * 4096 >> 4 * messages
         assert np.array_equal(fold_degrees(t, p), fold_degrees_reference(t, p))
 
@@ -109,9 +112,7 @@ def test_table_rows_match_reference_on_emitted_traces(algorithm, n):
         )
         assert np.array_equal(F_vector(t, p), F_vector_reference(t, p))
         assert np.array_equal(S_vector(t, p), S_vector_reference(t, p))
-        got, ref = fold_trace(t, p).columns(), fold_trace_reference(t, p).columns()
-        for name in ("labels", "offsets", "src", "dst"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert _same_columns(fold_trace(t, p), fold_trace_reference(t, p))
 
 
 class TestFoldCache:
@@ -120,23 +121,25 @@ class TestFoldCache:
         t = random_trace(16, 6, rng)
         first = fold_degrees(t, 4)
         assert fold_degrees(t, 4) is first  # memoised
-        # fold_trace shares cached columns but wraps them in a fresh Trace,
-        # so caller-side appends cannot poison the cache.
-        a, b = fold_trace(t, 4), fold_trace(t, 4)
-        assert a is not b
-        assert a.columns().src is b.columns().src
-        a.append(0, np.array([0]), np.array([1]))
-        assert fold_trace(t, 4).num_supersteps == b.num_supersteps
+
+    def test_fold_trace_is_one_object_per_p(self, rng):
+        t = random_trace(16, 6, rng)
+        folded = fold_trace(t, 4)
+        assert fold_trace(t, 4) is folded
+        assert fold_trace(t, 8) is not folded
+        # The folded trace's own memo survives across callers.
+        assert folded.superstep_index() is fold_trace(t, 4).superstep_index()
 
     def test_cached_results_are_read_only(self, rng):
         t = random_trace(16, 5, rng)
-        for arr in (fold_degrees(t, 8), F_vector(t, 8), fold_trace(t, 8).columns().src):
+        folded = fold_trace(t, 8)
+        for arr in (fold_degrees(t, 8), F_vector(t, 8), *(getattr(folded, c) for c in COLUMNS)):
             with pytest.raises(ValueError):
                 arr[:] = 0  # shared cache entries must not be mutable
 
     def test_fold_table_is_read_only(self, rng):
         # Regression (RPR002): the per-trace fold table and level rows are
-        # cached and shared across every fold of the same trace version; a
+        # cached and shared across every fold of the same trace; a
         # caller writing through them would silently corrupt later folds.
         from repro.machine.folding import _level, _table
 
@@ -148,27 +151,20 @@ class TestFoldCache:
                 arr.flat[0] = 0
 
     def test_cluster_illegal_trace_rejected(self):
-        t = Trace(8)
-        t.append(1, np.array([0]), np.array([4]))  # crosses its 1-cluster
+        t = make_trace(8, (1, [0], [4]))  # crosses its 1-cluster
         with pytest.raises(ValueError, match="cluster-illegal"):
             fold_degrees(t, 2)
 
     def test_label_outside_range_rejected(self):
-        t = Trace(8)
-        t.append(0, np.array([0]), np.array([4]))
-        t.append(3, np.array([5]), np.array([5]))  # label log v carries a message
-        t.append(7, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        t = make_trace(
+            8,
+            (0, [0], [4]),
+            (3, [5], [5]),  # label log v carries a message
+            (7, [], []),
+        )
         for fold in (fold_degrees, fold_trace, S_vector):
             with pytest.raises(ValueError, match="label 3 carries messages"):
                 fold(t, 2)
-
-    def test_mutation_invalidates(self, rng):
-        t = random_trace(16, 4, rng)
-        before = F_vector(t, 16).copy()
-        t.append(0, np.array([0] * 5), np.array([8] * 5))
-        after = F_vector(t, 16)
-        assert after.sum() > before.sum()
-        assert np.array_equal(after, F_vector_reference(t, 16))
 
     def test_distinct_traces_not_conflated(self, rng):
         a = random_trace(16, 5, rng)
@@ -178,22 +174,15 @@ class TestFoldCache:
 
 
 class TestScheduleReplayIsBitIdentical:
-    """A trace replayed through ``ScheduleBuilder`` lowers back to itself."""
+    """A trace replayed through ``ScheduleBuilder`` builds back to itself."""
 
     @given(traces)
     @settings(max_examples=40, deadline=None)
     def test_replay(self, t):
-        from repro.machine.program import ScheduleBuilder
-
         builder = ScheduleBuilder(t.v)
-        for rec in t.records:
-            builder.superstep(rec.label, rec.src, rec.dst)
-        replayed = builder.build().to_trace(validate=True)
+        for s in range(t.num_supersteps):
+            builder.superstep(*t.superstep(s))
+        replayed = builder.build()
+        replayed.validate()
         assert replayed.is_validated
-        ca = t.columns()
-        cb = replayed.columns()
-        assert replayed.v == t.v
-        assert np.array_equal(ca.labels, cb.labels)
-        assert np.array_equal(ca.offsets, cb.offsets)
-        assert np.array_equal(ca.src, cb.src)
-        assert np.array_equal(ca.dst, cb.dst)
+        assert _same_columns(replayed, t)

@@ -16,9 +16,10 @@ from repro.core import TraceMetrics, measured_alpha, measured_beta, verify_trans
 from repro.core.ascend_descend import ascend_descend_trace
 from repro.core.fullness import measured_gamma
 from repro.core.optimality import transfer_factor
-from repro.machine.trace import Trace
 from repro.models import fat_tree_dbsp, hypercube_dbsp, mesh_dbsp
 from repro.networks import by_name, compare_with_dbsp
+
+from conftest import make_trace
 
 
 MACHINES = [
@@ -120,8 +121,7 @@ class TestTheorem53Pipeline:
         """Full Section-5 pipeline on the canonical non-wise pattern."""
         v = 64
         m = 512
-        t = Trace(v)
-        t.append(0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64))
+        t = make_trace(v, (0, np.zeros(m, np.int64), np.full(m, v // 2, np.int64)))
         tm = TraceMetrics(t)
         assert measured_gamma(tm, v) >= 1.0  # full
         assert measured_alpha(tm, v) <= 0.1  # not wise

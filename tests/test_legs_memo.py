@@ -1,7 +1,7 @@
 """Phase legs are drawn once per (folded trace, p, policy) and shared by
 the analytic router and the cycle simulator: ``fold_legs`` memoises them
-in the trace's own fold LRU, keyed by trace version, ``p`` and the
-policy's ``cache_key()``."""
+in the trace's own fold LRU, keyed by ``p`` and the policy's
+``cache_key()``."""
 
 from collections import Counter
 
@@ -93,12 +93,14 @@ def trace(rng):
 def test_policies_get_distinct_frozen_legs(trace):
     topo = by_name("torus2d", 16)
     policies = (ValiantPolicy(0), ValiantPolicy(1), DimensionOrderPolicy())
-    cols = fold_trace(trace, 16).columns()
+    folded = fold_trace(trace, 16)
     drawn = []
     for policy in policies:
-        got_cols, legs = fold_legs(trace, topo, policy)
-        assert np.array_equal(got_cols.src, cols.src)
-        want = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
+        got, legs = fold_legs(trace, topo, policy)
+        assert got is folded
+        want = policy.phase_legs(
+            topo, folded.labels, folded.offsets, folded.src, folded.dst
+        )
         assert len(legs) == len(want)
         for (a, b), (c, d) in zip(legs, want):
             assert np.array_equal(a, c) and np.array_equal(b, d)
@@ -112,19 +114,16 @@ def test_policies_get_distinct_frozen_legs(trace):
     assert fold_legs(trace, by_name("ring", 8), policies[0])[1] is not v0
 
 
-def test_mutated_trace_gets_fresh_legs(trace):
+def test_clone_over_same_arrays_draws_its_own_legs(trace):
     topo = by_name("hypercube", 16)
     policy = ValiantPolicy(3)
-    route_trace(trace, topo, policy)
-    _, before = fold_legs(trace, topo, policy)
-    trace.append(0, np.arange(64), np.arange(64)[::-1])
-    cols, after = fold_legs(trace, topo, policy)
-    assert after is not before
-    assert after[0][0].size == before[0][0].size + cols.counts[-1]
-    want = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
-    assert np.array_equal(after[0][1], want[0][1])
-    full = trace.columns()
-    fresh = Trace.from_columns(64, full.labels, full.offsets, full.src, full.dst)
+    clone = Trace(trace.v, trace.labels, trace.offsets, trace.src, trace.dst)
+    folded, legs = fold_legs(trace, topo, policy)
+    clone_folded, clone_legs = fold_legs(clone, topo, policy)
+    assert clone_folded is not folded and clone_legs is not legs
+    for (a, b), (c, d) in zip(legs, clone_legs):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
     routed = route_trace(trace, topo, policy)
-    assert routed.num_supersteps == cols.num_supersteps
-    assert np.array_equal(routed.time, route_trace(fresh, topo, policy).time)
+    assert routed.num_supersteps == folded.num_supersteps
+    assert route_trace(clone, topo, policy) is not routed
+    assert np.array_equal(routed.time, route_trace(clone, topo, policy).time)

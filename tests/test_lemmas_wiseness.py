@@ -19,9 +19,8 @@ from repro.core.lemmas import (
 )
 from repro.core.metrics import TraceMetrics
 from repro.core.wiseness import is_wise, measured_alpha, wiseness_profile
-from repro.machine.trace import Trace
 
-from conftest import random_trace
+from conftest import make_trace, random_trace
 
 
 class TestLemma31:
@@ -37,17 +36,15 @@ class TestLemma31:
         # Every VP of the first half sends one message across the middle:
         # F^0(2^j) = v/2^j for all folds, so slack is exactly 1 everywhere.
         v = 16
-        t = Trace(v)
         src = np.arange(v // 2)
-        t.append(0, src, src + v // 2)
+        t = make_trace(v, (0, src, src + v // 2))
         slack = lemma_3_1_slack(TraceMetrics(t), v)
         assert np.allclose(slack, 1.0)
 
     def test_slack_loose_for_point_to_point(self):
         # Section 5's example: one VP sends n messages to one VP.
         v = 16
-        t = Trace(v)
-        t.append(0, np.zeros(32, np.int64), np.full(32, v // 2, dtype=np.int64))
+        t = make_trace(v, (0, np.zeros(32, np.int64), np.full(32, v // 2, np.int64)))
         slack = lemma_3_1_slack(TraceMetrics(t), v)
         # At fold 2^j the single-processor degree is the whole 32 while the
         # bound allows (v/2^j)*32: slack = 2^j/v.
@@ -90,17 +87,15 @@ class TestLemma33:
 class TestWiseness:
     def test_perfect_pattern_alpha_one(self):
         v = 32
-        t = Trace(v)
-        for label in range(5):
-            half = v >> (label + 1)
-            src = np.arange(half)
-            t.append(label, src, src + half)
+        halves = [(label, v >> (label + 1)) for label in range(5)]
+        t = make_trace(
+            v, *((label, np.arange(h), np.arange(h) + h) for label, h in halves)
+        )
         assert measured_alpha(TraceMetrics(t), v) >= 1.0 - 1e-9
 
     def test_point_to_point_alpha_low(self):
         v = 32
-        t = Trace(v)
-        t.append(0, np.zeros(64, np.int64), np.full(64, v // 2, np.int64))
+        t = make_trace(v, (0, np.zeros(64, np.int64), np.full(64, v // 2, np.int64)))
         # (alpha, p)-wise only for alpha = O(1/p): Section 5's observation.
         assert measured_alpha(TraceMetrics(t), v) == pytest.approx(2 / v)
 
@@ -135,23 +130,18 @@ class TestFullness:
     def test_point_to_point_is_full_but_not_wise(self):
         """Section 5's running example: (Theta(1), p)-full, O(1/p)-wise."""
         v = 32
-        t = Trace(v)
-        t.append(0, np.zeros(v, np.int64), np.full(v, v // 2, np.int64))
+        t = make_trace(v, (0, np.zeros(v, np.int64), np.full(v, v // 2, np.int64)))
         tm = TraceMetrics(t)
         assert measured_gamma(tm, v) >= 1.0
         assert measured_alpha(tm, v) <= 4 / v
 
     def test_empty_trace_vacuous(self):
-        t = Trace(8)
-        tm = TraceMetrics(t)
+        tm = TraceMetrics(make_trace(8))
         assert measured_gamma(tm, 8) == np.inf
 
     def test_silent_supersteps_hurt_fullness(self):
         v = 16
-        t = Trace(v)
-        t.append(0, np.array([0]), np.array([8]))
-        for _ in range(9):
-            t.append(0, np.empty(0, np.int64), np.empty(0, np.int64))
+        t = make_trace(v, (0, [0], [8]), *[(0, [], [])] * 9)
         # 10 supersteps, one message: the binding fold is j=1 where the
         # denominator is (v/2) * 10, so gamma = 2/(10 v) = 0.0125.
         g = measured_gamma(TraceMetrics(t), v)
@@ -159,15 +149,12 @@ class TestFullness:
 
     def test_is_full_threshold(self):
         v = 16
-        t = Trace(v)
         src = np.arange(v // 2)
-        t.append(0, src, src + v // 2)
-        tm = TraceMetrics(t)
+        tm = TraceMetrics(make_trace(v, (0, src, src + v // 2)))
         assert is_full(tm, v, 1.0)
 
     def test_profile_vacuous_is_inf(self, rng):
-        t = Trace(16)
-        t.append(3, np.array([0]), np.array([1]))
+        t = make_trace(16, (3, [0], [1]))
         prof = fullness_profile(TraceMetrics(t), 8)
         # No superstep survives folds below label 3: ratios are inf.
         assert np.isinf(prof).all()

@@ -8,6 +8,7 @@ from repro.algorithms.semiring import BOOLEAN, MIN_PLUS
 from repro.core import TraceMetrics, measured_alpha
 from repro.core.lower_bounds import mm_lower_bound
 from repro.core.theory import h_mm_closed
+from repro.machine.folding import fold_degrees
 
 from conftest import all_folds
 
@@ -62,15 +63,15 @@ class TestStructure:
         a1 = matmul.run(rng.random((8, 8)), rng.random((8, 8))).trace
         a2 = matmul.run(np.eye(8), np.ones((8, 8))).trace
         assert a1.num_supersteps == a2.num_supersteps
-        for r1, r2 in zip(a1.records, a2.records):
-            assert r1.label == r2.label
-            assert np.array_equal(np.sort(r1.src * a1.v + r1.dst),
-                                  np.sort(r2.src * a2.v + r2.dst))
+        for s in range(a1.num_supersteps):
+            (l1, s1, d1), (l2, s2, d2) = a1.superstep(s), a2.superstep(s)
+            assert l1 == l2
+            assert np.array_equal(np.sort(s1 * a1.v + d1), np.sort(s2 * a2.v + d2))
 
     def test_superstep_labels_multiples_of_three(self, rng):
         """Level-i supersteps carry label 3i (8 segments per level)."""
         res = matmul.run(rng.random((8, 8)), rng.random((8, 8)))
-        labels = {rec.label for rec in res.trace.records}
+        labels = set(res.trace.labels.tolist())
         base_label = max(labels)
         assert all(l % 3 == 0 or l == base_label for l in labels)
 
@@ -79,10 +80,9 @@ class TestStructure:
         side = 16
         n = side * side
         res = matmul.run(rng.random((side, side)), rng.random((side, side)))
-        for rec in res.trace.records:
-            if rec.label % 3 == 0 and rec.label < 6:
-                i = rec.label // 3
-                assert rec.degree(n, n) <= 8 * (1 << i)
+        for label, degree in zip(res.trace.labels, fold_degrees(res.trace, n)):
+            if label % 3 == 0 and label < 6:
+                assert degree <= 8 * (1 << (label // 3))
 
 
 class TestCommunication:

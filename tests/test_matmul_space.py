@@ -9,6 +9,7 @@ from repro.algorithms.semiring import MIN_PLUS
 from repro.core import TraceMetrics, measured_alpha
 from repro.core.lower_bounds import mm_space_lower_bound
 from repro.core.theory import h_mm_space_closed
+from repro.machine.folding import fold_degrees
 
 
 class TestCorrectness:
@@ -59,14 +60,14 @@ class TestStructure:
 
     def test_labels_even(self, rng):
         res = matmul_space.run(rng.random((8, 8)), rng.random((8, 8)))
-        assert all(rec.label % 2 == 0 for rec in res.trace.records)
+        assert (res.trace.labels % 2 == 0).all()
 
     def test_constant_degree_per_superstep(self, rng):
         side = 16
         n = side * side
         res = matmul_space.run(rng.random((side, side)), rng.random((side, side)))
-        for rec in res.trace.records:
-            assert rec.degree(n, n) <= 4  # 2 operands + dummies
+        # 2 operands + dummies
+        assert fold_degrees(res.trace, n).max() <= 4
 
     def test_memory_blowup_constant(self, rng):
         res = matmul_space.run(rng.random((8, 8)), rng.random((8, 8)))

@@ -31,7 +31,7 @@ from repro.networks import (
 )
 from repro.util.intmath import ilog2
 
-from conftest import oracle_legs, random_trace, route_loads
+from conftest import make_trace, oracle_legs, random_trace, route_loads
 
 ALL = list(TOPOLOGIES)
 
@@ -39,9 +39,7 @@ ALL = list(TOPOLOGIES)
 def superstep_cost(topo, src, dst, label=0):
     """(congestion, dilation, time) of one superstep: ``route_trace`` on
     a one-superstep trace over ``topo.p`` processors."""
-    trace = Trace(topo.p)
-    trace.append(label, np.asarray(src, np.int64), np.asarray(dst, np.int64))
-    profile = route_trace(trace, topo)
+    profile = route_trace(make_trace(topo.p, (label, src, dst)), topo)
     return profile.congestion[0], profile.dilation[0], profile.time[0]
 
 
@@ -283,9 +281,10 @@ class TestRouteTrace:
         profile = route_trace(t, topo)
         folded = fold_trace(t, 16)
         assert profile.num_supersteps == folded.num_supersteps
-        costs = [
-            superstep_cost(topo, r.src, r.dst, r.label) for r in folded.records
-        ]
+        costs = []
+        for s in range(folded.num_supersteps):
+            label, src, dst = folded.superstep(s)
+            costs.append(superstep_cost(topo, src, dst, label))
         for s, (congestion, dilation, time) in enumerate(costs):
             assert profile.congestion[s] == congestion
             assert profile.dilation[s] == dilation
@@ -293,10 +292,7 @@ class TestRouteTrace:
         assert profile.total_time == pytest.approx(sum(c[2] for c in costs))
 
     def test_empty_supersteps_cost_one_barrier(self):
-        t = Trace(16)
-        t.append(0, np.empty(0, np.int64), np.empty(0, np.int64))
-        t.append(0, np.array([0]), np.array([8]))
-        t.append(1, np.empty(0, np.int64), np.empty(0, np.int64))
+        t = make_trace(16, (0, [], []), (0, [0], [8]), (1, [], []))
         profile = route_trace(t, Ring(16))
         assert profile.num_supersteps == 3
         assert profile.time[0] == 1.0
@@ -311,10 +307,9 @@ class TestRouteTrace:
         v = route_trace(t, topo, ValiantPolicy(1))
         assert v is not route_trace(t, topo)
         assert v is route_trace(t, topo, ValiantPolicy(1))
-        # Mutating the trace invalidates.
-        before = route_trace(t, topo)
-        t.append(0, np.array([0]), np.array([1]))
-        assert route_trace(t, topo) is not before
+        # A clone over the same arrays is a distinct cache entry.
+        clone = Trace(t.v, t.labels, t.offsets, t.src, t.dst)
+        assert route_trace(clone, topo) is not route_trace(t, topo)
 
     def test_profile_arrays_read_only(self, rng):
         t = random_trace(32, 5, rng)
@@ -343,21 +338,17 @@ class TestSimulation:
     def test_routed_time_additive_over_supersteps(self, rng):
         topo = Ring(8)
         t1 = random_trace(8, 1, rng)
-        t2 = Trace(8)
-        t2.records.extend(t1.records)
-        t2.records.extend(t1.records)
+        t2 = Trace.concat([t1, t1])
         assert routed_time(t2, topo) == pytest.approx(2 * routed_time(t1, topo))
 
     def test_hypercube_beats_ring_on_global_pattern(self, rng):
-        t = Trace(16)
         src = np.arange(16, dtype=np.int64)
-        t.append(0, src, (src + 8) % 16)
+        t = make_trace(16, (0, src, (src + 8) % 16))
         assert routed_time(t, Hypercube(16)) < routed_time(t, Ring(16))
 
     def test_torus_beats_mesh_on_wrap_pattern(self):
-        t = Trace(16)
         src = np.arange(16, dtype=np.int64)
-        t.append(0, src, (src + 8) % 16)
+        t = make_trace(16, (0, src, (src + 8) % 16))
         assert routed_time(t, Torus2D(16)) <= routed_time(t, Mesh2D(16))
 
     def test_comparison_carries_policy(self, rng):

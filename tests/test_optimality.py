@@ -11,10 +11,9 @@ from repro.core.optimality import (
     transfer_factor,
     verify_transfer,
 )
-from repro.machine.trace import Trace
 from repro.models import DBSP, flat_bsp, mesh_dbsp
 
-from conftest import random_trace
+from conftest import make_trace, random_trace
 
 
 class TestTransferFactor:
@@ -68,12 +67,10 @@ class TestMeasuredBeta:
 
     def test_worse_algorithm_lower_beta(self, rng):
         v = 16
-        good = Trace(v)
         src = np.arange(v // 2)
-        good.append(0, src, src + v // 2)
-        bad = Trace(v)
-        for _ in range(4):  # 4x the communication, 4x the supersteps
-            bad.append(0, src, src + v // 2)
+        good = make_trace(v, (0, src, src + v // 2))
+        # 4x the communication, 4x the supersteps
+        bad = make_trace(v, *[(0, src, src + v // 2)] * 4)
         beta = measured_beta(TraceMetrics(bad), TraceMetrics(good), v, [0.0, 2.0])
         assert beta == pytest.approx(0.25)
 
@@ -98,11 +95,8 @@ class TestVerifyTransfer:
         # Construct A with strictly larger D than the factor allows.
         v = 16
         src = np.arange(v // 2)
-        fast = Trace(v)
-        fast.append(0, src, src + v // 2)
-        slow = Trace(v)
-        for _ in range(100):
-            slow.append(0, src, src + v // 2)
+        fast = make_trace(v, (0, src, src + v // 2))
+        slow = make_trace(v, *[(0, src, src + v // 2)] * 100)
         rep = verify_transfer(
             TraceMetrics(slow),
             TraceMetrics(fast),

@@ -1,24 +1,21 @@
-"""Unit tests for the columnar Schedule IR and its lowering to traces."""
+"""Unit tests for ScheduleBuilder and the immutable columnar Trace it builds."""
 
 import re
 
 import numpy as np
 import pytest
 
-from repro.machine.program import Schedule, ScheduleBuilder
+from repro.machine.folding import _level, fold_trace
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import ClusterViolation, Trace
 
 from conftest import MALFORMED_CSR, random_trace
 
 
 def _trace_columns_equal(a: Trace, b: Trace) -> bool:
-    ca, cb = a.columns(), b.columns()
-    return (
-        a.v == b.v
-        and np.array_equal(ca.labels, cb.labels)
-        and np.array_equal(ca.offsets, cb.offsets)
-        and np.array_equal(ca.src, cb.src)
-        and np.array_equal(ca.dst, cb.dst)
+    return a.v == b.v and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("labels", "offsets", "src", "dst")
     )
 
 
@@ -29,8 +26,9 @@ class TestBuilder:
         b.superstep(1, np.array([0]), np.array([3]))
         b.superstep(2, np.empty(0, np.int64), np.empty(0, np.int64))
         s = b.build()
+        assert isinstance(s, Trace)
         assert s.num_supersteps == 3
-        assert s.num_messages == 3
+        assert s.total_messages == 3
         assert np.array_equal(s.labels, [0, 1, 2])
         assert np.array_equal(s.offsets, [0, 2, 3, 3])
         assert np.array_equal(s.counts, [2, 1, 0])
@@ -108,46 +106,74 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScheduleBuilder(6)
         with pytest.raises(ValueError):
-            Schedule(
+            Trace(
                 6, np.zeros(1, np.int64), np.array([0, 0]),
                 np.empty(0, np.int64), np.empty(0, np.int64),
-            ).validate()
+            )
 
     @pytest.mark.parametrize(
         "labels, offsets, src, dst, invariant", MALFORMED_CSR
     )
     def test_malformed_csr_rejected(self, labels, offsets, src, dst, invariant):
-        s = Schedule(
+        t = Trace(
             8, *(np.array(a, np.int64) for a in (labels, offsets, src, dst))
         )
         with pytest.raises(ValueError, match=re.escape(invariant)):
-            s.validate()
+            t.validate()
+        assert not t.is_validated
 
     def test_valid_schedule_passes(self, rng):
         t = random_trace(16, 10, rng)
-        cols = t.columns()
-        Schedule(16, cols.labels, cols.offsets, cols.src, cols.dst).validate()
+        assert not t.is_validated
+        t.validate()
+        assert t.is_validated
 
 
-class TestToTrace:
-    def test_to_trace_shares_the_columns(self, rng):
+class TestTrace:
+    def test_constructor_shares_the_columns(self, rng):
         t = random_trace(16, 8, rng)
-        cols = t.columns()
-        s = Schedule(16, cols.labels, cols.offsets, cols.src, cols.dst)
-        lowered = s.to_trace(validate=True)
-        assert lowered.is_validated
-        assert _trace_columns_equal(lowered, t)
-        assert lowered.columns().src is s.src
+        u = Trace(16, t.labels, t.offsets, t.src, t.dst)
+        assert _trace_columns_equal(u, t)
+        assert u.src is t.src and u.offsets is t.offsets
 
-    def test_to_trace_validates_on_request(self):
-        s = _one_superstep(8, 2, [0], [4])
+    def test_constructor_freezes_the_callers_arrays(self):
+        cols = [np.array(a, np.int64) for a in ([0], [0, 2], [0, 1], [1, 0])]
+        Trace(8, *cols)
+        for arr in cols:
+            with pytest.raises(ValueError):
+                arr[0] = 1  # the trace now owns the column
+
+    def test_same_arrays_distinct_tokens_and_memos(self, rng):
+        a = random_trace(16, 8, rng)
+        b = Trace(16, a.labels, a.offsets, a.src, a.dst)
+        assert a.cache_token != b.cache_token
+        assert fold_trace(a, 4) is not fold_trace(b, 4)
+        assert _level(a, 2) is not _level(b, 2)
+        assert _trace_columns_equal(fold_trace(a, 4), fold_trace(b, 4))
+
+    def test_validation_is_on_request(self):
+        t = _one_superstep(8, 2, [0], [4])
+        assert not t.is_validated
         with pytest.raises(ClusterViolation):
-            s.to_trace(validate=True)
-        assert not s.to_trace().is_validated
-        short = Schedule(8, np.zeros(2, np.int64), np.array([0, 2]),
-                         np.array([0, 1]), np.array([1, 0]))
+            t.validate()
+        assert not t.is_validated
+        short = Trace(8, np.zeros(2, np.int64), np.array([0, 2]),
+                      np.array([0, 1]), np.array([1, 0]))
         with pytest.raises(ValueError, match="offsets has 2 entries"):
-            short.to_trace(validate=True)
+            short.validate()
+
+    def test_superstep_views(self, rng):
+        t = random_trace(16, 6, rng)
+        for s in range(t.num_supersteps):
+            label, src, dst = t.superstep(s)
+            lo, hi = t.offsets[s], t.offsets[s + 1]
+            assert label == t.labels[s]
+            assert np.shares_memory(src, t.src) or src.size == 0
+            assert np.array_equal(dst, t.dst[lo:hi])
+        assert np.array_equal(
+            t.superstep_index(), np.repeat(np.arange(t.num_supersteps), t.counts)
+        )
+        assert t.superstep_index() is t.superstep_index()
 
 
 class TestConcat:
@@ -157,19 +183,19 @@ class TestConcat:
             b = ScheduleBuilder(8)
             b.superstep(lab, np.array([0]), np.array([1]))
             parts.append(b.build())
-        s = Schedule.concat(parts)
+        s = Trace.concat(parts)
         assert s.num_supersteps == 2
         assert np.array_equal(s.labels, [0, 1])
-        assert s.num_messages == 2
+        assert s.total_messages == 2
 
     def test_concat_shifts_offsets(self, rng):
         """Concatenating the halves of a recording gives the whole one."""
         t = random_trace(16, 9, rng)
         whole, first, second = (ScheduleBuilder(16) for _ in range(3))
-        for i, r in enumerate(t.records):
+        for i in range(t.num_supersteps):
             for b in (whole, first if i < 4 else second):
-                b.superstep(r.label, r.src, r.dst)
-        s = Schedule.concat([first.build(), second.build()])
+                b.superstep(*t.superstep(i))
+        s = Trace.concat([first.build(), second.build()])
         w = whole.build()
         for name in ("labels", "offsets", "src", "dst"):
             assert np.array_equal(getattr(s, name), getattr(w, name)), name
@@ -177,38 +203,36 @@ class TestConcat:
 
     def test_concat_nothing_rejected(self):
         with pytest.raises(ValueError):
-            Schedule.concat([])
+            Trace.concat([])
 
     def test_concat_mixed_v_rejected(self):
         a = ScheduleBuilder(8).build()
         b = ScheduleBuilder(4).build()
         with pytest.raises(ValueError):
-            Schedule.concat([a, b])
+            Trace.concat([a, b])
 
 
 class TestAlgorithmsEmitSchedules:
-    """Every Section-4 algorithm now returns its compiled IR."""
+    """Every Section-4 algorithm returns the validated trace it built."""
 
-    def test_matmul_schedule_consistent(self):
-        from repro.algorithms import matmul
+    @pytest.mark.parametrize("name", ["matmul", "fft"])
+    def test_result_counts_match_the_trace(self, name):
+        from repro.algorithms import fft, matmul
 
         rng = np.random.default_rng(0)
-        res = matmul.run(rng.random((4, 4)), rng.random((4, 4)))
-        assert isinstance(res.schedule, Schedule)
-        assert res.schedule.num_supersteps == res.supersteps
-        assert res.schedule.num_messages == res.messages
-        assert _trace_columns_equal(res.schedule.to_trace(), res.trace)
-
-    def test_fft_schedule_consistent(self):
-        from repro.algorithms import fft
-
-        res = fft.run(np.arange(16, dtype=complex))
-        assert isinstance(res.schedule, Schedule)
-        assert _trace_columns_equal(res.schedule.to_trace(), res.trace)
+        if name == "matmul":
+            res = matmul.run(rng.random((4, 4)), rng.random((4, 4)))
+        else:
+            res = fft.run(np.arange(16, dtype=complex))
+        assert res.trace.is_validated
+        assert res.supersteps == res.trace.num_supersteps
+        assert res.messages == res.trace.total_messages
+        assert res.v == res.trace.v
 
     def test_schedule_reexecution_is_deterministic(self):
         from repro.algorithms import sorting
 
         keys = np.random.default_rng(1).permutation(64).astype(float)
-        res = sorting.run(keys)
-        assert _trace_columns_equal(res.schedule.to_trace(validate=True), res.trace)
+        a, b = sorting.run(keys), sorting.run(keys)
+        assert a.trace is not b.trace
+        assert _trace_columns_equal(a.trace, b.trace)

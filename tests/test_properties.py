@@ -90,14 +90,12 @@ class TestAscendDescendProperties:
         out.validate()
         folded = fold_trace(t, p)
         net_orig = np.zeros(p, dtype=np.int64)
-        for rec in folded.records:
-            keep = rec.src != rec.dst
-            np.add.at(net_orig, rec.src[keep], 1)
-            np.add.at(net_orig, rec.dst[keep], -1)
+        keep = folded.src != folded.dst
+        np.add.at(net_orig, folded.src[keep], 1)
+        np.add.at(net_orig, folded.dst[keep], -1)
         net_new = np.zeros(p, dtype=np.int64)
-        for rec in out.records:
-            np.add.at(net_new, rec.src, 1)
-            np.add.at(net_new, rec.dst, -1)
+        np.add.at(net_new, out.src, 1)
+        np.add.at(net_new, out.dst, -1)
         assert np.array_equal(net_orig, net_new)
 
     @given(traces)
@@ -108,9 +106,9 @@ class TestAscendDescendProperties:
         # Each source superstep expands into labels >= its own; since we
         # process supersteps in order, check the global multiset property:
         # the minimum label of the expansion >= minimum original label.
-        orig_min = min((r.label for r in t.records), default=0)
-        if out.records:
-            assert min(r.label for r in out.records) >= orig_min
+        orig_min = t.labels.min(initial=0) if t.num_supersteps else 0
+        if out.num_supersteps:
+            assert out.labels.min() >= orig_min
 
 
 class TestAlgorithmsAsProperties:

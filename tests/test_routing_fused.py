@@ -9,7 +9,7 @@ import pytest
 import repro.networks.routing as routing
 from conftest import oracle_legs, random_trace
 from repro.machine.folding import fold_trace
-from repro.machine.trace import Trace
+from repro.machine.program import ScheduleBuilder
 from repro.networks import by_name, by_policy, route_trace
 from repro.networks.policy import RoutingPolicy
 from repro.networks.topology import TOPOLOGIES, Topology
@@ -22,19 +22,17 @@ def oracle_profile(trace, topo, policy, steps=None):
     """Per-superstep (congestion, dilation, time) from ``oracle_legs``
     and the per-message ``route_loads_reference`` router (only the
     supersteps in ``steps``, when given; the others stay zero)."""
-    cols = fold_trace(trace, topo.p).columns()
+    folded = fold_trace(trace, topo.p)
     caps = topo.edge_capacities()
-    S = cols.num_supersteps
+    S = folded.num_supersteps
     congestion = np.zeros(S)
     dilation = np.zeros(S, dtype=np.int64)
     for s in range(S) if steps is None else steps:
-        lo, hi = int(cols.offsets[s]), int(cols.offsets[s + 1])
-        if hi == lo:
+        label, step_src, step_dst = folded.superstep(s)
+        if step_src.size == 0:
             continue
         c, d = 0.0, 0
-        for src, dst in oracle_legs(
-            policy, topo, s, int(cols.labels[s]), cols.src[lo:hi], cols.dst[lo:hi]
-        ):
+        for src, dst in oracle_legs(policy, topo, s, label, step_src, step_dst):
             loads, dil = topo.route_loads_reference(src, dst)
             c += float((loads / caps).max())
             d += dil
@@ -53,11 +51,11 @@ def assert_matches_oracle(profile, oracle, steps=slice(None)):
 def batch_trace(batch):
     """Two global supersteps of ``batch`` random cross messages on M(16)."""
     rng = np.random.default_rng(batch)
-    trace = Trace(16)
+    builder = ScheduleBuilder(16)
     for _ in range(2):
         src = rng.integers(0, 16, batch)
-        trace.append(0, src, (src + 1 + rng.integers(0, 15, batch)) % 16)
-    return trace
+        builder.superstep(0, src, (src + 1 + rng.integers(0, 15, batch)) % 16)
+    return builder.build()
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +127,7 @@ def test_algorithm_trace_across_block_boundaries(topo_name, policy_name):
     trace = run("stencil2d", n=16).trace
     topo = by_name(topo_name, 256)
     policy = by_policy(policy_name, seed=8)
-    offsets = fold_trace(trace, 256).columns().offsets
+    offsets = fold_trace(trace, 256).offsets
     assert offsets.size - 1 > 600 and offsets[-1] > 20 * routing._BLOCK_MESSAGES
     rows = routing._BLOCK_CELLS // topo.num_edges()
     bounds, first = [], 0

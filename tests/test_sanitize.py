@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.api import by_name
+from repro.machine.trace import Trace
 from repro.networks import by_name as network_by_name
 from repro.sim import clear_sim_cache, simulate_trace
 from repro.util import sanitize
@@ -112,6 +113,19 @@ class TestGuardCached:
         good.setflags(write=False)
         with pytest.raises(SanitizerError):
             sanitize.guard_cached(Profile(good=good, bad=np.zeros(2)), "test")
+
+    def test_trace_columns_walked(self, sanitizing):
+        from repro.machine.folding import fold_trace
+
+        folded = fold_trace(_trace(), 4)
+        sanitize.clear_sanitizer()
+        assert sanitize.guard_cached(folded, "test") is folded
+        assert repro.cache_stats()["sanitizer"]["arrays_checked"] == 4
+        thawed = np.array([0, 1], np.int64)  # a writable column
+        bad = Trace(4, np.zeros(1, np.int64), np.array([0, 2]), thawed, thawed)
+        thawed.setflags(write=True)
+        with pytest.raises(SanitizerError):
+            sanitize.guard_cached(bad, "test")
 
     def test_fold_cache_insertions_are_guarded(self, sanitizing):
         from repro.machine.folding import clear_fold_cache, fold_degrees

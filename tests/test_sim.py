@@ -5,10 +5,9 @@ the pipeline/plan/CLI integration."""
 import numpy as np
 import pytest
 
-from conftest import oracle_rows, route_loads
+from conftest import make_trace, oracle_rows, route_loads
 from repro.api import ExperimentPlan, run
 from repro.exec import ShmSubstrate, shutdown_pool
-from repro.machine import Trace
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES
 from repro.sim import (
@@ -63,9 +62,7 @@ class TestRoutePaths:
 # ----------------------------------------------------------------------
 def _one_superstep(topo, src, dst) -> tuple[int, int, int]:
     """Measured (cycles, max queue, delivered) of a one-superstep trace."""
-    trace = Trace(topo.p)
-    trace.append(0, src, dst)
-    profile = simulate_trace(trace, topo)
+    profile = simulate_trace(make_trace(topo.p, (0, src, dst)), topo)
     return (
         int(profile.cycles[0]),
         int(profile.max_queue[0]),
@@ -157,14 +154,14 @@ class TestBoundInvariants:
         profile = simulate_trace(trace, topo)
         from repro.machine.folding import fold_trace
 
-        cols = fold_trace(trace, 8).columns()
+        folded = fold_trace(trace, 8)
         expected = np.zeros(topo.num_edges())
-        for s in range(cols.num_supersteps):
-            lo, hi = int(cols.offsets[s]), int(cols.offsets[s + 1])
-            loads, _ = route_loads(topo, cols.src[lo:hi], cols.dst[lo:hi])
+        for s in range(folded.num_supersteps):
+            _, src, dst = folded.superstep(s)
+            loads, _ = route_loads(topo, src, dst)
             expected += loads
         assert np.array_equal(profile.edge_flits.astype(float), expected)
-        assert profile.total_messages == cols.num_messages
+        assert profile.total_messages == folded.total_messages
 
     def test_validate_bound_report(self, sim_traces):
         report = validate_bound(sim_traces["fft"], by_name("butterfly", 8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import run
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES, Ring
@@ -256,18 +257,18 @@ def _barrier_trace() -> Trace:
     at the end, around three contended cluster-legal batches."""
     rng = np.random.default_rng(4)
     none = np.empty(0, dtype=np.int64)
-    trace = Trace(16)
+    builder = ScheduleBuilder(16)
     batches = ((0, 0), (1, 0), (0, 64), (2, 0), (1, 48), (0, -3), (1, 40), (0, 0))
     for label, m in batches:
         if m < 0:  # self-messages only
             src = rng.integers(0, 16, -m)
-            trace.append(label, src, src.copy())
+            builder.superstep(label, src, src.copy())
             continue
         src = rng.integers(0, 16, m) if m else none
         shift = 4 - label
         dst = (src >> shift << shift) | rng.integers(0, 1 << shift, src.size)
-        trace.append(label, src, dst)
-    return trace
+        builder.superstep(label, src, dst)
+    return builder.build()
 
 
 class TestBarrierOnlySupersteps:
@@ -284,7 +285,10 @@ class TestBarrierOnlySupersteps:
             for topo_name in ("ring", "fat-tree", "butterfly")
             for policy_name in POLICY_NAMES
         ]
-        cross = [int(np.count_nonzero(r.src != r.dst)) for r in trace.records]
+        cross = [
+            int(np.count_nonzero(src != dst))
+            for _, src, dst in map(trace.superstep, range(trace.num_supersteps))
+        ]
         empty, busy = [0, 1, 3, 5, 7], [2, 4, 6]
         assert min(cross[s] for s in busy) > 30
         clear_sim_cache()

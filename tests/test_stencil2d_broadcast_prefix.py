@@ -11,6 +11,7 @@ from repro.core.lower_bounds import (
     broadcast_lower_bound,
 )
 from repro.core.theory import h_stencil2_closed
+from repro.machine.folding import fold_degrees
 
 
 class TestStencil2D:
@@ -45,8 +46,7 @@ class TestStencil2D:
 
     def test_constant_degree_supersteps(self):
         sch = stencil2d.generate(8, stages=1)
-        for rec in sch.trace.records:
-            assert rec.degree(64, 64) <= 3
+        assert fold_degrees(sch.trace, 64).max() <= 3
 
 
 class TestBroadcast:
@@ -131,8 +131,7 @@ class TestPrefix:
     def test_trace_legal_and_degree_one(self, rng):
         res = prefix.run(rng.integers(0, 9, 64))
         res.trace.validate()
-        for rec in res.trace.records:
-            assert rec.degree(64, 64) <= 2
+        assert fold_degrees(res.trace, 64).max() <= 2
 
     def test_superstep_count_2logv(self):
         res = prefix.run(np.arange(64))
@@ -140,5 +139,4 @@ class TestPrefix:
 
     def test_labels_get_finer_then_coarser(self):
         res = prefix.run(np.arange(16))
-        labels = [r.label for r in res.trace.records]
-        assert labels == [3, 2, 1, 0, 0, 1, 2, 3]
+        assert res.trace.labels.tolist() == [3, 2, 1, 0, 0, 1, 2, 3]

@@ -1,7 +1,7 @@
 """Whole-array stencil emitters against the loop emitters they replaced.
 
 :mod:`stencil_oracles` keeps the per-task, per-row stencil1d emitters and
-the stage-by-stage stencil2d ``generate``.  Every schedule column must be
+the stage-by-stage stencil2d ``generate``.  Every trace column must be
 identical, and grids equal exactly (NaN-aware: nodes outside a diamond
 stay NaN).
 """
@@ -13,7 +13,7 @@ import stencil_oracles as oracle
 from repro.algorithms import stencil1d, stencil2d
 
 
-def assert_same_schedule(got, want):
+def assert_same_trace(got, want):
     assert got.v == want.v
     for col in ("labels", "offsets", "src", "dst"):
         assert np.array_equal(getattr(got, col), getattr(want, col)), col
@@ -30,8 +30,8 @@ def max_rule(left, centre, right):
 def test_run_matches_loop_emitter(n, k, wise, fill):
     x0 = np.random.default_rng(n).random(n)
     res = stencil1d.run(x0, k=k, wise=wise, fill=fill)
-    schedule, grid = oracle.run(x0, k=k, wise=wise, fill=fill)
-    assert_same_schedule(res.schedule, schedule)
+    trace, grid = oracle.run(x0, k=k, wise=wise, fill=fill)
+    assert_same_trace(res.trace, trace)
     assert np.array_equal(res.grid, grid, equal_nan=True)
     assert np.array_equal(res.final, grid[n - 1])
 
@@ -41,8 +41,8 @@ def test_run_matches_loop_emitter(n, k, wise, fill):
 def test_run_custom_rule_matches_loop_emitter(n, k):
     x0 = np.random.default_rng(n).random(n)
     res = stencil1d.run(x0, k=k, rule=max_rule)
-    schedule, grid = oracle.run(x0, k=k, rule=max_rule)
-    assert_same_schedule(res.schedule, schedule)
+    trace, grid = oracle.run(x0, k=k, rule=max_rule)
+    assert_same_trace(res.trace, trace)
     assert np.array_equal(res.grid, grid, equal_nan=True)
 
 
@@ -51,8 +51,8 @@ def test_run_custom_rule_matches_loop_emitter(n, k):
 @pytest.mark.parametrize("wise", [True, False])
 def test_diamond_matches_loop_emitter(n, k, wise):
     res = stencil1d.evaluate_diamond(n, seed=0.75, k=k, wise=wise)
-    schedule, grid = oracle.evaluate_diamond(n, seed=0.75, k=k, wise=wise)
-    assert_same_schedule(res.schedule, schedule)
+    trace, grid = oracle.evaluate_diamond(n, seed=0.75, k=k, wise=wise)
+    assert_same_trace(res.trace, trace)
     assert np.array_equal(res.grid, grid, equal_nan=True)
 
 
@@ -62,8 +62,8 @@ def test_diamond_matches_loop_emitter(n, k, wise):
 @pytest.mark.parametrize("stages", [0, 1, 3, 17])
 def test_stencil2d_matches_per_stage_generate(n, k, wise, stages):
     res = stencil2d.generate(n, k=k, wise=wise, stages=stages)
-    assert_same_schedule(
-        res.schedule, oracle.generate(n, k=k, wise=wise, stages=stages)
+    assert_same_trace(
+        res.trace, oracle.generate(n, k=k, wise=wise, stages=stages)
     )
 
 

@@ -156,10 +156,10 @@ class TestWisenessDummies:
 
     def test_pattern(self):
         s = self._dummies(16, 1, 2)
-        assert s.num_messages == 4 * 2  # v/2^{label+1} senders x multiplicity
+        assert s.total_messages == 4 * 2  # v/2^{label+1} senders x multiplicity
         assert np.array_equal(s.dst, s.src + 4)
         s.validate()  # the dummies stay inside the label-cluster
 
     def test_degenerate(self):
-        assert self._dummies(2, 1, 1).num_messages == 0
-        assert self._dummies(16, 1, 0).num_messages == 0
+        assert self._dummies(2, 1, 1).total_messages == 0
+        assert self._dummies(16, 1, 0).total_messages == 0

@@ -9,12 +9,13 @@ from repro.machine.folding import (
     F_vector,
     S_vector,
     fold_degrees,
+    fold_degrees_reference,
     fold_message_counts,
     fold_trace,
 )
-from repro.machine.trace import SuperstepRecord, Trace
+from repro.machine.trace import Trace
 
-from conftest import all_folds, random_trace
+from conftest import all_folds, make_trace, random_trace
 
 
 def brute_degree(src, dst, v, p):
@@ -29,25 +30,29 @@ def brute_degree(src, dst, v, p):
     return max(max(sent), max(recv)) if len(src) else 0
 
 
+def reference_degree(src, dst, v, p):
+    """``h_s(n, p)`` of a one-superstep 0-labelled trace, by the oracle."""
+    (degree,) = fold_degrees_reference(make_trace(v, (0, src, dst)), p)
+    return int(degree)
+
+
 class TestDegrees:
     def test_empty_superstep(self):
-        rec = SuperstepRecord(0, np.empty(0, np.int64), np.empty(0, np.int64))
-        assert rec.degree(8, 4) == 0
+        assert reference_degree(np.empty(0, np.int64), np.empty(0, np.int64), 8, 4) == 0
 
     def test_internal_messages_free(self):
-        rec = SuperstepRecord(0, np.array([0, 1]), np.array([1, 0]))
-        assert rec.degree(8, 4) == 0  # both VPs map to processor 0
-        assert rec.degree(8, 8) == 1
+        src, dst = np.array([0, 1]), np.array([1, 0])
+        assert reference_degree(src, dst, 8, 4) == 0  # both VPs map to processor 0
+        assert reference_degree(src, dst, 8, 8) == 1
 
     def test_degree_counts_max_side(self):
         # VP0 sends 3 messages to 3 different halves-partners.
-        rec = SuperstepRecord(0, np.array([0, 0, 0]), np.array([4, 5, 6]))
-        assert rec.degree(8, 2) == 3  # proc 0 sends 3, proc 1 receives 3
-        assert rec.degree(8, 8) == 3  # VP0 sends 3; receivers get 1 each
+        src, dst = np.array([0, 0, 0]), np.array([4, 5, 6])
+        assert reference_degree(src, dst, 8, 2) == 3  # proc 0 sends 3, proc 1 receives 3
+        assert reference_degree(src, dst, 8, 8) == 3  # VP0 sends 3; receivers get 1 each
 
     def test_degree_on_fan_in(self):
-        rec = SuperstepRecord(0, np.array([1, 2, 3]), np.array([0, 0, 0]))
-        assert rec.degree(4, 4) == 3
+        assert reference_degree(np.array([1, 2, 3]), np.array([0, 0, 0]), 4, 4) == 3
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=30, deadline=None)
@@ -57,8 +62,7 @@ class TestDegrees:
         m = data.draw(st.integers(0, 40))
         src = np.array(data.draw(st.lists(st.integers(0, v - 1), min_size=m, max_size=m)), dtype=np.int64)
         dst = np.array(data.draw(st.lists(st.integers(0, v - 1), min_size=m, max_size=m)), dtype=np.int64)
-        rec = SuperstepRecord(0, src, dst)
-        assert rec.degree(v, p) == brute_degree(src, dst, v, p)
+        assert reference_degree(src, dst, v, p) == brute_degree(src, dst, v, p)
 
 
 class TestTrace:
@@ -66,14 +70,12 @@ class TestTrace:
         random_trace(32, 10, rng).validate()
 
     def test_validate_rejects_cluster_violation(self):
-        t = Trace(8)
-        t.append(1, np.array([0]), np.array([4]))
+        t = make_trace(8, (1, np.array([0]), np.array([4])))
         with pytest.raises(ValueError):
             t.validate()
 
     def test_validate_rejects_bad_label(self):
-        t = Trace(8)
-        t.records.append(SuperstepRecord(5, np.empty(0, np.int64), np.empty(0, np.int64)))
+        t = make_trace(8, (5, np.empty(0, np.int64), np.empty(0, np.int64)))
         with pytest.raises(ValueError):
             t.validate()
 
@@ -82,15 +84,10 @@ class TestTrace:
         counts = t.label_counts()
         assert sum(counts.values()) == 12
 
-    def test_extend_requires_same_v(self, rng):
+    def test_concat_requires_same_v(self, rng):
         t = random_trace(16, 2, rng)
         with pytest.raises(ValueError):
-            t.extend(random_trace(8, 2, rng))
-
-    def test_append_shape_check(self):
-        t = Trace(8)
-        with pytest.raises(ValueError):
-            t.append(0, np.array([0, 1]), np.array([1]))
+            Trace.concat([t, random_trace(8, 2, rng)])
 
 
 class TestFolding:
@@ -99,7 +96,7 @@ class TestFolding:
         for p in all_folds(32):
             S = S_vector(t, p)
             logp = len(S)
-            expected = sum(1 for r in t.records if r.label < logp)
+            expected = int(np.count_nonzero(t.labels < logp))
             assert S.sum() == expected
 
     def test_F_vector_consistent_with_degrees(self, rng):
@@ -109,9 +106,7 @@ class TestFolding:
             deg = fold_degrees(t, p)
             logp = len(F)
             for i in range(logp):
-                manual = sum(
-                    int(d) for r, d in zip(t.records, deg) if r.label == i
-                )
+                manual = int(deg[t.labels == i].sum())
                 assert F[i] == manual
 
     def test_fold_p1_empty(self, rng):
@@ -130,21 +125,14 @@ class TestFolding:
             ft = fold_trace(t, p)
             ft.validate()
             assert ft.v == p
-            # Folded degrees at full granularity match original fold.
-            for rec_f, h in zip(ft.records, None or []):
-                pass
             # message counts agree
             orig = fold_message_counts(t, p)
-            kept = [r.num_messages for r in ft.records]
-            surviving = [
-                c for r, c in zip(t.records, orig) if r.label < np.log2(p)
-            ]
+            kept = ft.counts.tolist()
+            surviving = orig[t.labels < np.log2(p)].tolist()
             assert kept == surviving
 
     def test_fold_trace_drops_coarse_labels(self, rng):
-        t = Trace(16)
-        t.append(0, np.array([0]), np.array([15]))
-        t.append(3, np.array([0]), np.array([1]))
+        t = make_trace(16, (0, [0], [15]), (3, [0], [1]))
         ft = fold_trace(t, 4)
         assert ft.num_supersteps == 1  # the 3-superstep became local
 

@@ -9,7 +9,7 @@ from repro.analysis import default_fold_grid, wiseness_report
 from repro.api import ExperimentPlan
 from repro.core.lower_bounds import mm_lower_bound
 from repro.core.metrics import TraceMetrics
-from repro.machine.trace import Trace
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace_io import load_trace, save_trace
 
 from conftest import MALFORMED_CSR, random_trace
@@ -23,10 +23,8 @@ class TestTraceIO:
         back = load_trace(path)
         assert back.v == t.v
         assert back.num_supersteps == t.num_supersteps
-        for a, b in zip(t.records, back.records):
-            assert a.label == b.label
-            assert np.array_equal(a.src, b.src)
-            assert np.array_equal(a.dst, b.dst)
+        for col in ("labels", "offsets", "src", "dst"):
+            assert np.array_equal(getattr(t, col), getattr(back, col)), col
 
     def test_roundtrip_preserves_metrics(self, rng, tmp_path):
         t = random_trace(32, 8, rng)
@@ -37,7 +35,7 @@ class TestTraceIO:
             assert TraceMetrics(back).H(p, 2.0) == TraceMetrics(t).H(p, 2.0)
 
     def test_empty_trace(self, tmp_path):
-        t = Trace(8)
+        t = ScheduleBuilder(8).build()
         path = tmp_path / "empty.npz"
         save_trace(t, path)
         assert load_trace(path).num_supersteps == 0

@@ -96,10 +96,10 @@ def test_workload_traces_match_the_oracle(algorithm, n, seed):
     trace = run(algorithm, n=n, seed=1).trace
     policy = ValiantPolicy(seed)
     for p in WORKLOAD_PS:
-        cols = fold_trace(trace, p).columns()
+        folded = fold_trace(trace, p)
         assert_pinned(
             policy, by_name("hypercube", p),
-            cols.labels, cols.offsets, cols.src, cols.dst,
+            folded.labels, folded.offsets, folded.src, folded.dst,
         )
 
 
