@@ -20,7 +20,7 @@ from repro.algorithms import fft, matmul, sorting
 from repro.baselines import cube_3d, sample_sort, transpose_fft
 from repro.core import TraceMetrics
 from repro.models import fat_tree_dbsp, hypercube_dbsp, mesh_dbsp
-from repro.networks import TOPOLOGIES, ValiantPolicy, by_name, compare_with_dbsp
+from repro.networks import TOPOLOGIES, ValiantPolicy, by_name, fit, route_trace
 
 PRESETS = {
     "mesh1d": lambda p: mesh_dbsp(p, d=1),
@@ -56,13 +56,14 @@ def run_sweep():
     part_b, part_c = [], []
     valiant = ValiantPolicy(seed=11)
     for name, (tr_obl, _, p) in pairs.items():
+        m_o = TraceMetrics(tr_obl)
         row_b, row_c = [name], [name]
         for topo_name in TOPO_NAMES:
             topo = by_name(topo_name, p)
-            direct = compare_with_dbsp(tr_obl, topo)
-            randomized = compare_with_dbsp(tr_obl, topo, valiant)
-            row_b.append(round(direct.ratio, 2))
-            row_c.append(round(randomized.routed / direct.routed, 2))
+            direct = route_trace(tr_obl, topo).total_time
+            randomized = route_trace(tr_obl, topo, valiant).total_time
+            row_b.append(round(direct / m_o.D_machine(fit(topo)), 2))
+            row_c.append(round(randomized / direct, 2))
         part_b.append(row_b)
         part_c.append(row_c)
     return part_a, part_b, part_c

@@ -31,6 +31,7 @@ store-warm-vs-cold (the caching win), while the pool ratios reflect
 however many cores the host actually grants (1 core => ~1x or below).
 """
 
+import atexit
 import os
 import tempfile
 import time
@@ -133,6 +134,8 @@ def run_sweep_store_warm(cfg=SCALE):
         fd, path = tempfile.mkstemp(suffix=".db", prefix="e18-warm-")
         os.close(fd)
         _warm_store[key] = Path(path)
+        # Timed calls reuse the primed store, so it lives until exit.
+        atexit.register(_warm_store[key].unlink, missing_ok=True)
         _grid_plan(cfg).run(store=path)  # prime once, outside best-of-N
     clear_caches()
     return _grid_plan(cfg).run(store=_warm_store[key])

@@ -85,7 +85,7 @@ def _reports(cfg, flits=1) -> list:
 
     Uses the batched :func:`validate_grid` so a cold sweep fuses every
     cache-missing cell into one cycle loop — reports stay bit-identical
-    to per-cell :func:`validate_bound` calls.
+    to one-cell :func:`validate_grid` calls.
     """
     cells = _cells(cfg)
     reports = validate_grid(

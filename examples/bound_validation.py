@@ -24,7 +24,7 @@ import sys
 
 from repro.api import ExperimentPlan, run
 from repro.networks import TOPOLOGIES, by_name, by_policy
-from repro.sim import ARBITERS, validate_bound, validate_grid
+from repro.sim import ARBITERS, simulate_many, validate_grid
 
 POLICIES = ("dimension-order", "valiant")
 
@@ -58,13 +58,14 @@ def main(n: int = 256) -> None:
     topo_name, policy_name = worst_cell
     print(f"\narbitration sensitivity on the worst cell "
           f"({topo_name}/{policy_name}, constant {worst_ratio:.2f}):")
-    topo = by_name(topo_name, p)
-    for arbiter in sorted(ARBITERS):
-        report = validate_bound(
-            trace, topo, by_policy(policy_name, 11), arbiter, seed=3
-        )
-        print(f"  {arbiter:>16}: cycles={report.profile.total_cycles:>6} "
-              f"max_ratio={report.max_ratio:.2f}")
+    topo, policy = by_name(topo_name, p), by_policy(policy_name, 11)
+    arbiters = sorted(ARBITERS)
+    profiles = simulate_many(
+        [(trace, topo, policy, arbiter) for arbiter in arbiters], seed=3
+    )
+    for arbiter, prof in zip(arbiters, profiles):
+        print(f"  {arbiter:>16}: cycles={prof.total_cycles:>6} "
+              f"max_ratio={prof.max_ratio:.2f}")
 
     print("\nanalytic vs measured, one declarative plan "
           "(mode column = which engine):")

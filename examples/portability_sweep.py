@@ -21,7 +21,7 @@ from repro.algorithms import fft
 from repro.api import ExperimentPlan
 from repro.baselines import transpose_fft
 from repro.models import fat_tree_dbsp, hypercube_dbsp, mesh_dbsp
-from repro.networks import TOPOLOGIES, by_name, compare_with_dbsp
+from repro.networks import TOPOLOGIES, by_name, fit, route_trace
 
 MACHINES = {
     "mesh1d": lambda p: mesh_dbsp(p, d=1),
@@ -59,10 +59,12 @@ def main(n: int = 1024) -> None:
     print("D-BSP prediction fitted to each topology:")
     print(f"  {'topology':>10} {'routed':>10} {'predicted':>10} {'ratio':>7}")
     for name in TOPOLOGIES:
-        cmp = compare_with_dbsp(oblivious.trace, by_name(name, 16))
+        topo = by_name(name, 16)
+        routed = route_trace(oblivious.trace, topo).total_time
+        predicted = m_obl.D_machine(fit(topo))
         print(
-            f"  {name:>10} {cmp.routed:>10.0f} {cmp.dbsp_predicted:>10.0f} "
-            f"{cmp.ratio:>7.2f}"
+            f"  {name:>10} {routed:>10.0f} {predicted:>10.0f} "
+            f"{routed / predicted:>7.2f}"
         )
 
     print("\nWhole-trace network sweep — routed time on the full")

@@ -24,17 +24,16 @@ from repro import core, machine, models
 from repro.core import TraceMetrics
 from repro.machine import Trace
 from repro.machine.folding import fold_trace
-from repro.models import DBSP, EvaluationModel
+from repro.models import DBSP
 
 # The subpackages below import the ones above; order matters.
 from repro import algorithms, api, baselines, networks, sim
 from repro import exec as exec_backends
-from repro import analysis
 from repro.api import ExperimentPlan, Pipeline, ResultFrame
 from repro.api import run as run_pipeline
 from repro.exec import ResultStore
 from repro.networks import route_trace
-from repro.sim import SimProfile, simulate_trace, validate_bound
+from repro.sim import SimProfile, simulate_trace
 from repro.util.caches import cache_stats, clear_caches
 
 __version__ = "1.8.0"
@@ -47,16 +46,13 @@ __all__ = [
     "baselines",
     "networks",
     "sim",
-    "analysis",
     "api",
     "Trace",
     "TraceMetrics",
     "DBSP",
-    "EvaluationModel",
     "fold_trace",
     "route_trace",
     "simulate_trace",
-    "validate_bound",
     "SimProfile",
     "Pipeline",
     "ExperimentPlan",

@@ -25,7 +25,12 @@ import numpy as np
 from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 
-__all__ = ["AlgorithmResult", "SendBuffer", "add_wiseness_dummies"]
+__all__ = [
+    "AlgorithmResult",
+    "SendBuffer",
+    "add_wiseness_dummies",
+    "permute_segments",
+]
 
 
 @dataclass
@@ -105,3 +110,32 @@ def add_wiseness_dummies(
     j = np.arange(half, dtype=np.int64)
     src = np.tile(j, multiplicity)
     buf.add(src, src + half)
+
+
+def permute_segments(
+    builder: ScheduleBuilder,
+    val: np.ndarray,
+    segs: np.ndarray,
+    size: int,
+    label: int,
+    dest_map: np.ndarray,
+    wise: bool,
+) -> None:
+    """One ``label``-superstep moving local ``t -> dest_map[t]`` in every
+    ``size``-VP segment starting at ``segs``, and ``val`` with it.
+
+    Fixed points send nothing; with ``wise`` the superstep also carries
+    one :func:`add_wiseness_dummies` message per dummy sender.
+    """
+    offs = np.arange(size, dtype=np.int64)
+    src = (segs[:, None] + offs[None, :]).ravel()
+    dst = (segs[:, None] + dest_map[None, :]).ravel()
+    buf = SendBuffer()
+    move = src != dst
+    buf.add(src[move], dst[move])
+    if wise:
+        add_wiseness_dummies(buf, builder.v, label, 1)
+    buf.flush(builder, label)
+    new_val = val.copy()
+    new_val[dst] = val[src]
+    val[:] = new_val

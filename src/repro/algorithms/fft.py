@@ -37,9 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
+from repro.algorithms._common import (
+    AlgorithmResult,
+    SendBuffer,
+    add_wiseness_dummies,
+    permute_segments,
+)
 from repro.machine.program import ScheduleBuilder
-from repro.util.intmath import ceil_log2, ilog2
+from repro.util.intmath import ilog2
 
 __all__ = ["run", "FFTResult"]
 
@@ -49,22 +54,6 @@ class FFTResult(AlgorithmResult):
     """Result of the network-oblivious n-FFT run."""
 
     output: np.ndarray = None  # X[k] in natural order
-
-
-def _permute(machine, val, segs, size, label, index_map, wise):
-    """Apply ``local t -> local index_map[t]`` in every segment at once."""
-    offs = np.arange(size, dtype=np.int64)
-    buf = SendBuffer()
-    src = (segs[:, None] + offs[None, :]).ravel()
-    dst = (segs[:, None] + index_map[None, :]).ravel()
-    move = src != dst
-    buf.add(src[move], dst[move])
-    if wise:
-        add_wiseness_dummies(buf, machine.v, label, 1)
-    buf.flush(machine, label)
-    new_val = val.copy()
-    new_val[dst] = val[src]
-    val[:] = new_val
 
 
 def _fft_level(machine, val, segs, size, wise):
@@ -88,14 +77,13 @@ def _fft_level(machine, val, segs, size, wise):
         return
 
     logn = ilog2(size)
-    r = 1 << ceil_log2(1 << ((logn + 1) // 2))  # 2^{ceil(logn/2)}
-    r = 1 << ((logn + 1) // 2)
+    r = 1 << ((logn + 1) // 2)  # 2^{ceil(logn/2)}
     c = size // r
     offs = np.arange(size, dtype=np.int64)
 
     # (1) pre-permute: x[j1*c + j2] -> local j2*r + j1 (columns contiguous).
     j1, j2 = offs // c, offs % c
-    _permute(machine, val, segs, size, label, j2 * r + j1, wise)
+    permute_segments(machine, val, segs, size, label, j2 * r + j1, wise)
 
     # (2) column FFTs: sub-segments of r VPs.
     sub = (segs[:, None] + np.arange(c, dtype=np.int64)[None, :] * r).ravel()
@@ -108,7 +96,7 @@ def _fft_level(machine, val, segs, size, wise):
     val[idx] = val[idx] * np.tile(tw, len(segs))
 
     # (4) transpose: local j2*r + k1 -> local k1*c + j2.
-    _permute(machine, val, segs, size, label, k1o * c + j2o, wise)
+    permute_segments(machine, val, segs, size, label, k1o * c + j2o, wise)
 
     # (5) row FFTs: sub-segments of c VPs.
     sub = (segs[:, None] + np.arange(r, dtype=np.int64)[None, :] * c).ravel()
@@ -116,7 +104,7 @@ def _fft_level(machine, val, segs, size, wise):
 
     # (6) post-permute: local k1*c + k2 -> local k1 + k2*r (natural order).
     k1o2, k2o = offs // c, offs % c
-    _permute(machine, val, segs, size, label, k1o2 + k2o * r, wise)
+    permute_segments(machine, val, segs, size, label, k1o2 + k2o * r, wise)
 
 
 def run(x: np.ndarray, *, wise: bool = True) -> FFTResult:

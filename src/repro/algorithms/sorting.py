@@ -50,7 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
+from repro.algorithms._common import (
+    AlgorithmResult,
+    SendBuffer,
+    add_wiseness_dummies,
+    permute_segments,
+)
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ceil_div, ilog2
 
@@ -77,22 +82,6 @@ def columnsort_shape(n: int) -> tuple[int, int]:
     exp = ceil_div(1 + 2 * logn, 3)
     r = 1 << min(exp, logn)
     return r, n // r
-
-
-def _apply_perm(machine, val, segs, size, label, dest_map, wise):
-    """One permutation superstep: local ``f -> dest_map[f]`` in each segment."""
-    f = np.arange(size, dtype=np.int64)
-    src = (segs[:, None] + f[None, :]).ravel()
-    dst = (segs[:, None] + dest_map[None, :]).ravel()
-    buf = SendBuffer()
-    move = src != dst
-    buf.add(src[move], dst[move])
-    if wise:
-        add_wiseness_dummies(buf, machine.v, label, 1)
-    buf.flush(machine, label)
-    new_val = val.copy()
-    new_val[dst] = val[src]
-    val[:] = new_val
 
 
 def _base_sort(machine, val, segs, size, label, wise):
@@ -137,22 +126,22 @@ def _sort_level(machine, val, segs, size, wise):
         _sort_level(machine, val, cols, r, wise)
 
     sort_columns()                                          # phase 1
-    _apply_perm(machine, val, segs, size, label,
-                (f % s) * r + f // s, wise)                 # phase 2 transpose
+    permute_segments(machine, val, segs, size, label,
+                     (f % s) * r + f // s, wise)            # phase 2 transpose
     sort_columns()                                          # phase 3
-    _apply_perm(machine, val, segs, size, label,
-                (f % r) * s + f // r, wise)                 # phase 4 untranspose
+    permute_segments(machine, val, segs, size, label,
+                     (f % r) * s + f // r, wise)            # phase 4 untranspose
     sort_columns()                                          # phase 5
-    _apply_perm(machine, val, segs, size, label,
-                (f + r // 2) % size, wise)                  # phase 6 cyclic shift
+    permute_segments(machine, val, segs, size, label,
+                     (f + r // 2) % size, wise)             # phase 6 cyclic shift
     sort_columns()                                          # phase 7
     # Footnote 6: modified order on column 0 == swap its halves.
     half = f.copy()
     half[: r // 2] = f[: r // 2] + r // 2
     half[r // 2 : r] = f[r // 2 : r] - r // 2
-    _apply_perm(machine, val, segs, size, label, half, wise)
-    _apply_perm(machine, val, segs, size, label,
-                (f - r // 2) % size, wise)                  # phase 8 unshift
+    permute_segments(machine, val, segs, size, label, half, wise)
+    permute_segments(machine, val, segs, size, label,
+                     (f - r // 2) % size, wise)             # phase 8 unshift
 
 
 def run(keys: np.ndarray, *, wise: bool = True) -> SortResult:

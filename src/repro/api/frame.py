@@ -1,8 +1,7 @@
 """Tabular result containers for the experiment API.
 
-:class:`SweepTable` is the classic labelled 2-D table the analysis sweeps
-have always returned (it moved here from ``repro.analysis``, which still
-re-exports it).  :class:`ResultFrame` is the typed flat table an
+:class:`SweepTable` is a labelled 2-D table of one quantity.
+:class:`ResultFrame` is the typed flat table an
 :class:`~repro.api.plan.ExperimentPlan` produces: one row per cell, a
 fixed column vocabulary, CSV/JSON export, and a first-appearance-order
 ``pivot`` back into a :class:`SweepTable`.

@@ -124,10 +124,9 @@ class _PlanRuntime:
         self.cells = plan.cells
         self.check = check
         self._tms: dict[tuple, TraceMetrics] = {}
-        # Plan-level shared state the legacy sweep loops hoisted out of
-        # their policy loops: one Topology instance per (name, p) — its
-        # edge_capacities cache then serves every cell — and one fitted
-        # D-BSP denominator per (source, topology, p).
+        # Plan-level state shared across cells: one Topology instance per
+        # (name, p) — its edge_capacities cache then serves every cell —
+        # and one fitted D-BSP denominator per (source, topology, p).
         self._topos: dict[tuple, Any] = {}
         self._denoms: dict[tuple, float] = {}
         # check=True: per-source correctness verdicts from the specs'

@@ -79,19 +79,5 @@ class TraceMetrics:
     def prefix_S(self, p: int) -> np.ndarray:
         return np.cumsum(self.S(p))
 
-    def summary(self, ps, sigma: float = 0.0) -> list[dict]:
-        """Tabular summary across a sweep of processor counts."""
-        rows = []
-        for p in ps:
-            rows.append(
-                {
-                    "p": p,
-                    "F_total": int(self.F(p).sum()),
-                    "S_total": int(self.S(p).sum()),
-                    "H": self.H(p, sigma),
-                }
-            )
-        return rows
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TraceMetrics(v={self.v}, supersteps={self.trace.num_supersteps})"

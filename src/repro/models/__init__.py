@@ -1,7 +1,10 @@
-"""Cost models: the evaluation model M(p, sigma) and execution model D-BSP."""
+"""Cost models: the execution model D-BSP and its presets.
 
-from repro.models.dbsp import DBSP, communication_time
-from repro.models.evaluation import EvaluationModel, communication_complexity
+Eq. 1 (``H`` on ``M(p, sigma)``) and Eq. 2 (``D`` on ``D-BSP``) are
+priced by :class:`repro.core.metrics.TraceMetrics`.
+"""
+
+from repro.models.dbsp import DBSP
 from repro.models.presets import (
     PRESETS,
     fat_tree_dbsp,
@@ -13,9 +16,6 @@ from repro.models.presets import (
 
 __all__ = [
     "DBSP",
-    "EvaluationModel",
-    "communication_complexity",
-    "communication_time",
     "PRESETS",
     "mesh_dbsp",
     "hypercube_dbsp",

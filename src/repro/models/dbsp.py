@@ -1,4 +1,4 @@
-"""The execution machine model D-BSP(p, g, ell) and communication time.
+"""The execution machine model D-BSP(p, g, ell).
 
 ``D-BSP(p, g, ell)`` (de la Torre & Kruskal '96; Bilardi et al. '07a) is an
 ``M(p)`` whose processors are partitioned into nested *i-clusters* (the
@@ -9,6 +9,9 @@ synchronisation charge for communication confined to i-clusters.  The
 communication time of an algorithm A is (Eq. 2)::
 
     D_A(n, p, g, ell) = sum_{i=0}^{log p - 1} ( F^i_A(n,p) * g_i + S^i_A(n) * ell_i )
+
+which :meth:`repro.core.metrics.TraceMetrics.D_machine` evaluates for a
+:class:`DBSP` instance.
 
 Theorem 3.4 additionally requires *admissible* parameters — non-increasing
 ``g_i`` and ``ell_i / g_i`` — reflecting that coarser clusters have more
@@ -22,11 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metrics import TraceMetrics
-from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
-__all__ = ["DBSP", "communication_time"]
+__all__ = ["DBSP"]
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,6 @@ class DBSP:
                 )
 
     # ------------------------------------------------------------------
-    def D(self, trace: Trace) -> float:
-        """Communication time of ``trace`` folded onto this machine (Eq. 2)."""
-        return communication_time(trace, self.p, self.g, self.ell)
-
     def superstep_cost(self, label: int, degree: float) -> float:
         """Cost ``h * g_i + ell_i`` of one i-superstep of degree ``h``."""
         return float(degree * self.g[label] + self.ell[label])
@@ -96,12 +93,3 @@ class DBSP:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"D-BSP(p={self.p}, g={self.g}, ell={self.ell})"
 
-
-def communication_time(
-    trace: Trace, p: int, g, ell
-) -> float:
-    """``D_A(n, p, g, ell)`` of the trace folded onto ``D-BSP(p, g, ell)``.
-
-    Eq. 2 itself is :meth:`repro.core.metrics.TraceMetrics.D`.
-    """
-    return TraceMetrics(trace).D(p, g, ell)

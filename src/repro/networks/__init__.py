@@ -21,11 +21,6 @@ from repro.networks.routing import (
     clear_route_cache,
     route_trace,
 )
-from repro.networks.simulate import (
-    NetworkComparison,
-    compare_with_dbsp,
-    routed_time,
-)
 from repro.networks.topology import (
     TOPOLOGIES,
     Butterfly,
@@ -57,7 +52,4 @@ __all__ = [
     "RoutedProfile",
     "route_trace",
     "clear_route_cache",
-    "routed_time",
-    "compare_with_dbsp",
-    "NetworkComparison",
 ]

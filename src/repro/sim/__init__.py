@@ -8,7 +8,7 @@ The execution flow mirrors the analytic engine stage for stage::
         x link arbiter (fifo / farthest-to-go / seeded random)
         -> simulate_trace (vectorized per-cycle advancement)
         -> SimProfile (per-superstep measured cycles, memoised)
-        -> validate_bound (measured/(C+D): the empirical LMR constant)
+        -> validate_grid (measured/(C+D): the empirical LMR constant)
 """
 
 from repro.sim.arbiter import (
@@ -29,7 +29,7 @@ from repro.sim.engine import (
     simulate_trace,
     simulate_trace_reference,
 )
-from repro.sim.validate import BoundReport, validate_bound, validate_grid
+from repro.sim.validate import BoundReport, validate_grid
 
 __all__ = [
     "Arbiter",
@@ -47,6 +47,5 @@ __all__ = [
     "sim_engine_stats",
     "reset_sim_engine_stats",
     "BoundReport",
-    "validate_bound",
     "validate_grid",
 ]

@@ -1,12 +1,13 @@
 """The congestion+dilation bound check: measured vs analytic pricing.
 
-:func:`validate_bound` runs the cycle-accurate simulator on a trace and
-reports the per-superstep ``measured/(C+D)`` ratio — the hidden constant
-of the Leighton–Maggs–Rao ``O(C+D)`` schedulability guarantee that the
-D-BSP cost model leans on.  A healthy (topology, policy) cell keeps the
-ratio inside a modest constant band; a cell above ``threshold`` marks
-the analytic price as *optimistic* for that workload and is exactly the
-signal the ROADMAP's cycle-accurate open item asked for.
+:func:`validate_grid` runs the cycle-accurate simulator on a grid of
+traces and reports each cell's per-superstep ``measured/(C+D)`` ratio —
+the hidden constant of the Leighton–Maggs–Rao ``O(C+D)`` schedulability
+guarantee that the D-BSP cost model leans on.  A healthy (topology,
+policy) cell keeps the ratio inside a modest constant band; a cell above
+``threshold`` marks the analytic price as *optimistic* for that
+workload and is exactly the signal the ROADMAP's cycle-accurate open
+item asked for.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.trace import Trace
-from repro.networks.policy import RoutingPolicy
-from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter
 from repro.sim.engine import SimProfile, simulate_many
 
-__all__ = ["BoundReport", "validate_bound", "validate_grid"]
+__all__ = ["BoundReport", "validate_grid"]
 
 #: Default optimism threshold: the acceptance band for the measured LMR
 #: constant on every shipped (topology, policy) cell.
@@ -77,32 +75,6 @@ class BoundReport:
         }
 
 
-def validate_bound(
-    trace: Trace,
-    topo: Topology,
-    policy: RoutingPolicy | None = None,
-    arbiter: Arbiter | str = "fifo",
-    *,
-    seed: int = 0,
-    threshold: float = DEFAULT_THRESHOLD,
-    flits_per_message: int = 1,
-) -> BoundReport:
-    """Simulate ``trace`` on ``topo`` and bracket the LMR constant.
-
-    Returns a :class:`BoundReport` whose ``ratios[s]`` is the measured
-    store-and-forward cycles of superstep ``s`` divided by its analytic
-    ``flits_per_message * congestion + dilation`` price (NaN for
-    barrier-only supersteps).  ``report.ok`` says every superstep
-    stayed within ``threshold``.  This is the one-cell call of
-    :func:`validate_grid`.
-    """
-    (report,) = validate_grid(
-        [(trace, topo, policy)], arbiter,
-        seed=seed, threshold=threshold, flits_per_message=flits_per_message,
-    )
-    return report
-
-
 def validate_grid(
     cells: list,
     arbiter: Arbiter | str = "fifo",
@@ -113,11 +85,14 @@ def validate_grid(
 ) -> list[BoundReport]:
     """Bound-check a whole grid of ``(trace, topo, policy)`` cells.
 
-    The batched twin of :func:`validate_bound`: all cache-missing cells
-    are simulated in one fused fast-engine run
-    (:func:`~repro.sim.engine.simulate_many`), so the sweep costs its
-    longest superstep chain instead of the per-cell sum — with reports
-    bit-identical to validating each cell alone.
+    Each :class:`BoundReport`'s ``ratios[s]`` is the measured
+    store-and-forward cycles of superstep ``s`` divided by its analytic
+    ``flits_per_message * congestion + dilation`` price (NaN for
+    barrier-only supersteps); ``report.ok`` says every superstep stayed
+    within ``threshold``.  All cache-missing cells are simulated in one
+    fused fast-engine run (:func:`~repro.sim.engine.simulate_many`), so
+    the sweep costs its longest superstep chain instead of the per-cell
+    sum — with reports bit-identical to validating each cell alone.
     """
     profiles = simulate_many(
         [(trace, topo, policy, arbiter) for trace, topo, policy in cells],

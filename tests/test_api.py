@@ -547,7 +547,7 @@ class TestPublicSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
         for name in (
-            "algorithms", "baselines", "networks", "analysis", "api",
+            "algorithms", "baselines", "networks", "api",
             "fold_trace", "route_trace", "Pipeline", "ExperimentPlan",
             "ResultFrame",
         ):

@@ -39,6 +39,7 @@ class TestValidationHelpers:
     [
         ("quickstart.py", []),
         ("portability_sweep.py", ["256"]),
+        ("bound_validation.py", ["256"]),
         ("apsp_semiring.py", ["8"]),
         ("stencil_heat.py", ["32"]),
         ("broadcast_limits.py", ["256"]),
@@ -60,11 +61,27 @@ def test_example_runs(script, args):
     assert proc.stdout.strip(), "examples must narrate their output"
 
 
+def test_e18_warm_store_removed_at_exit(tmp_path):
+    """E18's primed warm store outlives its timed calls, not the process."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(SRC.parent / "benchmarks")])
+    code = "import bench_e18_plan_executor as b; b.run_sweep_store_warm(b.QUICK)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("e18-warm-*"))
+
+
 class TestPackageSurface:
     def test_top_level_exports(self):
         import repro
 
-        for name in ("Trace", "TraceMetrics", "DBSP", "EvaluationModel"):
+        for name in ("Trace", "TraceMetrics", "DBSP"):
             assert hasattr(repro, name)
 
     def test_version(self):

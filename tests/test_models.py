@@ -7,9 +7,6 @@ from repro.core.metrics import TraceMetrics
 from repro.machine.folding import F_vector, S_vector
 from repro.models import (
     DBSP,
-    EvaluationModel,
-    communication_complexity,
-    communication_time,
     fat_tree_dbsp,
     flat_bsp,
     geometric_dbsp,
@@ -24,33 +21,35 @@ class TestEvaluationModel:
     def test_H_formula(self, rng):
         """H = sum_i F^i + sigma * sum_i S^i (Eq. 1)."""
         t = random_trace(32, 10, rng)
+        tm = TraceMetrics(t)
         for p in all_folds(32):
             for sigma in (0.0, 1.0, 7.5):
                 expected = F_vector(t, p).sum() + sigma * S_vector(t, p).sum()
-                assert communication_complexity(t, p, sigma) == expected
+                assert tm.H(p, sigma) == expected
 
     def test_H_monotone_in_sigma(self, rng):
-        t = random_trace(32, 8, rng)
-        assert communication_complexity(t, 8, 5.0) >= communication_complexity(
-            t, 8, 1.0
-        )
+        tm = TraceMetrics(random_trace(32, 8, rng))
+        assert tm.H(8, 5.0) >= tm.H(8, 1.0)
 
     def test_negative_sigma_rejected(self, rng):
         t = random_trace(8, 2, rng)
         with pytest.raises(ValueError):
-            communication_complexity(t, 4, -1.0)
+            TraceMetrics(t).H(4, -1.0)
 
     def test_model_object(self, rng):
+        """M(8, 2) is flat BSP with g = 1, ell = 2: an h-superstep costs h + 2."""
         t = random_trace(16, 5, rng)
-        m = EvaluationModel(8, 2.0)
-        assert m.H(t) == communication_complexity(t, 8, 2.0)
-        assert m.superstep_cost(5) == 7.0
+        m = flat_bsp(8, 1.0, 2.0)
+        assert all(m.superstep_cost(i, 5) == 7.0 for i in range(3))
+        assert TraceMetrics(t).D_machine(m) == TraceMetrics(t).H(8, 2.0)
 
     def test_breakdown_sums_to_H(self, rng):
-        t = random_trace(16, 5, rng)
-        m = EvaluationModel(8, 3.0)
-        rows = m.per_label_breakdown(t)
-        assert rows[:, 2].sum() == m.H(t)
+        """The per-label Eq. 1 terms F^i + sigma * S^i sum to H."""
+        tm = TraceMetrics(random_trace(16, 5, rng))
+        for p in all_folds(16):
+            rows = tm.F(p) + 3.0 * tm.S(p)
+            assert rows.shape == (p.bit_length() - 1,)
+            assert rows.sum() == tm.H(p, 3.0)
 
 
 class TestDBSPValidation:
@@ -85,14 +84,13 @@ class TestDBSPCost:
         ell = [16.0, 8.0, 4.0, 2.0, 1.0]
         F, S = F_vector(t, 32), S_vector(t, 32)
         expected = float(F @ np.array(g) + S @ np.array(ell))
-        assert communication_time(t, 32, g, ell) == pytest.approx(expected)
+        assert TraceMetrics(t).D(32, g, ell) == pytest.approx(expected)
 
     def test_flat_bsp_equals_evaluation_model(self, rng):
         """With g = 1 and ell_i = sigma, D == H (Section 2 remark)."""
-        t = random_trace(32, 10, rng)
+        tm = TraceMetrics(random_trace(32, 10, rng))
         for p in all_folds(32):
-            m = flat_bsp(p, 1.0, 3.0)
-            assert m.D(t) == pytest.approx(communication_complexity(t, p, 3.0))
+            assert tm.D_machine(flat_bsp(p, 1.0, 3.0)) == pytest.approx(tm.H(p, 3.0))
 
     def test_superstep_cost(self):
         m = DBSP(4, [2, 1], [10, 5])
@@ -140,21 +138,14 @@ class TestMetricsCache:
         for p in all_folds(32):
             assert np.array_equal(tm.F(p), F_vector(t, p))
             assert np.array_equal(tm.S(p), S_vector(t, p))
-            assert tm.H(p, 2.5) == communication_complexity(t, p, 2.5)
 
     def test_D_machine(self, rng):
         t = random_trace(16, 6, rng)
         tm = TraceMetrics(t)
         m = mesh_dbsp(8, 2)
-        assert tm.D_machine(m) == pytest.approx(communication_time(t, 8, m.g, m.ell))
+        assert tm.D_machine(m) == tm.D(8, m.g, m.ell)
 
     def test_prefix_sums(self, rng):
         t = random_trace(16, 6, rng)
         tm = TraceMetrics(t)
         assert np.array_equal(tm.prefix_F(16), np.cumsum(tm.F(16)))
-
-    def test_summary_rows(self, rng):
-        t = random_trace(16, 6, rng)
-        rows = TraceMetrics(t).summary([2, 4, 8], sigma=1.0)
-        assert [r["p"] for r in rows] == [2, 4, 8]
-        assert all(r["H"] >= 0 for r in rows)

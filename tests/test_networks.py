@@ -11,6 +11,7 @@ for every topology including the new ``torus2d``/``butterfly``.
 import numpy as np
 import pytest
 
+from repro.core.metrics import TraceMetrics
 from repro.machine.trace import Trace
 from repro.networks import (
     TOPOLOGIES,
@@ -24,10 +25,8 @@ from repro.networks import (
     ValiantPolicy,
     by_name,
     by_policy,
-    compare_with_dbsp,
     fit,
     route_trace,
-    routed_time,
 )
 from repro.util.intmath import ilog2
 
@@ -332,29 +331,36 @@ class TestSimulation:
         """E11: routed-vs-predicted ratio within a modest constant."""
         t = random_trace(64, 10, rng, max_messages=128)
         topo = by_name(name, 16)
-        cmp = compare_with_dbsp(t, topo)
-        assert 0.05 <= cmp.ratio <= 20.0
+        routed = route_trace(t, topo).total_time
+        assert 0.05 <= routed / TraceMetrics(t).D_machine(fit(topo)) <= 20.0
 
     def test_routed_time_additive_over_supersteps(self, rng):
         topo = Ring(8)
         t1 = random_trace(8, 1, rng)
         t2 = Trace.concat([t1, t1])
-        assert routed_time(t2, topo) == pytest.approx(2 * routed_time(t1, topo))
+        assert route_trace(t2, topo).total_time == pytest.approx(
+            2 * route_trace(t1, topo).total_time
+        )
 
     def test_hypercube_beats_ring_on_global_pattern(self, rng):
         src = np.arange(16, dtype=np.int64)
         t = make_trace(16, (0, src, (src + 8) % 16))
-        assert routed_time(t, Hypercube(16)) < routed_time(t, Ring(16))
+        assert (
+            route_trace(t, Hypercube(16)).total_time
+            < route_trace(t, Ring(16)).total_time
+        )
 
     def test_torus_beats_mesh_on_wrap_pattern(self):
         src = np.arange(16, dtype=np.int64)
         t = make_trace(16, (0, src, (src + 8) % 16))
-        assert routed_time(t, Torus2D(16)) <= routed_time(t, Mesh2D(16))
+        assert (
+            route_trace(t, Torus2D(16)).total_time
+            <= route_trace(t, Mesh2D(16)).total_time
+        )
 
     def test_comparison_carries_policy(self, rng):
         t = random_trace(32, 4, rng)
-        cmp = compare_with_dbsp(t, Ring(8), ValiantPolicy(2))
-        assert cmp.policy == "valiant"
+        assert route_trace(t, Ring(8), ValiantPolicy(2)).policy == "valiant"
 
 
 class TestNetworkSweep:

@@ -16,7 +16,7 @@ from repro.sim import (
     clear_sim_cache,
     sim_cache_stats,
     simulate_trace,
-    validate_bound,
+    validate_grid,
 )
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
@@ -164,7 +164,8 @@ class TestBoundInvariants:
         assert profile.total_messages == folded.total_messages
 
     def test_validate_bound_report(self, sim_traces):
-        report = validate_bound(sim_traces["fft"], by_name("butterfly", 8))
+        cell = (sim_traces["fft"], by_name("butterfly", 8), None)
+        (report,) = validate_grid([cell])
         assert report.ok and report.max_ratio <= report.threshold
         assert report.optimistic_supersteps().size == 0
         busy = report.profile.delivered > 0

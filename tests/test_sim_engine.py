@@ -221,9 +221,7 @@ class TestBatchedSimulation:
         for a, b in zip(first, again):
             assert a is b  # second sweep is pure LRU hits
 
-    def test_validate_grid_matches_validate_bound(self, engine_traces):
-        from repro.sim import validate_bound
-
+    def test_validate_grid_matches_one_cell_grids(self, engine_traces):
         cells = [
             (engine_traces["fft"], by_name("mesh2d", 16), by_policy("valiant", 7)),
             (engine_traces["sort"], by_name("butterfly", 16), None),
@@ -232,7 +230,7 @@ class TestBatchedSimulation:
         reports = validate_grid(cells)
         for (trace, topo, policy), rep in zip(cells, reports):
             clear_sim_cache()
-            solo = validate_bound(trace, topo, policy)
+            (solo,) = validate_grid([(trace, topo, policy)])
             assert np.array_equal(
                 rep.profile.cycles, solo.profile.cycles
             ) and rep.max_ratio == solo.max_ratio

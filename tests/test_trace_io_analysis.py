@@ -1,12 +1,12 @@
-"""Tests for trace persistence and the analysis sweep utilities."""
+"""Tests for trace persistence and the plan-pivot sweep tables."""
 
 import re
 
 import numpy as np
 import pytest
 
-from repro.analysis import default_fold_grid, wiseness_report
 from repro.api import ExperimentPlan
+from repro.core import measured_alpha, measured_gamma
 from repro.core.lower_bounds import mm_lower_bound
 from repro.core.metrics import TraceMetrics
 from repro.machine.program import ScheduleBuilder
@@ -84,10 +84,6 @@ def _h_table(trace, ps, sigmas):
 
 
 class TestSweeps:
-    def test_default_fold_grid(self):
-        assert default_fold_grid(256) == [4, 16, 64, 256]
-        assert default_fold_grid(8, factor=2, start=2) == [2, 4, 8]
-
     def test_h_grid_matches_metrics(self, rng):
         t = random_trace(64, 8, rng)
         table = _h_table(t, ps=[4, 16], sigmas=(0.0, 2.0))
@@ -97,7 +93,7 @@ class TestSweeps:
 
     def test_h_grid_str(self, rng):
         t = random_trace(16, 4, rng)
-        table = _h_table(t, ps=default_fold_grid(t.v), sigmas=(0.0, 1.0))
+        table = _h_table(t, ps=[4, 16], sigmas=(0.0, 1.0))
         assert "H(n, p, sigma)" in str(table)
 
     def test_d_grid_presets(self, rng):
@@ -125,11 +121,9 @@ class TestSweeps:
     def test_wiseness_report(self, rng):
         from repro.algorithms import fft
 
-        res = fft.run(rng.random(64) + 0j)
-        table = wiseness_report(res.trace, ps=[4, 64])
-        d = table.as_dict()
-        assert 0 < d[64]["alpha"] <= 1.0
-        assert d[64]["gamma"] > 0
+        tm = TraceMetrics(fft.run(rng.random(64) + 0j).trace)
+        assert 0 < measured_alpha(tm, 64) <= 1.0
+        assert measured_gamma(tm, 64) > 0
 
     def test_column_accessor(self, rng):
         t = random_trace(16, 4, rng)
