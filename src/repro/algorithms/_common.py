@@ -30,6 +30,8 @@ __all__ = [
     "SendBuffer",
     "add_wiseness_dummies",
     "permute_segments",
+    "record_permutation",
+    "wiseness_dummies",
 ]
 
 
@@ -92,10 +94,10 @@ class SendBuffer:
         self._dst.clear()
 
 
-def add_wiseness_dummies(
-    buf: SendBuffer, v: int, label: int, multiplicity: int
-) -> None:
-    """Append the paper's wiseness dummy pattern to a send buffer.
+def wiseness_dummies(
+    v: int, labels: np.ndarray, multiplicity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The paper's wiseness dummy pattern for many supersteps at once.
 
     Section 4.1 (and analogously 4.2/4.3): in each ``label``-superstep,
     VP_j sends ``multiplicity`` dummy messages to VP_{j + v/2^{label+1}}
@@ -103,13 +105,56 @@ def add_wiseness_dummies(
     ``label``-cluster exercises the (label+1)-boundary at full degree, so
     the folded degree scales as ``p/2^j`` and the algorithm is
     ((1), v)-wise without changing its asymptotic cost.
+
+    Returns ``(counts, src, dst)``: superstep ``s`` (label ``labels[s]``)
+    gets ``counts[s]`` dummies, ``multiplicity[s]`` rounds over ``j``,
+    contiguous and in superstep order.
     """
+    half = v >> (labels + 1)
+    counts = half * np.maximum(multiplicity, 0)
+    step = np.repeat(np.arange(labels.size), counts)
+    j = np.arange(step.size) - (np.cumsum(counts) - counts)[step]
+    src = j % half[step]
+    return counts, src, src + half[step]
+
+
+def add_wiseness_dummies(
+    buf: SendBuffer, v: int, label: int, multiplicity: int
+) -> None:
+    """Append one ``label``-superstep's :func:`wiseness_dummies` to a
+    send buffer (the same pattern, without the batch bookkeeping)."""
     half = v >> (label + 1)
     if half == 0 or multiplicity <= 0:
         return
-    j = np.arange(half, dtype=np.int64)
-    src = np.tile(j, multiplicity)
+    src = np.tile(np.arange(half, dtype=np.int64), multiplicity)
     buf.add(src, src + half)
+
+
+def record_permutation(
+    builder: ScheduleBuilder,
+    segs: np.ndarray,
+    size: int,
+    label: int,
+    dest_map: np.ndarray,
+    wise: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record one ``label``-superstep moving local ``t -> dest_map[t]`` in
+    every ``size``-VP segment starting at ``segs``.
+
+    Fixed points send nothing; with ``wise`` the superstep also carries
+    one :func:`add_wiseness_dummies` message per dummy sender.  Returns
+    the global ``(src, dst)`` of every position, fixed points included.
+    """
+    offs = np.arange(size, dtype=np.int64)
+    src = (segs[:, None] + offs[None, :]).ravel()
+    dst = (segs[:, None] + dest_map[None, :]).ravel()
+    buf = SendBuffer()
+    move = src != dst
+    buf.add(src[move], dst[move])
+    if wise:
+        add_wiseness_dummies(buf, builder.v, label, 1)
+    buf.flush(builder, label)
+    return src, dst
 
 
 def permute_segments(
@@ -121,21 +166,8 @@ def permute_segments(
     dest_map: np.ndarray,
     wise: bool,
 ) -> None:
-    """One ``label``-superstep moving local ``t -> dest_map[t]`` in every
-    ``size``-VP segment starting at ``segs``, and ``val`` with it.
-
-    Fixed points send nothing; with ``wise`` the superstep also carries
-    one :func:`add_wiseness_dummies` message per dummy sender.
-    """
-    offs = np.arange(size, dtype=np.int64)
-    src = (segs[:, None] + offs[None, :]).ravel()
-    dst = (segs[:, None] + dest_map[None, :]).ravel()
-    buf = SendBuffer()
-    move = src != dst
-    buf.add(src[move], dst[move])
-    if wise:
-        add_wiseness_dummies(buf, builder.v, label, 1)
-    buf.flush(builder, label)
+    """:func:`record_permutation`, moving ``val`` with it."""
+    src, dst = record_permutation(builder, segs, size, label, dest_map, wise)
     new_val = val.copy()
     new_val[dst] = val[src]
     val[:] = new_val

@@ -48,7 +48,7 @@ from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_d
 from repro.algorithms.semiring import STANDARD, Semiring
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ilog2
-from repro.util.morton import dense_to_morton, morton_to_dense
+from repro.util.morton import dense_to_morton, morton_decode, morton_to_dense
 
 __all__ = ["run", "MatMulResult", "specification_size"]
 
@@ -162,15 +162,17 @@ def _base_case(tasks: list[_Task], machine: ScheduleBuilder, label: int, sr: Sem
         if wise:
             add_wiseness_dummies(buf, machine.v, label, epv)
         buf.flush(machine, label)
-    out = []
-    for t in tasks:
-        side = int(round(t.q**0.5))
-        prod = sr.matmul(
-            morton_to_dense(t.a.reshape(side * side)),
-            morton_to_dense(t.b.reshape(side * side)),
-        )
-        out.append(dense_to_morton(prod))
-    return out
+    # Every task has the same operand size: decode the Morton layout once.
+    q = tasks[0].q
+    side = int(round(q**0.5))
+    rows, cols = morton_decode(np.arange(q), side)
+    to_morton = rows * side + cols  # Morton index -> dense row-major index
+    to_dense = np.empty(q, dtype=np.int64)
+    to_dense[to_morton] = np.arange(q)
+    a = np.stack([t.a for t in tasks])[:, to_dense].reshape(-1, side, side)
+    b = np.stack([t.b for t in tasks])[:, to_dense].reshape(-1, side, side)
+    prods = np.stack([sr.matmul(x, y) for x, y in zip(a, b)])
+    return list(prods.reshape(len(tasks), q)[:, to_morton])
 
 
 def _solve(tasks: list[_Task], level: int, machine: ScheduleBuilder, sr: Semiring,

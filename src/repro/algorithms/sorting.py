@@ -42,6 +42,12 @@ Superstep structure: ``Theta(4^i)`` supersteps of label
 
 Theta(1)-optimal for ``p = O(n^{1-delta})`` by Lemma 4.7, and on
 admissible D-BSPs by Corollary 4.9.
+
+Emission: the schedule depends on ``n`` alone, and the four column sorts
+of a level are the same sub-schedule, so each level's column-sort
+sub-schedule is recorded once and appended four times.  The keys still
+pass through every base sort and permutation; both the recorder and the
+value motion read each level's five dest maps, computed once.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from repro.algorithms._common import (
     AlgorithmResult,
     SendBuffer,
     add_wiseness_dummies,
-    permute_segments,
+    record_permutation,
 )
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ceil_div, ilog2
@@ -84,64 +90,83 @@ def columnsort_shape(n: int) -> tuple[int, int]:
     return r, n // r
 
 
-def _base_sort(machine, val, segs, size, label, wise):
-    """Sort constant-size segments by one all-to-all superstep each.
+def _label(v: int, size: int) -> int:
+    return ilog2(v // size) if size < v else 0
 
-    Every VP broadcasts its key within the segment (degree ``size - 1``,
-    a constant since ``size <= BASE_SIZE``), computes ranks locally and
-    keeps the key of its own rank.
+
+def _levels(n: int) -> list[tuple[int, tuple[np.ndarray, ...] | None]]:
+    """The recursion from the whole input down to the base: ``(size,
+    maps)`` per level, ``maps`` the five local dest maps of its
+    permutation supersteps in phase order (``None`` at the base).
+
+    The ``size``-VP segments of a level tile all ``n`` VPs, and its
+    column segments are the next level's segments.
     """
-    if size > 1:
-        offs = np.arange(size, dtype=np.int64)
-        src = np.repeat(offs, size - 1)
-        dst = np.concatenate([np.delete(offs, t) for t in range(size)])
-        buf = SendBuffer()
-        buf.add(
-            (segs[:, None] + src[None, :]).ravel(),
-            (segs[:, None] + dst[None, :]).ravel(),
+    levels = []
+    size = n
+    while size > BASE_SIZE:
+        r, s = columnsort_shape(size)
+        f = np.arange(size, dtype=np.int64)
+        # Footnote 6: modified order on column 0 == swap its halves.
+        half = f.copy()
+        half[: r // 2] += r // 2
+        half[r // 2 : r] -= r // 2
+        maps = (
+            (f % s) * r + f // s,  # phase 2 transpose
+            (f % r) * s + f // r,  # phase 4 untranspose
+            (f + r // 2) % size,  # phase 6 cyclic shift
+            half,  # after phase 7
+            (f - r // 2) % size,  # phase 8 unshift
         )
+        levels.append((size, maps))
+        size = r
+    levels.append((size, None))
+    return levels
+
+
+def _record(v: int, levels, wise: bool) -> ScheduleBuilder:
+    """The schedule, recorded bottom up.
+
+    The base level is one all-to-all superstep in every segment (degree
+    ``size - 1``, a constant since ``size <= BASE_SIZE``): each VP then
+    ranks its segment's keys locally.  Every other level sorts its
+    columns before phases 2, 4, 6 and 7; that column-sort sub-schedule
+    is the same each time, so it is recorded once and appended four
+    times.
+    """
+    size = levels[-1][0]
+    sched = ScheduleBuilder(v)
+    if size > 1:
+        segs = np.arange(0, v, size, dtype=np.int64)
+        src, dst = np.nonzero(~np.eye(size, dtype=bool))
+        buf = SendBuffer()
+        buf.add((segs[:, None] + src).ravel(), (segs[:, None] + dst).ravel())
+        label = _label(v, size)
         if wise:
-            add_wiseness_dummies(buf, machine.v, label, 1)
-        buf.flush(machine, label)
-    idx = segs[:, None] + np.arange(size, dtype=np.int64)[None, :]
-    val[idx.ravel()] = np.sort(val[idx], axis=1).ravel()
+            add_wiseness_dummies(buf, v, label, 1)
+        buf.flush(sched, label)
+    for size, maps in reversed(levels[:-1]):
+        cols, sched = sched, ScheduleBuilder(v)
+        segs = np.arange(0, v, size, dtype=np.int64)
+        for phase, dest in enumerate(maps):
+            if phase < 4:
+                sched.extend(cols)
+            record_permutation(sched, segs, size, _label(v, size), dest, wise)
+    return sched
 
 
-def _sort_level(machine, val, segs, size, wise):
-    """Sort all ``size``-VP segments in lockstep (recursive Columnsort)."""
-    v = machine.v
-    label = ilog2(v // size) if size < v else 0
-    if size <= BASE_SIZE:
-        _base_sort(machine, val, segs, size, label, wise)
+def _sort_values(val: np.ndarray, levels, i: int = 0) -> None:
+    """Move ``val`` through every base sort and permutation of level
+    ``i`` and below, all of the level's segments in lockstep."""
+    size, maps = levels[i]
+    blocks = val.reshape(-1, size)
+    if maps is None:
+        blocks.sort(axis=1)
         return
-
-    r, s = columnsort_shape(size)
-    if s < 2:  # degenerate shape: treat the whole segment as one column
-        _base_sort(machine, val, segs, size, label, wise)
-        return
-    cols = (segs[:, None] + np.arange(s, dtype=np.int64)[None, :] * r).ravel()
-    f = np.arange(size, dtype=np.int64)
-
-    def sort_columns():
-        _sort_level(machine, val, cols, r, wise)
-
-    sort_columns()                                          # phase 1
-    permute_segments(machine, val, segs, size, label,
-                     (f % s) * r + f // s, wise)            # phase 2 transpose
-    sort_columns()                                          # phase 3
-    permute_segments(machine, val, segs, size, label,
-                     (f % r) * s + f // r, wise)            # phase 4 untranspose
-    sort_columns()                                          # phase 5
-    permute_segments(machine, val, segs, size, label,
-                     (f + r // 2) % size, wise)             # phase 6 cyclic shift
-    sort_columns()                                          # phase 7
-    # Footnote 6: modified order on column 0 == swap its halves.
-    half = f.copy()
-    half[: r // 2] = f[: r // 2] + r // 2
-    half[r // 2 : r] = f[r // 2 : r] - r // 2
-    permute_segments(machine, val, segs, size, label, half, wise)
-    permute_segments(machine, val, segs, size, label,
-                     (f - r // 2) % size, wise)             # phase 8 unshift
+    for phase, dest in enumerate(maps):
+        if phase < 4:
+            _sort_values(val, levels, i + 1)
+        blocks[:, dest] = blocks.copy()
 
 
 def run(keys: np.ndarray, *, wise: bool = True) -> SortResult:
@@ -155,10 +180,10 @@ def run(keys: np.ndarray, *, wise: bool = True) -> SortResult:
     keys = np.asarray(keys)
     n = keys.shape[0]
     ilog2(n)
-    builder = ScheduleBuilder(n)
+    levels = _levels(n)
     val = keys.astype(np.float64, copy=True) if keys.dtype.kind in "iu" else keys.copy()
-    _sort_level(builder, val, np.array([0], dtype=np.int64), n, wise)
-    return SortResult.from_schedule(builder.build(), n, output=val)
+    _sort_values(val, levels)
+    return SortResult.from_schedule(_record(n, levels, wise).build(), n, output=val)
 
 
 # ----------------------------------------------------------------------

@@ -27,13 +27,17 @@ diamond is evaluated by a wavefront of ``2 n_tau - 1`` supersteps of
 label ``tau log k`` (each VP owning a bounded number of ``u``-columns).
 
 The schedule is static (it depends on ``n`` and ``k`` only), so emission
-is index arithmetic.  Only the recursion over the ``2k - 1`` stripe
-phases is a Python loop.  Below a phase, every box's nodes are built
-whole-array as (task, row, x) index arrays, and the three predecessor
-deltas become masks; one stable sort on (row, delta) restores the
-message order.  Values are not computed during emission: afterwards one
-row sweep of ``rule(left, centre, right)`` fills the grid, so ``rule``
-must be elementwise.
+is index arithmetic.  Owners are painted before any phase is emitted, so
+no phase's geometry depends on the one before it: each recursion level
+builds the sub-boxes of all its ``2k - 1`` phases in one pass, every box
+as whole-array (task, row, x) node indices, and the three predecessor
+deltas become masks.  Every arc is keyed by its superstep's place in the
+schedule (the phase path, then the pred superstep or the local row), one
+stable sort orders them, and a stage is recorded as one batch, with each
+superstep's wiseness multiplicity taken by a segmented max.  Values are
+not computed during emission: afterwards one row sweep of
+``rule(left, centre, right)`` fills the grid, so ``rule`` must be
+elementwise.
 
 Theorem 4.11: ``H_1-stencil(n, p, sigma) = O(n * 4^{sqrt(log n)})`` for
 ``sigma = O(n/p)`` — within a ``4^{sqrt(log n)}`` factor of Lemma 4.10's
@@ -47,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
+from repro.algorithms._common import AlgorithmResult, wiseness_dummies
 from repro.core.theory import stencil_k
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ilog2
@@ -84,7 +88,7 @@ class _Ctx:
     The owner array (``owner[t, x]`` is the VP evaluating node (x, t)), the
     stage's per-row x-interval and the schedule builder the supersteps are
     emitted into.  Every query is array-valued: :meth:`nodes` expands a
-    whole phase of boxes into its (task, row, x) nodes in one pass, so no
+    whole level of boxes into its (task, row, x) nodes in one pass, so no
     Python loop runs over tasks or rows.  Values are not part of the
     geometry; :func:`_sweep` computes them after emission.
     """
@@ -164,13 +168,15 @@ def _pred_arcs(ctx: _Ctx, t, x, key, pred_interval, select=None):
     to the grid) and, if given, ``select(pu, pw)`` holds at its rotated
     coordinates.  The nodes of one ``key`` must come with x ascending; one
     stable sort on (key, delta) then orders the arcs by key, predecessor
-    delta and x.  Returns ``(src, dst, key)`` in that order.
+    delta and x.  Returns ``(src, dst, node)`` in that order, ``node``
+    indexing the consuming node in ``t`` / ``x``.
     """
     plo, phi = pred_interval(t - 1)
     plo, phi = np.maximum(plo, 0), np.minimum(phi, ctx.nx - 1)
     own = ctx.owner[t, x]
     u, w = x + t, x - t + ctx.noff
-    srcs, dsts, keys = [], [], []
+    node = np.arange(t.size)
+    srcs, dsts, keys, nodes = [], [], [], []
     for d, (dx, du, dw) in enumerate(_DELTAS):
         px = x + dx
         sel = (px >= plo) & (px <= phi)
@@ -179,9 +185,13 @@ def _pred_arcs(ctx: _Ctx, t, x, key, pred_interval, select=None):
         srcs.append(ctx.owner[t[sel] - 1, px[sel]])
         dsts.append(own[sel])
         keys.append(key[sel] * 3 + d)
-    keyd = np.concatenate(keys)
-    order = np.argsort(keyd, kind="stable")
-    return np.concatenate(srcs)[order], np.concatenate(dsts)[order], keyd[order] // 3
+        nodes.append(node[sel])
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return (
+        np.concatenate(srcs)[order],
+        np.concatenate(dsts)[order],
+        np.concatenate(nodes)[order],
+    )
 
 
 def _paint(ctx: _Ctx, tasks, P: int, m: int) -> None:
@@ -197,101 +207,148 @@ def _paint(ctx: _Ctx, tasks, P: int, m: int) -> None:
     ctx.owner[t, x] = seg[task] + (x + t - u0[task]) // cols
 
 
-def _pred_messages(ctx: _Ctx, tasks, ext: int, parents):
-    """Messages delivering predecessor values produced *outside* each
-    task's box directly to the VPs that will consume them.
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    # Not np.unique: its first call in a process adds ~1.5 MB to peak RSS
+    # (numpy 2.4).
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
-    ``parents`` (the ``(u0, w0)`` arrays and extent of each task's parent
-    box) restricts them to preds *inside* the parent box — preds beyond it
-    were already routed at an earlier phase.
+
+def _max_degree(step, ends, num_steps: int, v: int) -> np.ndarray:
+    """Per superstep, the most arcs one VP of ``ends`` takes part in
+    (0 for a superstep without arcs): a segmented max of run lengths."""
+    out = np.zeros(num_steps, dtype=np.int64)
+    if ends.size:
+        pair = np.sort(step * v + ends)
+        first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+        runs = np.diff(np.append(first, pair.size))
+        np.maximum.at(out, pair[first] // v, runs)
+    return out
+
+
+def _emit(ctx: _Ctx, labels: np.ndarray, step, src, dst) -> None:
+    """Record one superstep per entry of ``labels``.
+
+    Superstep ``s`` carries, in order, the arcs with ``step == s``
+    (``step`` ascending) whose endpoints are distinct VPs; with ``wise``
+    the wiseness dummies follow them.
     """
-    _, u0, w0 = tasks
-    task, t, x, row = ctx.nodes(u0, w0, ext)
-    live = t > 0
-    task, t, x, row = task[live], t[live], x[live], row[live]
-    bu, bw = u0[task], w0[task] + ext
-    pu0, pw0, pext = parents
-    pu_lo, pw_hi = pu0[task], pw0[task] + pext
-
-    def select(pu, pw):
-        return ((pu < bu) | (pw >= bw)) & (pu >= pu_lo) & (pw < pw_hi)
-
-    src, dst, _ = _pred_arcs(ctx, t, x, row, ctx.row_interval, select)
-    return src, dst
-
-
-def _emit(ctx: _Ctx, label: int, src, dst) -> None:
-    buf = SendBuffer()
+    v = ctx.machine.v
     move = src != dst
-    src, dst = src[move], dst[move]
-    buf.add(src, dst)
+    step, src, dst = step[move], src[move], dst[move]
+    S = labels.size
+    real = np.bincount(step, minlength=S)
+    mult = np.zeros(S, dtype=np.int64)
     if ctx.wise:
         # "Suitable dummy messages are added in each superstep to make each
         # VP exchange the same number of messages" (Sec. 4.4.1): match the
         # superstep's actual maximum degree.
-        mult = 1
-        if src.size:
-            mult = int(
-                max(
-                    np.bincount(src, minlength=1).max(),
-                    np.bincount(dst, minlength=1).max(),
-                )
-            )
-        add_wiseness_dummies(buf, ctx.machine.v, label, mult)
-    buf.flush(ctx.machine, label)
-
-
-def _eval_base(ctx: _Ctx, tasks, P: int, m: int) -> None:
-    """Wavefront evaluation of side-<=k diamonds: 2m-1 row supersteps.
-
-    Local row ``rho`` of every box (global row ``t_lo + rho``) shares one
-    superstep; its messages are the in-box, current-stage preds crossing
-    VP owners (earlier-stage preds arrived at the stage-opening superstep).
-    """
-    label = ctx.label_for(P)
-    ext = 2 * m
-    _, u0, w0 = tasks
-    task, t, x, _ = ctx.nodes(u0, w0, ext)
-    live = t > 0  # t == 0 rows are inputs: values preassigned, no evaluation
-    task, t, x = task[live], t[live], x[live]
-    rho = t - ctx.t_range(u0, w0, ext)[0][task]
-    bu, bw = u0[task], w0[task] + ext
-    src, dst, key = _pred_arcs(
-        ctx,
-        t,
-        x,
-        rho * u0.size + task,
-        ctx.row_interval,
-        lambda pu, pw: (pu >= bu) & (pw < bw),
-    )
-    # One superstep per local row holding nodes.  Not np.unique: its first
-    # call in a process adds ~1.5 MB to peak RSS (numpy 2.4).
-    rhos = np.flatnonzero(np.bincount(rho))
-    arc_rho = key // u0.size
-    cuts_lo = np.searchsorted(arc_rho, rhos, side="left")
-    cuts_hi = np.searchsorted(arc_rho, rhos, side="right")
-    for lo, hi in zip(cuts_lo, cuts_hi):
-        _emit(ctx, label, src[lo:hi], dst[lo:hi])
-
-
-def _eval_box(ctx: _Ctx, tasks, P: int, m: int) -> None:
-    """Recursive stripe-phase evaluation (Figure 1) of same-level boxes."""
-    k = ctx.k
-    if m <= k or P <= k:
-        _eval_base(ctx, tasks, P, m)
-        return
-    sub_m, sub_P, L = m // k, P // k, 2 * (m // k)
-    parent_label = ctx.label_for(P)
-    _, u0, w0 = tasks
-    for r in range(2 * k - 1):
-        a = np.arange(max(0, r - (k - 1)), min(r, k - 1) + 1)
-        subtasks = _split(tasks, a, k - 1 - (r - a), sub_P, L)
-        parent = np.repeat(np.arange(u0.size), a.size)
-        src, dst = _pred_messages(
-            ctx, subtasks, 2 * sub_m, (u0[parent], w0[parent], 2 * m)
+        mult = np.maximum(
+            np.maximum(_max_degree(step, src, S, v), _max_degree(step, dst, S, v)), 1
         )
-        _emit(ctx, parent_label, src, dst)
-        _eval_box(ctx, subtasks, sub_P, sub_m)
+    dummies, dummy_src, dummy_dst = wiseness_dummies(v, labels, mult)
+    offsets = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(real + dummies, out=offsets[1:])
+    out_src = np.empty(offsets[-1], dtype=np.int64)
+    out_dst = np.empty(offsets[-1], dtype=np.int64)
+    # Superstep s: its arcs after every message of the supersteps before
+    # it, then its dummies.
+    pos = np.arange(step.size) + (np.cumsum(dummies) - dummies)[step]
+    out_src[pos], out_dst[pos] = src, dst
+    pos = np.arange(dummy_src.size) + np.cumsum(real)[np.repeat(np.arange(S), dummies)]
+    out_src[pos], out_dst[pos] = dummy_src, dummy_dst
+    ctx.machine.supersteps(labels, offsets, out_src, out_dst)
+
+
+def _eval_box(ctx: _Ctx, tasks, P: int, m: int, src, dst) -> None:
+    """Record a label-0 superstep carrying ``src -> dst``, then the
+    recursive stripe-phase evaluation (Figure 1) of the boxes.
+
+    All phases of a level are built in one pass.  Every box splits into
+    its ``k x k`` sub-boxes; sub-box ``(a, b)`` belongs to stripe phase
+    ``r = a + k - 1 - b`` and opens with that phase's pred superstep of
+    the box's label.  Below the last level, each local row ``rho`` of the
+    boxes of one phase path that holds nodes is a superstep of the
+    base label.  A superstep's key is its place in this depth-first
+    order: the digits ``r + 1`` of its phase path, most significant
+    first, then 0 for a pred superstep or ``rho + 1`` for a row; the
+    opening superstep's key is 0.
+    """
+    k = ctx.k
+    depth, mb, Pb = 0, m, P
+    while not (mb <= k or Pb <= k):
+        depth, mb, Pb = depth + 1, mb // k, Pb // k
+    radix = max(2 * k - 1, 2 * mb) + 1
+    unit = radix**depth
+    a, b = np.repeat(np.arange(k), k), np.tile(np.arange(k), k)
+    digit = a + k - b  # phase r = a + k - 1 - b, as digit r + 1
+    pos = np.zeros(1, dtype=np.int64)  # each task's key: its phase-path digits
+    step_keys, step_labels = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    arc_src, arc_dst, arc_key = [src], [dst], [np.zeros(src.size, np.int64)]
+    for _ in range(depth):
+        sub_m, sub_P, L = m // k, P // k, 2 * (m // k)
+        # Sub-boxes by phase path, then parent, then a: each phase's
+        # sub-boxes in the order the parents and their stripes list them.
+        sub_pos = (pos[:, None] + digit * unit).ravel()
+        order = np.argsort(sub_pos, kind="stable")
+        parent = order // (k * k)
+        sub = tuple(c[order] for c in _split(tasks, a, b, sub_P, L))
+        sub_pos = sub_pos[order]
+        # Pred messages: predecessor values produced outside each sub-box
+        # but inside its parent box (preds beyond the parent were routed
+        # at an earlier phase), delivered to the VPs consuming them.
+        _, u0, w0 = tasks
+        task, t, x, row = ctx.nodes(sub[1], sub[2], 2 * sub_m)
+        live = t > 0
+        task, t, x, row = task[live], t[live], x[live], row[live]
+        bu, bw = sub[1][task], sub[2][task] + 2 * sub_m
+        pu_lo, pw_hi = u0[parent[task]], w0[parent[task]] + 2 * m
+
+        def select(pu, pw):
+            return ((pu < bu) | (pw >= bw)) & (pu >= pu_lo) & (pw < pw_hi)
+
+        src, dst, node = _pred_arcs(ctx, t, x, row, ctx.row_interval, select)
+        arc_src.append(src)
+        arc_dst.append(dst)
+        arc_key.append(sub_pos[task[node]])
+        # One pred superstep per phase, even an empty one.
+        step_keys.append(_sorted_unique(sub_pos))
+        step_labels.append(np.full(step_keys[-1].size, ctx.label_for(P)))
+        tasks, pos, P, m = sub, sub_pos, sub_P, sub_m
+        unit //= radix
+
+    # Wavefront evaluation of side-<=k diamonds: local row rho of every box
+    # of one phase path shares a superstep; its messages are the in-box,
+    # current-stage preds crossing VP owners (earlier-stage preds arrived
+    # at the stage-opening superstep).
+    _, u0, w0 = tasks
+    task, t, x, row = ctx.nodes(u0, w0, 2 * m)
+    live = t > 0  # t == 0 rows are inputs: values preassigned, no evaluation
+    task, t, x, row = task[live], t[live], x[live], row[live]
+    key = pos[task] + t - ctx.t_range(u0, w0, 2 * m)[0][task] + 1
+    bu, bw = u0[task], w0[task] + 2 * m
+    src, dst, node = _pred_arcs(
+        ctx, t, x, row, ctx.row_interval, lambda pu, pw: (pu >= bu) & (pw < bw)
+    )
+    arc_src.append(src)
+    arc_dst.append(dst)
+    arc_key.append(key[node])
+    # One superstep per local row holding nodes.
+    step_keys.append(_sorted_unique(key))
+    step_labels.append(np.full(step_keys[-1].size, ctx.label_for(P)))
+
+    keys = np.concatenate(step_keys)
+    order = np.argsort(keys)
+    keys, labels = keys[order], np.concatenate(step_labels)[order]
+    arc_key = np.concatenate(arc_key)
+    order = np.argsort(arc_key, kind="stable")
+    _emit(
+        ctx,
+        labels,
+        np.searchsorted(keys, arc_key[order]),
+        np.concatenate(arc_src)[order],
+        np.concatenate(arc_dst)[order],
+    )
 
 
 def _sweep(grid: np.ndarray, rule: Callable, fill: float, interval) -> None:
@@ -388,8 +445,7 @@ def run(
             s, d, _ = _pred_arcs(ctx, t, x, row, prev_interval)
             srcs.append(s)
             dsts.append(d)
-        _emit(ctx, 0, np.concatenate(srcs), np.concatenate(dsts))
-        _eval_box(ctx, task, n, m)
+        _eval_box(ctx, task, n, m, np.concatenate(srcs), np.concatenate(dsts))
         prev_regions.append(interval)
 
     grid = np.full((n, n), np.nan)
@@ -437,8 +493,7 @@ def evaluate_diamond(
     task = _box_task(n - 1, n - 1)
     _paint(ctx, task, n, n)
     # Input superstep: the seed moves from VP n-1 to its owner.
-    _emit(ctx, 0, np.array([n - 1]), np.array([owner[0, n - 1]]))
-    _eval_box(ctx, task, n, n)
+    _eval_box(ctx, task, n, n, np.array([n - 1]), owner[0, n - 1 : n])
     grid = np.full((nx, nx), np.nan)
     grid[0, n - 1] = seed
     _sweep(grid, rule, fill, diamond)

@@ -5,8 +5,10 @@ superstep sequence, labels and message endpoint sets are fixed.  That
 makes an execution a *program*, not a process — so algorithms **emit**
 their communication into a :class:`ScheduleBuilder`, one
 ``superstep(label, src, dst)`` call per superstep carrying all of that
-superstep's messages at once, and ``build()`` freezes the recording into
-an immutable columnar :class:`~repro.machine.trace.Trace`.  The trace is
+superstep's messages at once (or one ``supersteps`` call per CSR batch),
+and ``build()`` freezes the recording into an immutable columnar
+:class:`~repro.machine.trace.Trace`.  A sub-schedule that repeats is
+recorded once in its own builder and appended with ``extend``.  The trace is
 then validated (:meth:`~repro.machine.trace.Trace.validate`), folded and
 analysed with whole-array NumPy kernels; nothing records into a trace
 after it is built.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.machine.trace import Trace
+from repro.machine.trace import Trace, check_csr
 from repro.util.intmath import ilog2
 
 __all__ = ["ScheduleBuilder"]
@@ -25,15 +27,18 @@ __all__ = ["ScheduleBuilder"]
 class ScheduleBuilder:
     """Accumulates supersteps into a :class:`~repro.machine.trace.Trace`.
 
-    Exposes ``v`` and ``logv`` for emitters.  Nothing is validated
-    here — ``Trace.validate`` checks the finished record in one pass —
-    which keeps emission allocation-light.
+    Exposes ``v`` and ``logv`` for emitters.  Only array shapes are
+    checked here — ``Trace.validate`` checks labels, endpoints and
+    clusters of the finished record in one pass — which keeps emission
+    allocation-light.
     """
 
     def __init__(self, v: int) -> None:
         self.v = v
         self.logv = ilog2(v)
         self._labels: list[int] = []
+        self._counts: list[int] = []
+        # Endpoint blocks: one per superstep() call, one per supersteps().
         self._srcs: list[np.ndarray] = []
         self._dsts: list[np.ndarray] = []
 
@@ -55,22 +60,53 @@ class ScheduleBuilder:
         src.setflags(write=False)
         dst.setflags(write=False)
         self._labels.append(int(label))
+        self._counts.append(src.size)
         self._srcs.append(src)
         self._dsts.append(dst)
+
+    def supersteps(
+        self, labels: np.ndarray, offsets: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> None:
+        """Record ``labels.size`` consecutive supersteps given in the CSR
+        form of a :class:`~repro.machine.trace.Trace`: superstep ``s``
+        carries ``src[offsets[s]:offsets[s+1]] -> dst[...]``."""
+        labels, offsets, src, dst = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (labels, offsets, src, dst)
+        )
+        check_csr(labels, offsets, src, dst)
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        self._labels.extend(labels.tolist())
+        self._counts.extend(np.diff(offsets).tolist())
+        self._srcs.append(src)
+        self._dsts.append(dst)
+
+    def extend(self, other: "ScheduleBuilder") -> None:
+        """Append every superstep recorded in ``other``, in order.
+
+        The endpoint arrays are shared, not copied: :meth:`superstep`
+        froze them, so a sub-schedule recorded once can be appended as
+        often as the algorithm repeats it.
+        """
+        if other.v != self.v:
+            raise ValueError(f"cannot extend a v={self.v} schedule with v={other.v}")
+        self._labels.extend(other._labels)
+        self._counts.extend(other._counts)
+        self._srcs.extend(other._srcs)
+        self._dsts.extend(other._dsts)
 
     def build(self) -> Trace:
         """Freeze the recorded supersteps into an immutable columnar Trace."""
         n = len(self._labels)
-        counts = np.fromiter((a.size for a in self._srcs), dtype=np.int64, count=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        np.cumsum(self._counts, out=offsets[1:])
         empty = np.empty(0, dtype=np.int64)
         return Trace(
             self.v,
             np.array(self._labels, dtype=np.int64),
             offsets,
-            np.concatenate(self._srcs) if n else empty,
-            np.concatenate(self._dsts) if n else empty,
+            np.concatenate(self._srcs) if self._srcs else empty,
+            np.concatenate(self._dsts) if self._dsts else empty,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -194,22 +194,27 @@ class Trace:
                 f"superstep {t}: label {int(labels[t])} outside [0, {max_label}) "
                 f"for v={v}"
             )
-        if src.size and (
-            src.min() < 0 or dst.min() < 0 or src.max() >= v or dst.max() >= v
-        ):
-            raise ValueError(f"message endpoint outside [0, {v})")
-        lab = np.repeat(labels, self.counts)
-        fine = lab > 0
-        shift = logv - lab[fine]
-        bad = (src[fine] >> shift) != (dst[fine] >> shift)
-        if bad.any():
-            m = int(np.flatnonzero(fine)[np.argmax(bad)])
-            s = int(np.searchsorted(self.offsets, m, side="right")) - 1
-            raise ClusterViolation(
-                f"superstep {s} (label {int(labels[s])}): message "
-                f"{int(src[m])}->{int(dst[m])} crosses its "
-                f"{int(labels[s])}-cluster boundary"
-            )
+        if src.size:
+            # v is a power of two: src | dst is negative iff an endpoint
+            # is, and reaches v iff an endpoint does.
+            ends = src | dst
+            if ends.min() < 0 or ends.max() >= v:
+                raise ValueError(f"message endpoint outside [0, {v})")
+            # Endpoints share an i-cluster iff they agree above their low
+            # log(v) - i bits, i.e. src ^ dst < v >> i (always, for i = 0):
+            # compare each superstep's largest src ^ dst with its limit.
+            xor = np.bitwise_xor(src, dst, out=ends)
+            full = np.flatnonzero(self.counts)
+            over = np.maximum.reduceat(xor, self.offsets[full]) >= v >> labels[full]
+            if over.any():
+                s = int(full[np.argmax(over)])
+                lo, hi = int(self.offsets[s]), int(self.offsets[s + 1])
+                m = lo + int(np.argmax(xor[lo:hi] >= v >> int(labels[s])))
+                raise ClusterViolation(
+                    f"superstep {s} (label {int(labels[s])}): message "
+                    f"{int(src[m])}->{int(dst[m])} crosses its "
+                    f"{int(labels[s])}-cluster boundary"
+                )
         self.is_validated = True
 
     @staticmethod

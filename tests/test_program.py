@@ -59,6 +59,44 @@ class TestBuilder:
             b.superstep(0, src, dst)
         assert b.num_supersteps == 0
 
+    def test_batch_and_extend_match_single_supersteps(self):
+        one = ScheduleBuilder(8)
+        one.superstep(0, np.array([0, 1]), np.array([4, 5]))
+        one.superstep(2, np.empty(0, np.int64), np.empty(0, np.int64))
+        one.superstep(1, np.array([0]), np.array([3]))
+        one.superstep(0, np.array([0, 1]), np.array([4, 5]))
+        one.superstep(2, np.empty(0, np.int64), np.empty(0, np.int64))
+        one.superstep(1, np.array([0]), np.array([3]))
+        sub = ScheduleBuilder(8)
+        sub.supersteps(np.array([0, 2, 1]), np.array([0, 2, 2, 3]),
+                       np.array([0, 1, 0]), np.array([4, 5, 3]))
+        composed = ScheduleBuilder(8)
+        composed.extend(sub)
+        composed.extend(sub)
+        assert composed.num_supersteps == 6
+        assert _trace_columns_equal(composed.build(), one.build())
+
+    def test_extend_shares_the_frozen_arrays(self):
+        sub = ScheduleBuilder(4)
+        src = np.array([0, 1], dtype=np.int64)
+        sub.superstep(0, src, np.array([2, 3], dtype=np.int64))
+        b = ScheduleBuilder(4)
+        b.extend(sub)
+        assert b._srcs[0] is src
+        with pytest.raises(ValueError):
+            src[0] = 3
+        with pytest.raises(ValueError, match="v=8"):
+            b.extend(ScheduleBuilder(8))
+
+    @pytest.mark.parametrize(
+        "labels, offsets, src, dst, invariant", MALFORMED_CSR
+    )
+    def test_malformed_batch_rejected(self, labels, offsets, src, dst, invariant):
+        b = ScheduleBuilder(8)
+        with pytest.raises(ValueError, match=re.escape(invariant)):
+            b.supersteps(*(np.array(a, np.int64) for a in (labels, offsets, src, dst)))
+        assert b.num_supersteps == 0
+
     def test_recorded_arrays_are_frozen_not_copied(self):
         b = ScheduleBuilder(4)
         src = np.array([0, 1], dtype=np.int64)
@@ -101,6 +139,43 @@ class TestValidation:
     def test_illegal_superstep_rejected(self, label, src, dst, error):
         with pytest.raises(error):
             _one_superstep(8, label, src, dst).validate()
+
+    @pytest.mark.parametrize("label", [1, 2, 3])
+    def test_cluster_crossing_reports_first_message(self, label):
+        """On M(16) the first VP outside VP 2's ``label``-cluster is
+        ``2 ^ (16 >> label)``; the report names the first crossing message
+        after a legal superstep, an empty one and a legal message of its
+        own."""
+        b = ScheduleBuilder(16)
+        b.superstep(0, np.array([0, 15]), np.array([15, 0]))
+        b.superstep(label, np.empty(0, np.int64), np.empty(0, np.int64))
+        far = 2 ^ (16 >> label)
+        b.superstep(label, np.array([3, 2, 5]), np.array([2, far, far]))
+        with pytest.raises(ClusterViolation) as err:
+            b.build().validate()
+        assert str(err.value) == (
+            f"superstep 2 (label {label}): message 2->{far} crosses its "
+            f"{label}-cluster boundary"
+        )
+
+    @pytest.mark.parametrize("src, dst", [([-1], [0]), ([0], [-1]),
+                                          ([16], [0]), ([0], [16])],
+                             ids=["src-neg", "dst-neg", "src-v", "dst-v"])
+    def test_endpoint_out_of_range_message(self, src, dst):
+        with pytest.raises(ValueError) as err:
+            _one_superstep(16, 0, src, dst).validate()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "message endpoint outside [0, 16)"
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_out_of_range_message(self, label):
+        b = ScheduleBuilder(16)
+        b.superstep(0, np.array([0]), np.array([1]))
+        b.superstep(label, np.array([0]), np.array([1]))
+        with pytest.raises(ValueError) as err:
+            b.build().validate()
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"superstep 1: label {label} outside [0, 4) for v=16"
 
     def test_non_power_of_two_v_rejected(self):
         with pytest.raises(ValueError):

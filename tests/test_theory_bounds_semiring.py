@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms._common import SendBuffer, add_wiseness_dummies
+from repro.algorithms._common import SendBuffer, add_wiseness_dummies, wiseness_dummies
 from repro.algorithms.semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, STANDARD
 from repro.core.lower_bounds import (
     broadcast_gap_lower_bound,
@@ -163,3 +163,14 @@ class TestWisenessDummies:
     def test_degenerate(self):
         assert self._dummies(2, 1, 1).total_messages == 0
         assert self._dummies(16, 1, 0).total_messages == 0
+
+    def test_batch_matches_one_superstep_at_a_time(self):
+        labels = np.array([0, 1, 3, 4, 2])
+        mult = np.array([1, 3, 2, 1, 0])
+        counts, src, dst = wiseness_dummies(16, labels, mult)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        for s, (label, m) in enumerate(zip(labels, mult)):
+            one = self._dummies(16, int(label), int(m))
+            lo, hi = offsets[s], offsets[s + 1]
+            assert np.array_equal(src[lo:hi], one.src)
+            assert np.array_equal(dst[lo:hi], one.dst)
