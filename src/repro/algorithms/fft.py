@@ -56,26 +56,47 @@ class FFTResult(AlgorithmResult):
     output: np.ndarray = None  # X[k] in natural order
 
 
+def _permute(machine, val, segs, size, label, dest_map, wise):
+    """:func:`permute_segments`, or only the value motion when
+    ``machine`` is ``None`` (the superstep is recorded elsewhere)."""
+    if machine is not None:
+        permute_segments(machine, val, segs, size, label, dest_map, wise)
+        return
+    new_val = val.copy()
+    new_val[(segs[:, None] + dest_map[None, :]).ravel()] = val[
+        (segs[:, None] + np.arange(size, dtype=np.int64)[None, :]).ravel()
+    ]
+    val[:] = new_val
+
+
 def _fft_level(machine, val, segs, size, wise):
-    """Run one recursion level on all ``size``-VP segments in lockstep."""
-    v = machine.v
+    """Run one recursion level on all ``size``-VP segments in lockstep.
+
+    ``machine`` is the :class:`ScheduleBuilder` recording the level, or
+    ``None`` to move the values through a level recorded elsewhere.
+    """
     if size == 1:
         return
-    label = ilog2(v // size) if size < v else 0
     if size == 2:
         # Base: one butterfly across each VP pair (exchange superstep).
-        buf = SendBuffer()
-        buf.add(segs, segs + 1)
-        buf.add(segs + 1, segs)
-        if wise:
-            add_wiseness_dummies(buf, v, label, 1)
-        buf.flush(machine, label)
+        if machine is not None:
+            v = machine.v
+            label = ilog2(v // size) if size < v else 0
+            buf = SendBuffer()
+            buf.add(segs, segs + 1)
+            buf.add(segs + 1, segs)
+            if wise:
+                add_wiseness_dummies(buf, v, label, 1)
+            buf.flush(machine, label)
         a = val[segs].copy()
         b = val[segs + 1].copy()
         val[segs] = a + b
         val[segs + 1] = a - b
         return
 
+    label = None
+    if machine is not None:
+        label = ilog2(machine.v // size) if size < machine.v else 0
     logn = ilog2(size)
     r = 1 << ((logn + 1) // 2)  # 2^{ceil(logn/2)}
     c = size // r
@@ -83,11 +104,18 @@ def _fft_level(machine, val, segs, size, wise):
 
     # (1) pre-permute: x[j1*c + j2] -> local j2*r + j1 (columns contiguous).
     j1, j2 = offs // c, offs % c
-    permute_segments(machine, val, segs, size, label, j2 * r + j1, wise)
+    _permute(machine, val, segs, size, label, j2 * r + j1, wise)
 
-    # (2) column FFTs: sub-segments of r VPs.
+    # (2) column FFTs: sub-segments of r VPs.  When r == c the row FFTs
+    # of (5) run on the same sub-segments: record them once.
     sub = (segs[:, None] + np.arange(c, dtype=np.int64)[None, :] * r).ravel()
-    _fft_level(machine, val, sub, r, wise)
+    once = machine is not None and r == c
+    if once:
+        cols = ScheduleBuilder(machine.v)
+        _fft_level(cols, val, sub, r, wise)
+        machine.extend(cols)
+    else:
+        _fft_level(machine, val, sub, r, wise)
 
     # (3) twiddle w_size^{j2*k1}: local index o = j2*r + k1 (no messages).
     j2o, k1o = offs // r, offs % r
@@ -96,15 +124,19 @@ def _fft_level(machine, val, segs, size, wise):
     val[idx] = val[idx] * np.tile(tw, len(segs))
 
     # (4) transpose: local j2*r + k1 -> local k1*c + j2.
-    permute_segments(machine, val, segs, size, label, k1o * c + j2o, wise)
+    _permute(machine, val, segs, size, label, k1o * c + j2o, wise)
 
     # (5) row FFTs: sub-segments of c VPs.
     sub = (segs[:, None] + np.arange(r, dtype=np.int64)[None, :] * c).ravel()
-    _fft_level(machine, val, sub, c, wise)
+    if once:
+        _fft_level(None, val, sub, c, wise)
+        machine.extend(cols)
+    else:
+        _fft_level(machine, val, sub, c, wise)
 
     # (6) post-permute: local k1*c + k2 -> local k1 + k2*r (natural order).
     k1o2, k2o = offs // c, offs % c
-    permute_segments(machine, val, segs, size, label, k1o2 + k2o * r, wise)
+    _permute(machine, val, segs, size, label, k1o2 + k2o * r, wise)
 
 
 def run(x: np.ndarray, *, wise: bool = True) -> FFTResult:

@@ -167,7 +167,8 @@ def _api_adapt(result: Stencil2DSchedule) -> dict:
     trace = result.trace
     expected = stages * (1 + _superstep_count(n * n, n, k))
     ok = trace.num_supersteps == expected
-    for s in range(trace.num_supersteps):
+    # Equal supersteps have equal degrees: test one of each class.
+    for s in np.flatnonzero(trace.pattern == np.arange(trace.num_supersteps)):
         _, src, _ = trace.superstep(s)
         if src.size and int(np.bincount(src).max()) > 2:
             ok = False  # a VP sent more than O(1) boundary messages

@@ -282,7 +282,9 @@ class _PlanRuntime:
         The clone gets a new cache token, so folding, routing and (for
         sim cells) the cycle loop all recompute from scratch instead of
         hitting the artifacts a run already produced — an independent
-        reference row for the sanitizer's sampled row-parity check.
+        reference row for the sanitizer's sampled row-parity check.  It
+        is built without the source's ``pattern`` and computes its own
+        from content, so the check also covers the emitter's pattern.
         """
         key = self._source_key(self.cells[i])
         trace = self._tms[key].trace

@@ -2,7 +2,7 @@
 
 One worker pool per process, created on first use and reused by every
 run (workers keep their imports and fold LRU).  Every prepared source's
-``int64`` trace columns ship once, zero-copy, in a single
+``int64`` trace columns and its ``pattern`` ship once, zero-copy, in a single
 ``multiprocessing.shared_memory`` block that workers map as read-only
 views.  A wave's cold nodes are cut into one contiguous shard per
 worker, and every shard, of any stage kind, enters the worker through
@@ -156,7 +156,8 @@ def _shard(payload: dict, kind: str, specs: list[tuple]) -> list:
 # Parent side
 # ----------------------------------------------------------------------
 def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
-    """Pack every prepared source's trace columns into one shared block.
+    """Pack every prepared source's trace columns and its ``pattern``
+    into one shared block (workers take the pattern as it is).
 
     Returns the worker payload (``(v, spans)`` per source key) and the
     owning :class:`SharedMemory`, which the caller unlinks after the run.
@@ -167,7 +168,7 @@ def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
     for key, tm in runtime._tms.items():
         trace = tm.trace
         spans = []
-        for arr in (trace.labels, trace.offsets, trace.src, trace.dst):
+        for arr in (trace.labels, trace.offsets, trace.src, trace.dst, trace.pattern):
             a = np.ascontiguousarray(arr, dtype=np.int64)
             spans.append((total, total + a.size))
             blocks.append(a)

@@ -15,20 +15,28 @@ materialise the folded trace itself (used by the ascend–descend protocol
 of Section 5 and by the network-routing validation experiments).
 
 Implementation: the clusters nest, so one table per trace serves every
-``p``.  Let ``c`` be the number of leading bits that a message's
+``p``, and a superstep's degrees and cross counts depend only on its
+``src``/``dst``, so the table is built per *distinct* superstep.  The
+trace's :attr:`~repro.machine.trace.Trace.pattern` names one
+representative per class of equal supersteps; the representatives form
+a sub-trace (the trace itself when nothing repeats) that every content
+kernel runs on, and each per-superstep row is gathered back through the
+pattern.  Let ``c`` be the number of leading bits that a message's
 ``src`` and ``dst`` share (``c = log v - bit_length(src ^ dst)``); the
 message crosses the fold onto ``2^j`` processors exactly when ``c < j``.
-The table holds ``c`` per message, the cross-message counts of every
-level (one ``np.bincount`` over (superstep, c) and a cumulative sum along
-``c``) and the per-label superstep counts.  A level's degree row, and
-the ``F`` row built from it, is filled on first use from one
-``np.bincount`` over fused (superstep, processor) keys, or a sort-based
-group-by when that dense grid would dwarf the message count.  Every
-memoised value lives on the trace instance in a small LRU, so it is
-released with the trace (traces are immutable, so nothing invalidates
-it).  The original superstep-by-superstep computations are kept as the
-``*_reference`` functions and property-tested bit-identical to the
-kernels.
+The table holds ``c`` per representative message, the cross-message
+counts of every level and superstep (one ``np.bincount`` over
+(representative, c), a cumulative sum along ``c``, then the gather) and
+the per-label superstep counts.  A level's degree row, and the ``F`` row
+built from it with every superstep's own label, is filled on first use
+from one ``np.bincount`` over fused (representative, processor) keys, or
+a sort-based group-by when that dense grid would dwarf the message
+count.  The folded trace is the representatives' folded messages
+gathered into superstep order, and inherits the pattern.  Every memoised
+value lives on the trace instance in a small LRU, so it is released with
+the trace (traces are immutable, so nothing invalidates it).  The
+superstep-by-superstep oracles the kernels are property-tested against
+live with the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.util.caches import LRU
 from repro.util.intmath import ilog2
@@ -48,11 +55,6 @@ __all__ = [
     "S_vector",
     "fold_trace",
     "fold_message_counts",
-    "fold_degrees_reference",
-    "F_vector_reference",
-    "S_vector_reference",
-    "fold_trace_reference",
-    "fold_message_counts_reference",
     "clear_fold_cache",
     "fold_cache_stats",
 ]
@@ -84,11 +86,11 @@ fold_cache_stats = FOLD_CACHE.stats
 
 
 def _local_maxsize(v: int) -> int:
-    """Entries of a trace's fold memo: its table plus, at each of the
-    ``log v + 1`` values of ``p`` it folds to, the folded trace, the
-    level row and the phase legs of both shipped routing policies
-    (:func:`repro.networks.routing.fold_legs`)."""
-    return 1 + 4 * (ilog2(v) + 1)
+    """Entries of a trace's fold memo: its representative sub-trace and
+    its table plus, at each of the ``log v + 1`` values of ``p`` it
+    folds to, the folded trace, the level row and the phase legs of both
+    shipped routing policies (:func:`repro.networks.routing.fold_legs`)."""
+    return 2 + 4 * (ilog2(v) + 1)
 
 
 def _trace_cached(trace: Trace, key: tuple, compute: Callable[[], _T]) -> _T:
@@ -110,13 +112,14 @@ def _frozen(value: _T) -> _T:
     """Mark a cached result read-only: shared across callers, so an
     in-place mutation would silently poison every future lookup.  The
     arrays of a (nested) tuple and the four columns of a
-    :class:`~repro.machine.trace.Trace` are frozen in turn."""
+    :class:`~repro.machine.trace.Trace` are frozen in turn; ``None``
+    entries are left alone."""
     if isinstance(value, tuple):
         for item in value:
             _frozen(item)
     elif isinstance(value, Trace):
         _frozen((value.labels, value.offsets, value.src, value.dst))
-    else:
+    elif value is not None:
         value.setflags(write=False)
     return value
 
@@ -124,8 +127,40 @@ def _frozen(value: _T) -> _T:
 # ----------------------------------------------------------------------
 # Columnar kernels
 # ----------------------------------------------------------------------
+def _distinct(trace: Trace) -> tuple[Trace, np.ndarray]:
+    """``(reps, rank)``: the trace of ``trace``'s representative
+    supersteps (those with ``pattern[s] == s``, in order; ``trace``
+    itself when nothing repeats) and, per superstep, the index of its
+    representative in it.  Cached per trace."""
+
+    def compute() -> tuple[Trace | None, np.ndarray]:
+        pattern = trace.pattern
+        own = pattern == np.arange(pattern.size)
+        rank = np.cumsum(own) - 1
+        if own.all():
+            # Not the trace itself: a trace in its own memo is a cycle.
+            return _frozen((None, rank))
+        counts = trace.counts[own]
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        keep = np.repeat(own, trace.counts)
+        reps = Trace(
+            trace.v,
+            trace.labels[own],
+            offsets,
+            trace.src[keep],
+            trace.dst[keep],
+            np.arange(counts.size),
+        )
+        return _frozen((reps, rank[pattern]))
+
+    reps, rank = _trace_cached(trace, ("distinct",), compute)
+    return (trace if reps is None else reps), rank
+
+
 class _FoldTable(NamedTuple):
-    #: Leading bits each message's ``src`` and ``dst`` share (int8).
+    #: Leading bits each representative message's ``src`` and ``dst``
+    #: share (int8), in the layout of :func:`_distinct`'s sub-trace.
     c: np.ndarray
     #: ``(log v + 1) x S``: row ``j`` counts each superstep's messages
     #: crossing the fold onto ``2^j`` processors (``c < j``).
@@ -139,21 +174,25 @@ def _table(trace: Trace) -> _FoldTable:
 
     The kernels rely on cluster legality (a message of an i-superstep
     shares its ``i`` leading bits, ``c >= i``), so it is checked here on
-    the counts rows, once per trace, and a violating trace is
-    rejected loudly rather than silently under-counted.
+    the gathered counts rows with every superstep's own label, once per
+    trace, and a violating trace is rejected loudly rather than silently
+    under-counted.
     """
 
     def compute() -> _FoldTable:
         logv = ilog2(trace.v)
         S = trace.num_supersteps
         labels = trace.labels
+        reps, rank = _distinct(trace)
+        R = reps.num_supersteps
         # frexp's exponent is the bit length (exact below 2^53).
-        c = (logv - np.frexp(trace.src ^ trace.dst)[1]).astype(np.int8)
+        c = (logv - np.frexp(reps.src ^ reps.dst)[1]).astype(np.int8)
         hist = np.bincount(
-            trace.superstep_index() * (logv + 1) + c, minlength=S * (logv + 1)
-        ).reshape(S, logv + 1)
-        counts = np.zeros((logv + 1, S), dtype=np.int64)
-        np.cumsum(hist[:, :logv].T, axis=0, out=counts[1:])
+            reps.superstep_index() * (logv + 1) + c, minlength=R * (logv + 1)
+        ).reshape(R, logv + 1)
+        rep_counts = np.zeros((logv + 1, R), dtype=np.int64)
+        np.cumsum(hist[:, :logv].T, axis=0, out=rep_counts[1:])
+        counts = rep_counts[:, rank]
         if not getattr(trace, "is_validated", False):
             high = (trace.counts > 0) & (labels >= max(logv, 1))
             if high.any():
@@ -176,34 +215,37 @@ def _table(trace: Trace) -> _FoldTable:
 def _level(trace: Trace, j: int) -> tuple[np.ndarray, np.ndarray]:
     """``(h_s(n, 2^j) per superstep, F(n, 2^j))``, filled on first use.
 
+    Degrees are computed once per representative and gathered.
     Processor ids come from bit shifts of the crossing messages, and
-    (superstep, processor) pairs fuse into a single key so one
+    (representative, processor) pairs fuse into a single key so one
     ``bincount`` yields the whole send/receive count grid; falls back to
-    a sort-based group-by when the dense ``S x 2^j`` grid would dwarf
+    a sort-based group-by when the dense ``R x 2^j`` grid would dwarf
     the message count (long sparse traces folded onto many processors).
     """
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         table = _table(trace)
-        S = trace.num_supersteps
-        deg = np.zeros(S, dtype=np.int64)
+        reps, rank = _distinct(trace)
+        R = reps.num_supersteps
+        deg = np.zeros(R, dtype=np.int64)
         if table.counts[j].any():
             p = 1 << j
             cross = table.c < j
-            sidx = trace.superstep_index()[cross]
+            sidx = reps.superstep_index()[cross]
             shift = ilog2(trace.v) - j
-            sp = trace.src[cross] >> shift
-            dp = trace.dst[cross] >> shift
-            grid = S * p
+            sp = reps.src[cross] >> shift
+            dp = reps.dst[cross] >> shift
+            grid = R * p
             if grid <= max(4 * sp.size, 1 << 20):
                 key = sidx * p
-                sent = np.bincount(key + sp, minlength=grid).reshape(S, p)
-                recv = np.bincount(key + dp, minlength=grid).reshape(S, p)
+                sent = np.bincount(key + sp, minlength=grid).reshape(R, p)
+                recv = np.bincount(key + dp, minlength=grid).reshape(R, p)
                 deg = np.maximum(sent.max(axis=1), recv.max(axis=1)).astype(np.int64)
             else:
                 for procs in (sp, dp):
                     uniq, counts = np.unique(sidx * p + procs, return_counts=True)
                     np.maximum.at(deg, uniq // p, counts)
+        deg = deg[rank]
         keep = trace.labels < j
         F = np.bincount(trace.labels[keep], weights=deg[keep], minlength=j)
         return _frozen((deg, F.astype(np.int64)))
@@ -254,119 +296,43 @@ def fold_trace(trace: Trace, p: int) -> Trace:
     lost all their messages are kept — they still cost a synchronisation
     on the folded machine.
 
-    Built from the fold table: the messages with ``c < log p`` and the
-    table's counts row.  The folded trace is memoised per ``(trace, p)``
-    in the trace's own memo, so every call returns the same immutable
-    object and its own memos (``superstep_index``, its folds) are shared
-    by every caller.
+    Built from the fold table: the representatives' messages with
+    ``c < log p``, gathered into superstep order by the table's counts
+    row.  The folded trace inherits the pattern: equal supersteps fold
+    to equal supersteps.  It is memoised per ``(trace, p)`` in the
+    trace's own memo, so every call returns the same immutable object
+    and its own memos (``superstep_index``, its folds) are shared by
+    every caller.
     """
     logp = _check_fold(trace.v, p)
 
     def compute() -> Trace:
         table = _table(trace)  # legality gate, same contract as the degrees
+        reps, rank = _distinct(trace)
         shift = ilog2(trace.v) - logp
         ss_kept = trace.labels < logp
-        msg_kept = table.c < logp
         new_counts = table.counts[logp][ss_kept]
         offsets = np.zeros(new_counts.size + 1, dtype=np.int64)
         np.cumsum(new_counts, out=offsets[1:])
+        msg_kept = table.c < logp
+        src = reps.src[msg_kept] >> shift
+        dst = reps.dst[msg_kept] >> shift
+        kept_rank = rank[ss_kept]
+        if reps is not trace:
+            # Each kept superstep's messages are its representative's.
+            rep_counts = np.empty(reps.num_supersteps, dtype=np.int64)
+            rep_counts[rank] = table.counts[logp]
+            rep_start = np.cumsum(rep_counts) - rep_counts
+            at = np.repeat(rep_start[kept_rank] - offsets[:-1], new_counts)
+            at += np.arange(offsets[-1])
+            src, dst = src[at], dst[at]
+        # A class whose first member folded away is represented by its
+        # first kept member.
+        classes, first = np.unique(kept_rank, return_index=True)
+        first_kept = np.empty(reps.num_supersteps, dtype=np.int64)
+        first_kept[classes] = first
         return _frozen(Trace(
-            p,
-            trace.labels[ss_kept],
-            offsets,
-            trace.src[msg_kept] >> shift,
-            trace.dst[msg_kept] >> shift,
+            p, trace.labels[ss_kept], offsets, src, dst, first_kept[kept_rank]
         ))
 
     return _trace_cached(trace, ("fold", p), compute)
-
-
-# ----------------------------------------------------------------------
-# Superstep-by-superstep reference implementations
-# ----------------------------------------------------------------------
-# These are the original superstep-by-superstep computations, retained as
-# the oracle the vectorised kernels are property-tested against.
-
-
-def _degree(v: int, p: int, src: np.ndarray, dst: np.ndarray) -> int:
-    """Degree ``h_s(n, p)`` of one superstep folded onto ``p`` processors.
-
-    Under folding, processor ``r`` of ``M(p)`` carries VPs
-    ``[r*(v/p), (r+1)*(v/p))``; only messages crossing a processor
-    boundary are communicated.  The degree is the maximum over
-    processors of messages sent *or* received (the h of the
-    h-relation, Section 2).
-    """
-    block = v // p
-    sp = src // block
-    dp = dst // block
-    cross = sp != dp
-    if not cross.any():
-        return 0
-    sent = np.bincount(sp[cross], minlength=p)
-    recv = np.bincount(dp[cross], minlength=p)
-    return int(max(sent.max(), recv.max()))
-
-
-def _message_count(v: int, p: int, src: np.ndarray, dst: np.ndarray) -> int:
-    """Cross-processor messages of one superstep under folding to ``p``."""
-    block = v // p
-    return int(np.count_nonzero(src // block != dst // block))
-
-
-def _supersteps(trace: Trace):
-    """``(label, src, dst)`` of every superstep, in order."""
-    return (trace.superstep(s) for s in range(trace.num_supersteps))
-
-
-def fold_degrees_reference(trace: Trace, p: int) -> np.ndarray:
-    """Superstep-by-superstep ``h_s(n, p)`` (oracle for :func:`fold_degrees`)."""
-    _check_fold(trace.v, p)
-    return np.array(
-        [_degree(trace.v, p, src, dst) for _, src, dst in _supersteps(trace)],
-        dtype=np.int64,
-    )
-
-
-def fold_message_counts_reference(trace: Trace, p: int) -> np.ndarray:
-    """Superstep-by-superstep cross-message counts (oracle)."""
-    _check_fold(trace.v, p)
-    return np.array(
-        [_message_count(trace.v, p, src, dst) for _, src, dst in _supersteps(trace)],
-        dtype=np.int64,
-    )
-
-
-def F_vector_reference(trace: Trace, p: int) -> np.ndarray:
-    """Superstep-by-superstep ``F^i(n, p)`` (oracle for :func:`F_vector`)."""
-    logp = _check_fold(trace.v, p)
-    out = np.zeros(logp, dtype=np.int64)
-    for label, src, dst in _supersteps(trace):
-        if label < logp:
-            out[label] += _degree(trace.v, p, src, dst)
-    return out
-
-
-def S_vector_reference(trace: Trace, p: int) -> np.ndarray:
-    """Superstep-by-superstep ``S^i(n)`` (oracle for :func:`S_vector`)."""
-    logp = _check_fold(trace.v, p)
-    out = np.zeros(logp, dtype=np.int64)
-    for label, _, _ in _supersteps(trace):
-        if label < logp:
-            out[label] += 1
-    return out
-
-
-def fold_trace_reference(trace: Trace, p: int) -> Trace:
-    """Superstep-by-superstep folded trace (oracle for :func:`fold_trace`)."""
-    logp = _check_fold(trace.v, p)
-    block = trace.v // p
-    folded = ScheduleBuilder(p)
-    for label, src, dst in _supersteps(trace):
-        if label >= logp:
-            continue
-        sp = src // block
-        dp = dst // block
-        cross = sp != dp
-        folded.superstep(label, sp[cross], dp[cross])
-    return folded.build()

@@ -8,7 +8,10 @@ their communication into a :class:`ScheduleBuilder`, one
 superstep's messages at once (or one ``supersteps`` call per CSR batch),
 and ``build()`` freezes the recording into an immutable columnar
 :class:`~repro.machine.trace.Trace`.  A sub-schedule that repeats is
-recorded once in its own builder and appended with ``extend``.  The trace is
+recorded once in its own builder and appended with ``extend``, and
+``build()`` maps each repeat to its first copy in the trace's
+:attr:`~repro.machine.trace.Trace.pattern` column, hashing the content
+of each distinct endpoint array only once.  The trace is
 then validated (:meth:`~repro.machine.trace.Trace.validate`), folded and
 analysed with whole-array NumPy kernels; nothing records into a trace
 after it is built.
@@ -41,6 +44,8 @@ class ScheduleBuilder:
         # Endpoint blocks: one per superstep() call, one per supersteps().
         self._srcs: list[np.ndarray] = []
         self._dsts: list[np.ndarray] = []
+        # Supersteps of each supersteps() block; None for a superstep().
+        self._batches: list[int | None] = []
 
     @property
     def num_supersteps(self) -> int:
@@ -63,6 +68,7 @@ class ScheduleBuilder:
         self._counts.append(src.size)
         self._srcs.append(src)
         self._dsts.append(dst)
+        self._batches.append(None)
 
     def supersteps(
         self, labels: np.ndarray, offsets: np.ndarray, src: np.ndarray, dst: np.ndarray
@@ -80,6 +86,7 @@ class ScheduleBuilder:
         self._counts.extend(np.diff(offsets).tolist())
         self._srcs.append(src)
         self._dsts.append(dst)
+        self._batches.append(labels.size)
 
     def extend(self, other: "ScheduleBuilder") -> None:
         """Append every superstep recorded in ``other``, in order.
@@ -94,6 +101,28 @@ class ScheduleBuilder:
         self._counts.extend(other._counts)
         self._srcs.extend(other._srcs)
         self._dsts.extend(other._dsts)
+        self._batches.extend(other._batches)
+
+    def _pattern(self) -> np.ndarray:
+        """The built trace's ``pattern``: every :meth:`superstep` maps to
+        the first one with the same endpoints (keyed by array identity
+        first, so a shared sub-schedule is hashed once); the supersteps
+        of a :meth:`supersteps` batch map to themselves."""
+        pattern = np.arange(len(self._labels), dtype=np.int64)
+        by_array: dict[tuple[int, int], int] = {}
+        by_content: dict[tuple[bytes, bytes], int] = {}
+        s = 0
+        for src, dst, batch in zip(self._srcs, self._dsts, self._batches):
+            if batch is not None:
+                s += batch
+                continue
+            rep = by_array.get((id(src), id(dst)))
+            if rep is None:
+                rep = by_content.setdefault((src.tobytes(), dst.tobytes()), s)
+                by_array[id(src), id(dst)] = rep
+            pattern[s] = rep
+            s += 1
+        return pattern
 
     def build(self) -> Trace:
         """Freeze the recorded supersteps into an immutable columnar Trace."""
@@ -107,6 +136,7 @@ class ScheduleBuilder:
             offsets,
             np.concatenate(self._srcs) if self._srcs else empty,
             np.concatenate(self._dsts) if self._dsts else empty,
+            self._pattern(),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,6 +21,18 @@ Algorithms record one through
 :class:`~repro.machine.program.ScheduleBuilder`; :meth:`Trace.superstep`
 reads one superstep back as zero-copy views.
 
+Static schedules repeat whole supersteps, so a trace also carries a
+read-only :attr:`Trace.pattern` column: ``pattern[s]`` is the index of
+an earlier or equal superstep with identical ``src``/``dst`` (labels are
+ignored), and ``pattern[pattern[s]] == pattern[s]``, so every class of
+equal supersteps has one *representative* that maps to itself.  The
+builder fills it from the endpoint arrays it shares, :meth:`Trace.concat`
+maps it through, and any other trace computes it from content on first
+use.  It need not join every pair of equal supersteps: two equal
+representatives only cost a repeat.  Layers that price a superstep from
+its content alone (validation, the fold table, dimension-order routing)
+work on the representatives and gather through ``pattern``.
+
 Traces deliberately do not store payloads: the paper's metrics are
 payload-independent, and dropping values keeps traces compact enough to
 analyse runs with millions of messages.
@@ -42,6 +54,7 @@ __all__ = [
     "ClusterViolation",
     "Trace",
     "check_csr",
+    "content_pattern",
 ]
 
 #: Monotone ids distinguishing Trace instances in cross-module caches
@@ -83,6 +96,62 @@ def check_csr(
         raise ValueError("offsets decrease")
 
 
+#: Odd 64-bit multipliers of the content hash: one per message field
+#: (src, dst, place in the superstep), then splitmix64's two finalizer
+#: constants.
+_K_SRC, _K_DST, _K_POS, _M1, _M2 = (np.uint64(k) for k in (
+    0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0xD6E8FEB86659FD93,
+    0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+))
+
+
+def content_pattern(
+    offsets: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """The :attr:`Trace.pattern` of a CSR record, from its content.
+
+    Each superstep is keyed by its message count and the sum of a 64-bit
+    hash of each message and its place in the superstep (so the same
+    messages in another order get another key); supersteps with equal
+    keys map to the first of them, and every such match is then
+    confirmed message by message, so a hash collision only leaves the
+    later superstep its own representative.
+    """
+    S = offsets.size - 1
+    pattern = np.arange(S, dtype=np.int64)
+    if S < 2:
+        return pattern
+    counts = np.diff(offsets)
+    with np.errstate(over="ignore"):
+        h = np.arange(src.size, dtype=np.uint64)
+        h -= np.repeat(offsets[:-1], counts).view(np.uint64)
+        h *= _K_POS
+        h += src.view(np.uint64) * _K_SRC
+        h += dst.view(np.uint64) * _K_DST
+        for shift, mult in ((30, _M1), (27, _M2)):
+            h ^= h >> np.uint64(shift)
+            h *= mult
+        h ^= h >> np.uint64(31)
+        key = counts.view(np.uint64) * _K_POS
+        full = np.flatnonzero(counts)
+        if full.size:
+            key[full] += np.add.reduceat(h, offsets[full])
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    cand = first[cls.ravel()]
+    repeat = cand != pattern
+    pattern[repeat] = cand[repeat]
+    (moved,) = np.nonzero(repeat & (counts > 0))
+    if moved.size:
+        n = counts[moved]
+        at = np.repeat(offsets[moved] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        there = at + np.repeat(offsets[cand[moved]] - offsets[moved], n)
+        differ = (src[at] != src[there]) | (dst[at] != dst[there])
+        if differ.any():
+            bad = np.unique(np.repeat(moved, n)[differ])
+            pattern[bad] = bad
+    return pattern
+
+
 def _column(a) -> np.ndarray:
     """``a`` as a contiguous ``int64`` array, frozen in place (no copy
     when it already is one)."""
@@ -100,6 +169,10 @@ class Trace:
     the caller hands over ownership.  The constructor is O(1) and checks
     only that ``v`` is a power of two; :meth:`validate` checks the rest.
 
+    ``pattern`` (see :attr:`pattern`) is taken on trust from a caller
+    that knows which supersteps repeat; without it the trace computes
+    the column from content on first use.
+
     Each instance carries a fresh :attr:`cache_token` and its own fold
     memo, so two traces over the same arrays never share cached results.
     """
@@ -111,6 +184,7 @@ class Trace:
         offsets: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
+        pattern: np.ndarray | None = None,
     ) -> None:
         ilog2(v)  # validates power of two
         self.v = v
@@ -118,6 +192,7 @@ class Trace:
         self.offsets = _column(offsets)
         self.src = _column(src)
         self.dst = _column(dst)
+        self._pattern = None if pattern is None else _column(pattern)
         #: Whether the trace passed :meth:`validate`; folding kernels
         #: skip their own cluster-legality pass when it did.
         self.is_validated = False
@@ -147,6 +222,16 @@ class Trace:
         """Messages per superstep."""
         return np.diff(self.offsets)
 
+    @property
+    def pattern(self) -> np.ndarray:
+        """Per superstep, the index of its representative: an earlier or
+        equal superstep with identical ``src``/``dst`` that maps to
+        itself (read-only; computed from content on first use when the
+        trace was built without one)."""
+        if self._pattern is None:
+            self._pattern = _column(content_pattern(self.offsets, self.src, self.dst))
+        return self._pattern
+
     def superstep(self, s: int) -> tuple[int, np.ndarray, np.ndarray]:
         """``(label, src, dst)`` of superstep ``s`` (views, no copies)."""
         lo, hi = int(self.offsets[s]), int(self.offsets[s + 1])
@@ -175,11 +260,12 @@ class Trace:
     # Verification and composition
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check the CSR shape (:func:`check_csr`), label range, endpoint
-        bounds and the i-cluster constraint (a message of an i-superstep
-        may only connect VPs sharing the ``i`` most significant index
-        bits) in whole-array passes, then mark the trace
-        :attr:`is_validated`.
+        """Check the CSR shape (:func:`check_csr`), label range, the
+        :attr:`pattern` invariant, endpoint bounds and the i-cluster
+        constraint (a message of an i-superstep may only connect VPs
+        sharing the ``i`` most significant index bits) in whole-array
+        passes, then mark the trace :attr:`is_validated`.  Endpoints are
+        read once per representative superstep.
 
         Raises :class:`ClusterViolation` for the first cluster crossing,
         :class:`ValueError` for any other violation.
@@ -194,22 +280,43 @@ class Trace:
                 f"superstep {t}: label {int(labels[t])} outside [0, {max_label}) "
                 f"for v={v}"
             )
+        pattern, counts = self.pattern, self.counts
+        if pattern.shape != labels.shape or (
+            labels.size
+            and (
+                pattern.min() < 0
+                or (pattern > np.arange(labels.size)).any()
+                or (pattern[pattern] != pattern).any()
+                or (counts[pattern] != counts).any()
+            )
+        ):
+            raise ValueError(
+                "pattern must map every superstep to an earlier or equal "
+                "representative of the same size that maps to itself"
+            )
         if src.size:
+            # Lazy: folding builds on this module.
+            from repro.machine.folding import _distinct
+
+            reps, rank = _distinct(self)
             # v is a power of two: src | dst is negative iff an endpoint
             # is, and reaches v iff an endpoint does.
-            ends = src | dst
+            ends = reps.src | reps.dst
             if ends.min() < 0 or ends.max() >= v:
                 raise ValueError(f"message endpoint outside [0, {v})")
             # Endpoints share an i-cluster iff they agree above their low
             # log(v) - i bits, i.e. src ^ dst < v >> i (always, for i = 0):
-            # compare each superstep's largest src ^ dst with its limit.
-            xor = np.bitwise_xor(src, dst, out=ends)
-            full = np.flatnonzero(self.counts)
-            over = np.maximum.reduceat(xor, self.offsets[full]) >= v >> labels[full]
+            # compare each superstep's largest src ^ dst, taken once per
+            # representative, with its own limit.
+            xor = np.bitwise_xor(reps.src, reps.dst, out=ends)
+            top = np.zeros(reps.num_supersteps, dtype=np.int64)
+            full = np.flatnonzero(reps.counts)
+            top[full] = np.maximum.reduceat(xor, reps.offsets[full])
+            over = top[rank] >= v >> labels
             if over.any():
-                s = int(full[np.argmax(over)])
+                s = int(np.argmax(over))
                 lo, hi = int(self.offsets[s]), int(self.offsets[s + 1])
-                m = lo + int(np.argmax(xor[lo:hi] >= v >> int(labels[s])))
+                m = lo + int(np.argmax((src[lo:hi] ^ dst[lo:hi]) >= v >> int(labels[s])))
                 raise ClusterViolation(
                     f"superstep {s} (label {int(labels[s])}): message "
                     f"{int(src[m])}->{int(dst[m])} crosses its "
@@ -219,7 +326,8 @@ class Trace:
 
     @staticmethod
     def concat(traces: Sequence["Trace"]) -> "Trace":
-        """Concatenate traces on the same ``v`` in sequence order."""
+        """Concatenate traces on the same ``v`` in sequence order (each
+        part's :attr:`pattern` is shifted to its place)."""
         if not traces:
             raise ValueError("need at least one trace")
         v = traces[0].v
@@ -228,12 +336,14 @@ class Trace:
         counts = np.concatenate([t.counts for t in traces])
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        first = np.cumsum([0] + [t.num_supersteps for t in traces[:-1]])
         return Trace(
             v,
             np.concatenate([t.labels for t in traces]),
             offsets,
             np.concatenate([t.src for t in traces]),
             np.concatenate([t.dst for t in traces]),
+            np.concatenate([t.pattern + f for t, f in zip(traces, first)]),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -41,7 +41,11 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Load a trace written by :func:`save_trace` (validated on load)."""
+    """Load a trace written by :func:`save_trace` (validated on load).
+
+    The archive holds no ``pattern``: validation computes it from the
+    loaded content.
+    """
     with np.load(Path(path)) as data:
         version = int(data["format_version"])
         if version != _FORMAT_VERSION:

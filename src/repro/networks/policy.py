@@ -214,9 +214,20 @@ class RoutingPolicy:
     A third-party policy overrides :meth:`phase_legs` (and
     :meth:`cache_key` when it has parameters) and registers a
     constructor in :data:`POLICIES`.
+
+    :attr:`legs_from_content` is part of the contract, declared by the
+    class and not a user option: ``True`` promises that a superstep's
+    legs depend on its own ``src``/``dst`` alone (not on its label, its
+    ordinal or any other superstep), so the analytic router
+    (:func:`~repro.networks.routing.compute_route`) routes only one
+    representative of each class of equal supersteps
+    (:attr:`~repro.machine.trace.Trace.pattern`) and gathers its
+    congestion and dilation.  It is ``False`` by default: a policy that
+    draws per superstep (:class:`ValiantPolicy`) must keep it so.
     """
 
     name: str = "policy"
+    legs_from_content: bool = False
 
     def cache_key(self) -> tuple:
         """Hashable identity used to memoise routed profiles."""
@@ -255,6 +266,7 @@ class DimensionOrderPolicy(RoutingPolicy):
     """Deterministic single-phase routing along the topology's own paths."""
 
     name = "dimension-order"
+    legs_from_content = True
 
     def phase_legs(self, topo, labels, offsets, src, dst):
         return [(src, dst)]

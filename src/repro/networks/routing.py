@@ -17,7 +17,12 @@ Whole traces are routed by :func:`route_trace`: one pass over the folded
 trace's columnar superstep ranges (no per-superstep objects).  The policy's
 phase legs come from :func:`fold_legs`, drawn once per (folded trace,
 p, policy) and memoised beside the fold on the trace itself, so every
-topology and every sim cell of a sweep reuses one draw.  Each leg goes
+topology and every sim cell of a sweep reuses one draw.  A policy whose
+legs depend on a superstep's endpoints alone
+(:attr:`~repro.networks.policy.RoutingPolicy.legs_from_content`, as
+dimension-order routing) is routed on the folded trace's representative
+supersteps only (:attr:`~repro.machine.trace.Trace.pattern`), and their
+congestion and dilation are gathered to every superstep.  Each leg goes
 through the topology's fused ``route_loads_multi`` kernel in superstep
 blocks of at most ``2**21`` (superstep, edge) cells and ``2**15``
 messages, and the resulting :class:`RoutedProfile` is memoised exactly
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.folding import _frozen, _trace_cached, fold_trace
+from repro.machine.folding import _distinct, _frozen, _trace_cached, fold_trace
 from repro.machine.trace import Trace
 from repro.networks.policy import DimensionOrderPolicy, RoutingPolicy
 from repro.networks.topology import Topology
@@ -197,7 +202,35 @@ def compute_route(
 ) -> RoutedProfile:
     """:func:`route_trace`'s uncached body: the same profile, computed
     afresh and never looked up in or added to ``ROUTE_CACHE``."""
-    folded, legs = fold_legs(trace, topo, policy)
+    if policy.legs_from_content:
+        folded = fold_trace(trace, topo.p)
+        reps, rank = _distinct(folded)
+        legs = policy.phase_legs(topo, reps.labels, reps.offsets, reps.src, reps.dst)
+        congestion, dilation = _route_blocks(topo, reps, legs)
+        congestion, dilation = congestion[rank], dilation[rank]
+    else:
+        folded, legs = fold_legs(trace, topo, policy)
+        congestion, dilation = _route_blocks(topo, folded, legs)
+    time = congestion + dilation + 1.0
+    for arr in (congestion, dilation, time):
+        arr.setflags(write=False)
+    return RoutedProfile(
+        topology=topo.name,
+        policy=policy.name,
+        p=topo.p,
+        labels=folded.labels,
+        congestion=congestion,
+        dilation=dilation,
+        time=time,
+    )
+
+
+def _route_blocks(
+    topo: Topology, folded: Trace, legs: Legs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-superstep (congestion, dilation) of ``legs`` over ``folded``,
+    routed in superstep blocks of at most ``2**21`` (superstep, edge)
+    cells and ``2**15`` messages."""
     S, offsets = folded.num_supersteps, folded.offsets
     sidx = folded.superstep_index()
     congestion = np.zeros(S)
@@ -213,15 +246,4 @@ def compute_route(
             topo, block, sidx[lo:hi] - first, last - first
         )
         first = last
-    time = congestion + dilation + 1.0
-    for arr in (congestion, dilation, time):
-        arr.setflags(write=False)
-    return RoutedProfile(
-        topology=topo.name,
-        policy=policy.name,
-        p=topo.p,
-        labels=folded.labels,
-        congestion=congestion,
-        dilation=dilation,
-        time=time,
-    )
+    return congestion, dilation

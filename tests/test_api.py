@@ -240,9 +240,10 @@ class TestCacheStats:
         assert route_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
     def test_fold_cache_reports_evictions(self):
-        # Each trace's fold memo holds its table, and at each p the fold,
-        # the level row and two policies' legs; more Valiant seeds at one
-        # p than that leaves room for must evict the oldest legs.
+        # Each trace's fold memo holds its representative sub-trace and
+        # its table, and at each p the fold, the level row and two
+        # policies' legs; more Valiant seeds at one p than that leaves
+        # room for must evict the oldest entries.
         import repro.machine.folding as folding
         from repro.networks.policy import ValiantPolicy
         from repro.networks.routing import fold_legs
@@ -254,12 +255,13 @@ class TestCacheStats:
         for seed in range(room + 3):
             fold_legs(trace, topo, ValiantPolicy(seed))
         stats = fold_cache_stats()
-        # table + fold + room + 3 legs: 5 more entries than there is room.
-        assert stats["misses"] == room + 5
-        assert stats["evictions"] == 5
+        # sub-trace (made by validation) + table + fold + room + 3 legs:
+        # 6 more entries than there is room.
+        assert stats["misses"] == room + 6
+        assert stats["evictions"] == 6
         # The fold is read by every draw, so it survives.
         fold_trace(trace, 8)
-        assert fold_cache_stats()["evictions"] == 5
+        assert fold_cache_stats()["evictions"] == 6
         assert fold_cache_stats()["hits"] == stats["hits"] + 1
         clear_fold_cache()
         assert fold_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}

@@ -2,8 +2,8 @@
 
 The vectorised ``fold_degrees``/``F_vector``/``S_vector``/``fold_trace``/
 ``fold_message_counts`` must be *bit-identical* to the original
-superstep-by-superstep implementations (kept as ``*_reference``) on arbitrary
-legal traces — this is the contract that lets every downstream metric
+superstep-by-superstep implementations (the ``*_reference`` oracles of
+``tests/fold_oracles.py``) on arbitrary legal traces — this is the contract that lets every downstream metric
 switch to the fast kernels without re-deriving anything.
 """
 
@@ -14,21 +14,23 @@ from hypothesis import strategies as st
 
 from repro.machine.folding import (
     F_vector,
-    F_vector_reference,
     S_vector,
-    S_vector_reference,
     clear_fold_cache,
     fold_degrees,
-    fold_degrees_reference,
     fold_message_counts,
-    fold_message_counts_reference,
     fold_trace,
-    fold_trace_reference,
 )
 from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 
 from conftest import all_folds, make_trace, random_trace
+from fold_oracles import (
+    F_vector_reference,
+    S_vector_reference,
+    fold_degrees_reference,
+    fold_message_counts_reference,
+    fold_trace_reference,
+)
 
 COLUMNS = ("labels", "offsets", "src", "dst")
 

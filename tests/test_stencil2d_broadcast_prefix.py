@@ -49,6 +49,38 @@ class TestStencil2D:
         assert fold_degrees(sch.trace, 64).max() <= 3
 
 
+class TestStencil2DAdapt:
+    """The structural oracle tests one superstep per class of equal
+    supersteps; a changed copy is its own class and is still tested."""
+
+    def test_emitted_schedule_is_correct(self):
+        res = stencil2d._api_emit(8, None)
+        assert stencil2d._api_adapt(res) == {"correct": True}
+
+    def test_late_copy_with_a_heavy_sender_is_caught(self):
+        import dataclasses
+
+        from repro.machine.trace import Trace
+
+        res = stencil2d._api_emit(8, None)
+        t = res.trace
+        pattern = t.pattern
+        repeats = np.flatnonzero(pattern != np.arange(t.num_supersteps))
+        s = int(repeats[-1])  # the last copy of a repeated superstep
+        lo = int(t.offsets[s])
+        assert int(t.offsets[s + 1]) - lo >= 3
+        src = t.src.copy()
+        src[lo:lo + 3] = src[lo]  # one VP now sends 3 messages
+        dst = t.dst.copy()
+        dst[lo:lo + 3] = dst[lo]  # ... all along one legal pair
+        mutated = Trace(t.v, t.labels, t.offsets, src, dst)
+        mutated.validate()
+        assert mutated.pattern[s] == s
+        wrong = dataclasses.replace(res, trace=mutated)
+        wrong.oracle_input = res.oracle_input
+        assert stencil2d._api_adapt(wrong) == {"correct": False}
+
+
 class TestBroadcast:
     @pytest.mark.parametrize("kappa", [2, 4, 8])
     def test_everyone_learns_value(self, rng, kappa):

@@ -9,13 +9,13 @@ from repro.machine.folding import (
     F_vector,
     S_vector,
     fold_degrees,
-    fold_degrees_reference,
     fold_message_counts,
     fold_trace,
 )
 from repro.machine.trace import Trace
 
 from conftest import all_folds, make_trace, random_trace
+from fold_oracles import fold_degrees_reference
 
 
 def brute_degree(src, dst, v, p):
