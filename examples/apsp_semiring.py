@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import shortest_path
 from repro import TraceMetrics
 from repro.algorithms import matmul
 from repro.algorithms.semiring import MIN_PLUS
-from repro.machine.trace import Trace
+from repro.machine.program import ScheduleBuilder
 
 
 def main(side: int = 16) -> None:
@@ -48,7 +48,10 @@ def main(side: int = 16) -> None:
     ok = np.allclose(np.where(np.isinf(dist), np.inf, dist), ref, equal_nan=True)
     print(f"\nAPSP matches scipy Floyd-Warshall: {ok}")
 
-    metrics = TraceMetrics(Trace.concat(traces))
+    squarings = ScheduleBuilder(traces[0].v)
+    for t in traces:
+        squarings.supersteps(t.labels, t.offsets, t.src, t.dst)
+    metrics = TraceMetrics(squarings.build())
     n = side * side
     print("\naccumulated communication of all squarings:")
     print(f"  {'p':>6} {'H(p, 0)':>10} {'H(p, 4)':>10}")

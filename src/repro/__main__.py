@@ -7,7 +7,7 @@ Three subcommands expose the experiment API without writing any Python:
     network topologies, routing policies, link arbiters and D-BSP
     machine presets.
 
-``python -m repro plan experiments.json [--executor shm] [--store results.db]``
+``python -m repro plan plan.json [--executor shm [--workers N]] [--store results.db]``
     Load a declarative :class:`~repro.api.plan.ExperimentPlan` from JSON
     (either an explicit ``{"cells": [...]}`` list or a ``{"grid": ...}``
     product spec), run it on any registered executor substrate —
@@ -61,9 +61,12 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.from_json(args.file)
-    frame = plan.run(
-        executor=args.executor, max_workers=args.workers, store=args.store
-    )
+    executor = args.executor
+    if args.workers is not None:
+        from repro.exec import ShmSubstrate
+
+        executor = ShmSubstrate(workers=args.workers)
+    frame = plan.run(executor=executor, store=args.store)
     print(frame)
     meta = frame.metadata
     if meta:
@@ -148,7 +151,10 @@ def main(argv: list[str] | None = None) -> int:
         help="executor substrate (default: $REPRO_EXECUTOR or serial)",
     )
     plan_p.add_argument(
-        "--workers", type=int, default=None, help="worker-pool size"
+        "--workers",
+        type=int,
+        default=None,
+        help="worker-pool size (needs --executor shm)",
     )
     plan_p.add_argument(
         "--store",
@@ -198,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "sim":
         return _cmd_sim(args)
+    if args.workers is not None and (args.executor != "shm" or args.workers < 1):
+        plan_p.error("--workers N needs --executor shm and N >= 1")
     return _cmd_plan(args)
 
 

@@ -26,8 +26,9 @@ sub-segment boundary (plus the paper's wiseness dummies), and base-level
 polyhedra contribute ``Theta(n_tau)`` wavefront supersteps — so every
 quantity in Theorem 4.13 is measurable from the trace.  The structure
 depends on ``n`` and ``k`` only, so the 17 stages are identical:
-:func:`generate` records one stage and replicates it with
-:meth:`~repro.machine.trace.Trace.concat`.  Value-level 2D
+:func:`generate` records one stage in its own builder and appends it
+once per stage with :meth:`~repro.machine.program.ScheduleBuilder.extend`.
+Value-level 2D
 stencils are validated separately by :mod:`repro.dag.stencil_dag`'s
 direct evaluator.
 """
@@ -41,7 +42,6 @@ import numpy as np
 from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
 from repro.core.theory import stencil_k
 from repro.machine.program import ScheduleBuilder
-from repro.machine.trace import Trace
 from repro.util.intmath import ilog2
 
 __all__ = ["generate", "Stencil2DSchedule", "STAGES"]
@@ -109,21 +109,21 @@ def generate(n: int, *, k: int | None = None, wise: bool = True,
     ilog2(n)
     v = n * n
     kk = k if k is not None else stencil_k(n)
-    builder = ScheduleBuilder(v)
     root = np.array([0], dtype=np.int64)
     levels = 0
     m = n
     while m >= kk and (v // (kk * kk) ** levels) >= kk * kk:
         levels += 1
         m //= kk
-    if stages > 0:
-        # Stage-opening 0-superstep: O(1) messages per VP.
-        _phase_superstep(builder, root, v, 0, wise)
-        _eval_polyhedron(builder, root, v, n, kk, wise)
-    stage = builder.build()
-    trace = Trace.concat([stage] * stages) if stages > 0 else stage
+    stage = ScheduleBuilder(v)
+    # Stage-opening 0-superstep: O(1) messages per VP.
+    _phase_superstep(stage, root, v, 0, wise)
+    _eval_polyhedron(stage, root, v, n, kk, wise)
+    builder = ScheduleBuilder(v)
+    for _ in range(stages):
+        builder.extend(stage)
     return Stencil2DSchedule.from_schedule(
-        trace, n, k=kk, phases_per_level=4 * kk - 3, levels=levels
+        builder.build(), n, k=kk, phases_per_level=4 * kk - 3, levels=levels
     )
 
 

@@ -555,7 +555,6 @@ class ExperimentPlan:
         self,
         *,
         executor: "str | Any | None" = None,
-        max_workers: int | None = None,
         check: bool = False,
         store: "str | Path | Any | None" = None,
         scheduler: str = "dag",
@@ -573,9 +572,10 @@ class ExperimentPlan:
         ``executor`` names the substrate the graph's waves run on, from
         the :mod:`repro.exec` registry — ``"serial"`` (in-line) or
         ``"shm"`` (a persistent worker pool over zero-copy
-        shared-memory sources; ``max_workers`` caps its size) — or is a
-        :class:`~repro.exec.Substrate` instance.  Default: the
-        ``REPRO_EXECUTOR`` environment variable, else ``"serial"``.
+        shared-memory sources) — or is a :class:`~repro.exec.Substrate`
+        instance such as ``ShmSubstrate(workers=4)``, which sets the
+        pool size.  Default: the ``REPRO_EXECUTOR`` environment
+        variable, else ``"serial"``.
         All substrates produce bit-identical rows; the frame's ``meta``
         records what actually ran (``executor_effective`` — substrates
         degrade gracefully and say so — plus any store statistics).
@@ -622,9 +622,7 @@ class ExperimentPlan:
                 keys, rows = store_hits(store, runtime)
             misses = [i for i in range(len(self.cells)) if i not in rows]
             if misses:
-                computed, meta = run_graph(
-                    runtime, substrate, misses, max_workers=max_workers
-                )
+                computed, meta = run_graph(runtime, substrate, misses)
                 info.update(meta)
                 rows.update(zip(misses, computed))
                 if store is not None:

@@ -43,13 +43,6 @@ __all__ = [
 ]
 
 
-#: Sim nodes per fused cycle loop.  On a 300-sim plan (five sources x
-#: p 4-64 x six topologies x two policies, 2-CPU x86 host), fusing every
-#: node at once peaked at 201 MB RSS against 113 MB in chunks of 32, and
-#: was no faster (2.1-2.5 s against 2.2-2.3 s).
-SIM_CHUNK = 32
-
-
 # ----------------------------------------------------------------------
 # Stage kernels
 # ----------------------------------------------------------------------
@@ -86,24 +79,15 @@ def _sim_kernel(nodes: list[tuple]) -> list:
     """Simulate ``(trace, topo, policy, arbiter, arbiter_seed, flits,
     routed)`` nodes, ``routed`` being the node's route profile.
 
-    Nodes are grouped by ``flits`` and run :data:`SIM_CHUNK` at a time
-    through one fused :func:`~repro.sim.engine.compute_sims` call.
+    All of them go to one :func:`~repro.sim.engine.compute_sims` call.
     """
     from repro.sim import by_arbiter
     from repro.sim.engine import compute_sims
 
-    out: list = [None] * len(nodes)
-    groups: dict[int, list[int]] = {}
-    for j, node in enumerate(nodes):
-        groups.setdefault(node[5], []).append(j)
-    for flits, idxs in groups.items():
-        for lo in range(0, len(idxs), SIM_CHUNK):
-            chunk = idxs[lo : lo + SIM_CHUNK]
-            items = [nodes[j][:3] + (by_arbiter(*nodes[j][3:5]),) for j in chunk]
-            routed = [nodes[j][6] for j in chunk]
-            for j, profile in zip(chunk, compute_sims(items, routed, flits)):
-                out[j] = profile
-    return out
+    return compute_sims(
+        [node[:3] + (by_arbiter(*node[3:5]), node[5]) for node in nodes],
+        [node[6] for node in nodes],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,11 +191,7 @@ class StageGraph:
 # Execution
 # ----------------------------------------------------------------------
 def run_graph(
-    runtime: Any,
-    substrate: "Substrate",
-    indices: Sequence[int],
-    *,
-    max_workers: int | None = None,
+    runtime: Any, substrate: "Substrate", indices: Sequence[int]
 ) -> tuple[list[tuple], dict]:
     """Rows for ``indices`` (in order) plus the run's metadata.
 
@@ -228,7 +208,7 @@ def run_graph(
     graph = StageGraph(runtime, indices)
     graph.counters["executed"] += len(runtime._tms) - sources_before
     meta: dict[str, Any] = {}
-    waves = substrate.open(runtime, indices, max_workers, meta)
+    waves = substrate.open(runtime, indices, meta)
     try:
         routed = _wave(graph, waves, "route", graph.route_nodes, ROUTE_CACHE, route_key)
         sim_nodes = {

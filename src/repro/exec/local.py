@@ -29,9 +29,7 @@ class Substrate:
 
     name = "serial"
 
-    def open(
-        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
-    ) -> "Substrate":
+    def open(self, runtime: Any, indices: list[int], meta: dict) -> "Substrate":
         """The substrate that runs one plan's waves, recording
         ``executor_effective`` (and any ``executor_downgrade``) in
         ``meta``.  Per-run state lives on the returned copy."""

@@ -184,10 +184,10 @@ def _pack_sources(runtime: Any) -> tuple[dict, SharedMemory]:
 class ShmSubstrate(Substrate):
     """Dispatch wave shards through the persistent shared-memory pool.
 
-    ``workers`` overrides the pool size (default: ``max_workers`` or
-    min(8, cells, cores)); plans under :data:`MIN_CELLS` cells run in-line;
-    ``force`` skips the single-CPU and tiny-plan gates (not the
-    shippability ones), so one-core hosts can exercise the real pool.
+    ``workers`` sets the pool size (default: min(8, cells, cores));
+    plans under :data:`MIN_CELLS` cells run in-line; ``force`` skips the
+    single-CPU and tiny-plan gates (not the shippability ones), so
+    one-core hosts can exercise the real pool.
     """
 
     name = "shm"
@@ -201,12 +201,12 @@ class ShmSubstrate(Substrate):
     failed = False
 
     def __init__(self, *, workers: int | None = None, force: bool = False) -> None:
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.pool_size = workers
         self.force = force
 
-    def open(
-        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
-    ) -> Substrate:
+    def open(self, runtime: Any, indices: list[int], meta: dict) -> Substrate:
         reason = None
         if not self.force and (os.cpu_count() or 1) <= 1:
             reason = "single-CPU host"
@@ -219,11 +219,7 @@ class ShmSubstrate(Substrate):
                 pickle.dumps((payload, [runtime.cells[i].policy for i in indices]))
                 workers = self.pool_size or max(
                     2 if self.force else 1,
-                    min(
-                        8 if max_workers is None else max(1, max_workers),
-                        max(1, len(indices)),
-                        os.cpu_count() or 1,
-                    ),
+                    min(8, max(1, len(indices)), os.cpu_count() or 1),
                 )
                 pool = _ensure_pool(workers)
             except Exception as err:  # a foreign source, a local policy class, ...
@@ -233,7 +229,7 @@ class ShmSubstrate(Substrate):
                 reason = f"unshippable plan or no pool ({err})"
         if reason is not None:
             meta["executor_downgrade"] = reason
-            return Substrate().open(runtime, indices, max_workers, meta)
+            return Substrate().open(runtime, indices, meta)
         run = copy.copy(self)
         run.pool, run.payload, run.block, run.workers = pool, payload, block, workers
         run.meta = meta

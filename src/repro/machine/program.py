@@ -8,10 +8,11 @@ their communication into a :class:`ScheduleBuilder`, one
 superstep's messages at once (or one ``supersteps`` call per CSR batch),
 and ``build()`` freezes the recording into an immutable columnar
 :class:`~repro.machine.trace.Trace`.  A sub-schedule that repeats is
-recorded once in its own builder and appended with ``extend``, and
-``build()`` maps each repeat to its first copy in the trace's
-:attr:`~repro.machine.trace.Trace.pattern` column, hashing the content
-of each distinct endpoint array only once.  The trace is
+recorded once in its own builder and appended with ``extend``, which
+shares its endpoint blocks.  ``build()`` fills the trace's
+:attr:`~repro.machine.trace.Trace.pattern` column from content
+(:func:`~repro.machine.trace.content_pattern`), hashing each distinct
+block only once.  The trace is
 then validated (:meth:`~repro.machine.trace.Trace.validate`), folded and
 analysed with whole-array NumPy kernels; nothing records into a trace
 after it is built.
@@ -19,12 +20,17 @@ after it is built.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.machine.trace import Trace, check_csr
+from repro.machine.trace import Trace, check_csr, content_pattern
 from repro.util.intmath import ilog2
 
 __all__ = ["ScheduleBuilder"]
+
+#: Ids of recorded endpoint blocks; ``extend`` copies a block's id with it.
+_block_ids = itertools.count()
 
 
 class ScheduleBuilder:
@@ -41,11 +47,12 @@ class ScheduleBuilder:
         self.logv = ilog2(v)
         self._labels: list[int] = []
         self._counts: list[int] = []
-        # Endpoint blocks: one per superstep() call, one per supersteps().
+        # Endpoint blocks: one per superstep() call, one per supersteps(),
+        # each with its id and its number of supersteps.
         self._srcs: list[np.ndarray] = []
         self._dsts: list[np.ndarray] = []
-        # Supersteps of each supersteps() block; None for a superstep().
-        self._batches: list[int | None] = []
+        self._ids: list[int] = []
+        self._sizes: list[int] = []
 
     @property
     def num_supersteps(self) -> int:
@@ -68,7 +75,8 @@ class ScheduleBuilder:
         self._counts.append(src.size)
         self._srcs.append(src)
         self._dsts.append(dst)
-        self._batches.append(None)
+        self._ids.append(next(_block_ids))
+        self._sizes.append(1)
 
     def supersteps(
         self, labels: np.ndarray, offsets: np.ndarray, src: np.ndarray, dst: np.ndarray
@@ -86,14 +94,15 @@ class ScheduleBuilder:
         self._counts.extend(np.diff(offsets).tolist())
         self._srcs.append(src)
         self._dsts.append(dst)
-        self._batches.append(labels.size)
+        self._ids.append(next(_block_ids))
+        self._sizes.append(labels.size)
 
     def extend(self, other: "ScheduleBuilder") -> None:
         """Append every superstep recorded in ``other``, in order.
 
-        The endpoint arrays are shared, not copied: :meth:`superstep`
-        froze them, so a sub-schedule recorded once can be appended as
-        often as the algorithm repeats it.
+        The endpoint blocks are shared, not copied: recording froze them,
+        so a sub-schedule recorded once can be appended as often as the
+        algorithm repeats it.
         """
         if other.v != self.v:
             raise ValueError(f"cannot extend a v={self.v} schedule with v={other.v}")
@@ -101,28 +110,36 @@ class ScheduleBuilder:
         self._counts.extend(other._counts)
         self._srcs.extend(other._srcs)
         self._dsts.extend(other._dsts)
-        self._batches.extend(other._batches)
+        self._ids.extend(other._ids)
+        self._sizes.extend(other._sizes)
 
-    def _pattern(self) -> np.ndarray:
-        """The built trace's ``pattern``: every :meth:`superstep` maps to
-        the first one with the same endpoints (keyed by array identity
-        first, so a shared sub-schedule is hashed once); the supersteps
-        of a :meth:`supersteps` batch map to themselves."""
-        pattern = np.arange(len(self._labels), dtype=np.int64)
-        by_array: dict[tuple[int, int], int] = {}
-        by_content: dict[tuple[bytes, bytes], int] = {}
-        s = 0
-        for src, dst, batch in zip(self._srcs, self._dsts, self._batches):
-            if batch is not None:
-                s += batch
-                continue
-            rep = by_array.get((id(src), id(dst)))
-            if rep is None:
-                rep = by_content.setdefault((src.tobytes(), dst.tobytes()), s)
-                by_array[id(src), id(dst)] = rep
-            pattern[s] = rep
-            s += 1
-        return pattern
+    def _pattern(
+        self, offsets: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """The built trace's ``pattern``: :func:`content_pattern` over the
+        distinct blocks (a block appended again by :meth:`extend` counts
+        once), each superstep mapped to the first trace position of its
+        class."""
+        if len(set(self._ids)) == len(self._ids):
+            return content_pattern(offsets, src, dst)
+        _, first, inverse = np.unique(self._ids, return_index=True, return_inverse=True)
+        sizes = np.array(self._sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        # Trace position of each superstep in its block's first copy.
+        steps = np.arange(offsets.size - 1)
+        copy_of = np.repeat(starts[first[inverse]] - starts, sizes) + steps
+        at = np.flatnonzero(copy_of == steps)  # the first copies' supersteps
+        doffsets = np.zeros(at.size + 1, dtype=np.int64)
+        np.cumsum(np.diff(offsets)[at], out=doffsets[1:])
+        distinct = np.sort(first)
+        cls = content_pattern(
+            doffsets,
+            np.concatenate([self._srcs[b] for b in distinct]),
+            np.concatenate([self._dsts[b] for b in distinct]),
+        )
+        rep = np.empty_like(steps)
+        rep[at] = at[cls]
+        return rep[copy_of]
 
     def build(self) -> Trace:
         """Freeze the recorded supersteps into an immutable columnar Trace."""
@@ -130,13 +147,15 @@ class ScheduleBuilder:
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self._counts, out=offsets[1:])
         empty = np.empty(0, dtype=np.int64)
+        src = np.concatenate(self._srcs) if self._srcs else empty
+        dst = np.concatenate(self._dsts) if self._dsts else empty
         return Trace(
             self.v,
             np.array(self._labels, dtype=np.int64),
             offsets,
-            np.concatenate(self._srcs) if self._srcs else empty,
-            np.concatenate(self._dsts) if self._dsts else empty,
-            self._pattern(),
+            src,
+            dst,
+            self._pattern(offsets, src, dst),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,10 +25,11 @@ Static schedules repeat whole supersteps, so a trace also carries a
 read-only :attr:`Trace.pattern` column: ``pattern[s]`` is the index of
 an earlier or equal superstep with identical ``src``/``dst`` (labels are
 ignored), and ``pattern[pattern[s]] == pattern[s]``, so every class of
-equal supersteps has one *representative* that maps to itself.  The
-builder fills it from the endpoint arrays it shares, :meth:`Trace.concat`
-maps it through, and any other trace computes it from content on first
-use.  It need not join every pair of equal supersteps: two equal
+equal supersteps has one *representative* that maps to itself.  One
+routine finds it, :func:`content_pattern`: the builder runs it once over
+the distinct endpoint blocks it recorded, and any other trace runs it on
+its own columns on first use.  A pattern given by a caller (a fold, a
+loaded file) need not join every pair of equal supersteps: two equal
 representatives only cost a repeat.  Layers that price a superstep from
 its content alone (validation, the fold table, dimension-order routing)
 work on the representatives and gather through ``pattern``.
@@ -41,7 +42,7 @@ analyse runs with millions of messages.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -257,7 +258,7 @@ class Trace:
         return {int(l): int(c) for l, c in zip(uniq, counts)}
 
     # ------------------------------------------------------------------
-    # Verification and composition
+    # Verification
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check the CSR shape (:func:`check_csr`), label range, the
@@ -323,28 +324,6 @@ class Trace:
                     f"{int(labels[s])}-cluster boundary"
                 )
         self.is_validated = True
-
-    @staticmethod
-    def concat(traces: Sequence["Trace"]) -> "Trace":
-        """Concatenate traces on the same ``v`` in sequence order (each
-        part's :attr:`pattern` is shifted to its place)."""
-        if not traces:
-            raise ValueError("need at least one trace")
-        v = traces[0].v
-        if any(t.v != v for t in traces):
-            raise ValueError("cannot concatenate traces on different v")
-        counts = np.concatenate([t.counts for t in traces])
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        first = np.cumsum([0] + [t.num_supersteps for t in traces[:-1]])
-        return Trace(
-            v,
-            np.concatenate([t.labels for t in traces]),
-            offsets,
-            np.concatenate([t.src for t in traces]),
-            np.concatenate([t.dst for t in traces]),
-            np.concatenate([t.pattern + f for t, f in zip(traces, first)]),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -424,9 +424,9 @@ def simulate_many(
 
     The grid twin of :func:`simulate_trace`: results, cache keys and
     cached contents are bit-identical to per-cell calls — but every
-    cache-missing cell goes to one :func:`compute_sims` call, so a
-    whole experiment sweep costs its *longest* superstep chain instead
-    of the sum over cells.  ``policy``/``arbiter`` entries may be
+    cache-missing cell goes to one :func:`compute_sims` call, so each
+    fused chunk of a sweep costs its *longest* superstep chain instead
+    of the sum over its cells.  ``policy``/``arbiter`` entries may be
     ``None``/names exactly as in :func:`simulate_trace`.
     """
     flits = _check_flits(flits_per_message)
@@ -439,20 +439,19 @@ def simulate_many(
     profiles = [SIM_CACHE.get(key) for key in keys]
     cold = [i for i, profile in enumerate(profiles) if profile is None]
     fresh = compute_sims(
-        [norm[i] for i in cold], [route_trace(*norm[i][:3]) for i in cold], flits
+        [norm[i] + (flits,) for i in cold], [route_trace(*norm[i][:3]) for i in cold]
     )
     for i, profile in zip(cold, fresh):
         profiles[i] = SIM_CACHE.seed(keys[i], profile)
     return profiles
 
 
-def compute_sims(
-    items: list, routed: list[RoutedProfile], flits: int
-) -> list[SimProfile]:
+def compute_sims(items: list, routed: list[RoutedProfile]) -> list[SimProfile]:
     """:func:`simulate_many`'s uncached body over built ``(trace, topo,
-    policy, arbiter)`` cells and each cell's ``routed`` profile (whose
-    analytic columns the sim profile copies).  The cells run in one
-    fused cycle loop per arbiter group
+    policy, arbiter, flits)`` cells and each cell's ``routed`` profile
+    (whose analytic columns the sim profile copies).  The cells run in
+    fused cycle loops of at most
+    :data:`~repro.sim.fastpath.SIM_CHUNK` cells per arbiter group
     (:func:`repro.sim.fastpath.run_batch`).  Folds and phase legs come
     from the traces' own memo (:func:`~repro.networks.routing.fold_legs`);
     the route and sim LRUs are neither read nor written.
@@ -460,10 +459,10 @@ def compute_sims(
     fold_and_legs = [fold_legs(*item[:3]) for item in items]
     results = _fast_run_batch([
         (topo, topo.edge_capacities(), legs, arbiter, folded, flits)
-        for (_, topo, _, arbiter), (folded, legs) in zip(items, fold_and_legs)
+        for (_, topo, _, arbiter, flits), (folded, legs) in zip(items, fold_and_legs)
     ])
     profiles = []
-    for (_, topo, policy, arbiter), (folded, _), route, (
+    for (_, topo, policy, arbiter, flits), (folded, _), route, (
         cycles, max_queue, edge_flits
     ) in zip(items, fold_and_legs, routed, results):
         if sanitize.should_crosscheck():

@@ -585,6 +585,20 @@ class TestCLI:
         assert "routed_time" in capsys.readouterr().out
         assert csv_out.exists()
 
+    def test_plan_workers_need_the_shm_executor(self, capsys, tmp_path):
+        from repro.__main__ import main
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"cells": [{"algorithm": "matmul", "n": 16}]}))
+        for args in (["--workers", "2"], ["--executor", "serial", "--workers", "2"],
+                     ["--executor", "shm", "--workers", "0"]):
+            with pytest.raises(SystemExit) as err:
+                main(["plan", str(path), *args])
+            assert err.value.code == 2
+        assert "needs --executor shm" in capsys.readouterr().err
+        assert main(["plan", str(path), "--executor", "shm", "--workers", "2"]) == 0
+        assert "executor=shm" in capsys.readouterr().out
+
 
 # ----------------------------------------------------------------------
 # ResultFrame unit behaviour

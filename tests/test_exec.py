@@ -148,6 +148,11 @@ class TestBackendEquivalence:
         assert shm.metadata["shm_workers"] == 2
         shutdown_pool()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_shm_pool_size_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ShmSubstrate(workers=workers)
+
     def test_shm_pool_recovers_from_a_killed_worker(self):
         import repro.exec.shm as shm_mod
 

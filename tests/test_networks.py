@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import TraceMetrics
+from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.networks import (
     TOPOLOGIES,
@@ -337,7 +338,12 @@ class TestSimulation:
     def test_routed_time_additive_over_supersteps(self, rng):
         topo = Ring(8)
         t1 = random_trace(8, 1, rng)
-        t2 = Trace.concat([t1, t1])
+        once = ScheduleBuilder(8)
+        once.superstep(*t1.superstep(0))
+        twice = ScheduleBuilder(8)
+        twice.extend(once)
+        twice.extend(once)
+        t2 = twice.build()
         assert route_trace(t2, topo).total_time == pytest.approx(
             2 * route_trace(t1, topo).total_time
         )

@@ -1,18 +1,24 @@
 """The ``pattern`` column and the kernels that read it.
 
 ``Trace.pattern`` maps every superstep to an earlier or equal
-representative with the same ``src``/``dst``.  The fold table, the
-level rows, the folded trace and dimension-order routing work on the
-representatives only and gather through it; every result must equal the
-flat superstep-by-superstep oracle whichever valid pattern the trace
-carries: the builder's, the one computed from content, or the identity.
+representative with the same ``src``/``dst``.  The builder's pattern
+must be the one :func:`content_pattern` finds in the built columns, for
+hand-made recordings and for every registered algorithm.  The fold
+table, the level rows, the folded trace and dimension-order routing
+work on the representatives only and gather through it; every result
+must equal the flat superstep-by-superstep oracle whichever valid
+pattern the trace carries: the builder's, the one computed from
+content, or the identity.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import specs
 from repro.machine.folding import (
     F_vector,
     S_vector,
@@ -52,7 +58,8 @@ def planted_trace(v: int, steps: int, seed: int) -> Trace:
 
     Each superstep is fresh, or repeats an earlier one through the same
     arrays, through equal content in new arrays, or under a smaller
-    label; a sub-schedule is appended twice with ``extend``.  With
+    label; a sub-schedule is appended twice with ``extend``, and two
+    recorded supersteps are recorded again as one ``supersteps`` batch.  With
     ``log v >= 2`` one superstep of label ``log v - 1`` is repeated under
     label 0, so its class's first member folds away at small ``p``
     while the copy survives.
@@ -67,7 +74,7 @@ def planted_trace(v: int, steps: int, seed: int) -> Trace:
         recorded.append((logv - 1, src, dst))
         b.superstep(logv - 1, src, dst)
     for _ in range(steps):
-        kind = int(rng.integers(0, 5)) if recorded else 0
+        kind = int(rng.integers(0, 6)) if recorded else 0
         if kind == 0:  # fresh
             label = int(rng.integers(0, top))
             src, dst = _legal(v, label, int(rng.integers(0, 12)), rng)
@@ -84,6 +91,16 @@ def planted_trace(v: int, steps: int, seed: int) -> Trace:
                 sub.superstep(fresh, *_legal(v, fresh, 3, rng))
                 b.extend(sub)
                 b.extend(sub)
+                continue
+            elif kind == 5:  # two recorded supersteps as one CSR batch
+                picks = [recorded[int(i)] for i in rng.integers(0, len(recorded), 2)]
+                sizes = [picked[1].size for picked in picks]
+                b.supersteps(
+                    [picked[0] for picked in picks],
+                    [0, sizes[0], sizes[0] + sizes[1]],
+                    np.concatenate([picked[1] for picked in picks]),
+                    np.concatenate([picked[2] for picked in picks]),
+                )
                 continue
         recorded.append((label, src, dst))
         b.superstep(label, src, dst)
@@ -148,7 +165,6 @@ class TestPattern:
         assert_valid_pattern(t)
         content = variants(t)["content"]
         assert_valid_pattern(content)
-        # Both join every pair of equal supersteps here (no batches).
         assert np.array_equal(t.pattern, content.pattern)
 
     @given(planted)
@@ -195,19 +211,28 @@ class TestPattern:
 
 
 class TestPatternSources:
-    def test_batch_supersteps_map_to_themselves(self):
+    def test_batch_supersteps_join_their_class(self):
         b = ScheduleBuilder(4)
         b.superstep(0, [0], [1])
         b.supersteps([0, 0], [0, 1, 2], [0, 0], [1, 1])
         b.superstep(0, np.array([0]), np.array([1]))
         t = b.build()
-        assert np.array_equal(t.pattern, [0, 1, 2, 0])
+        assert np.array_equal(t.pattern, [0, 0, 0, 0])
         assert np.array_equal(content_pattern(t.offsets, t.src, t.dst), [0, 0, 0, 0])
 
-    def test_concat_shifts_each_part(self):
-        a = make_trace(4, (0, [0], [1]), (0, [0], [1]))
-        t = Trace.concat([a, a, make_trace(4, (1, [2], [3]))])
-        assert np.array_equal(t.pattern, [0, 0, 2, 2, 4])
+    def test_shared_blocks_map_to_their_first_copy(self):
+        """Blocks appended twice are hashed once; their supersteps map to
+        the first trace position of their class, across blocks."""
+        sub = ScheduleBuilder(4)
+        sub.supersteps([0, 1], [0, 1, 2], [2, 0], [3, 1])
+        b = ScheduleBuilder(4)
+        b.superstep(1, [0], [1])
+        b.extend(sub)
+        b.superstep(0, [1], [0])
+        b.extend(sub)
+        t = b.build()
+        assert np.array_equal(t.pattern, [0, 1, 0, 3, 1, 0])
+        t.validate()
 
     def test_empty_supersteps_share_a_class(self):
         t = Trace(4, [0, 1, 0], [0, 0, 1, 1], [2], [3])
@@ -255,3 +280,53 @@ class TestValidatePerRepresentative:
         t = make_trace(8, (0, [0, 9], [1, 1]), (0, [0, 9], [1, 1]))
         with pytest.raises(ValueError, match=r"message endpoint outside \[0, 8\)"):
             t.validate()
+
+
+#: The sources of the perfbench workloads, beside each algorithm's
+#: default sizes.
+PERFBENCH_SIZES = {
+    "stencil1d": (8, 16, 32), "stencil2d": (4, 8), "sort": (64, 128, 256),
+    "matmul": (16, 64), "fft": (64, 256, 1024), "prefix": (64, 128, 256),
+    "broadcast": (256,),
+}
+
+
+def _emitted():
+    for name, spec in sorted(specs().items()):
+        wise = [None]
+        if "wise" in inspect.signature(spec.emit).parameters:
+            wise = [True, False]
+        for n in sorted(set(spec.default_sizes) | set(PERFBENCH_SIZES.get(name, ()))):
+            for w in wise:
+                suffix = "" if w is None else f"-wise={w}"
+                yield pytest.param(name, n, w, id=f"{name}-{n}{suffix}")
+
+
+def _emit(name: str, n: int, wise: bool | None) -> Trace:
+    spec = specs()[name]
+    params: dict = {} if wise is None else {"wise": wise}
+    if spec.needs_p:
+        params["p"] = 8 if name == "bsp-matmul-3d" else 4
+    return spec.run(n, seed=1, **params).trace
+
+
+def _representatives(pattern: np.ndarray) -> int:
+    return int(np.count_nonzero(pattern == np.arange(pattern.size)))
+
+
+class TestEmittedPatterns:
+    @pytest.mark.parametrize("name, n, wise", list(_emitted()))
+    def test_builder_finds_every_repeat(self, name, n, wise):
+        t = _emit(name, n, wise)
+        content = content_pattern(t.offsets, t.src, t.dst)
+        assert _representatives(t.pattern) == _representatives(content)
+        assert np.array_equal(t.pattern, content)
+
+    @pytest.mark.parametrize("name, n, reps", [
+        ("stencil1d", 16, 69), ("stencil1d", 32, 151),
+        ("stencil2d", 4, 1), ("stencil2d", 8, 2),
+    ])
+    def test_stencil_representatives(self, name, n, reps):
+        t = _emit(name, n, True)
+        assert _representatives(t.pattern) == reps
+        assert_valid_pattern(t)

@@ -251,42 +251,6 @@ class TestTrace:
         assert t.superstep_index() is t.superstep_index()
 
 
-class TestConcat:
-    def test_concat(self):
-        parts = []
-        for lab in (0, 1):
-            b = ScheduleBuilder(8)
-            b.superstep(lab, np.array([0]), np.array([1]))
-            parts.append(b.build())
-        s = Trace.concat(parts)
-        assert s.num_supersteps == 2
-        assert np.array_equal(s.labels, [0, 1])
-        assert s.total_messages == 2
-
-    def test_concat_shifts_offsets(self, rng):
-        """Concatenating the halves of a recording gives the whole one."""
-        t = random_trace(16, 9, rng)
-        whole, first, second = (ScheduleBuilder(16) for _ in range(3))
-        for i in range(t.num_supersteps):
-            for b in (whole, first if i < 4 else second):
-                b.superstep(*t.superstep(i))
-        s = Trace.concat([first.build(), second.build()])
-        w = whole.build()
-        for name in ("labels", "offsets", "src", "dst"):
-            assert np.array_equal(getattr(s, name), getattr(w, name)), name
-        s.validate()
-
-    def test_concat_nothing_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.concat([])
-
-    def test_concat_mixed_v_rejected(self):
-        a = ScheduleBuilder(8).build()
-        b = ScheduleBuilder(4).build()
-        with pytest.raises(ValueError):
-            Trace.concat([a, b])
-
-
 class TestAlgorithmsEmitSchedules:
     """Every Section-4 algorithm returns the validated trace it built."""
 

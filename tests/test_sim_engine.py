@@ -323,6 +323,27 @@ class TestEngineCounters:
         assert set(stats) == {"fused_runs", "serve_cycles"}
         assert stats["fused_runs"] == 4
 
+    def test_large_group_runs_in_chunks(self, engine_traces):
+        """2 * SIM_CHUNK + 1 cells of one arbiter run three fused loops,
+        each cell as it runs alone."""
+        from repro.sim.fastpath import SIM_CHUNK
+
+        ring = by_name("ring", 8)
+        items = [
+            (engine_traces["fft"], ring, by_policy("valiant", seed), "fifo")
+            for seed in range(2 * SIM_CHUNK + 1)
+        ]
+        clear_sim_cache()
+        reset_sim_engine_stats()
+        batch = simulate_many(items)
+        assert sim_engine_stats()["fused_runs"] == 3
+        clear_sim_cache()
+        for item, profile in zip(items, batch):
+            solo = simulate_trace(*item)
+            assert solo is not profile
+            for name in ("cycles", "max_queue", "delivered", "edge_flits"):
+                assert np.array_equal(getattr(solo, name), getattr(profile, name)), name
+
     def test_reference_oracle_leaves_sim_counters_unchanged(self, engine_traces):
         topo = by_name("ring", 16)
         simulate_trace(engine_traces["fft"], topo)  # a warm entry to hit

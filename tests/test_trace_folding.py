@@ -12,7 +12,6 @@ from repro.machine.folding import (
     fold_message_counts,
     fold_trace,
 )
-from repro.machine.trace import Trace
 
 from conftest import all_folds, make_trace, random_trace
 from fold_oracles import fold_degrees_reference
@@ -83,11 +82,6 @@ class TestTrace:
         t = random_trace(16, 12, rng)
         counts = t.label_counts()
         assert sum(counts.values()) == 12
-
-    def test_concat_requires_same_v(self, rng):
-        t = random_trace(16, 2, rng)
-        with pytest.raises(ValueError):
-            Trace.concat([t, random_trace(8, 2, rng)])
 
 
 class TestFolding:
