@@ -145,8 +145,7 @@ def run_sweep_store_warm(cfg=SCALE):
 #: cells overlap heavily — every (source, p, topology, policy) route is
 #: shared by its analytic and sim cells, every (source, p) fold by all
 #: twelve topology/policy pairs, every emitted source by all its cells.
-#: Sources stay under the sim-fusion superstep gate, so sibling sim
-#: stages also batch into fused cycle loops.
+#: Sibling sim stages batch into fused cycle loops.
 DAG_SOURCES = (("fft", 64), ("fft", 256), ("broadcast", 4096), ("prefix", 256))
 DAG_SOURCES_QUICK = (("fft", 64), ("broadcast", 4096))
 DAG_TOPOLOGIES = (

@@ -425,7 +425,7 @@ def simulate_many(
     The grid twin of :func:`simulate_trace`: results, cache keys and
     cached contents are bit-identical to per-cell calls — but every
     cache-missing cell goes to one :func:`compute_sims` call, so each
-    fused chunk of a sweep costs its *longest* superstep chain instead
+    fused loop of a sweep costs its *longest* superstep chain instead
     of the sum over its cells.  ``policy``/``arbiter`` entries may be
     ``None``/names exactly as in :func:`simulate_trace`.
     """
@@ -451,7 +451,7 @@ def compute_sims(items: list, routed: list[RoutedProfile]) -> list[SimProfile]:
     policy, arbiter, flits)`` cells and each cell's ``routed`` profile
     (whose analytic columns the sim profile copies).  The cells run in
     fused cycle loops of at most
-    :data:`~repro.sim.fastpath.SIM_CHUNK` cells per arbiter group
+    :data:`~repro.sim.fastpath.FLIT_BUDGET` flits per arbiter group
     (:func:`repro.sim.fastpath.run_batch`).  Folds and phase legs come
     from the traces' own memo (:func:`~repro.networks.routing.fold_legs`);
     the route and sim LRUs are neither read nor written.

@@ -36,8 +36,10 @@ flits:
 Every cell runs in the fused loop: one loop per static
 :attr:`~repro.sim.arbiter.Arbiter.rank_mode` (``"index"``,
 ``"remaining"``) and one per other arbiter identity
-(:meth:`~repro.sim.arbiter.Arbiter.cache_key`), each over at most
-:data:`SIM_CHUNK` cells.
+(:meth:`~repro.sim.arbiter.Arbiter.cache_key`), each holding at most
+:data:`FLIT_BUDGET` flits.  A loop's set-up routes and flit-expands
+each phase leg of a cell once and numbers the flits with whole-array
+operations, so its cost follows the legs, not the supersteps.
 """
 
 from __future__ import annotations
@@ -49,18 +51,23 @@ import numpy as np
 from repro.sim.arbiter import Arbiter
 
 __all__ = [
-    "SIM_CHUNK",
+    "FLIT_BUDGET",
     "engine_stats",
     "expand_paths",
     "reset_engine_stats",
     "run_batch",
 ]
 
-#: Cells per fused cycle loop.  On a 300-sim plan (five sources x
-#: p 4-64 x six topologies x two policies, 2-CPU x86 host), fusing every
-#: cell at once peaked at 201 MB RSS against 113 MB in chunks of 32, and
-#: was no faster (2.1-2.5 s against 2.2-2.3 s).
-SIM_CHUNK = 32
+#: Flits per fused cycle loop: :func:`run_batch` closes a loop before a
+#: cell (crossing messages x phase legs x flits per message) would push
+#: it past this, and a larger cell runs alone.  On a 300-sim plan (five
+#: sources x p 4-64 x six topologies x two policies, 2-CPU x86 host),
+#: 2**17 peaked at 65 MB RSS against 113 MB for the old chunks of 32
+#: cells, at a median wall time of 1.83 s against 1.91 s (ten
+#: alternating runs); budgets from 2**15 to 2**19 ran within noise of
+#: each other and peaked at 57-103 MB.  perfbench's sim-grid (96 small
+#: cells) fits in one loop.
+FLIT_BUDGET = 1 << 17
 
 #: Rank modes the fused loop keeps incrementally sorted (no per-cycle
 #: :meth:`~repro.sim.arbiter.Arbiter.priorities` call).
@@ -118,37 +125,6 @@ def expand_paths(
     return new_offsets, edges[np.repeat(starts, rep) + hop]
 
 
-def _phase_paths(topo, legs, folded, flits: int):
-    """Routed, flit-expanded CSR paths of every phase that moves messages.
-
-    Yields ``(step, phase, offsets, edges)`` superstep by superstep and
-    phase by phase, ``step`` the superstep's ordinal in the folded
-    trace ``folded``.  ``legs`` are the policy's phase legs over
-    ``folded``, the memoised draw
-    :func:`~repro.networks.routing.compute_route` routes too
-    (:func:`~repro.networks.routing.fold_legs`); each leg is routed by
-    one ``route_paths`` call and flit-expanded once, then cut back into
-    per-superstep blocks.
-    """
-    owner = folded.superstep_index()
-    steps = np.arange(folded.num_supersteps + 1)
-    blocks = []
-    for ph_src, ph_dst in legs:
-        cross = ph_src != ph_dst  # policies may add self-messages
-        poff, pedges = expand_paths(
-            *topo.route_paths(ph_src[cross], ph_dst[cross]), flits
-        )
-        # Flit range of each superstep's crossing messages.
-        bounds = flits * np.searchsorted(owner[cross], steps)
-        blocks.append((poff, pedges, bounds.tolist()))
-    for step in np.flatnonzero(folded.counts).tolist():
-        for ph, (poff, pedges, bounds) in enumerate(blocks):
-            lo, hi = bounds[step], bounds[step + 1]
-            if hi > lo:
-                e0, e1 = poff[lo], poff[hi]
-                yield step, ph, poff[lo:hi + 1] - e0, pedges[e0:e1]
-
-
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Merge two sorted key arrays (timsort merges the two runs in O(n))."""
     out = np.concatenate((a, b))
@@ -177,9 +153,11 @@ def _run_fused(
     result).  Cells are dynamically independent — each superstep runs
     on its own namespaced edge range — so a whole experiment grid
     advances inside a single cycle loop and costs its *longest*
-    superstep chain instead of the sum over cells.  A cycle reads and writes only the edges that hold
-    flits, so its cost follows the active flits.  Returns per-cell
-    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``.
+    superstep chain instead of the sum over cells.  Set-up costs one
+    ``route_paths`` call and a few whole-array passes per phase leg of
+    a cell; a cycle reads and writes only the edges that hold flits, so
+    its cost follows the active flits.  Returns per-cell ``(cycles,
+    max_queue, edge_flits)`` aligned with ``cells``.
     """
     # Superstep g (every folded superstep, numbered across cells) owns
     # the namespaced edges g*Emax .. g*Emax + E - 1; an empty one never
@@ -187,32 +165,57 @@ def _run_fused(
     Emax = max((caps.size for _, caps, _, _, _ in cells), default=0)
     nsteps = [folded.num_supersteps for _, _, _, folded, _ in cells]
 
-    # Route + expand every phase of every superstep up front (pure
-    # functions of the batch — the reference does the same work lazily).
-    # Non-empty phase j owns the flit slots pb[j]..pb[j+1] and belongs
-    # to superstep pg[j] and is its routing phase pph[j]; a superstep's
-    # phases are consecutive in j.
-    pb, pg, pph = [0], [], []
+    # Route + expand every phase leg of every cell up front (pure
+    # functions of the batch — the reference does the same work lazily),
+    # one leg at a time.  Slots are numbered in (superstep, phase) order:
+    # non-empty phase j owns the flit slots pb[j]..pb[j+1], belongs to
+    # superstep pg[j] and is its routing phase pph[j]; a superstep's
+    # phases are consecutive in j.  Edges stay in leg order: ``end``
+    # points each slot at its own path.
+    size_parts, pg_parts, pph_parts = [], [], []
     len_parts, end_parts, edge_parts = [], [], []
     ebase = 0
-    Lmax = 1
     g0 = 0
     for (topo, caps, legs, folded, flits), S in zip(cells, nsteps):
-        for step, ph, poff, pedges in _phase_paths(topo, legs, folded, flits):
-            lengths = np.diff(poff).astype(np.int64)
-            if not lengths.all():
+        owner = folded.superstep_index()
+        L = len(legs)
+        counts = np.empty((L, S), dtype=np.int64)  # flits per (phase, step)
+        lens, ends = [], []
+        for ph, (ph_src, ph_dst) in enumerate(legs):
+            cross = ph_src != ph_dst  # policies may add self-messages
+            step = owner[cross]
+            off, hops = topo.route_paths(ph_src[cross], ph_dst[cross])
+            hop_counts = np.diff(off)
+            if not hop_counts.all():
                 # Slot k - pb[j] must be flit k's index in its phase.
                 raise ValueError(
                     f"{topo.name}: zero-hop path between distinct processors"
                 )
-            len_parts.append(lengths)
-            end_parts.append(poff[1:].astype(np.int64) + ebase)
-            edge_parts.append(pedges.astype(np.int64) + (g0 + step) * Emax)
-            pb.append(pb[-1] + lengths.size)
-            pg.append(g0 + step)
-            pph.append(ph)
-            ebase += int(pedges.size)
-            Lmax = max(Lmax, int(lengths.max()))
+            hops = hops + np.repeat((g0 + step) * Emax, hop_counts)
+            off, hops = expand_paths(off, hops, flits)
+            counts[ph] = flits * np.bincount(step, minlength=S)
+            lens.append(np.diff(off).astype(np.int32))
+            ends.append(off[1:] + np.int64(ebase))
+            edge_parts.append(hops)
+            ebase += hops.size
+        # Flits of block (step, phase), in (superstep, phase) order.
+        sizes = counts.T.ravel()
+        (nz,) = sizes.nonzero()
+        lens, ends = np.concatenate(lens), np.concatenate(ends)
+        if L > 1:
+            # Legs are superstep-ordered, so block (step, phase) is one
+            # range of leg ``phase``: gather the ranges in slot order.
+            first = np.cumsum(counts) - counts.ravel()  # in leg order
+            first = first.reshape(L, S).T.ravel()[nz]
+            n = sizes[nz]
+            order = np.repeat(first - (np.cumsum(n) - n), n)
+            order += np.arange(order.size)
+            lens, ends = lens[order], ends[order]
+        size_parts.append(sizes[nz])
+        pg_parts.append(g0 + nz // L)
+        pph_parts.append(nz % L)
+        len_parts.append(lens)
+        end_parts.append(ends)
         g0 += S
 
     G = g0
@@ -220,7 +223,8 @@ def _run_fused(
     max_queue = np.zeros(G, dtype=np.int64)
     ecell = np.cumsum([0] + [caps.size for _, caps, _, _, _ in cells])
     edge_flits = np.zeros(int(ecell[-1]), dtype=np.int64)
-    base = pb[-1]
+    pb_a = np.cumsum(np.concatenate([[0]] + size_parts))
+    base = int(pb_a[-1])
     static = arbiter.rank_mode in _STATIC_MODES
     t = 0
     if base:
@@ -229,16 +233,18 @@ def _run_fused(
         # proportional to the flit hops.  Dense edge u belongs to
         # superstep g_u[u] and is edge e_u[u] of the cells' joint edges.
         edges = np.concatenate(edge_parts)
+        del edge_parts  # copied: free the parts before the cycle loop
         uniq = np.unique(edges)
         edges = uniq.searchsorted(edges)
         U = uniq.size
         g_u, e_u = np.divmod(uniq, Emax)
         e_u += ecell[np.repeat(np.arange(len(cells)), nsteps)[g_u]]
         caps_u = np.concatenate([caps for _, caps, _, _, _ in cells])[e_u]
-        rem = np.concatenate(len_parts).astype(np.int32)  # hops left to go
+        rem = np.concatenate(len_parts)  # hops left to go
         end = np.concatenate(end_parts)  # one past each flit's last hop
-        pb_a = np.array(pb, dtype=np.int64)
-        pg_a = np.array(pg + [-1], dtype=np.int64)  # -1: no next phase
+        del len_parts, end_parts
+        Lmax = int(rem.max())
+        pg_a = np.concatenate(pg_parts + [[-1]])  # -1: no next phase
         sstep = np.repeat(pg_a[:-1], np.diff(pb_a))
         remaining_mode = arbiter.rank_mode == "remaining"
         if not static:
@@ -247,7 +253,7 @@ def _run_fused(
             gstep = np.concatenate(
                 [np.arange(n, dtype=np.int32) for n in nsteps]
             )
-            pph_a = np.array(pph, dtype=np.int32)
+            pph_a = np.concatenate(pph_parts).astype(np.int32)
             gph = np.zeros(G, dtype=np.int32)  # running phase's routing phase
             gbase = np.zeros(G, dtype=np.int64)  # running phase's first slot
             t0 = np.zeros(G, dtype=np.int32)  # running phase's first cycle
@@ -397,16 +403,15 @@ def run_batch(
     ``topo.p`` and ``legs`` its
     policy's phase legs over ``folded``
     (:func:`~repro.networks.routing.fold_legs`, drawn once per (trace,
-    p, policy) and shared with the analytic router).  Each leg is
-    routed and flit-expanded once (:func:`_phase_paths`), so set-up
-    costs no generator or ``route_paths`` call per superstep.  Cells
-    fuse into cycle loops of at most :data:`SIM_CHUNK` cells per static
-    rank mode and per other arbiter's
-    :meth:`~repro.sim.arbiter.Arbiter.cache_key` (each loop then costs
-    its longest superstep chain, not the sum).  Results are
-    bit-identical to running each cell alone.  Returns per-cell
-    ``(cycles, max_queue, edge_flits)`` aligned with ``cells``, with
-    one entry per folded superstep (zeros on barrier-only ones).
+    p, policy) and shared with the analytic router).  Cells fuse per
+    static rank mode and per other arbiter's
+    :meth:`~repro.sim.arbiter.Arbiter.cache_key`, in order, into cycle
+    loops of at most :data:`FLIT_BUDGET` flits (a larger cell runs
+    alone); each loop then costs its longest superstep chain, not the
+    sum.  Results are bit-identical to running each cell alone.
+    Returns per-cell ``(cycles, max_queue, edge_flits)`` aligned with
+    ``cells``, with one entry per folded superstep (zeros on
+    barrier-only ones).
     """
     results: list = [None] * len(cells)
     groups: dict = {}
@@ -414,13 +419,27 @@ def run_batch(
         mode = arbiter.rank_mode
         group = mode if mode in _STATIC_MODES else arbiter.cache_key()
         groups.setdefault(group, []).append(i)
+
+    def fuse(idxs: list) -> None:
+        fused = [
+            (cells[i][0], cells[i][1], cells[i][2], cells[i][4], cells[i][5])
+            for i in idxs
+        ]
+        for i, res in zip(idxs, _run_fused(fused, cells[idxs[0]][3])):
+            results[i] = res
+
     for group in groups.values():
-        for lo in range(0, len(group), SIM_CHUNK):
-            idxs = group[lo : lo + SIM_CHUNK]
-            fused = [
-                (cells[i][0], cells[i][1], cells[i][2], cells[i][4], cells[i][5])
-                for i in idxs
-            ]
-            for i, res in zip(idxs, _run_fused(fused, cells[idxs[0]][3])):
-                results[i] = res
+        chunk: list = []
+        load = 0
+        for i in group:
+            # Crossing messages (a fold keeps no self-message) x phase
+            # legs x flits per message, counted before routing.
+            _, _, legs, _, folded, flits = cells[i]
+            n = folded.total_messages * len(legs) * flits
+            if chunk and load + n > FLIT_BUDGET:
+                fuse(chunk)
+                chunk, load = [], 0
+            chunk.append(i)
+            load += n
+        fuse(chunk)
     return results

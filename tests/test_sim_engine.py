@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.api import run
+from repro.machine.folding import fold_trace
 from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
 from repro.networks import by_name, by_policy
+from repro.networks.routing import fold_legs, route_trace
 from repro.networks.topology import TOPOLOGIES, Ring
 from repro.sim import (
     Arbiter,
@@ -23,6 +25,7 @@ from repro.sim import (
     simulate_trace_reference,
     validate_grid,
 )
+from repro.sim.engine import compute_sims
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
@@ -301,6 +304,87 @@ class TestBarrierOnlySupersteps:
 
 
 # ----------------------------------------------------------------------
+# Fused set-up: per-leg flit arrays in (superstep, phase) slot order
+# ----------------------------------------------------------------------
+def _pairs_trace() -> Trace:
+    """Supersteps on M(16) around the set-up's edge cases: barrier-only
+    ones (empty, self-messages only), single messages inside 2-clusters
+    (a Valiant intermediate there is the source or the destination, so
+    one of the two legs moves nothing) and contended batches."""
+    rng = np.random.default_rng(11)
+    builder = ScheduleBuilder(16)
+    none = np.empty(0, dtype=np.int64)
+    for label, m in ((0, 0), (3, 1), (1, 40), (3, 1), (2, -5), (3, 1),
+                     (3, 1), (0, 56), (3, 1), (3, 1), (3, 0)):
+        if m <= 0:
+            src = rng.integers(0, 16, -m) if m else none
+            builder.superstep(label, src, src.copy())
+            continue
+        src = rng.integers(0, 16, m)
+        shift = 4 - label
+        low = rng.integers(1 if label == 3 else 0, 1 << shift, m)
+        dst = (src >> shift << shift) | (src + low) % (1 << shift)
+        builder.superstep(label, src, dst)
+    return builder.build()
+
+
+class TestFusedSetUp:
+    def test_mixed_batch_matches_reference(self):
+        """One-leg and two-leg policies, 1 and 3 flits and all three
+        arbiters in one batch: every cell equals the reference, so each
+        flit lands in its (superstep, phase) slot whichever leg emits it
+        and whichever legs move nothing."""
+        trace = _pairs_trace()
+        valiant = by_policy("valiant", 2)
+        folded, (leg1, leg2) = fold_legs(trace, by_name("ring", 16), valiant)
+        moved = [
+            (np.count_nonzero(leg1[0][a:b] != leg1[1][a:b]),
+             np.count_nonzero(leg2[0][a:b] != leg2[1][a:b]))
+            for a, b in zip(folded.offsets[:-1], folded.offsets[1:])
+        ]
+        # A busy superstep whose first leg is all self-messages, and one
+        # whose second leg is.
+        assert (0, 1) in moved and (1, 0) in moved
+        assert (0, 0) in moved  # barrier-only supersteps
+        items = [
+            (trace, by_name(topo_name, 16), policy, by_arbiter(arbiter, 4), flits)
+            for topo_name in ("ring", "fat-tree", "butterfly")
+            for policy in (by_policy("dimension-order"), valiant)
+            for arbiter in ARBITER_NAMES
+            for flits in (1, 3)
+        ]
+        clear_sim_cache()
+        reset_sim_engine_stats()
+        batch = compute_sims(items, [route_trace(*item[:3]) for item in items])
+        assert sim_engine_stats()["fused_runs"] == 3  # one per arbiter group
+        for (trace, topo, policy, arbiter, flits), fast in zip(items, batch):
+            ref = simulate_trace_reference(
+                trace, topo, policy, arbiter, flits_per_message=flits
+            )
+            _assert_profiles_identical(
+                ref, fast, (topo.name, policy.name, arbiter.name, flits)
+            )
+
+    def test_zero_hop_path_is_rejected(self, engine_traces):
+        """A topology that routes distinct processors over no edge breaks
+        the slot numbering: the fast engine refuses it."""
+
+        class HollowRing(Ring):
+            def __init__(self, p):
+                super().__init__(p)
+                self.name = "hollow-ring"
+
+            def route_paths(self, src, dst):
+                return np.zeros(src.size + 1, dtype=np.int64), np.empty(
+                    0, dtype=np.int64
+                )
+
+        clear_sim_cache()
+        with pytest.raises(ValueError, match="hollow-ring: zero-hop path"):
+            simulate_trace(engine_traces["fft"], HollowRing(16))
+
+
+# ----------------------------------------------------------------------
 # Engine counters: one fused run per arbiter group
 # ----------------------------------------------------------------------
 class TestEngineCounters:
@@ -324,25 +408,60 @@ class TestEngineCounters:
         assert stats["fused_runs"] == 4
 
     def test_large_group_runs_in_chunks(self, engine_traces):
-        """2 * SIM_CHUNK + 1 cells of one arbiter run three fused loops,
+        """A group holding more flits than FLIT_BUDGET runs in several
+        fused loops, each closed before a cell would overflow it, and
         each cell as it runs alone."""
-        from repro.sim.fastpath import SIM_CHUNK
+        from repro.sim.fastpath import FLIT_BUDGET
 
         ring = by_name("ring", 8)
+        trace = engine_traces["sort"]
+        # Each cell puts its crossing messages x 2 Valiant legs x 3
+        # flits into a loop.
+        per_cell = 2 * 3 * fold_trace(trace, ring.p).total_messages
+        per_loop = FLIT_BUDGET // per_cell
+        n_cells = per_loop + 2
+        assert n_cells * per_cell > FLIT_BUDGET
         items = [
-            (engine_traces["fft"], ring, by_policy("valiant", seed), "fifo")
-            for seed in range(2 * SIM_CHUNK + 1)
+            (trace, ring, by_policy("valiant", seed), "fifo")
+            for seed in range(n_cells)
         ]
         clear_sim_cache()
         reset_sim_engine_stats()
-        batch = simulate_many(items)
-        assert sim_engine_stats()["fused_runs"] == 3
+        batch = simulate_many(items, flits_per_message=3)
+        assert sim_engine_stats()["fused_runs"] == -(-n_cells // per_loop) >= 2
         clear_sim_cache()
         for item, profile in zip(items, batch):
-            solo = simulate_trace(*item)
+            solo = simulate_trace(*item, flits_per_message=3)
             assert solo is not profile
-            for name in ("cycles", "max_queue", "delivered", "edge_flits"):
-                assert np.array_equal(getattr(solo, name), getattr(profile, name)), name
+            _assert_profiles_identical(solo, profile, item[2].seed)
+
+    def test_many_small_cells_fuse_into_one_loop_per_group(self, engine_traces):
+        """Sim-grid-sized cells (a few hundred flits each) all fit the
+        budget: 96 cells over two arbiter groups run two fused loops."""
+        from repro.sim.fastpath import FLIT_BUDGET
+
+        trace = engine_traces["fft"]
+        items = [
+            (trace, by_name(topo_name, p), by_policy(policy_name, 1), arbiter)
+            for arbiter in ("fifo", "random")
+            for topo_name in TOPOLOGY_NAMES
+            for p in (4, 8, 16, 32)
+            for policy_name in POLICY_NAMES
+        ]
+        assert len(items) == 96
+        group = 0  # flits of each arbiter group: messages x legs
+        for _, topo, policy, _ in items[:48]:
+            folded, legs = fold_legs(trace, topo, policy)
+            group += folded.total_messages * len(legs)
+        assert group < FLIT_BUDGET
+        clear_sim_cache()
+        reset_sim_engine_stats()
+        batch = simulate_many(items)
+        assert sim_engine_stats()["fused_runs"] == 2
+        for item, profile in zip(items[::4], batch[::4]):
+            _assert_profiles_identical(
+                simulate_trace_reference(*item), profile, item[1:]
+            )
 
     def test_reference_oracle_leaves_sim_counters_unchanged(self, engine_traces):
         topo = by_name("ring", 16)
