@@ -10,7 +10,8 @@ workload across every shipped topology, asserts they produce identical
 totals, and doubles as the perf tripwire for ``BENCH_baseline.json``
 (``record_baseline.py`` records the vectorized and reference seconds and
 their ratio).  A second row times :class:`ValiantPolicy`'s whole-trace
-draw against one seeded generator per superstep.
+draw against its per-superstep oracle, ``intermediates_reference``,
+which hashes one message at a time in Python ints.
 """
 
 import time
@@ -35,8 +36,8 @@ from repro.networks import (
 SCALE = dict(v=512, supersteps=250, msgs=500, p=64)
 QUICK = dict(v=128, supersteps=60, msgs=40, p=16)
 #: A long sparse trace for the Valiant draw: many supersteps of a few
-#: messages, the shape where seeding one generator per superstep costs
-#: most.  It is cheap, so ``--quick`` runs it at full size.
+#: messages, the shape where a per-superstep draw pays most in call
+#: overhead.  It is cheap, so ``--quick`` runs it at full size.
 SPARSE = dict(v=1024, supersteps=2500, msgs=5, p=1024)
 
 
@@ -163,7 +164,7 @@ def valiant_legs(cfg=SPARSE):
 
 
 def valiant_legs_reference(cfg=SPARSE):
-    """The same intermediates from one seeded generator per superstep."""
+    """The same intermediates from the oracle, one superstep per call."""
     folded, topo = _sparse(cfg)
     policy = ValiantPolicy(0)
     bounds = folded.offsets.tolist()
@@ -204,7 +205,7 @@ def test_e17_valiant_legs(benchmark, quick):
         "e17_valiant_legs",
         f"E17  Valiant legs of a sparse {SPARSE['supersteps']}-superstep "
         f"trace: phase_legs {t_legs * 1e3:.1f} ms vs per-superstep "
-        f"generators {t_ref * 1e3:.1f} ms ({ratio:.1f}x)",
+        f"oracle {t_ref * 1e3:.1f} ms ({ratio:.1f}x)",
         ["draw", "ms", "intermediates"],
         [
             ["phase_legs", round(t_legs * 1e3, 2), int(legs[0][1].size)],

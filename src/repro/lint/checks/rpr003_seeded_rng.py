@@ -19,11 +19,12 @@ Flagged (outside test files):
   arguments (or an explicit ``None``) — an OS-entropy seed;
 * ``random.random()``-style calls on the stdlib ``random`` module.
 
-Seeds must thread through parameters instead.  The house pattern is
-``ValiantPolicy.intermediates_reference``: one
-``np.random.default_rng((key, seed, step))`` per superstep, keyed by
-explicit integers.  ``ValiantPolicy.phase_legs`` draws the same keyed
-streams for a whole trace at once, seeding one reused ``PCG64`` per key.
+Seeds must thread through parameters instead.  The house pattern is a
+counter-based hash of explicit integers: :func:`repro.util.intmath.seed_key`
+folds a seed into a 64-bit splitmix64 key, and each draw hashes that key
+with its own counters (``ValiantPolicy``: superstep and place in it;
+``RandomArbiter``: step, phase, cycle and index), so no generator object
+carries state between draws.
 """
 
 from __future__ import annotations

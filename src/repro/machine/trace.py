@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.util.intmath import ilog2
+from repro.util.intmath import ilog2, mix64
 
 if TYPE_CHECKING:
     from repro.util.caches import LRU
@@ -97,12 +97,10 @@ def check_csr(
         raise ValueError("offsets decrease")
 
 
-#: Odd 64-bit multipliers of the content hash: one per message field
-#: (src, dst, place in the superstep), then splitmix64's two finalizer
-#: constants.
-_K_SRC, _K_DST, _K_POS, _M1, _M2 = (np.uint64(k) for k in (
+#: Odd 64-bit multipliers of the content hash, one per message field
+#: (src, dst, place in the superstep), mixed by splitmix64's finaliser.
+_K_SRC, _K_DST, _K_POS = (np.uint64(k) for k in (
     0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0xD6E8FEB86659FD93,
-    0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
 ))
 
 
@@ -129,10 +127,7 @@ def content_pattern(
         h *= _K_POS
         h += src.view(np.uint64) * _K_SRC
         h += dst.view(np.uint64) * _K_DST
-        for shift, mult in ((30, _M1), (27, _M2)):
-            h ^= h >> np.uint64(shift)
-            h *= mult
-        h ^= h >> np.uint64(31)
+        mix64(h)
         key = counts.view(np.uint64) * _K_POS
         full = np.flatnonzero(counts)
         if full.size:

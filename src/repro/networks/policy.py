@@ -16,10 +16,8 @@ random-walk / compact oblivious-routing lines in PAPERS.md):
   i-cluster*, so a cluster-legal superstep stays cluster-legal and the
   policy composes with D-BSP folding.  Draws are a pure function of
   ``(seed, superstep ordinal)`` — profiles are reproducible and safe to
-  memoise.  Every superstep reads its own keyed PCG64 stream, the one
-  ``np.random.default_rng((0xB11A2D1, seed, step))`` would give, but
-  the streams of a whole trace are seeded at once (:func:`_draw_lows`)
-  instead of through one generator object per superstep.
+  memoise.  The draw is a counter-based splitmix64 hash, so a whole
+  trace draws in a few ``uint64`` array passes.
 
 A policy routes through one method, :meth:`RoutingPolicy.phase_legs`:
 given the folded trace's columns, it returns one ``(src, dst)`` leg per
@@ -36,12 +34,10 @@ store-and-forward rounds).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.networks.topology import Topology
-from repro.util.intmath import ilog2
+from repro.util.intmath import SPLITMIX_GAMMA, ilog2, mix64, seed_key, splitmix64
 
 __all__ = [
     "RoutingPolicy",
@@ -52,161 +48,6 @@ __all__ = [
 ]
 
 Phase = tuple[np.ndarray, np.ndarray]
-
-#: The leading entropy word of every Valiant draw's key.
-_VALIANT_KEY = 0xB11A2D1
-
-# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (pcg64.h).  The stream of a key is fixed by
-# these; numpy documents SeedSequence and PCG64 streams as stable.
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@functools.cache
-def _scratch_seed() -> np.random.SeedSequence:
-    """Seeds the one scratch PCG64 of a draw (every key overwrites its
-    state).  Made on first use: importing ``numpy.random`` costs more
-    than a whole small route."""
-    return np.random.SeedSequence(0)
-
-
-def _int_words(n: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into uint32 words."""
-    words = [n & _M32]
-    n >>= 32
-    while n:
-        words.append(n & _M32)
-        n >>= 32
-    return words
-
-
-def _hash_calls(init: int, mult: int, calls: list[int]) -> tuple:
-    """Column vectors of the xor and multiply constants of hash calls.
-
-    A SeedSequence hash constant starts at ``init`` and is multiplied by
-    ``mult`` on every ``hashmix`` call; call ``m`` xors with its ``m``-th
-    value and multiplies by the next one.
-    """
-    seq = [init]
-    for _ in range(max(calls) + 1):
-        seq.append(seq[-1] * mult & _M32)
-    return (
-        np.array([seq[m] for m in calls], dtype=np.uint32)[:, None],
-        np.array([seq[m + 1] for m in calls], dtype=np.uint32)[:, None],
-    )
-
-
-#: The data-independent hash-call schedule: the pool's first four
-#: calls, then mixing pool word i into each other word j (calls in j
-#: order; row i takes a spare call and is restored), and the eight
-#: calls generating the four uint64 state words.
-_POOL_CALLS = _hash_calls(_INIT_A, _MULT_A, [0, 1, 2, 3])
-_MIX_CALLS = [
-    _hash_calls(
-        _INIT_A, _MULT_A,
-        [4 + 3 * i + j - (j > i) if j != i else 0 for j in range(4)],
-    )
-    for i in range(4)
-]
-_STATE_CALLS = _hash_calls(_INIT_B, _MULT_B, list(range(8)))
-
-
-def _hashmix(values: np.ndarray, calls: tuple) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of each row under its own hash call.
-
-    A 1-d ``values`` is broadcast to one row per call.
-    """
-    xor, mul = calls
-    out = values ^ xor
-    out *= mul
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _mix(pool: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = _MIX_L * pool - _MIX_R * values
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _seed_state(words: list, keys: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` for ``keys`` keys.
-
-    ``words`` lists the keys' uint32 entropy words in order, each an int
-    shared by every key or an array with one word per key.  The hash
-    constant advances once per ``hashmix`` call whatever the data, so
-    all keys run the same array operations.  Returns the ``(4, keys)``
-    uint64 states.
-    """
-    pool = np.zeros((4, keys), dtype=np.uint32)
-    for r, word in enumerate(words[:4]):
-        pool[r] = word
-    pool = _hashmix(pool, _POOL_CALLS)
-    for i, calls in enumerate(_MIX_CALLS):
-        own = pool[i]  # a view of the pool _mix leaves alone
-        pool = _mix(pool, _hashmix(own, calls))
-        pool[i] = own
-    for w, word in enumerate(words[4:]):
-        calls = _hash_calls(_INIT_A, _MULT_A, [16 + 4 * w + j for j in range(4)])
-        pool = _mix(pool, _hashmix(np.asarray(word, dtype=np.uint32), calls))
-    half = _hashmix(np.concatenate((pool, pool)), _STATE_CALLS).astype(np.uint64)
-    return half[0::2] | half[1::2] << np.uint64(32)
-
-
-def _draw_lows(
-    seed: int, steps: np.ndarray, counts: np.ndarray, shifts: np.ndarray
-) -> np.ndarray:
-    """Every superstep's ``integers(0, 2**shift, count)``, concatenated.
-
-    Superstep ``steps[k]`` (ascending) draws ``counts[k] > 0`` values below
-    ``2**shifts[k]`` (``1 <= shift <= 32``) from
-    ``np.random.default_rng((0xB11A2D1, seed, steps[k]))``, bit for bit.
-    The SeedSequence hash runs for all keys in one pass, PCG64's seeding
-    step is done here, and one reused ``PCG64`` emits each superstep's
-    raw words into one buffer.  For a power-of-two range ``integers``
-    takes Lemire's method on 32-bit halves (low half first), which never
-    rejects, so each value is a half shifted right by ``32 - shift``.
-    """
-    lead = [_VALIANT_KEY, *_int_words(seed)]
-    state = _seed_state([*lead, steps.astype(np.uint32)], steps.size)
-    if steps[-1] > _M32:  # an ordinal from 2**32 on is two entropy words
-        (wide,) = (steps > _M32).nonzero()
-        words = [*lead, steps[wide].astype(np.uint32), steps[wide] >> 32]
-        state[:, wide] = _seed_state(words, wide.size)
-
-    nwords = (counts + 1) // 2
-    raw = np.empty(int(nwords.sum()), dtype=np.uint64)
-    gen = np.random.PCG64(_scratch_seed())
-    setting = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    at = 0
-    for s0, s1, i0, i1, k in zip(*state.tolist(), nwords.tolist()):
-        # PCG64's srandom: inc = 2*initseq + 1, state = (inc + initstate)*M + inc.
-        inc = (i0 << 65 | i1 << 1 | 1) & _M128
-        setting["state"] = {
-            "state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128,
-            "inc": inc,
-        }
-        gen.state = setting
-        raw[at:at + k] = gen.random_raw(k)
-        at += k
-
-    # Little-endian halves put each word's low half first.  Superstep k
-    # reads the first counts[k] halves of its words: an odd count leaves
-    # the high half of its last word unused.
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    unused = 2 * nwords - counts
-    skip = np.repeat(np.cumsum(unused) - unused, counts)
-    values = halves[skip + np.arange(skip.size)]
-    return (values >> np.repeat((32 - shifts).astype(np.uint32), counts)).astype(
-        np.int64
-    )
-
 
 class RoutingPolicy:
     """Base: rewrite a folded trace's endpoint columns into routing phases.
@@ -280,6 +121,12 @@ class ValiantPolicy(RoutingPolicy):
     share it by cluster legality); phase 2 delivers it.  Randomizing the
     middle spreads any fixed adversarial pattern into two near-random
     h-relations at the cost of (at most) doubling the total load.
+
+    The draw is a splitmix64 stream of streams: superstep ``s`` is keyed
+    by output ``s`` of the stream seeded at ``seed_key(seed)``, and its
+    ``i``-th message keeps its source's leading ``label`` bits and takes
+    the top ``log2(p) - label`` bits of output ``i`` of that superstep's
+    stream.  Every 64-bit word of ``seed`` feeds the key.
     """
 
     name = "valiant"
@@ -289,66 +136,58 @@ class ValiantPolicy(RoutingPolicy):
         if seed < 0:
             raise ValueError(f"ValiantPolicy seed must be non-negative, got {seed}")
         self.seed = seed
+        self._key = seed_key(seed)
 
     def cache_key(self) -> tuple:
         return (self.name, self.seed)
 
-    def _mids(
-        self,
-        topo: Topology,
-        first: int,
-        labels: np.ndarray,
-        counts: np.ndarray,
-        src: np.ndarray,
-    ) -> np.ndarray:
+    def _mids(self, p: int, first: int, labels, counts, src) -> np.ndarray:
         """Intermediates of the flat messages of consecutive supersteps.
 
         Superstep ``first + k`` (cluster label ``labels[k]``) owns the
-        next ``counts[k]`` messages of ``src``.  A label that leaves no
-        free low bits (shift 0) draws nothing: those messages stay put.
+        next ``counts[k]`` messages of ``src`` (``int64`` arrays).  A
+        label that leaves no free low bits keeps its messages in place.
         """
-        shifts = np.maximum(ilog2(topo.p) - labels, 0)
-        draws = (counts > 0) & (shifts > 0)
-        (steps,) = draws.nonzero()
-        mid = src.astype(np.int64)
-        if not steps.size:
-            return mid
-        n, shift = counts[steps], shifts[steps]
-        low = _draw_lows(self.seed, steps + first, n, shift)
-        moved = np.repeat(draws, counts)
-        shift = np.repeat(shift, n)
-        mid[moved] = (mid[moved] >> shift << shift) | low
-        return mid
+        gamma = np.uint64(SPLITMIX_GAMMA)
+        steps = np.arange(first, first + labels.size, dtype=np.uint64)
+        step_keys = mix64(steps * gamma + np.uint64(self._key) + gamma)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        place = (np.arange(1, src.size + 1) - starts).astype(np.uint64)
+        h = mix64(place * gamma + np.repeat(step_keys, counts))
+        shift = np.repeat(np.maximum(ilog2(p) - labels, 0), counts)
+        low = (h >> (64 - shift).astype(np.uint64)).astype(np.int64)
+        return (src >> shift << shift) | low
 
     def intermediates(
         self, topo: Topology, step: int, label: int, src: np.ndarray
     ) -> np.ndarray:
-        """The random intermediate of every message (reproducible).
-
-        One superstep's call of the whole-trace draw
-        :meth:`phase_legs` makes; equal to
-        :meth:`intermediates_reference` message for message.
-        """
+        """The random intermediate of every message (reproducible): one
+        superstep's call of the whole-trace draw :meth:`phase_legs` makes,
+        equal to :meth:`intermediates_reference` message for message."""
         if step < 0:
             raise ValueError(f"superstep ordinal must be non-negative, got {step}")
         return self._mids(
-            topo, step, np.array([label]), np.array([src.size]), src
+            topo.p, step, np.array([label]), np.array([src.size]), src
         )
 
     def intermediates_reference(
         self, topo: Topology, step: int, label: int, src: np.ndarray
     ) -> np.ndarray:
-        """:meth:`intermediates` from one seeded generator (test oracle)."""
+        """:meth:`intermediates` one message at a time in Python ints
+        (test oracle)."""
         shift = max(0, ilog2(topo.p) - label)
         if shift == 0:
             return src
-        rng = np.random.default_rng((_VALIANT_KEY, self.seed, step))
-        low = rng.integers(0, 1 << shift, size=src.size, dtype=np.int64)
-        return (src >> shift << shift) | low
+        z = splitmix64(seed_key(self.seed) + step * SPLITMIX_GAMMA)
+        low = [
+            splitmix64(z + i * SPLITMIX_GAMMA) >> (64 - shift)
+            for i in range(src.size)
+        ]
+        return (src >> shift << shift) | np.array(low, dtype=np.int64)
 
     def phase_legs(self, topo, labels, offsets, src, dst):
         # Every superstep's intermediates in one draw over the trace.
-        mid = self._mids(topo, 0, labels, np.diff(offsets), src)
+        mid = self._mids(topo.p, 0, labels, np.diff(offsets), src)
         return [(src, mid), (mid, dst)]
 
 

@@ -14,8 +14,9 @@ the simulator).
 * :class:`RandomArbiter` — seeded random ranks, redrawn every cycle: a
   counter-based hash (Salmon et al., "Parallel random numbers: as easy
   as 1, 2, 3", SC'11) of each flit's own ``(seed, superstep, phase,
-  cycle in phase, index in phase)``, so profiles stay reproducible and
-  safe to memoise.
+  cycle in phase, index in phase)``, keyed by the shared splitmix64
+  seed key of :func:`repro.util.intmath.seed_key`, so profiles stay
+  reproducible and safe to memoise.
 
 Ranks are per-flit pure (see :meth:`Arbiter.priorities`): a flit's rank
 never depends on which other flits contend with it, which is what lets
@@ -26,6 +27,8 @@ in one call per cycle.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.util.intmath import seed_key
 
 __all__ = [
     "Arbiter",
@@ -128,15 +131,6 @@ _CYCLE = np.uint32(0x27D4EB2F)
 #: MurmurHash3's 32-bit finaliser multipliers.
 _FMIX1 = np.uint32(0x85EBCA6B)
 _FMIX2 = np.uint32(0xC2B2AE35)
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(z: int) -> int:
-    """splitmix64's next output after state ``z`` (Python ints)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _u32(a) -> np.ndarray:
@@ -153,8 +147,10 @@ class RandomArbiter(Arbiter):
 
     A flit's rank is a counter-based hash: its phase-local ``index``
     times the 32-bit golden ratio, xor the superstep, phase and cycle
-    counters (each times an odd constant) and a 32-bit key drawn from
-    ``seed`` by splitmix64, through MurmurHash3's 32-bit finaliser.
+    counters (each times an odd constant) and the top 32 bits of
+    ``seed_key(seed)`` (:mod:`repro.util.intmath`'s splitmix64 fold of
+    every 64-bit word of the seed), through MurmurHash3's 32-bit
+    finaliser.
     For one cycle of one phase — every flit that can meet on an edge —
     both steps are bijections of the index, so ranks never tie there.
     The hash works in 32-bit lanes because the fast engine hashes every
@@ -169,7 +165,7 @@ class RandomArbiter(Arbiter):
         if seed < 0:
             raise ValueError(f"RandomArbiter seed must be non-negative, got {seed}")
         self.seed = seed
-        self._key = np.uint32(_splitmix64(seed) >> 32)
+        self._key = np.uint32(seed_key(seed) >> 32)
 
     def cache_key(self) -> tuple:
         return (self.name, self.seed)

@@ -2,12 +2,16 @@
 
 All machine sizes in the paper are powers of two; cluster membership is
 decided by shared most-significant index bits.  These helpers keep that
-bit-twiddling in one audited place.
+bit-twiddling in one audited place, beside the one 64-bit hash every
+seeded draw and content key is built from (splitmix64: Steele, Lea &
+Flood, "Fast splittable pseudorandom number generators", OOPSLA'14).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "is_power_of_two",
@@ -18,6 +22,10 @@ __all__ = [
     "paper_log",
     "shared_msb",
     "square_side",
+    "SPLITMIX_GAMMA",
+    "splitmix64",
+    "seed_key",
+    "mix64",
 ]
 
 
@@ -99,3 +107,38 @@ def shared_msb(v: int, a: int, b: int) -> int:
     diff = a ^ b
     # The highest differing bit position, counted from the MSB side.
     return logv - diff.bit_length()
+
+
+#: splitmix64's state increment (the 64-bit golden ratio): output ``k`` of
+#: the stream seeded at ``z`` is ``splitmix64(z + k * SPLITMIX_GAMMA)``.
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """splitmix64's next output after state ``z`` (Python ints, mod 2**64)."""
+    z = (z + SPLITMIX_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def seed_key(seed: int) -> int:
+    """The 64-bit key of a non-negative seed: ``splitmix64`` of its low
+    word, then ``key = splitmix64(key ^ w)`` for each higher 64-bit word
+    ``w`` (a seed below 2**64 keys as ``splitmix64(seed)``)."""
+    key = splitmix64(seed & _MASK64)
+    while seed := seed >> 64:
+        key = splitmix64(key ^ (seed & _MASK64))
+    return key
+
+
+def mix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser of a ``uint64`` array, in place (returns
+    ``h``): ``splitmix64(z)`` is ``mix64(z + SPLITMIX_GAMMA)``."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        h ^= h >> np.uint64(shift)
+        h *= np.uint64(mult)
+    h ^= h >> np.uint64(31)
+    return h

@@ -112,8 +112,8 @@ def route_loads(topo, src, dst) -> tuple[np.ndarray, int]:
 def oracle_legs(policy, topo, step, label, src, dst) -> list:
     """One superstep's ``(src, dst)`` phase legs, built apart from the
     policy's ``phase_legs``: the identity for dimension-order, and
-    Valiant's two legs through ``intermediates_reference`` (one seeded
-    generator per superstep)."""
+    Valiant's two legs through ``intermediates_reference`` (its hash
+    computed one message at a time in Python ints)."""
     if isinstance(policy, ValiantPolicy):
         mid = policy.intermediates_reference(topo, step, label, src)
         return [(src, mid), (mid, dst)]

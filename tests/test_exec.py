@@ -153,7 +153,7 @@ class TestBackendEquivalence:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             ShmSubstrate(workers=workers)
 
-    def test_shm_pool_recovers_from_a_killed_worker(self):
+    def test_shm_pool_recovers_from_a_killed_worker(self, monkeypatch):
         import repro.exec.shm as shm_mod
 
         plan = ExperimentPlan.grid(
@@ -161,7 +161,17 @@ class TestBackendEquivalence:
             modes=["analytic", "sim"],
         )
         oracle = oracle_rows(plan)
-        segments = set(os.listdir("/dev/shm"))
+        # Only this test's own source blocks: other processes on the host
+        # may create and keep segments of their own meanwhile.
+        segments = []
+        pack = shm_mod._pack_sources
+
+        def recording_pack(runtime):
+            payload, block = pack(runtime)
+            segments.append(block.name.lstrip("/"))
+            return payload, block
+
+        monkeypatch.setattr(shm_mod, "_pack_sources", recording_pack)
         substrate = ShmSubstrate(workers=2, force=True)
         shutdown_pool()
         first = plan.run(executor=substrate)
@@ -180,7 +190,8 @@ class TestBackendEquivalence:
         assert third.rows == oracle
         assert third.metadata["executor_effective"] == "shm"
         shutdown_pool()
-        assert set(os.listdir("/dev/shm")) <= segments
+        assert len(segments) == 3  # every run packed its sources
+        assert not set(segments) & set(os.listdir("/dev/shm"))
 
     def test_shm_pool_shut_down_by_another_run_finishes_in_line(
         self, monkeypatch

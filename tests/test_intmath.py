@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 from repro.util.intmath import (
     ceil_div,
     ceil_log2,
+    SPLITMIX_GAMMA,
     ilog2,
     is_power_of_two,
+    mix64,
     next_power_of_two,
     paper_log,
+    seed_key,
     shared_msb,
+    splitmix64,
 )
 
 
@@ -104,3 +109,27 @@ class TestSharedMsb:
         # shared_msb >= i iff a and b lie in the same i-cluster of M(64).
         same_cluster = (a >> (6 - i)) == (b >> (6 - i))
         assert (shared_msb(64, a, b) >= i) == same_cluster
+
+
+class TestSplitmix64:
+    def test_reference_stream(self):
+        """The first outputs of splitmix64 seeded at 0 (Vigna's
+        reference implementation)."""
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert splitmix64(SPLITMIX_GAMMA) == 0x6E789E6AA1B965F4
+
+    def test_vectorised_finaliser_matches_the_scalar_form(self):
+        rng = np.random.default_rng(4)
+        z = rng.integers(0, 2**63, 1000, dtype=np.int64).astype(np.uint64) * 2
+        z[:3] = (0, 1, 2**64 - 1)
+        want = [splitmix64(x) for x in z.tolist()]
+        assert mix64(z + np.uint64(SPLITMIX_GAMMA)).tolist() == want
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_seeds_below_two_to_the_64_key_as_splitmix64(self, seed):
+        assert seed_key(seed) == splitmix64(seed)
+
+    def test_every_word_of_the_seed_feeds_the_key(self):
+        keys = {seed_key(s) for s in (3, 2**64 + 3, 2**65 + 3, 2**128 + 3)}
+        assert len(keys) == 4
+        assert seed_key(2**64) == splitmix64(splitmix64(0) ^ 1)

@@ -240,10 +240,11 @@ class TestPatternSources:
 
     def test_hash_collision_keeps_its_own_representative(self, monkeypatch):
         """Matches are confirmed message by message: with a hash that
-        maps everything together, unequal supersteps stay apart."""
+        maps everything together (zero multipliers: the splitmix64
+        finaliser maps 0 to 0), unequal supersteps stay apart."""
         import repro.machine.trace as trace_mod
 
-        for k in ("_K_SRC", "_K_DST", "_K_POS", "_M1", "_M2"):
+        for k in ("_K_SRC", "_K_DST", "_K_POS"):
             monkeypatch.setattr(trace_mod, k, np.uint64(0))
         offsets = np.array([0, 2, 4, 6])
         src = np.array([0, 1, 1, 0, 0, 1])

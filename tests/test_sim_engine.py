@@ -154,6 +154,20 @@ class TestRandomRank:
             assert not np.array_equal(np.argsort(other), np.argsort(base))
             assert np.mean(other < base) == pytest.approx(0.5, abs=0.15)
 
+    def test_seeds_equal_modulo_two_to_the_64_rank_apart(self):
+        """Every 64-bit word of the seed feeds the key, so seeds with the
+        same low word rank differently; a seed below 2**64 keeps its
+        splitmix64 key."""
+        index = np.arange(256)
+        remaining = np.ones(256, dtype=np.int64)
+        assert RandomArbiter(3)._key == 487265508
+        for big in (2**64 + 3, 2**128 + 3, 3 << 64 | 3):
+            assert RandomArbiter(big)._key != RandomArbiter(3)._key
+            assert not np.array_equal(
+                RandomArbiter(big).priorities(3, 0, 7, index, remaining),
+                RandomArbiter(3).priorities(3, 0, 7, index, remaining),
+            )
+
     def test_random_profile_is_pinned(self):
         """Any change to the rank hash moves random-arbiter rows (and
         must be recorded as a migration): pin one small profile."""
