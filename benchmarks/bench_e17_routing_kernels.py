@@ -22,13 +22,8 @@ from _util import emit_table
 from repro.machine.folding import fold_trace
 from repro.machine.program import ScheduleBuilder
 from repro.machine.trace import Trace
-from repro.networks import (
-    TOPOLOGIES,
-    ValiantPolicy,
-    by_name,
-    clear_route_cache,
-    route_trace,
-)
+from repro.networks import TOPOLOGIES, ValiantPolicy, by_name, route_trace
+from repro.networks.routing import ROUTE_CACHE
 
 #: Trace-scale workload: thousands of supersteps' worth of messages folded
 #: onto a 64-processor machine — the regime where per-message Python
@@ -74,7 +69,7 @@ def _workload(cfg):
 
 def run_sweep(cfg=SCALE, workload=None):
     """Columnar path: route the whole trace on every topology."""
-    clear_route_cache()  # a fresh trace defeats the memo anyway; be explicit
+    ROUTE_CACHE.clear()  # a fresh trace defeats the memo anyway; be explicit
     trace, topos = workload if workload is not None else _workload(cfg)
     rows = []
     for topo in topos:

@@ -42,10 +42,9 @@ import numpy as np
 from _util import emit_table
 from repro.api import ExperimentPlan
 from repro.exec import ShmSubstrate
-from repro.machine.folding import clear_fold_cache
-from repro.networks import clear_route_cache
+from repro.machine.trace import Trace
 from repro.networks.routing import ROUTE_CACHE
-from repro.util.caches import clear_caches
+from repro.util.caches import cache_stats, clear_caches
 
 #: The (n,1)-stencil is the many-small-supersteps regime the fused
 #: router targets (n=256 folds to ~1200 supersteps of a few hundred
@@ -59,17 +58,30 @@ POLICIES = ("dimension-order", "valiant")
 
 #: Pre-emitted traces per configuration: emission (the algorithm run) is
 #: identical in every path and stays outside the timed regions.
-_sources: dict[tuple, object] = {}
+_sources: dict[tuple, Trace] = {}
 
 
 def _plan(cfg) -> ExperimentPlan:
+    """The grid over a fresh ``Trace`` on the pre-emitted columns.
+
+    Folds, level rows and Valiant legs are memoised on the trace
+    itself, where ``clear_caches()`` cannot reach them; a new trace
+    (O(1): same arrays and pattern, new cache token, empty fold memo)
+    makes every run fold and draw from scratch.
+    """
     key = tuple(sorted(cfg.items()))
     if key not in _sources:
         from repro.api import run
 
         _sources[key] = run(cfg["algorithm"], n=cfg["n"]).trace
+    source = _sources[key]
+    fresh = Trace(
+        source.v, source.labels, source.offsets, source.src, source.dst,
+        source.pattern,
+    )
+    fresh.is_validated = source.is_validated
     return ExperimentPlan.from_trace(
-        _sources[key],
+        fresh,
         ps=list(cfg["ps"]),
         topologies=TOPOLOGIES,
         policies=POLICIES,
@@ -77,24 +89,26 @@ def _plan(cfg) -> ExperimentPlan:
     )
 
 
-def _cold() -> None:
-    # Routed profiles (and folds) are memoised module-wide; every timed
-    # run must price the grid from scratch or the comparison is bogus.
-    clear_route_cache()
-    clear_fold_cache()
-
-
 def run_sweep(cfg=SCALE):
     """Serial plan executor over the fused routing engine."""
-    _cold()
-    return _plan(cfg).run(executor="serial")
+    plan = _plan(cfg)
+    clear_caches()  # every timed run prices the grid from scratch
+    return plan.run(executor="serial")
 
 
 def run_sweep_shm(cfg=SCALE):
     """The persistent zero-copy shared-memory pool (forced on, so a
     one-core recording measures the pool rather than the downgrade)."""
-    _cold()
-    return _plan(cfg).run(executor=ShmSubstrate(force=True))
+    plan = _plan(cfg)
+    clear_caches()
+    return plan.run(executor=ShmSubstrate(force=True))
+
+
+def _assert_cold_folds() -> None:
+    """The run just timed folded its trace afresh (no fold-memo hit
+    carried over from an earlier run)."""
+    fold = cache_stats()["fold"]
+    assert fold["misses"] > 0, fold
 
 
 #: Store workloads run a declarative grid (``from_trace`` plans hold an
@@ -206,6 +220,7 @@ def test_e18_plan_executor(benchmark, quick):
         return serial, time.perf_counter() - t0
 
     serial, t_serial = benchmark.pedantic(serial_sweep, rounds=1, iterations=1)
+    _assert_cold_folds()
     cells = len(serial)
     assert cells >= (8 if quick else 24)
     routed = serial.column("routed_time")
@@ -225,6 +240,7 @@ def test_e18_plan_executor(benchmark, quick):
 def test_e18_shm_and_store(benchmark, quick):
     cfg = QUICK if quick else SCALE
     serial = run_sweep(cfg)
+    _assert_cold_folds()  # a second serial run in this process, still cold
 
     def shm_and_store():
         _plan(cfg)  # emit the @-source outside the shm timed region

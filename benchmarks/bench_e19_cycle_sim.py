@@ -33,12 +33,8 @@ import numpy as np
 
 from _util import emit_table, flatness
 from repro.networks import TOPOLOGIES, by_name, by_policy, route_trace
-from repro.sim import (
-    clear_sim_cache,
-    simulate_many,
-    simulate_trace_reference,
-    validate_grid,
-)
+from repro.sim import simulate_many, simulate_trace_reference, validate_grid
+from repro.sim.engine import SIM_CACHE
 
 #: The E11 trio at its classic operating points.
 SCALE = (("matmul", 256, 64), ("fft", 1024, 16), ("sort", 1024, 8))
@@ -101,7 +97,7 @@ def _reports(cfg, flits=1) -> list:
 def run_sweep(cfg=SCALE):
     """Simulate the whole grid cold through the pure-numpy fast engine."""
     _cells(cfg)
-    clear_sim_cache()
+    SIM_CACHE.clear()
     return _reports(cfg)
 
 
@@ -177,7 +173,7 @@ def arbiter_times(repeats: int = 7, cfg=ARBITER_CFG) -> tuple[dict, dict]:
     profiles: dict[str, list] = {}
     for r in range(repeats):
         for arbiter in ("fifo", "random")[:: 1 if r % 2 == 0 else -1]:
-            clear_sim_cache()
+            SIM_CACHE.clear()
             t0 = time.perf_counter()
             profiles[arbiter] = simulate_many(
                 [(trace, topo, policy, arbiter) for _, trace, topo, policy in cells]

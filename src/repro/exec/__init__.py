@@ -10,17 +10,15 @@ differ in throughput and in the metadata they record (effective
 substrate, downgrade reason, store hits, stage dedup counters).
 """
 
-from repro.exec.dag import StageGraph, clear_dag_stats, dag_stats, run_graph
-from repro.exec.dag import stage_kernel
+from repro.exec.dag import StageGraph, run_graph, stage_kernel
 from repro.exec.local import Substrate
 from repro.exec.registry import EXECUTORS, by_executor, executors, register_executor
 from repro.exec.shm import ShmSubstrate, shutdown_pool
 from repro.exec.store import ResultStore, cell_key, cell_keys
-from repro.exec.store import clear_store_stats, store_cache_stats
 
 __all__ = [
     "Substrate", "ShmSubstrate",
     "register_executor", "by_executor", "executors", "EXECUTORS", "shutdown_pool",
-    "StageGraph", "run_graph", "stage_kernel", "dag_stats", "clear_dag_stats",
-    "ResultStore", "cell_key", "cell_keys", "store_cache_stats", "clear_store_stats",
+    "StageGraph", "run_graph", "stage_kernel",
+    "ResultStore", "cell_key", "cell_keys",
 ]

@@ -32,14 +32,13 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.util import sanitize
-from repro.util.caches import LRU, register_cache
+from repro.util.caches import LRU, Counters
 
 if TYPE_CHECKING:
     from repro.exec.local import Substrate
 
 __all__ = [
     "run_graph", "StageGraph", "stage_kernel", "STAGE_KERNELS",
-    "dag_stats", "clear_dag_stats",
 ]
 
 
@@ -90,37 +89,12 @@ def _sim_kernel(nodes: list[tuple]) -> list:
     )
 
 
-# ----------------------------------------------------------------------
-# Process-wide dedup counters (the "dag" cache_stats provider)
-# ----------------------------------------------------------------------
-_stats_lock = threading.Lock()
-_totals = dict.fromkeys(
-    ("runs", "stages_planned", "stages_unique", "stages_executed", "stages_cache_hit"),
-    0,
+#: Dedup counters summed over every DAG-scheduled run (the ``dag`` entry
+#: of ``repro.cache_stats()``).
+DAG_COUNTERS = Counters(
+    "dag",
+    "runs", "stages_planned", "stages_unique", "stages_executed", "stages_cache_hit",
 )
-
-
-def dag_stats() -> dict[str, int]:
-    """Aggregate scheduler counters across every DAG-scheduled run."""
-    with _stats_lock:
-        return dict(_totals)
-
-
-def clear_dag_stats() -> None:
-    """Reset the aggregate counters (wired into ``repro.clear_caches``)."""
-    with _stats_lock:
-        for key in _totals:
-            _totals[key] = 0
-
-
-def _accumulate(counters: dict) -> None:
-    with _stats_lock:
-        _totals["runs"] += 1
-        for key in ("planned", "unique", "executed", "cache_hit"):
-            _totals[f"stages_{key}"] += counters[key]
-
-
-register_cache("dag", dag_stats, clear_dag_stats)
 
 
 # ----------------------------------------------------------------------
@@ -223,9 +197,12 @@ def run_graph(
     for i in indices:
         rkey, skey = graph.cell_nodes[i]
         rows.append(_assemble(runtime, i, routed.get(rkey), sims.get(skey)))
-    _accumulate(graph.counters)
-    for key in ("planned", "unique", "executed", "cache_hit"):
-        meta[f"dag_stages_{key}"] = graph.counters[key]
+    stages = {
+        f"stages_{key}": graph.counters[key]
+        for key in ("planned", "unique", "executed", "cache_hit")
+    }
+    DAG_COUNTERS.add(runs=1, **stages)
+    meta.update({f"dag_{key}": n for key, n in stages.items()})
     meta["shared_stage_ratio"] = round(graph.shared_ratio, 4)
     return rows, meta
 

@@ -12,8 +12,8 @@ the returned arrays (pickling drops numpy's read-only flag) before its
 wave step caches them.
 
 Degradation is recorded, never silent: on a single-CPU host, for tiny
-plans, or when the plan cannot ship (a foreign trace-like source, an
-unpicklable routing policy or params), waves run in-line and the frame
+plans, or when the plan cannot ship (an unpicklable routing policy or
+params), waves run in-line and the frame
 metadata says ``executor_effective: "serial"`` plus the reason.  A pool that
 fails mid-run (a killed worker) is shut down, the remaining waves finish
 in-line with a :class:`RuntimeWarning`, and the next run starts a fresh
@@ -222,7 +222,7 @@ class ShmSubstrate(Substrate):
                     min(8, max(1, len(indices)), os.cpu_count() or 1),
                 )
                 pool = _ensure_pool(workers)
-            except Exception as err:  # a foreign source, a local policy class, ...
+            except Exception as err:  # a local policy class, ...
                 if block is not None:
                     block.close()
                     block.unlink()

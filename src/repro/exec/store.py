@@ -37,32 +37,16 @@ from typing import Any, Iterable, Sequence
 
 from repro.api.plan import PlanCell
 from repro.util import sanitize
-from repro.util.caches import register_cache
+from repro.util.caches import Counters
 
 __all__ = [
-    "cell_key", "cell_keys", "ResultStore", "store_hits", "store_cache_stats",
-    "clear_store_stats",
+    "cell_key", "cell_keys", "ResultStore", "store_hits",
 ]
 
-# Process-wide counters aggregated across every ResultStore instance
-# (the repro.cache_stats() "store" entry).
-_stats_lock = threading.Lock()
-_totals = dict.fromkeys(("hits", "misses", "evictions"), 0)
-
-
-def store_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters summed over every result store."""
-    with _stats_lock:
-        return dict(_totals)
-
-
-def clear_store_stats() -> None:
-    """Reset the aggregate store counters (stored rows are untouched)."""
-    with _stats_lock:
-        _totals.update(hits=0, misses=0, evictions=0)
-
-
-register_cache("store", store_cache_stats, clear_store_stats)
+#: Hit/miss/eviction counters summed over every result store (the
+#: ``store`` entry of ``repro.cache_stats()``; clearing them leaves the
+#: stored rows alone).
+STORE_COUNTERS = Counters("store", "hits", "misses", "evictions")
 
 
 def _version() -> str:
@@ -269,9 +253,7 @@ class ResultStore:
         hits, misses = len(found), len(keys) - len(found)
         self.hits += hits
         self.misses += misses
-        with _stats_lock:
-            _totals["hits"] += hits
-            _totals["misses"] += misses
+        STORE_COUNTERS.add(hits=hits, misses=misses)
         return found
 
     def put_many(self, rows: dict[str, tuple]) -> None:
@@ -303,8 +285,7 @@ class ResultStore:
                     evicted = excess
         if evicted:
             self.evictions += evicted
-            with _stats_lock:
-                _totals["evictions"] += evicted
+            STORE_COUNTERS.add(evictions=evicted)
 
     def __len__(self) -> int:
         with self._lock:
@@ -313,7 +294,7 @@ class ResultStore:
 
     def stats(self) -> dict[str, int]:
         """This instance's counters (the aggregate lives in
-        :func:`store_cache_stats`)."""
+        :data:`STORE_COUNTERS`)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -7,7 +7,6 @@ returns the one immutable columnar record of a run, a :class:`Trace`.
 from repro.machine.folding import (
     F_vector,
     S_vector,
-    clear_fold_cache,
     fold_degrees,
     fold_message_counts,
     fold_trace,
@@ -25,7 +24,6 @@ __all__ = [
     "fold_trace",
     "F_vector",
     "S_vector",
-    "clear_fold_cache",
     "save_trace",
     "load_trace",
 ]

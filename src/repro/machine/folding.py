@@ -55,8 +55,6 @@ __all__ = [
     "S_vector",
     "fold_trace",
     "fold_message_counts",
-    "clear_fold_cache",
-    "fold_cache_stats",
 ]
 
 
@@ -78,12 +76,6 @@ def _check_fold(v: int, p: int) -> int:
 #: (:meth:`LRU.local`) sharing this one's lock and counters.
 FOLD_CACHE = LRU("fold", 0)
 
-#: Reset the fold counters (per-trace memos are released with their
-#: traces and are not reachable).
-clear_fold_cache = FOLD_CACHE.clear
-#: Hit/miss/eviction counters across every trace's fold memo.
-fold_cache_stats = FOLD_CACHE.stats
-
 
 def _local_maxsize(v: int) -> int:
     """Entries of a trace's fold memo: its representative sub-trace and
@@ -95,10 +87,7 @@ def _local_maxsize(v: int) -> int:
 
 def _trace_cached(trace: Trace, key: tuple, compute: Callable[[], _T]) -> _T:
     """Memoise a value derived from ``trace`` on the trace instance itself,
-    under ``key``; a foreign trace-like object (no ``cache_token``)
-    computes uncached."""
-    if getattr(trace, "cache_token", None) is None:
-        return compute()
+    under ``key``."""
     cache = trace._local_fold_cache
     if cache is None:
         cache = trace._local_fold_cache = FOLD_CACHE.local(_local_maxsize(trace.v))

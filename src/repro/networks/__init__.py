@@ -16,11 +16,7 @@ from repro.networks.policy import (
     ValiantPolicy,
     by_policy,
 )
-from repro.networks.routing import (
-    RoutedProfile,
-    clear_route_cache,
-    route_trace,
-)
+from repro.networks.routing import RoutedProfile, route_trace
 from repro.networks.topology import (
     TOPOLOGIES,
     Butterfly,
@@ -51,5 +47,4 @@ __all__ = [
     "fit",
     "RoutedProfile",
     "route_trace",
-    "clear_route_cache",
 ]

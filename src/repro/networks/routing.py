@@ -49,18 +49,11 @@ __all__ = [
     "compute_route",
     "fold_legs",
     "route_key",
-    "clear_route_cache",
-    "route_cache_stats",
 ]
 
 _DIRECT = DimensionOrderPolicy()
 
 ROUTE_CACHE = LRU("route", 256)
-#: Drop memoised routed profiles and reset the counters.
-clear_route_cache = ROUTE_CACHE.clear
-#: Hit/miss/eviction counters of the routed-profile LRU — the hook the
-#: pipeline cache-sharing tests assert against.
-route_cache_stats = ROUTE_CACHE.stats
 
 #: Ceilings on one kernel call: ``supersteps * num_edges`` cells and
 #: messages.  Longer traces are routed in superstep blocks, so the dense
@@ -80,12 +73,9 @@ _BLOCK_MESSAGES = 1 << 15
 
 def route_key(
     trace: Trace, topo: Topology, policy: RoutingPolicy | None = None
-) -> tuple | None:
-    """``ROUTE_CACHE`` key of a routed profile (``None``: uncacheable)."""
-    token = getattr(trace, "cache_token", None)
-    if token is None:
-        return None
-    return (token, topo.name, topo.p, (policy or _DIRECT).cache_key())
+) -> tuple:
+    """``ROUTE_CACHE`` key of a routed profile."""
+    return (trace.cache_token, topo.name, topo.p, (policy or _DIRECT).cache_key())
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ from repro.sim.arbiter import (
 )
 from repro.sim.engine import (
     SimProfile,
-    clear_sim_cache,
-    reset_sim_engine_stats,
-    sim_cache_stats,
-    sim_engine_stats,
     simulate_many,
     simulate_trace,
     simulate_trace_reference,
@@ -42,10 +38,6 @@ __all__ = [
     "simulate_trace",
     "simulate_trace_reference",
     "simulate_many",
-    "clear_sim_cache",
-    "sim_cache_stats",
-    "sim_engine_stats",
-    "reset_sim_engine_stats",
     "BoundReport",
     "validate_grid",
 ]

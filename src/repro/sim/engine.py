@@ -59,8 +59,6 @@ from repro.networks.routing import RoutedProfile, fold_legs, route_trace
 from repro.networks.topology import Topology
 from repro.sim.arbiter import Arbiter, by_arbiter
 from repro.sim.fastpath import expand_paths
-from repro.sim.fastpath import engine_stats as sim_engine_stats
-from repro.sim.fastpath import reset_engine_stats as reset_sim_engine_stats
 from repro.sim.fastpath import run_batch as _fast_run_batch
 from repro.util import sanitize
 from repro.util.caches import LRU
@@ -72,10 +70,6 @@ __all__ = [
     "simulate_many",
     "compute_sims",
     "sim_key",
-    "clear_sim_cache",
-    "sim_cache_stats",
-    "sim_engine_stats",
-    "reset_sim_engine_stats",
 ]
 
 _DIRECT = DimensionOrderPolicy()
@@ -88,10 +82,6 @@ def _check_flits(flits_per_message: int) -> int:
 
 
 SIM_CACHE = LRU("sim", 128)
-#: Drop memoised sim profiles and reset the counters.
-clear_sim_cache = SIM_CACHE.clear
-#: Hit/miss/eviction counters of the sim-profile LRU.
-sim_cache_stats = SIM_CACHE.stats
 
 
 def sim_key(
@@ -101,19 +91,16 @@ def sim_key(
     arbiter: Arbiter | str = "fifo",
     arbiter_seed: int = 0,
     flits_per_message: int = 1,
-) -> tuple | None:
-    """``SIM_CACHE`` key of a sim profile (``None``: uncacheable).
+) -> tuple:
+    """``SIM_CACHE`` key of a sim profile.
 
     Arguments follow :func:`simulate_trace`; a named ``arbiter`` is
     built with ``arbiter_seed``.
     """
-    token = getattr(trace, "cache_token", None)
-    if token is None:
-        return None
     if isinstance(arbiter, str):
         arbiter = by_arbiter(arbiter, arbiter_seed)
     return (
-        token,
+        trace.cache_token,
         topo.name,
         topo.p,
         (policy or _DIRECT).cache_key(),

@@ -44,17 +44,14 @@ operations, so its cost follows the legs, not the supersteps.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.sim.arbiter import Arbiter
+from repro.util.caches import Counters
 
 __all__ = [
     "FLIT_BUDGET",
-    "engine_stats",
     "expand_paths",
-    "reset_engine_stats",
     "run_batch",
 ]
 
@@ -73,36 +70,9 @@ FLIT_BUDGET = 1 << 17
 #: :meth:`~repro.sim.arbiter.Arbiter.priorities` call).
 _STATIC_MODES = ("index", "remaining")
 
-_stats_lock = threading.Lock()
-
-
-def _zero_stats() -> dict[str, int]:
-    return {
-        "fused_runs": 0,
-        "serve_cycles": 0,
-    }
-
-
-_stats = _zero_stats()
-
-
-def engine_stats() -> dict[str, int]:
-    """Counters of the fast engine: ``fused_runs`` counts fused-loop
-    calls and ``serve_cycles`` the cycles they walked."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def reset_engine_stats() -> None:
-    """Zero the fast-engine counters (tests and benchmarks)."""
-    with _stats_lock:
-        _stats.update(_zero_stats())
-
-
-def _bump(**deltas: int) -> None:
-    with _stats_lock:
-        for name, delta in deltas.items():
-            _stats[name] += delta
+#: The ``sim_engine`` entry of ``repro.cache_stats()``: ``fused_runs``
+#: counts fused cycle loops and ``serve_cycles`` the cycles they walked.
+ENGINE_COUNTERS = Counters("sim_engine", "fused_runs", "serve_cycles")
 
 
 def expand_paths(
@@ -382,7 +352,7 @@ def _run_fused(
         # Fold the per-edge arrays back onto supersteps and cell edges.
         np.maximum.at(max_queue, g_u, qhigh)
         np.add.at(edge_flits, e_u, np.bincount(edges))
-    _bump(fused_runs=1, serve_cycles=t)
+    ENGINE_COUNTERS.add(fused_runs=1, serve_cycles=t)
 
     gb = np.cumsum([0] + nsteps)
     return [

@@ -23,7 +23,6 @@ from repro.util.morton import (
     morton_to_dense,
     dense_to_morton,
 )
-from repro.util.validation import check_power_of_two, check_range
 
 __all__ = [
     "ceil_div",
@@ -38,6 +37,4 @@ __all__ = [
     "morton_quadrant",
     "morton_to_dense",
     "dense_to_morton",
-    "check_power_of_two",
-    "check_range",
 ]

@@ -1,22 +1,23 @@
-"""The library's memoisation caches: one :class:`LRU` type and a registry.
+"""The library's counters: one :class:`LRU`, one :class:`Counters`, one registry.
 
 The fold-kernel (:mod:`repro.machine.folding`), routed-profile
 (:mod:`repro.networks.routing`) and simulation (:mod:`repro.sim.engine`)
-memos are :class:`LRU` instances; they, the persistent result store
-(:mod:`repro.exec.store`) and the stage-graph counters
-(:mod:`repro.exec.dag`) register a ``(stats, clear)`` pair here at
-import time, so one call aggregates them all::
+memos are :class:`LRU` instances.  The result-store
+(:mod:`repro.exec.store`), stage-graph (:mod:`repro.exec.dag`),
+fast-engine (:mod:`repro.sim.fastpath`) and sanitizer
+(:mod:`repro.util.sanitize`) tallies are :class:`Counters`.  Each one
+registers its ``(stats, clear)`` pair here at import time, so one call
+reads them all::
 
     >>> import repro
     >>> repro.cache_stats()                          # doctest: +SKIP
-    {'fold': {'hits': 12, 'misses': 3, 'evictions': 0},
-     'route': {...}, 'sim': {...}, 'store': {...}}
+    {'dag': {...}, 'fold': {'hits': 12, 'misses': 3, 'evictions': 0},
+     'route': {...}, 'sanitizer': {...}, 'sim': {...},
+     'sim_engine': {...}, 'store': {...}}
 
-The per-cache ``stats()`` contract is a dict of integer counters with at
-least ``hits``/``misses``/``evictions`` keys; ``clear()`` drops the
-cached values *and* resets the counters (each module's documented
-behaviour).  :func:`cache_stats`/:func:`clear_caches` are re-exported as
-``repro.cache_stats``/``repro.clear_caches``.
+``stats()`` is a dict of integers; ``clear()`` resets them (an LRU also
+drops its entries).  :func:`cache_stats`/:func:`clear_caches` are
+re-exported as ``repro.cache_stats``/``repro.clear_caches``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Any, Callable, Hashable
 
 __all__ = [
     "LRU",
+    "Counters",
     "register_cache",
     "cache_stats",
     "clear_caches",
@@ -70,10 +72,8 @@ class LRU:
     the ``REPRO_SANITIZE`` hook :func:`repro.util.sanitize.guard_cached`,
     which requires each reachable array to be read-only.  Callers of
     :meth:`_insert` hold the lock; lint rule RPR004 checks that statically.
-
-    A ``None`` key marks an uncacheable value (a foreign trace-like
-    object without a ``cache_token``): lookups return ``None`` without
-    counting, and inserts hand the value back without storing it.
+    Hits, misses and evictions are counted under the same lock, so a
+    lookup takes one lock, not two.
 
     The instance registers its :meth:`stats`/:meth:`clear` under
     ``name`` with :func:`cache_stats`/:func:`clear_caches`.
@@ -99,11 +99,9 @@ class LRU:
         child._data = OrderedDict()
         return child
 
-    def get(self, key: Hashable | None) -> Any:
+    def get(self, key: Hashable) -> Any:
         """The cached value (now most recent), or ``None``; counts a hit
         or a miss."""
-        if key is None:
-            return None
         with self._lock:
             value = self._data.get(key)
             if value is None:
@@ -113,17 +111,15 @@ class LRU:
                 self._counts["hits"] += 1
             return value
 
-    def put(self, key: Hashable | None, value: Any) -> Any:
+    def put(self, key: Hashable, value: Any) -> Any:
         """Insert (or replace) ``value``, evicting the least recent
         entry beyond ``maxsize``; returns ``value``."""
-        if key is None:
-            return value
         sanitize.guard_cached(value, self.name)
         with self._lock:
             self._insert(key, value)
         return value
 
-    def seed(self, key: Hashable | None, value: Any) -> Any:
+    def seed(self, key: Hashable, value: Any) -> Any:
         """Insert a value computed elsewhere unless ``key`` is present.
 
         Every reachable array is frozen first, so the value may come
@@ -132,8 +128,6 @@ class LRU:
         Returns the entry that ends up cached (an existing one wins; the
         values are bit-identical by construction).  Uncounted.
         """
-        if key is None:
-            return value
         for arr in sanitize.reachable_arrays(value):
             arr.setflags(write=False)
         sanitize.guard_cached(value, self.name)
@@ -164,7 +158,52 @@ class LRU:
                 self._counts[name] = 0
 
 
+class Counters:
+    """Named integer counters under one lock, registered like an :class:`LRU`.
+
+    For tallies kept per run, per fused loop, per store batch or per
+    sanitizer hook, never per lookup or per cell.  ``live`` maps extra
+    keys to zero-argument callables that :meth:`stats` reads each time
+    (a flag, not a count; :meth:`clear` leaves it alone).
+    """
+
+    def __init__(
+        self, name: str, *keys: str, live: dict[str, Callable[[], int]] | None = None
+    ) -> None:
+        self.name = name
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(keys, 0)
+        self._live = live or {}
+        register_cache(name, self.stats, self.clear)
+
+    def add(self, **deltas: int) -> None:
+        """Add each delta to its counter in one locked step."""
+        with self._lock:
+            for key, delta in deltas.items():
+                self._counts[key] += delta
+
+    def ticket(self, key: str) -> int:
+        """Increment ``key`` and return its old value: a sampling gate's
+        draw, in call order, with no gap or repeat across threads."""
+        with self._lock:
+            n = self._counts[key]
+            self._counts[key] = n + 1
+        return n
+
+    def stats(self) -> dict[str, int]:
+        """The live keys, then every counter since the last :meth:`clear`."""
+        live = {key: read() for key, read in self._live.items()}
+        with self._lock:
+            return {**live, **self._counts}
+
+    def clear(self) -> None:
+        """Reset every counter to zero."""
+        with self._lock:
+            for key in self._counts:
+                self._counts[key] = 0
+
+
 # Registers the "sanitizer" provider unconditionally (its hooks no-op
 # unless REPRO_SANITIZE=1), so cache_stats() always carries the entry.
-# Imported at the bottom: sanitize needs register_cache from this module.
+# Imported at the bottom: sanitize needs Counters from this module.
 from repro.util import sanitize  # noqa: E402

@@ -16,19 +16,19 @@ do.  With ``REPRO_SANITIZE=1`` in the environment:
 The mode is an always-importable no-op when the variable is unset: every
 hook first consults :func:`enabled`, which reads the environment live so
 tests can flip it per-case.  Counters aggregate under the ``sanitizer``
-key of :func:`repro.cache_stats` and reset with ``repro.clear_caches()``.
+key of :func:`repro.cache_stats` (beside the live ``enabled`` flag and
+the two sampling gates' tickets) and reset with ``repro.clear_caches()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 from typing import Any
 
 import numpy as np
 
-from repro.util.caches import register_cache
+from repro.util.caches import Counters
 
 __all__ = [
     "SanitizerError",
@@ -40,19 +40,9 @@ __all__ = [
     "should_spotcheck",
     "check_engine_parity",
     "check_row_parity",
-    "sanitizer_stats",
-    "clear_sanitizer",
 ]
 
 _TRUTHY = {"1", "true", "yes", "on"}
-
-_counter_lock = threading.Lock()
-_arrays_checked = 0
-_engine_checks = 0
-_crosscheck_calls = 0
-_spotcheck_calls = 0
-_row_checks = 0
-_violations = 0
 
 
 class SanitizerError(AssertionError):
@@ -73,10 +63,17 @@ def sample_every() -> int:
         return 4
 
 
+#: The ``sanitizer`` entry of :func:`repro.cache_stats`.
+SANITIZER_COUNTERS = Counters(
+    "sanitizer",
+    "arrays_checked", "engine_checks", "row_checks", "violations",
+    "crosscheck_calls", "spotcheck_calls",
+    live={"enabled": lambda: int(enabled())},
+)
+
+
 def _record_violation(message: str) -> None:
-    global _violations
-    with _counter_lock:
-        _violations += 1
+    SANITIZER_COUNTERS.add(violations=1)
     raise SanitizerError(message)
 
 
@@ -112,21 +109,18 @@ def guard_cached(value: Any, where: str = "cache") -> Any:
     """
     if not enabled():
         return value
-    global _arrays_checked
     checked = 0
     for arr in reachable_arrays(value):
         checked += 1
         if arr.flags.writeable:
-            with _counter_lock:
-                _arrays_checked += checked
+            SANITIZER_COUNTERS.add(arrays_checked=checked)
             _record_violation(
                 f"sanitizer[{where}]: a writeable ndarray "
                 f"(shape {arr.shape}, dtype {arr.dtype}) is entering a "
                 "shared cache — freeze it with setflags(write=False) "
                 "before insertion"
             )
-    with _counter_lock:
-        _arrays_checked += checked
+    SANITIZER_COUNTERS.add(arrays_checked=checked)
     return value
 
 
@@ -140,11 +134,7 @@ def should_crosscheck() -> bool:
     """
     if not enabled():
         return False
-    global _crosscheck_calls
-    with _counter_lock:
-        n = _crosscheck_calls
-        _crosscheck_calls += 1
-    return n % sample_every() == 0
+    return SANITIZER_COUNTERS.ticket("crosscheck_calls") % sample_every() == 0
 
 
 def should_spotcheck() -> bool:
@@ -157,11 +147,7 @@ def should_spotcheck() -> bool:
     """
     if not enabled():
         return False
-    global _spotcheck_calls
-    with _counter_lock:
-        n = _spotcheck_calls
-        _spotcheck_calls += 1
-    return n % sample_every() == 0
+    return SANITIZER_COUNTERS.ticket("spotcheck_calls") % sample_every() == 0
 
 
 def _same_value(a: Any, b: Any) -> bool:
@@ -184,9 +170,7 @@ def check_row_parity(row: tuple, reference: tuple, where: str = "row") -> None:
     absorbs the store's JSON round-trip).  Raises
     :class:`SanitizerError` on the first differing column.
     """
-    global _row_checks
-    with _counter_lock:
-        _row_checks += 1
+    SANITIZER_COUNTERS.add(row_checks=1)
     if len(row) != len(reference):
         _record_violation(
             f"sanitizer[{where}]: row has {len(row)} columns, "
@@ -211,9 +195,7 @@ def check_engine_parity(
     runtime counterpart of the fast/reference property tests, applied to
     the workload actually being simulated.
     """
-    global _engine_checks
-    with _counter_lock:
-        _engine_checks += 1
+    SANITIZER_COUNTERS.add(engine_checks=1)
     names = ("cycles", "max_queue", "edge_flits")
     for name, a, b in zip(names, fast, reference):
         if not np.array_equal(a, b):
@@ -223,32 +205,3 @@ def check_engine_parity(
                 f"(fast={np.asarray(a).tolist()}, "
                 f"reference={np.asarray(b).tolist()})"
             )
-
-
-def sanitizer_stats() -> dict[str, int]:
-    """Counters of every sanitizer hook (the ``sanitizer`` entry of
-    :func:`repro.cache_stats`); ``enabled`` reflects the live env flag."""
-    with _counter_lock:
-        return {
-            "enabled": int(enabled()),
-            "arrays_checked": _arrays_checked,
-            "engine_checks": _engine_checks,
-            "row_checks": _row_checks,
-            "violations": _violations,
-        }
-
-
-def clear_sanitizer() -> None:
-    """Reset the sanitizer counters (wired into ``repro.clear_caches``)."""
-    global _arrays_checked, _engine_checks
-    global _crosscheck_calls, _spotcheck_calls, _row_checks, _violations
-    with _counter_lock:
-        _arrays_checked = 0
-        _engine_checks = 0
-        _crosscheck_calls = 0
-        _spotcheck_calls = 0
-        _row_checks = 0
-        _violations = 0
-
-
-register_cache("sanitizer", sanitizer_stats, clear_sanitizer)

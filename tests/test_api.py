@@ -24,10 +24,10 @@ from repro.api import (
 from repro.api.frame import RESULT_COLUMNS
 from repro.core.metrics import TraceMetrics
 from repro.exec import ShmSubstrate, shutdown_pool
-from repro.machine.folding import clear_fold_cache, fold_cache_stats, fold_trace
+from repro.machine.folding import FOLD_CACHE, fold_trace
 from repro.networks import by_policy, fit, route_trace
 from repro.networks import by_name as topo_by_name
-from repro.networks.routing import clear_route_cache, route_cache_stats
+from repro.networks.routing import ROUTE_CACHE
 
 
 # ----------------------------------------------------------------------
@@ -205,13 +205,13 @@ class TestPipeline:
         r1 = base.route("torus2d")
         r1.profile  # materialise the route once
 
-        fold_before = fold_cache_stats()
-        route_before = route_cache_stats()
+        fold_before = FOLD_CACHE.stats()
+        route_before = ROUTE_CACHE.stats()
         # New chain objects over the same source: all work must be LRU hits.
         pipe.fold(16).trace
         pipe.fold(16).route("torus2d").profile
-        fold_after = fold_cache_stats()
-        route_after = route_cache_stats()
+        fold_after = FOLD_CACHE.stats()
+        route_after = ROUTE_CACHE.stats()
         assert fold_after["misses"] == fold_before["misses"]
         assert route_after["misses"] == route_before["misses"]
         assert route_after["hits"] > route_before["hits"]
@@ -222,22 +222,20 @@ class TestPipeline:
 # ----------------------------------------------------------------------
 class TestCacheStats:
     def test_route_cache_reports_evictions(self, monkeypatch):
-        import repro.networks.routing as routing
-
-        clear_route_cache()
-        monkeypatch.setattr(routing.ROUTE_CACHE, "maxsize", 2)
+        ROUTE_CACHE.clear()
+        monkeypatch.setattr(ROUTE_CACHE, "maxsize", 2)
         trace = run("prefix", n=64, seed=1).trace
         for name in ("ring", "mesh2d", "hypercube", "butterfly"):
             route_trace(trace, topo_by_name(name, 8))
-        stats = route_cache_stats()
+        stats = ROUTE_CACHE.stats()
         assert stats["misses"] == 4 and stats["evictions"] == 2
         # Hitting a surviving entry adds a hit, never an eviction.
         route_trace(trace, topo_by_name("butterfly", 8))
-        after = route_cache_stats()
+        after = ROUTE_CACHE.stats()
         assert after["hits"] == stats["hits"] + 1
         assert after["evictions"] == stats["evictions"]
-        clear_route_cache()
-        assert route_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
+        ROUTE_CACHE.clear()
+        assert ROUTE_CACHE.stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
     def test_fold_cache_reports_evictions(self):
         # Each trace's fold memo holds its representative sub-trace and
@@ -248,23 +246,23 @@ class TestCacheStats:
         from repro.networks.policy import ValiantPolicy
         from repro.networks.routing import fold_legs
 
-        clear_fold_cache()
+        FOLD_CACHE.clear()
         trace = run("prefix", n=64, seed=2).trace
         room = folding._local_maxsize(trace.v)
         topo = topo_by_name("ring", 8)
         for seed in range(room + 3):
             fold_legs(trace, topo, ValiantPolicy(seed))
-        stats = fold_cache_stats()
+        stats = FOLD_CACHE.stats()
         # sub-trace (made by validation) + table + fold + room + 3 legs:
         # 6 more entries than there is room.
         assert stats["misses"] == room + 6
         assert stats["evictions"] == 6
         # The fold is read by every draw, so it survives.
         fold_trace(trace, 8)
-        assert fold_cache_stats()["evictions"] == 6
-        assert fold_cache_stats()["hits"] == stats["hits"] + 1
-        clear_fold_cache()
-        assert fold_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
+        assert FOLD_CACHE.stats()["evictions"] == 6
+        assert FOLD_CACHE.stats()["hits"] == stats["hits"] + 1
+        FOLD_CACHE.clear()
+        assert FOLD_CACHE.stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
 
 # ----------------------------------------------------------------------
@@ -302,8 +300,8 @@ class TestExperimentPlan:
     def test_parallel_executor_cold_caches_identical(self):
         plan = self._grid()
         serial = plan.run(executor="serial")
-        clear_fold_cache()
-        clear_route_cache()
+        FOLD_CACHE.clear()
+        ROUTE_CACHE.clear()
         try:
             shm = plan.run(executor=ShmSubstrate(workers=2, force=True))
         finally:

@@ -1,4 +1,5 @@
-"""repro.util.caches.LRU: counters, seeding, eviction, threads."""
+"""repro.util.caches: the LRU (counters, seeding, eviction, threads), the
+Counters primitive and the registry both report to."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.util import caches, sanitize
-from repro.util.caches import LRU, cache_stats, clear_caches
+from repro.util.caches import LRU, Counters, cache_stats, clear_caches
 
 
 @pytest.fixture(autouse=True)
@@ -39,14 +40,6 @@ class TestCounters:
         value = lru.put("a", _frozen(3))
         assert lru.get("a") is value
         assert lru.stats() == {"hits": 1, "misses": 1, "evictions": 0}
-
-    def test_none_key_is_uncacheable(self):
-        lru = LRU("t-none", 4)
-        value = _frozen(2)
-        assert lru.put(None, value) is value
-        assert lru.seed(None, value) is value
-        assert lru.get(None) is None
-        assert lru.stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
     def test_registered_under_its_name(self):
         lru = LRU("t-registry", 4)
@@ -126,7 +119,7 @@ class TestSanitized:
 
     def test_thread_hammer_records_no_violations(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitize.clear_sanitizer()
+        sanitize.SANITIZER_COUNTERS.clear()
         lru = LRU("t-hammer", 16)
         value = _frozen(8)
         threads, rounds, keys = 8, 400, 40
@@ -163,6 +156,83 @@ class TestSanitized:
         # Two lookups a round; no lost update.
         assert stats["hits"] + stats["misses"] == 2 * threads * rounds
         assert sum(lru.get(k) is not None for k in range(keys)) <= 16
-        sane = sanitize.sanitizer_stats()
-        assert sane["violations"] == 0
-        sanitize.clear_sanitizer()
+        assert sanitize.SANITIZER_COUNTERS.stats()["violations"] == 0
+        sanitize.SANITIZER_COUNTERS.clear()
+
+
+def _hammer(threads: int, work) -> list:
+    """Run ``work(tid)`` on ``threads`` threads with a tiny switch
+    interval; returns what each call returned, in thread order."""
+    results: list = [None] * threads
+
+    def body(tid: int) -> None:
+        results[tid] = work(tid)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=body, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    return results
+
+
+class TestCountersPrimitive:
+    def test_adds_from_eight_threads_sum_exactly(self):
+        counts = Counters("t-add", "a", "b")
+        threads, rounds = 8, 10_000
+
+        def work(tid: int) -> None:
+            for _ in range(rounds):
+                counts.add(a=1, b=tid)
+
+        _hammer(threads, work)
+        assert counts.stats() == {
+            "a": threads * rounds,
+            "b": rounds * sum(range(threads)),
+        }
+
+    def test_tickets_have_no_gaps_or_repeats(self):
+        counts = Counters("t-ticket", "calls")
+        threads, rounds = 8, 2_000
+        drawn = _hammer(
+            threads, lambda tid: [counts.ticket("calls") for _ in range(rounds)]
+        )
+        tickets = sorted(t for batch in drawn for t in batch)
+        assert tickets == list(range(threads * rounds))
+        assert all(batch == sorted(batch) for batch in drawn)  # call order
+        assert counts.stats() == {"calls": threads * rounds}
+
+    def test_registered_clear_keeps_live_keys(self):
+        flag = [1]
+        counts = Counters("t-live", "n", live={"on": lambda: flag[0]})
+        counts.add(n=3)
+        assert cache_stats()["t-live"] == {"on": 1, "n": 3}
+        flag[0] = 0
+        clear_caches()
+        assert counts.stats() == {"on": 0, "n": 0}
+
+
+def test_simulate_many_counts_fused_runs_and_cycles():
+    import repro
+    from repro.api import run
+    from repro.networks import by_name
+    from repro.sim import simulate_many
+
+    trace = run("fft", n=64).trace
+    repro.clear_caches()
+    profiles = simulate_many(
+        [(trace, by_name(name, 8), None, "fifo") for name in ("ring", "hypercube")]
+    )
+    engine = repro.cache_stats()["sim_engine"]
+    assert engine["fused_runs"] == 1
+    # Every superstep of every cell starts at cycle 0 of the one loop,
+    # which runs until the slowest one drains.
+    assert engine["serve_cycles"] == max(int(p.cycles.max()) for p in profiles)
+    repro.clear_caches()
+    assert repro.cache_stats()["sim_engine"] == {"fused_runs": 0, "serve_cycles": 0}

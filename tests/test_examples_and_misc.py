@@ -13,25 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.util.validation import check_power_of_two, check_range
-
 EXAMPLES = Path(__file__).parent.parent / "examples"
 SRC = Path(__file__).parent.parent / "src"
-
-
-class TestValidationHelpers:
-    def test_check_power_of_two(self):
-        assert check_power_of_two(8, "x") == 8
-        with pytest.raises(ValueError, match="x"):
-            check_power_of_two(6, "x")
-
-    def test_check_range(self):
-        assert check_range(3.0, "y", low=0.0, high=5.0) == 3.0
-        with pytest.raises(ValueError, match="y"):
-            check_range(-1.0, "y", low=0.0)
-        with pytest.raises(ValueError, match="y"):
-            check_range(9.0, "y", high=5.0)
-        assert check_range(123.0, "y") == 123.0  # unbounded
 
 
 @pytest.mark.parametrize(

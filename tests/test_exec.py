@@ -577,15 +577,26 @@ class TestCacheRegistry:
     def test_aggregate_names_and_shape(self):
         from repro.util.caches import registered_caches
 
-        assert set(registered_caches()) >= {"fold", "route", "sim", "store"}
+        assert registered_caches() == (
+            "dag", "fold", "route", "sanitizer", "sim", "sim_engine", "store",
+        )
         stats = cache_stats()
         for name in ("fold", "route", "sim", "store"):
             assert {"hits", "misses", "evictions"} <= set(stats[name])
 
-    def test_clear_caches_resets_every_counter(self):
-        run("stencil1d", n=64).fold(4).trace  # force some fold traffic
+    def test_clear_caches_resets_every_counter(self, tmp_path):
+        # Traffic for every entry: a cold plan run over a store routes and
+        # simulates; the sanitizer counts whatever REPRO_SANITIZE arms.
+        plan = ExperimentPlan.grid(
+            algorithms=["fft"], ns=[64], ps=[4], topologies=["ring"],
+            modes=["analytic", "sim"],
+        )
         clear_caches()
+        plan.run(store=tmp_path / "r.db")
         stats = cache_stats()
-        for name in ("fold", "route", "sim", "store"):
-            assert stats[name]["hits"] == 0
-            assert stats[name]["misses"] == 0
+        assert stats["dag"]["runs"] and stats["sim_engine"]["fused_runs"]
+        assert stats["store"]["misses"] and stats["route"]["misses"]
+        clear_caches()
+        for name, counters in cache_stats().items():
+            counts = {k: v for k, v in counters.items() if k != "enabled"}
+            assert set(counts.values()) == {0}, name

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.machine.folding import (
     F_vector,
     S_vector,
-    clear_fold_cache,
+    FOLD_CACHE,
     fold_degrees,
     fold_message_counts,
     fold_trace,
@@ -119,7 +119,7 @@ def test_table_rows_match_reference_on_emitted_traces(algorithm, n):
 
 class TestFoldCache:
     def test_cache_returns_consistent_results(self, rng):
-        clear_fold_cache()
+        FOLD_CACHE.clear()
         t = random_trace(16, 6, rng)
         first = fold_degrees(t, 4)
         assert fold_degrees(t, 4) is first  # memoised

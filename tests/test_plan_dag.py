@@ -23,8 +23,6 @@ from repro.api import ExperimentPlan, run
 from repro.exec import (
     ResultStore,
     ShmSubstrate,
-    clear_dag_stats,
-    dag_stats,
     shutdown_pool,
 )
 from repro.networks import TOPOLOGIES
@@ -273,12 +271,12 @@ class TestDedupCounters:
         )
 
     def test_cache_stats_gains_dag_provider(self):
-        clear_dag_stats()
-        assert dag_stats()["stages_planned"] == 0
+        clear_caches()
+        assert cache_stats()["dag"]["stages_planned"] == 0
         frame = _shared_grid().run()
         stats = cache_stats()["dag"]
         assert stats["stages_planned"] == frame.metadata["dag_stages_planned"]
         assert stats["stages_unique"] == frame.metadata["dag_stages_unique"]
         assert stats["runs"] == 1
         clear_caches()
-        assert dag_stats()["stages_planned"] == 0
+        assert cache_stats()["dag"]["stages_planned"] == 0

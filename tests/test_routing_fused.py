@@ -72,9 +72,9 @@ def traces():
 
 @pytest.fixture(autouse=True)
 def cold_routes():
-    routing.clear_route_cache()
+    routing.ROUTE_CACHE.clear()
     yield
-    routing.clear_route_cache()
+    routing.ROUTE_CACHE.clear()
 
 
 @pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
@@ -159,7 +159,7 @@ def test_block_size_never_changes_the_profile(
             cells = supersteps * topo.num_edges()
             monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
             monkeypatch.setattr(routing, "_BLOCK_MESSAGES", messages)
-            routing.clear_route_cache()
+            routing.ROUTE_CACHE.clear()
             assert_matches_oracle(route_trace(trace, topo, policy), oracle)
 
 

@@ -16,16 +16,17 @@ import repro
 from repro.api import by_name
 from repro.machine.trace import Trace
 from repro.networks import by_name as network_by_name
-from repro.sim import clear_sim_cache, simulate_trace
+from repro.sim import simulate_trace
+from repro.sim.engine import SIM_CACHE
 from repro.util import sanitize
 from repro.util.sanitize import SanitizerError
 
 
 @pytest.fixture(autouse=True)
 def _reset_counters():
-    sanitize.clear_sanitizer()
+    sanitize.SANITIZER_COUNTERS.clear()
     yield
-    sanitize.clear_sanitizer()
+    sanitize.SANITIZER_COUNTERS.clear()
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ class TestGuardCached:
         from repro.machine.folding import fold_trace
 
         folded = fold_trace(_trace(), 4)
-        sanitize.clear_sanitizer()
+        sanitize.SANITIZER_COUNTERS.clear()
         assert sanitize.guard_cached(folded, "test") is folded
         assert repro.cache_stats()["sanitizer"]["arrays_checked"] == 4
         thawed = np.array([0, 1], np.int64)  # a writable column
@@ -128,10 +129,9 @@ class TestGuardCached:
             sanitize.guard_cached(bad, "test")
 
     def test_fold_cache_insertions_are_guarded(self, sanitizing):
-        from repro.machine.folding import clear_fold_cache, fold_degrees
+        from repro.machine.folding import fold_degrees
 
-        clear_fold_cache()
-        sanitize.clear_sanitizer()
+        repro.clear_caches()
         fold_degrees(_trace(), 4)  # a miss: inserts under the guard
         stats = repro.cache_stats()["sanitizer"]
         assert stats["arrays_checked"] > 0
@@ -149,8 +149,7 @@ class TestEngineCrossCheck:
         assert picks == [True, False, True, False]
 
     def test_fast_engine_cross_checked_clean(self, sanitizing):
-        clear_sim_cache()
-        sanitize.clear_sanitizer()
+        repro.clear_caches()
         topo = network_by_name("mesh2d", 16)
         simulate_trace(_trace(), topo)
         stats = repro.cache_stats()["sanitizer"]
@@ -167,7 +166,7 @@ class TestEngineCrossCheck:
             return [(c + 1, q, f) for c, q, f in real(cells)]
 
         monkeypatch.setattr(engine, "_fast_run_batch", corrupted)
-        clear_sim_cache()
+        SIM_CACHE.clear()
         topo = network_by_name("mesh2d", 16)
         with pytest.raises(SanitizerError, match="diverges from the reference"):
             simulate_trace(_trace(), topo)
@@ -215,7 +214,7 @@ class TestRowParity:
             sanitize.check_row_parity((1, 2), (1,))
 
     def test_dag_run_spot_checks_rows(self, sanitizing):
-        sanitize.clear_sanitizer()
+        sanitize.SANITIZER_COUNTERS.clear()
         self._plan().run()
         stats = repro.cache_stats()["sanitizer"]
         assert stats["row_checks"] >= len(self._plan())
@@ -226,7 +225,7 @@ class TestRowParity:
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         plan.run(store=tmp_path / "r.db")  # cold fill, unsanitized
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitize.clear_sanitizer()
+        sanitize.SANITIZER_COUNTERS.clear()
         warm = plan.run(store=tmp_path / "r.db")
         assert warm.metadata["store_hits"] == len(plan)
         stats = repro.cache_stats()["sanitizer"]

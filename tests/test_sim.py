@@ -10,14 +10,8 @@ from repro.api import ExperimentPlan, run
 from repro.exec import ShmSubstrate, shutdown_pool
 from repro.networks import by_name, by_policy
 from repro.networks.topology import TOPOLOGIES
-from repro.sim import (
-    ARBITERS,
-    by_arbiter,
-    clear_sim_cache,
-    sim_cache_stats,
-    simulate_trace,
-    validate_grid,
-)
+from repro.sim import ARBITERS, by_arbiter, simulate_trace, validate_grid
+from repro.sim.engine import SIM_CACHE
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
@@ -205,31 +199,29 @@ class TestArbitrationInvariance:
 # ----------------------------------------------------------------------
 class TestSimCache:
     def test_profile_memoised_per_cell(self, sim_traces):
-        clear_sim_cache()
+        SIM_CACHE.clear()
         trace = sim_traces["prefix"]
         topo = by_name("ring", 8)
         first = simulate_trace(trace, topo)
         assert simulate_trace(trace, topo) is first
-        stats = sim_cache_stats()
+        stats = SIM_CACHE.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         # A different arbiter is a different cell.
         simulate_trace(trace, topo, arbiter="farthest-to-go")
-        assert sim_cache_stats()["misses"] == 2
+        assert SIM_CACHE.stats()["misses"] == 2
         for arr in (first.cycles, first.max_queue, first.edge_flits):
             assert not arr.flags.writeable
-        clear_sim_cache()
+        SIM_CACHE.clear()
 
     def test_sim_cache_reports_evictions(self, sim_traces, monkeypatch):
-        import repro.sim.engine as engine
-
-        clear_sim_cache()
-        monkeypatch.setattr(engine.SIM_CACHE, "maxsize", 2)
+        SIM_CACHE.clear()
+        monkeypatch.setattr(SIM_CACHE, "maxsize", 2)
         trace = sim_traces["prefix"]
         for name in ("ring", "mesh2d", "hypercube"):
             simulate_trace(trace, by_name(name, 8))
-        stats = sim_cache_stats()
+        stats = SIM_CACHE.stats()
         assert stats["evictions"] == 1 and stats["misses"] == 3
-        clear_sim_cache()
+        SIM_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +246,9 @@ class TestSimPipeline:
     def test_sim_stage_rides_the_lru(self):
         pipe = run("fft", n=64, seed=9).route("hypercube", p=8)
         sim1 = pipe.simulate().sim_profile
-        before = sim_cache_stats()
+        before = SIM_CACHE.stats()
         sim2 = pipe.simulate().sim_profile  # fresh stage, same cell
-        after = sim_cache_stats()
+        after = SIM_CACHE.stats()
         assert sim2 is sim1
         assert after["misses"] == before["misses"]
         assert after["hits"] > before["hits"]

@@ -5,6 +5,7 @@ arbiter ranks, flits validation, and the multi-flit fidelity knob."""
 import numpy as np
 import pytest
 
+from repro import cache_stats, clear_caches
 from repro.api import run
 from repro.machine.folding import fold_trace
 from repro.machine.program import ScheduleBuilder
@@ -16,16 +17,12 @@ from repro.sim import (
     Arbiter,
     RandomArbiter,
     by_arbiter,
-    clear_sim_cache,
-    reset_sim_engine_stats,
-    sim_cache_stats,
-    sim_engine_stats,
     simulate_many,
     simulate_trace,
     simulate_trace_reference,
     validate_grid,
 )
-from repro.sim.engine import compute_sims
+from repro.sim.engine import SIM_CACHE, compute_sims
 
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 POLICY_NAMES = ("dimension-order", "valiant")
@@ -175,7 +172,7 @@ class TestRandomRank:
         profile = simulate_trace_reference(trace, by_name("ring", 16), arbiter="random")
         assert profile.cycles.tolist() == [32, 8, 4, 4, 4, 9, 8, 33, 4, 4, 4, 27]
         assert profile.max_queue.tolist() == [8, 4, 4, 4, 4, 6, 4, 8, 4, 4, 4, 8]
-        clear_sim_cache()
+        SIM_CACHE.clear()
         fast = simulate_trace(trace, by_name("ring", 16), arbiter="random")
         _assert_profiles_identical(profile, fast, "pinned")
 
@@ -218,7 +215,7 @@ class TestBatchedSimulation:
         ]
         items.append((traces["fft"], by_name("hypercube", 1), None, "fifo"))
         items.append((traces["sort"], by_name("fat-tree", 8), None, "random"))
-        clear_sim_cache()
+        SIM_CACHE.clear()
         batched = simulate_many(items, flits_per_message=flits)
         for (trace, topo, policy, arb), prof in zip(items, batched):
             ref = simulate_trace_reference(
@@ -232,7 +229,7 @@ class TestBatchedSimulation:
             (engine_traces["fft"], topo, by_policy("valiant", 7), "fifo"),
             (engine_traces["sort"], topo, by_policy("valiant", 7), "fifo"),
         ]
-        clear_sim_cache()
+        SIM_CACHE.clear()
         first = simulate_many(items)
         again = simulate_many(items)
         for a, b in zip(first, again):
@@ -243,10 +240,10 @@ class TestBatchedSimulation:
             (engine_traces["fft"], by_name("mesh2d", 16), by_policy("valiant", 7)),
             (engine_traces["sort"], by_name("butterfly", 16), None),
         ]
-        clear_sim_cache()
+        SIM_CACHE.clear()
         reports = validate_grid(cells)
         for (trace, topo, policy), rep in zip(cells, reports):
-            clear_sim_cache()
+            SIM_CACHE.clear()
             (solo,) = validate_grid([(trace, topo, policy)])
             assert np.array_equal(
                 rep.profile.cycles, solo.profile.cycles
@@ -257,10 +254,9 @@ class TestBatchedSimulation:
             (engine_traces["fft"], by_name("ring", 16), by_policy("valiant", 7), "fifo"),
             (engine_traces["sort"], by_name("mesh2d", 16), by_policy("valiant", 7), "fifo"),
         ]
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         simulate_many(items)
-        assert sim_engine_stats()["fused_runs"] == 1
+        assert cache_stats()["sim_engine"]["fused_runs"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +302,7 @@ class TestBarrierOnlySupersteps:
         ]
         empty, busy = [0, 1, 3, 5, 7], [2, 4, 6]
         assert min(cross[s] for s in busy) > 30
-        clear_sim_cache()
+        SIM_CACHE.clear()
         batch = simulate_many(items, seed=9, flits_per_message=flits)
         for item, fast in zip(items, batch):
             ref = simulate_trace_reference(*item, seed=9, flits_per_message=flits)
@@ -367,10 +363,9 @@ class TestFusedSetUp:
             for arbiter in ARBITER_NAMES
             for flits in (1, 3)
         ]
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         batch = compute_sims(items, [route_trace(*item[:3]) for item in items])
-        assert sim_engine_stats()["fused_runs"] == 3  # one per arbiter group
+        assert cache_stats()["sim_engine"]["fused_runs"] == 3  # one per arbiter group
         for (trace, topo, policy, arbiter, flits), fast in zip(items, batch):
             ref = simulate_trace_reference(
                 trace, topo, policy, arbiter, flits_per_message=flits
@@ -393,7 +388,7 @@ class TestFusedSetUp:
                     0, dtype=np.int64
                 )
 
-        clear_sim_cache()
+        SIM_CACHE.clear()
         with pytest.raises(ValueError, match="hollow-ring: zero-hop path"):
             simulate_trace(engine_traces["fft"], HollowRing(16))
 
@@ -414,10 +409,9 @@ class TestEngineCounters:
                 by_arbiter("random", 5),
             )
         ]
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         simulate_many(items)
-        stats = sim_engine_stats()
+        stats = cache_stats()["sim_engine"]
         assert set(stats) == {"fused_runs", "serve_cycles"}
         assert stats["fused_runs"] == 4
 
@@ -439,11 +433,10 @@ class TestEngineCounters:
             (trace, ring, by_policy("valiant", seed), "fifo")
             for seed in range(n_cells)
         ]
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         batch = simulate_many(items, flits_per_message=3)
-        assert sim_engine_stats()["fused_runs"] == -(-n_cells // per_loop) >= 2
-        clear_sim_cache()
+        assert cache_stats()["sim_engine"]["fused_runs"] == -(-n_cells // per_loop) >= 2
+        SIM_CACHE.clear()
         for item, profile in zip(items, batch):
             solo = simulate_trace(*item, flits_per_message=3)
             assert solo is not profile
@@ -468,10 +461,9 @@ class TestEngineCounters:
             folded, legs = fold_legs(trace, topo, policy)
             group += folded.total_messages * len(legs)
         assert group < FLIT_BUDGET
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         batch = simulate_many(items)
-        assert sim_engine_stats()["fused_runs"] == 2
+        assert cache_stats()["sim_engine"]["fused_runs"] == 2
         for item, profile in zip(items[::4], batch[::4]):
             _assert_profiles_identical(
                 simulate_trace_reference(*item), profile, item[1:]
@@ -480,10 +472,10 @@ class TestEngineCounters:
     def test_reference_oracle_leaves_sim_counters_unchanged(self, engine_traces):
         topo = by_name("ring", 16)
         simulate_trace(engine_traces["fft"], topo)  # a warm entry to hit
-        cache, engine = sim_cache_stats(), sim_engine_stats()
+        cache, engine = SIM_CACHE.stats(), cache_stats()["sim_engine"]
         ref = simulate_trace_reference(engine_traces["fft"], topo)
-        assert sim_cache_stats() == cache
-        assert sim_engine_stats() == engine
+        assert SIM_CACHE.stats() == cache
+        assert cache_stats()["sim_engine"] == engine
         assert ref is not simulate_trace(engine_traces["fft"], topo)
 
 
@@ -534,10 +526,9 @@ class TestSingleEngine:
             simulate_trace(engine_traces["fft"], topo, engine="reference")
         # The old environment switch is ignored: the fast engine runs.
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        clear_sim_cache()
-        reset_sim_engine_stats()
+        clear_caches()
         fast = simulate_trace(engine_traces["fft"], topo)
-        assert sim_engine_stats()["fused_runs"] > 0
+        assert cache_stats()["sim_engine"]["fused_runs"] > 0
         _assert_profiles_identical(
             simulate_trace_reference(engine_traces["fft"], topo), fast, "env"
         )
@@ -554,7 +545,7 @@ class TestMultiFlit:
         (hop count) is unchanged."""
         for topo_name in ("torus2d", "fat-tree"):
             topo = by_name(topo_name, 16)
-            clear_sim_cache()
+            SIM_CACHE.clear()
             profile = simulate_trace(
                 engine_traces["sort"], topo, flits_per_message=flits
             )
@@ -567,7 +558,7 @@ class TestMultiFlit:
 
     def test_flits_scale_edge_traffic_exactly(self, engine_traces):
         topo = by_name("mesh2d", 16)
-        clear_sim_cache()
+        SIM_CACHE.clear()
         one = simulate_trace(engine_traces["fft"], topo)
         three = simulate_trace(engine_traces["fft"], topo, flits_per_message=3)
         assert np.array_equal(three.edge_flits, 3 * one.edge_flits)

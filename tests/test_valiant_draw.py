@@ -1,6 +1,6 @@
 """``ValiantPolicy`` draws every intermediate of a trace in one pass, and
-each one equals the per-superstep seeded generator of
-``intermediates_reference`` — through ``phase_legs`` and
+each one equals the counter-based hash that ``intermediates_reference``
+computes message by message in Python ints, through ``phase_legs`` and
 ``intermediates`` alike."""
 
 import numpy as np
@@ -79,7 +79,8 @@ def test_a_trace_with_no_messages():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ordinals_past_two_to_the_32(seed):
-    """An ordinal from 2**32 on keys its stream with two entropy words."""
+    """Ordinals from 2**32 on hash like the oracle's: the superstep's
+    key ``step * gamma`` wraps modulo 2**64 in both."""
     policy = ValiantPolicy(seed)
     topo = by_name("ring", 64)
     src = np.random.default_rng(seed % 89).integers(0, 64, 9)
