@@ -24,6 +24,7 @@ Three subcommands expose the experiment API without writing any Python:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.api import ExperimentPlan, specs
@@ -154,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker-pool size (needs --executor shm)",
+        help="worker-pool size (needs the shm executor)",
     )
     plan_p.add_argument(
         "--store",
@@ -204,8 +205,11 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "sim":
         return _cmd_sim(args)
-    if args.workers is not None and (args.executor != "shm" or args.workers < 1):
-        plan_p.error("--workers N needs --executor shm and N >= 1")
+    executor = args.executor or os.environ.get("REPRO_EXECUTOR") or "serial"
+    if args.workers is not None and (executor != "shm" or args.workers < 1):
+        plan_p.error(
+            "--workers N needs --executor shm (or REPRO_EXECUTOR=shm) and N >= 1"
+        )
     return _cmd_plan(args)
 
 

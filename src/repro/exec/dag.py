@@ -16,7 +16,10 @@ each through the one wave step, :func:`_wave`: probe each node once in
 its LRU, hand the cold ones to the run's substrate
 (:mod:`repro.exec.local`, :mod:`repro.exec.shm`), which runs the kind's
 :data:`STAGE_KERNELS` entry (folds run inside the route kernel), put
-the artifacts into the LRU for later runs and keep them all.  Rows are
+the artifacts into the LRU and keep them all.  LRU keys name the
+``Trace`` object and each run re-emits its registry sources, so later
+runs hit only through a reused trace (``@`` sources, ``Pipeline``
+chains, direct ``route_trace``/``simulate_trace`` calls).  Rows are
 built last by the pure ``runtime.row`` from those artifacts, so LRU
 eviction never forces a recompute, and they are bit-identical to
 per-cell evaluation (``runtime.eval_cell``): both call ``row`` on the

@@ -13,13 +13,13 @@ not pure functions of their declaration are never cached:
 non-JSON params, and machine cells of plans with custom machine
 builders.
 
-:class:`ResultStore` is a small sqlite table (``key -> row JSON``, keyed
-``WITHOUT ROWID``) with LRU eviction by access sequence when bounded.
-``ExperimentPlan.run(store=...)``
-consults it before compiling the stage graph (:func:`store_hits`): the
-whole plan is keyed in one pass and its hits read in a few batched
-queries; hits skip emission, folds, routes and sims; only the misses
-reach the graph, and their rows are stored on the way out.
+:class:`ResultStore` is one sqlite table (``key -> row JSON``, keyed
+``WITHOUT ROWID``) whose reads never write.
+``ExperimentPlan.run(store=...)`` consults it before compiling the
+stage graph (:func:`store_hits`): the whole plan is keyed in one pass
+and its hits read in a few batched queries; hits skip emission, folds,
+routes and sims; only the misses reach the graph, and their rows are
+stored on the way out.
 """
 
 from __future__ import annotations
@@ -43,16 +43,9 @@ __all__ = [
     "cell_key", "cell_keys", "ResultStore", "store_hits",
 ]
 
-#: Hit/miss/eviction counters summed over every result store (the
-#: ``store`` entry of ``repro.cache_stats()``; clearing them leaves the
-#: stored rows alone).
-STORE_COUNTERS = Counters("store", "hits", "misses", "evictions")
-
-
-def _version() -> str:
-    from repro import __version__  # lazy: repro imports this module
-
-    return __version__
+#: Hit/miss counters summed over every result store (the ``store`` entry
+#: of ``repro.cache_stats()``; clearing them leaves the stored rows alone).
+STORE_COUNTERS = Counters("store", "hits", "misses")
 
 
 def _fingerprint(root: Path) -> str:
@@ -183,124 +176,64 @@ class ResultStore:
 
     Thread-safe (one connection guarded by a lock — plan runs touch the
     store in one batch before and after execution, so contention is
-    nil).  ``max_rows`` bounds the table; eviction drops the
-    least-recently-*accessed* rows, so warm sweeps keep their working
-    set while rows keyed by older code age out.  Access recency is
-    recorded only when ``max_rows`` is set: an unbounded store's reads
-    write nothing (and are not blocked by another connection's write
-    transaction), so a file filled unbounded and later opened bounded
-    first evicts in insertion order.  A file that is not a result store
-    (not sqlite, truncated, another schema) raises
-    :class:`sqlite3.DatabaseError` naming its path.
+    nil).  Rows live in the ``cells`` table; reads never write, so a
+    warm run is not blocked by another connection's write transaction.
+    A file that is not a result store (not sqlite, truncated, another
+    schema) raises :class:`sqlite3.DatabaseError` naming its path.
     """
 
-    def __init__(
-        self, path: str | os.PathLike, *, max_rows: int | None = None
-    ) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.max_rows = max_rows
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         try:
-            with self._lock, self._conn:
+            with self._conn:
                 self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    " key TEXT PRIMARY KEY,"
-                    " version TEXT NOT NULL,"
-                    " row TEXT NOT NULL,"
-                    " seq INTEGER NOT NULL) WITHOUT ROWID"
+                    "CREATE TABLE IF NOT EXISTS cells ("
+                    " key TEXT PRIMARY KEY, row TEXT NOT NULL) WITHOUT ROWID"
                 )
-                cur = self._conn.execute("SELECT COALESCE(MAX(seq), 0) FROM results")
-                self._seq = int(cur.fetchone()[0])
+            self._conn.execute("SELECT key, row FROM cells LIMIT 1").fetchone()
         except sqlite3.DatabaseError as exc:
             self._conn.close()
             raise sqlite3.DatabaseError(
                 f"{self.path} is not a result store ({exc})"
             ) from exc
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # -- batch API (what plan runs use) --------------------------------
     def get_many(self, keys: Sequence[str]) -> dict[str, tuple]:
-        """Stored rows for ``keys``.
-
-        Reads in chunked ``IN`` queries, decoding each row as it leaves
-        the cursor.  A bounded store (``max_rows`` set) then touches the
-        found keys' access sequence, in input order, and commits; an
-        unbounded one writes nothing, so it never records recency.
-        Counts one hit per found key and one miss per absent key.
-        """
+        """Stored rows for ``keys``, read in chunked ``IN`` queries and
+        decoded as they leave the cursor; counts one hit per found key
+        and one miss per absent key in :data:`STORE_COUNTERS`."""
         found: dict[str, tuple] = {}
         with self._lock:
             for lo in range(0, len(keys), _CHUNK):
                 chunk = keys[lo:lo + _CHUNK]
                 marks = ",".join("?" * len(chunk))
                 cur = self._conn.execute(
-                    f"SELECT key, row FROM results WHERE key IN ({marks})", chunk
+                    f"SELECT key, row FROM cells WHERE key IN ({marks})", chunk
                 )
                 for key, row in cur:
                     found[key] = tuple(_decode_row(row)[0])
-            if self.max_rows is not None:
-                touched = [key for key in keys if key in found]
-                seq = self._seq
-                self._seq += len(touched)
-                self._conn.executemany(
-                    "UPDATE results SET seq = ? WHERE key = ?",
-                    zip(range(seq + 1, self._seq + 1), touched),
-                )
-                self._conn.commit()
-        hits, misses = len(found), len(keys) - len(found)
-        self.hits += hits
-        self.misses += misses
-        STORE_COUNTERS.add(hits=hits, misses=misses)
+        STORE_COUNTERS.add(hits=len(found), misses=len(keys) - len(found))
         return found
 
     def put_many(self, rows: dict[str, tuple]) -> None:
-        """Insert (or refresh) rows, then evict past ``max_rows``."""
+        """Insert (or refresh) rows in one transaction."""
         if not rows:
             return
-        version = _version()
         with self._lock, self._conn:
-            records = [
-                (key, version, json.dumps(row, default=_json_scalar), seq)
-                for seq, (key, row) in enumerate(rows.items(), self._seq + 1)
-            ]
-            self._seq += len(records)
             self._conn.executemany(
-                "INSERT OR REPLACE INTO results (key, version, row, seq)"
-                " VALUES (?, ?, ?, ?)",
-                records,
+                "INSERT OR REPLACE INTO cells (key, row) VALUES (?, ?)",
+                [
+                    (key, json.dumps(row, default=_json_scalar))
+                    for key, row in rows.items()
+                ],
             )
-            evicted = 0
-            if self.max_rows is not None:
-                (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
-                excess = int(count) - self.max_rows
-                if excess > 0:
-                    self._conn.execute(
-                        "DELETE FROM results WHERE key IN ("
-                        " SELECT key FROM results ORDER BY seq LIMIT ?)",
-                        (excess,),
-                    )
-                    evicted = excess
-        if evicted:
-            self.evictions += evicted
-            STORE_COUNTERS.add(evictions=evicted)
 
     def __len__(self) -> int:
         with self._lock:
-            (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
+            (count,) = self._conn.execute("SELECT COUNT(*) FROM cells").fetchone()
         return int(count)
-
-    def stats(self) -> dict[str, int]:
-        """This instance's counters (the aggregate lives in
-        :data:`STORE_COUNTERS`)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "rows": len(self),
-        }
 
     def close(self) -> None:
         with self._lock:

@@ -583,9 +583,10 @@ class TestCLI:
         assert "routed_time" in capsys.readouterr().out
         assert csv_out.exists()
 
-    def test_plan_workers_need_the_shm_executor(self, capsys, tmp_path):
+    def test_plan_workers_need_the_shm_executor(self, capsys, monkeypatch, tmp_path):
         from repro.__main__ import main
 
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"cells": [{"algorithm": "matmul", "n": 16}]}))
         for args in (["--workers", "2"], ["--executor", "serial", "--workers", "2"],
@@ -596,6 +597,25 @@ class TestCLI:
         assert "needs --executor shm" in capsys.readouterr().err
         assert main(["plan", str(path), "--executor", "shm", "--workers", "2"]) == 0
         assert "executor=shm" in capsys.readouterr().out
+
+    def test_plan_workers_follow_the_executor_from_the_environment(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.__main__ import main
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"cells": [{"algorithm": "matmul", "n": 16}]}))
+        monkeypatch.setenv("REPRO_EXECUTOR", "shm")
+        assert main(["plan", str(path), "--workers", "2"]) == 0
+        assert "executor=shm" in capsys.readouterr().out
+        # The flag wins over the environment, in both directions.
+        with pytest.raises(SystemExit) as err:
+            main(["plan", str(path), "--executor", "serial", "--workers", "2"])
+        assert err.value.code == 2
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        with pytest.raises(SystemExit):
+            main(["plan", str(path), "--workers", "2"])
+        assert main(["plan", str(path), "--executor", "shm", "--workers", "2"]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ per-cell oracle bit for bit, including the ``spawn`` pool hosts without
 or tiny plans, shm -> in-line after a worker dies), the persistent
 cell-hash result store (warm runs do zero folds/routes/sims; code
 edits invalidate, version bumps alone do not; batched keys and reads
-equal their one-at-a-time forms; unbounded stores read without
-writing, so a writer elsewhere does not block a warm run; corrupt files
-fail naming the path; ``run`` closes only stores it opened), and the
+equal their one-at-a-time forms; reads never write, so a writer
+elsewhere does not block a warm run; two processes writing one store
+both get the oracle frame and leave the union of their rows; older and
+corrupt files behave; ``run`` closes only stores it opened), and the
 aggregated ``repro.cache_stats()`` registry.
 """
 
@@ -17,9 +18,12 @@ from __future__ import annotations
 import json
 import multiprocessing.connection
 import os
+import pickle
 import shutil
 import signal
 import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,21 @@ from repro.exec import (
 )
 from repro.exec import store as store_mod
 from repro.exec.store import _fingerprint
+
+
+# One plan run against a shared store in its own process: argv is the
+# store path, the plan's JSON and the file its (rows, meta) go to.  It
+# says "ready" once imported and starts when a line arrives on stdin.
+_STORE_WRITER = """
+import pickle, sys
+from repro.api import ExperimentPlan
+plan = ExperimentPlan.from_json(sys.argv[2])
+print("ready", flush=True)
+sys.stdin.readline()
+frame = plan.run(store=sys.argv[1])
+with open(sys.argv[3], "wb") as out:
+    pickle.dump((frame.rows, dict(frame.metadata)), out)
+"""
 
 
 def _grid(name="exec-grid"):
@@ -440,45 +459,53 @@ class TestResultStore:
         assert len(store) == 0  # nothing of unknown provenance was stored
         assert second.metadata["store_hits"] == 0
 
-    def test_lru_eviction_by_access(self, tmp_path):
-        store = ResultStore(tmp_path / "results.db", max_rows=3)
-        store.put_many({f"k{i}": (i,) for i in range(3)})
-        store.get_many(["k0"])  # refresh k0; k1 is now the oldest
-        store.put_many({"k3": (3,)})
-        assert len(store) == 3
-        assert store.get_many(["k0", "k1", "k3"]) == {"k0": (0,), "k3": (3,)}
-        assert store.evictions == 1
-
     def test_unbounded_get_many_writes_nothing(self, tmp_path):
-        store = ResultStore(tmp_path / "results.db")
+        path = tmp_path / "results.db"
+        store = ResultStore(path)
         store.put_many({f"k{i}": (i,) for i in range(50)})
-        seqs = dict(store._conn.execute("SELECT key, seq FROM results"))
         changes = store._conn.total_changes
+        before = path.read_bytes()
         found = store.get_many([f"k{i}" for i in range(0, 100, 3)])
         assert found == {f"k{i}": (i,) for i in range(0, 50, 3)}
         assert store._conn.total_changes == changes
-        assert dict(store._conn.execute("SELECT key, seq FROM results")) == seqs
+        assert not store._conn.in_transaction
+        assert path.read_bytes() == before
         store.close()
 
-    def test_files_with_a_rowid_table_still_open(self, tmp_path):
+    @pytest.mark.parametrize(
+        "without_rowid", [False, True], ids=["rowid", "without-rowid"]
+    )
+    def test_older_files_open_serving_none_of_their_rows(
+        self, tmp_path, without_rowid
+    ):
         new = ResultStore(tmp_path / "new.db")
         (sql,) = new._conn.execute("SELECT sql FROM sqlite_master").fetchone()
         assert sql.endswith("WITHOUT ROWID")
         new.close()
-        old = sqlite3.connect(str(tmp_path / "old.db"))
+        # The ``results`` table older releases wrote, in both layouts.
+        path = tmp_path / "old.db"
+        old = sqlite3.connect(str(path))
         with old:
             old.execute(
                 "CREATE TABLE results (key TEXT PRIMARY KEY, version TEXT NOT NULL,"
                 " row TEXT NOT NULL, seq INTEGER NOT NULL)"
+                + (" WITHOUT ROWID" if without_rowid else "")
             )
-            old.execute("INSERT INTO results VALUES ('k0', 'v', '[0]', 7)")
+            old.executemany(
+                "INSERT INTO results VALUES (?, 'v', ?, ?)",
+                [("k0", "[0]", 7), ("k1", "[1]", 8)],
+            )
+        old_rows = old.execute("SELECT * FROM results ORDER BY key").fetchall()
         old.close()
-        store = ResultStore(tmp_path / "old.db", max_rows=2)
-        assert store.get_many(["k0", "k1"]) == {"k0": (0,)}
-        store.put_many({"k1": (1,), "k2": (2,)})
-        assert store.get_many(["k0", "k1", "k2"]) == {"k1": (1,), "k2": (2,)}
-        assert store.evictions == 1
+        store = ResultStore(path)
+        assert store.get_many(["k0", "k1"]) == {}
+        store.put_many({"k1": (10,), "k2": (2,)})
+        assert store.get_many(["k0", "k1", "k2"]) == {"k1": (10,), "k2": (2,)}
+        assert len(store) == 2
         store.close()
+        old = sqlite3.connect(str(path))
+        assert old.execute("SELECT * FROM results ORDER BY key").fetchall() == old_rows
+        old.close()
 
     def test_warm_reads_not_blocked_by_a_writer(self, tmp_path):
         path = tmp_path / "results.db"
@@ -518,8 +545,7 @@ class TestResultStore:
         assert warm.rows == cold.rows
 
     def test_get_many_across_chunks_equals_per_key_reads(self, tmp_path):
-        # Bounded: access recency is recorded only when max_rows is set.
-        store = ResultStore(tmp_path / "results.db", max_rows=10**6)
+        store = ResultStore(tmp_path / "results.db")
         stored = {f"k{i:05d}": (i, f"r{i}", i / 7) for i in range(0, 4400, 2)}
         store.put_many(stored)
         keys = [f"k{i:05d}" for i in range(2100)]  # half of them absent
@@ -527,18 +553,11 @@ class TestResultStore:
         one_by_one = {}
         for key in keys:
             one_by_one.update(store.get_many([key]))
-        hits, misses = store.hits, store.misses
+        before = cache_stats()["store"]
         assert store.get_many(keys) == one_by_one
-        assert store.hits - hits == len(one_by_one) == 1050
-        assert store.misses - misses == len(keys) - 1050
-        # Access order follows the input order: the last key read is the
-        # freshest row, and never-read rows are the oldest.
-        seqs = dict(store._conn.execute("SELECT key, seq FROM results"))
-        found = [key for key in keys if key in stored]
-        assert [seqs[k] for k in found] == sorted(seqs[k] for k in found)
-        assert max(seqs[k] for k in stored if k not in one_by_one) < min(
-            seqs[k] for k in found
-        )
+        after = cache_stats()["store"]
+        assert after["hits"] - before["hits"] == len(one_by_one) == 1050
+        assert after["misses"] - before["misses"] == len(keys) - 1050
         store.close()
 
     def test_corrupt_files_fail_naming_the_path(self, tmp_path):
@@ -550,13 +569,69 @@ class TestResultStore:
         store.close()
         truncated = tmp_path / "truncated.db"
         truncated.write_bytes(real.read_bytes()[: real.stat().st_size // 2])
-        for path in (garbage, truncated):
+        other = tmp_path / "other.db"  # sqlite, but its table has no row column
+        conn = sqlite3.connect(str(other))
+        with conn:
+            conn.execute("CREATE TABLE cells (key TEXT PRIMARY KEY, value TEXT)")
+        conn.close()
+        for path in (garbage, truncated, other):
             with pytest.raises(sqlite3.DatabaseError, match="not a result store") as err:
                 ResultStore(path)
             assert str(path) in str(err.value)
         plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4])
         with pytest.raises(sqlite3.DatabaseError, match=str(garbage)):
             plan.run(store=garbage)
+
+    def test_two_processes_writing_one_store(self, tmp_path):
+        def plan(ps):
+            return ExperimentPlan.grid(
+                ["stencil1d", "fft"], ns=[64], ps=ps, topologies=["ring"]
+            )
+
+        plans = [plan([4, 8]), plan([8, 16])]  # both hold the p=8 cells
+        path = tmp_path / "results.db"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _STORE_WRITER, str(path), p.to_json(),
+                 str(tmp_path / f"out{k}.pickle")],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            )
+            for k, p in enumerate(plans)
+        ]
+        try:
+            for proc in procs:  # both imported: release them together
+                assert proc.stdout.readline() == b"ready\n"
+            for proc in procs:
+                proc.stdin.write(b"go\n")
+                proc.stdin.close()
+            codes = [proc.wait(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.stdout.close()
+        assert codes == [0, 0]
+        for k, p in enumerate(plans):
+            rows, meta = pickle.loads((tmp_path / f"out{k}.pickle").read_bytes())
+            assert rows == oracle_rows(p)
+            assert "store_write_skipped" not in meta
+            assert meta["store_hits"] + meta["store_misses"] == len(p)
+        union = set(cell_keys(plans[0].cells)) | set(cell_keys(plans[1].cells))
+        store = ResultStore(path)
+        try:
+            assert len(store) == len(union)
+            assert set(store.get_many(sorted(union))) == union
+            both = plan([4, 8, 16])
+            assert set(cell_keys(both.cells)) == union
+            warm = both.run(store=store)
+        finally:
+            store.close()
+        assert warm.metadata["store_hits"] == len(both)
+        assert warm.rows == oracle_rows(both)
 
     def test_partial_hits_compute_only_the_misses(self, tmp_path):
         store = ResultStore(tmp_path / "results.db")
@@ -581,8 +656,9 @@ class TestCacheRegistry:
             "dag", "fold", "route", "sanitizer", "sim", "sim_engine", "store",
         )
         stats = cache_stats()
-        for name in ("fold", "route", "sim", "store"):
+        for name in ("fold", "route", "sim"):
             assert {"hits", "misses", "evictions"} <= set(stats[name])
+        assert set(stats["store"]) == {"hits", "misses"}
 
     def test_clear_caches_resets_every_counter(self, tmp_path):
         # Traffic for every entry: a cold plan run over a store routes and
